@@ -19,6 +19,8 @@ from zoomctl.analysis import MomentOrderError, UnstabilizableError
 from zoomctl.config import ConfigError, load_config
 from zoomctl.distributions import moment_summary
 from zoomctl.harness import (
+    SWEEP_DIMENSIONS,
+    _max_workers,
     run_experiment,
     sweep,
     write_curve_csv,
@@ -125,8 +127,8 @@ def cmd_sweep(args) -> int:
         cfg = load_config(args.config, args.set)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc))
-    if args.dim not in ("P", "L", "K", "M0"):
-        return _fail(f"--dim must be one of P, L, K, M0; got {args.dim!r}")
+    if args.dim not in SWEEP_DIMENSIONS:
+        return _fail(f"--dim must be one of {', '.join(SWEEP_DIMENSIONS)}; got {args.dim!r}")
     raw = [v for v in (args.values or "").split(",") if v.strip()]
     if not raw:
         return _fail("--values must list at least one value")
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="rerun the ensemble across strategy parameter values")
     p_swp.add_argument("config")
-    p_swp.add_argument("--dim", required=True, help="one of P, L, K, M0")
+    p_swp.add_argument("--dim", required=True, help=f"one of {', '.join(SWEEP_DIMENSIONS)}")
     p_swp.add_argument("--values", required=True, help="comma-separated values")
     p_swp.add_argument("--out", default="out")
     p_swp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -206,6 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("simulate", "verify", "sweep"):
+        try:
+            _max_workers()
+        except ValueError as exc:
+            return _fail(str(exc))
     return args.func(args)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from zoomctl import analysis
 from zoomctl.analysis import TraceBundle
-from zoomctl.codec import StrategyParams, rate
+from zoomctl.codec import ProtocolError, StrategyParams, rate
 from zoomctl.distributions import DistributionSpec, moments, sample_array
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace
 
@@ -192,40 +192,37 @@ class _ChunkOut:
     count_nsq: np.ndarray | None
 
 
-def _alloc_records(fields, n_t: int, h: int) -> dict[str, np.ndarray]:
-    rec: dict[str, np.ndarray] = {}
-    for f in fields:
-        if f == "X":
-            rec[f] = np.zeros((n_t, h + 1))
-        elif f in ("normal", "clamped"):
-            rec[f] = np.zeros((n_t, h), dtype=bool)
-        elif f in ("rho", "symbol"):
-            rec[f] = np.full((n_t, h), NO_SYMBOL if f == "symbol" else 1, dtype=np.int64)
-        else:
-            rec[f] = np.zeros((n_t, h))
-    return rec
+# Per-step record columns, with the value a lane holds from its divergence
+# step on.  X (the state history) and A, W (the noise draws) are kept apart.
+_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
+              "symbol": NO_SYMBOL, "U": 0.0}
 
 
 def _chunk_envelope(
     m_rec: np.ndarray, i_rec: np.ndarray, normal_rec: np.ndarray, alive: np.ndarray, K: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-index sums and counts of N^2 over non-diverged trials in a chunk."""
-    keep = np.nonzero(alive)[0]
     h = m_rec.shape[1]
-    if len(keep) == 0:
+    n_keep = int(np.count_nonzero(alive))
+    if n_keep == 0:
         return np.zeros(h), np.zeros(h, dtype=np.int64)
-    bundle = TraceBundle(
-        X=np.zeros((len(keep), h + 1)),
-        M=m_rec[keep],
-        I=i_rec[keep],
-        normal=normal_rec[keep],
-    )
+    if n_keep < len(alive):
+        keep = np.flatnonzero(alive)
+        m_rec, i_rec, normal_rec = m_rec[keep], i_rec[keep], normal_rec[keep]
+    bundle = TraceBundle(X=np.zeros((n_keep, h + 1)), M=m_rec, I=i_rec, normal=normal_rec)
     nsq, hr = analysis.envelope_squared(bundle, K)
     sums = np.zeros(h)
     counts = np.zeros(h, dtype=np.int64)
+    # nsq is C-ordered (trials, steps), so this adds trial by trial
     sums[:hr] = nsq.sum(axis=0)
-    counts[:hr] = len(keep)
+    counts[:hr] = n_keep
     return sums, counts
+
+
+def _decode_symbol(symbol: np.ndarray, L: int, k_out: np.ndarray, normal_out: np.ndarray) -> None:
+    """Controller side: cell index and mode from the received symbol alone."""
+    np.subtract(symbol, L, out=k_out)
+    np.not_equal(symbol, 2 * L, out=normal_out)
 
 
 def _run_chunk(
@@ -234,193 +231,186 @@ def _run_chunk(
     record_fields: tuple[str, ...] | None,
     envelope: bool,
 ) -> _ChunkOut:
+    """Run trials ``indices`` in lockstep, one lane each, under any policy.
+
+    The step works on whole lane arrays with no mask until a lane diverges.
+    A diverged lane is then parked: its X is held at 0 and its tracker
+    frozen, so it adds 0 to the per-step sums and counts as a normal step,
+    and its record tail is reset after the loop.  Cell indices are float64,
+    exact since |k| <= L <= 2^50.
+    """
     kind = cfg.policy.kind
     n_t = len(indices)
     h = cfg.horizon
     p = cfg.params
+    L = p.L
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
     a_draws, w_draws = _predraw(cfg, indices)
 
-    x = np.zeros(n_t)
-    alive = np.ones(n_t, dtype=bool)
+    need_env = envelope and kind == "adaptive_fixed_rate"
+    # the envelope pass reads the recorded M, I and mode columns
+    wanted = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
+    rec = {f: np.full((n_t, h), fill) for f, fill in _STEP_FILL.items() if f in wanted}
+    xs = np.zeros((h + 1, n_t))  # row n holds X_n; 0 at parked lanes
+    x = xs[0]
     diverged_at = np.full(n_t, -1, dtype=np.int64)
-    sum_xsq = np.zeros(h + 1)
-    sum_x4 = np.zeros(h + 1)
-    count = np.zeros(h + 1, dtype=np.int64)
-    count[0] = n_t
-    steps_alive = 0
+    x_diverged = np.zeros(n_t)
+    parked = None
+    count = np.full(h + 1, n_t, dtype=np.int64)
     emergency_steps = 0
 
-    rec = _alloc_records(record_fields, n_t, h) if record_fields else None
-    need_env = envelope and kind == "adaptive_fixed_rate"
-    if need_env:
-        env_m = np.empty((n_t, h))
-        env_i = np.empty((n_t, h))
-        env_normal = np.zeros((n_t, h), dtype=bool)
-
-    L = p.L
-    two_l = 2 * L
-    adaptive = kind == "adaptive_fixed_rate"
-    static = kind == "static_quantizer"
-    if adaptive:
-        m_enc = np.full(n_t, p.M0)
-        i_enc = np.full(n_t, p.M0)
-        rho_enc = np.ones(n_t, dtype=np.int64)
-        m_ctl = np.full(n_t, p.M0)
-        i_ctl = np.full(n_t, p.M0)
-        rho_ctl = np.ones(n_t, dtype=np.int64)
-    if static:
+    if kind == "adaptive_fixed_rate":
+        # tracker (M, I, rho) x (encoder, controller) x lane; the controller
+        # row is rebuilt from the symbol alone and must match exactly
+        trk = np.empty((3, 2, n_t))
+        trk[:2] = p.M0
+        trk[2] = 1.0
+        cand = np.empty_like(trk)
+        k2 = np.empty((2, n_t))  # cell index per side
+        normal2 = np.empty((2, n_t), dtype=bool)
+        geo = np.empty((2, 2, n_t))  # M and I before the floor at M0
+    elif kind == "static_quantizer":
         srange = cfg.static_range()
-        w_cell_s = 2.0 * srange / (two_l + 1)
+        w_cell_s = 2.0 * srange / (2 * L + 1)
+    elif kind == "zero_control":
+        u = mu_w
 
     for n in range(h):
-        steps_alive += int(alive.sum())
-        if adaptive:
-            limit = p.P * m_enc
-            normal = np.abs(x) <= limit
-            w_cell = p.P * m_enc / L
-            k = np.floor(np.clip(x / w_cell, -float(L), float(L))).astype(np.int64)
-            k = np.where(x < k * w_cell, k - 1, k)
-            k = np.where(x >= (k + 1) * w_cell, k + 1, k)
-            k = np.clip(k, -L, L - 1)
-            symbol = np.where(normal, L + k, two_l)
-            # encoder-side tracker from its own cell arithmetic
-            a_cell = np.where(k == -L, -limit, k * w_cell)
-            b_cell = np.where(k == L - 1, limit, (k + 1) * w_cell)
-            geo_m = np.maximum(np.abs(a_cell), np.abs(b_cell))
-            geo_i = (b_cell - a_cell) / 2.0
-            m_new = np.maximum(p.M0, geo_m)
-            i_new = np.maximum(p.M0, geo_i)
-            rho_new = np.where(a_cell >= 0.0, 1, -1).astype(np.int64)
-            clamped = (geo_m < p.M0) | (geo_i < p.M0)
-            m_enc_n = np.where(normal, m_new, p.P * m_enc)
-            i_enc_n = np.where(normal, i_new, i_enc)
-            rho_enc_n = np.where(normal, rho_new, rho_enc)
-            # controller-side tracker from the symbol alone
-            normal_c = symbol != two_l
-            k_c = np.clip(symbol - L, -L, L - 1)
-            w_cell_c = p.P * m_ctl / L
-            limit_c = p.P * m_ctl
-            a_c = np.where(k_c == -L, -limit_c, k_c * w_cell_c)
-            b_c = np.where(k_c == L - 1, limit_c, (k_c + 1) * w_cell_c)
-            geo_m_c = np.maximum(np.abs(a_c), np.abs(b_c))
-            geo_i_c = (b_c - a_c) / 2.0
-            m_c = np.maximum(p.M0, geo_m_c)
-            i_c = np.maximum(p.M0, geo_i_c)
-            rho_c = np.where(a_c >= 0.0, 1, -1).astype(np.int64)
-            u = np.where(normal_c, rho_c * mu_a * (m_c - i_c) + mu_w, mu_w)
-            m_ctl_n = np.where(normal_c, m_c, p.P * m_ctl)
-            i_ctl_n = np.where(normal_c, i_c, i_ctl)
-            rho_ctl_n = np.where(normal_c, rho_c, rho_ctl)
-            if (
-                np.any((m_enc_n != m_ctl_n) & alive)
-                or np.any((i_enc_n != i_ctl_n) & alive)
-                or np.any((rho_enc_n != rho_ctl_n) & alive)
-            ):  # pragma: no cover - protocol invariant
-                raise AssertionError(f"tracker mismatch at step {n}")
-            emergency_steps += int(np.sum(~normal & alive))
-            if rec is not None:
-                live = alive
-                rec["X"][live, n] = x[live]
-                rec["M"][live, n] = m_enc_n[live]
-                rec["I"][live, n] = i_enc_n[live]
-                rec["normal"][live, n] = normal[live]
-                if "rho" in rec:
-                    rec["rho"][live, n] = rho_enc_n[live]
-                    rec["clamped"][live, n] = (clamped & normal)[live]
-                    rec["symbol"][live, n] = symbol[live]
-                    rec["U"][live, n] = u[live]
-                    rec["A"][live, n] = a_draws[live, n]
-                    rec["W"][live, n] = w_draws[live, n]
-            if need_env:
-                env_m[:, n] = m_enc_n
-                env_i[:, n] = i_enc_n
-                env_normal[:, n] = normal & alive
-            m_enc = np.where(alive, m_enc_n, m_enc)
-            i_enc = np.where(alive, i_enc_n, i_enc)
-            rho_enc = np.where(alive, rho_enc_n, rho_enc)
-            m_ctl = np.where(alive, m_ctl_n, m_ctl)
-            i_ctl = np.where(alive, i_ctl_n, i_ctl)
-            rho_ctl = np.where(alive, rho_ctl_n, rho_ctl)
-        elif static:
-            idx = np.floor(
-                np.clip((x + srange) / w_cell_s, 0.0, float(two_l) + 1.0)
-            ).astype(np.int64)
-            idx = np.clip(idx, 0, two_l)
-            a_cell = -srange + idx * w_cell_s
+        cols = {}
+        if kind == "adaptive_fixed_rate":
+            frozen = None if parked is None else trk.copy()
+            # zoom-out update M <- P*M, which is also the live range
+            lim = np.multiply(trk[0], p.P, out=trk[0])
+            wid = lim / L
+            w_enc = wid[0]
+            normal = normal2[0]
+            np.less_equal(np.abs(x), lim[0], out=normal)
+            k = np.floor(x / w_enc)
+            # one-ulp fixups against the endpoint arithmetic, as in the codec
+            k -= x < k * w_enc
+            k += x >= (k + 1.0) * w_enc
+            np.fmin(np.fmax(k, -L, out=k), L - 1, out=k2[0])
+            symbol = np.where(normal, k2[0] + L, 2 * L)
+            _decode_symbol(symbol, L, k2[1], normal2[1])
+            # the extreme cells end at the live range exactly
+            a_cell = np.where(k2 == -L, -lim, k2 * wid)
+            b_cell = np.where(k2 == L - 1, lim, (k2 + 1.0) * wid)
+            np.maximum(np.abs(a_cell), np.abs(b_cell), out=geo[0])
+            np.subtract(b_cell, a_cell, out=geo[1])
+            geo[1] /= 2.0
+            np.maximum(p.M0, geo, out=cand[:2])
+            cand[2] = np.where(a_cell >= 0.0, 1.0, -1.0)
+            trk = np.where(normal2, cand, trk)
+            if frozen is not None:
+                # a parked lane keeps the tracker it diverged with
+                trk = np.where(parked, frozen, trk)
+            if np.count_nonzero(trk[:, 0] != trk[:, 1]):
+                raise ProtocolError(f"encoder and controller trackers disagree at step {n}")
+            m_c, i_c, rho_c = trk[:, 1]
+            u = np.where(normal2[1], rho_c * mu_a * (m_c - i_c) + mu_w, mu_w)
+            emergency_steps += n_t - int(np.count_nonzero(normal))
+            if rec:
+                cols = {"M": trk[0, 0], "I": trk[1, 0], "normal": normal, "rho": trk[2, 0],
+                        "symbol": symbol, "U": u}
+                if "clamped" in rec:
+                    cols["clamped"] = ((geo[0, 0] < p.M0) | (geo[1, 0] < p.M0)) & normal
+        elif kind == "static_quantizer":
+            k = np.floor((x + srange) / w_cell_s)
+            np.fmin(np.fmax(k, 0.0, out=k), 2 * L, out=k)
+            a_cell = -srange + k * w_cell_s
             b_cell = a_cell + w_cell_s
-            geo_m = np.maximum(np.abs(a_cell), np.abs(b_cell))
-            geo_i = (b_cell - a_cell) / 2.0
-            m_new = np.maximum(p.M0, geo_m)
-            i_new = np.maximum(p.M0, geo_i)
-            est = np.where(
-                a_cell >= 0.0, m_new - i_new, np.where(b_cell <= 0.0, -(m_new - i_new), 0.0)
-            )
+            m_new = np.maximum(p.M0, np.maximum(np.abs(a_cell), np.abs(b_cell)))
+            i_new = np.maximum(p.M0, (b_cell - a_cell) / 2.0)
+            half = m_new - i_new
+            est = np.where(a_cell >= 0.0, half, np.where(b_cell <= 0.0, -half, 0.0))
             u = mu_a * est + mu_w
-            if rec is not None:
-                live = alive
-                rec["X"][live, n] = x[live]
-                rec["M"][live, n] = m_new[live]
-                rec["I"][live, n] = i_new[live]
-                rec["normal"][live, n] = True
+            if rec:
+                cols = {"M": m_new, "I": i_new, "normal": True, "symbol": k, "U": u}
                 if "rho" in rec:
-                    rec["rho"][live, n] = np.where(a_cell >= 0.0, 1, -1)[live]
-                    rec["symbol"][live, n] = idx[live]
-                    rec["U"][live, n] = u[live]
-                    rec["A"][live, n] = a_draws[live, n]
-                    rec["W"][live, n] = w_draws[live, n]
+                    cols["rho"] = np.where(a_cell >= 0.0, 1, -1)
+        elif kind == "perfect_observation":
+            u = mu_a * x + mu_w
+            cols = {"normal": True, "U": u}
         else:
-            u = mu_a * x + mu_w if kind == "perfect_observation" else np.full(n_t, mu_w)
-            if rec is not None:
-                live = alive
-                rec["X"][live, n] = x[live]
-                rec["normal"][live, n] = True
-                if "U" in rec:
-                    rec["U"][live, n] = u[live]
-                    rec["A"][live, n] = a_draws[live, n]
-                    rec["W"][live, n] = w_draws[live, n]
+            cols = {"normal": True, "U": u}
+        for f, v in cols.items():
+            if f in rec:
+                rec[f][:, n] = v
 
-        x_next = a_draws[:, n] * x + w_draws[:, n] - u
-        step_alive = alive
-        x = np.where(step_alive, x_next, x)
-        dead_now = step_alive & (~np.isfinite(x) | (np.abs(x) > DIVERGENCE_LIMIT))
-        diverged_at[dead_now] = n + 1
-        alive = step_alive & ~dead_now
-        xsq = np.where(alive, x * x, 0.0)
-        sum_xsq[n + 1] = xsq.sum()
-        with np.errstate(over="ignore"):
-            # near the divergence limit x^4 saturates to inf; the stderr at
-            # such indices is reported as inf, means stay finite
-            sum_x4[n + 1] = (xsq * xsq).sum()
-        count[n + 1] = int(alive.sum())
-        if rec is not None:
+        x_prev, x = x, xs[n + 1]
+        np.multiply(a_draws[:, n], x_prev, out=x)
+        x += w_draws[:, n]
+        x -= u
+        if parked is not None:
+            np.copyto(x, 0.0, where=parked)
+        ok = np.abs(x) <= DIVERGENCE_LIMIT
+        if np.count_nonzero(ok) < n_t:
+            dead = ~ok
+            diverged_at[dead] = n + 1
+            x_diverged[dead] = x[dead]
+            x[dead] = 0.0
+            count[n + 1:] -= np.count_nonzero(dead)
+            parked = dead if parked is None else parked | dead
+
+    # per-step sums over the full chunk width, parked lanes contributing 0;
+    # xs is squared in place unless X is recorded
+    sq = xs * xs if "X" in wanted else np.multiply(xs, xs, out=xs)
+    sum_xsq = sq.sum(axis=1)
+    with np.errstate(over="ignore"):
+        # near the divergence limit x^4 saturates to inf; the stderr at
+        # such indices is reported as inf, means stay finite
+        sq *= sq
+        sum_x4 = sq.sum(axis=1)
+    del sq, x, x_prev  # views of xs
+
+    records = None
+    if record_fields:
+        for j in np.flatnonzero(diverged_at >= 0):
+            d = diverged_at[j]
             # the freshly diverged value is recorded too (flagged, excluded
             # from the aggregates above)
-            rec["X"][step_alive, n + 1] = x[step_alive]
+            xs[d, j] = x_diverged[j]
+            a_draws[j, d:] = 0.0
+            w_draws[j, d:] = 0.0
+            for f, col in rec.items():
+                col[j, d:] = _STEP_FILL[f]
+        cols = {**rec, "X": xs.T, "A": a_draws, "W": w_draws}
+        records = {f: cols[f] for f in record_fields}
 
     sum_nsq = count_nsq = None
     if need_env:
-        sum_nsq, count_nsq = _chunk_envelope(env_m, env_i, env_normal, alive, p.K)
+        del a_draws, w_draws, xs  # free the noise before the envelope pass
+        sum_nsq, count_nsq = _chunk_envelope(rec["M"], rec["I"], rec["normal"], diverged_at < 0, p.K)
     return _ChunkOut(
         sum_xsq=sum_xsq,
         sum_x4=sum_x4,
         count=count,
-        steps_alive=steps_alive,
+        steps_alive=int(count[:h].sum()),
         emergency_steps=emergency_steps,
-        diverged=int(np.sum(diverged_at >= 0)),
+        diverged=int(np.count_nonzero(diverged_at >= 0)),
         diverged_at=diverged_at,
-        records=rec,
+        records=records,
         sum_nsq=sum_nsq,
         count_nsq=count_nsq,
     )
 
 
+def _chunked(indices: Sequence[int]) -> list[list[int]]:
+    """Trial indices split, in order, into engine chunks of CHUNK_TRIALS."""
+    indices = list(indices)
+    return [indices[i:i + CHUNK_TRIALS] for i in range(0, len(indices), CHUNK_TRIALS)]
+
+
 def _max_workers() -> int:
+    """Engine worker threads from ZOOMCTL_THREADS (unset: 1)."""
     raw = os.environ.get("ZOOMCTL_THREADS", "").strip()
     if not raw:
         return 1
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"ZOOMCTL_THREADS must be an integer, got {raw!r}") from None
 
 
 def _window_ratio(curve: np.ndarray, split: float) -> float:
@@ -463,14 +453,11 @@ def run_experiment(
     """Run the configured ensemble and aggregate second-moment statistics.
 
     ``keep_traces`` retains the first k trials as full Trace objects
-    (re-simulated through the recording path; bit-identical to their
-    ensemble counterparts).  ``envelope`` controls whether the dominating
+    (re-simulated together through the recording path; bit-identical to
+    their ensemble counterparts).  ``envelope`` controls whether the dominating
     envelope statistic max_mean_nsq is computed (adaptive policy only).
     """
-    chunks = [
-        list(range(start, min(start + CHUNK_TRIALS, cfg.trials)))
-        for start in range(0, cfg.trials, CHUNK_TRIALS)
-    ]
+    chunks = _chunked(range(cfg.trials))
     workers = _max_workers()
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -528,11 +515,7 @@ def run_experiment(
         stability_verdict(stats) if h >= 1000 else "inconclusive"
     )
 
-    traces: list[Trace] = []
-    if keep_traces > 0:
-        traces = [
-            extract_trace(cfg, t) for t in range(min(keep_traces, cfg.trials))
-        ]
+    traces = _kept_traces(cfg, range(min(max(keep_traces, 0), cfg.trials)))
     return stats, traces
 
 
@@ -546,11 +529,7 @@ def run_recorded_bundle(
     trials * horizon * fields; callers cap the horizon accordingly.
     """
     fields = FULL_RECORD_FIELDS if full else ("X", "M", "I", "normal")
-    chunks = [
-        list(range(start, min(start + CHUNK_TRIALS, cfg.trials)))
-        for start in range(0, cfg.trials, CHUNK_TRIALS)
-    ]
-    outs = [_run_chunk(cfg, idx, fields, envelope=False) for idx in chunks]
+    outs = [_run_chunk(cfg, idx, fields, envelope=False) for idx in _chunked(range(cfg.trials))]
     rec = {
         f: np.concatenate([o.records[f] for o in outs], axis=0) for f in fields
     }
@@ -558,44 +537,57 @@ def run_recorded_bundle(
     return rec, diverged_at
 
 
+def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
+    """Full Traces of the given trials, simulated together in shared chunks."""
+    traces = []
+    for chunk in _chunked(indices):
+        out = _run_chunk(cfg, chunk, FULL_RECORD_FIELDS, envelope=False)
+        traces += [_trace_from_records(cfg, out, j, t) for j, t in enumerate(chunk)]
+    return traces
+
+
 def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
     """Materialize one ensemble member as a full Trace."""
-    out = _run_chunk(cfg, [index], FULL_RECORD_FIELDS, envelope=False)
-    rec = out.records
+    return _kept_traces(cfg, [index])[0]
+
+
+def _trace_from_records(cfg: ExperimentConfig, out: _ChunkOut, j: int, index: int) -> Trace:
+    """Lane j of a fully recorded chunk, which ran trial ``index``, as a Trace."""
+    rec = {f: col[j] for f, col in out.records.items()}
     quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
-    div_at = int(out.diverged_at[0])
+    div_at = int(out.diverged_at[j])
     steps = cfg.horizon if div_at < 0 else div_at
     mode = np.zeros(steps + 1, dtype=np.uint8)
-    mode[:steps] = ~rec["normal"][0, :steps]
-    normal_steps = rec["normal"][0, :steps]
+    mode[:steps] = ~rec["normal"][:steps]
+    normal_steps = rec["normal"][:steps]
     round_id = np.maximum(np.cumsum(normal_steps.astype(np.int64)) - 1, 0)
     symbol = np.full(steps + 1, NO_SYMBOL, dtype=np.int64)
     rho = np.ones(steps + 1, dtype=np.int64)
     m_col = np.full(steps + 1, cfg.params.M0)
     i_col = np.full(steps + 1, cfg.params.M0)
     if quantized:
-        symbol[:steps] = rec["symbol"][0, :steps]
-        rho[:steps] = rec["rho"][0, :steps]
-        m_col[:steps] = rec["M"][0, :steps]
-        i_col[:steps] = rec["I"][0, :steps]
+        symbol[:steps] = rec["symbol"][:steps]
+        rho[:steps] = rec["rho"][:steps]
+        m_col[:steps] = rec["M"][:steps]
+        i_col[:steps] = rec["I"][:steps]
     if steps:
         m_col[steps] = m_col[steps - 1]
         i_col[steps] = i_col[steps - 1]
         rho[steps] = rho[steps - 1]
         mode[steps] = mode[steps - 1]
     u_col = np.zeros(steps + 1)
-    u_col[:steps] = rec["U"][0, :steps]
+    u_col[:steps] = rec["U"][:steps]
     a_col = np.full(steps + 1, np.nan)
-    a_col[:steps] = rec["A"][0, :steps]
+    a_col[:steps] = rec["A"][:steps]
     w_col = np.full(steps + 1, np.nan)
-    w_col[:steps] = rec["W"][0, :steps]
+    w_col[:steps] = rec["W"][:steps]
     round_col = np.zeros(steps + 1, dtype=np.int64)
     round_col[:steps] = round_id
     if steps:
         round_col[steps] = round_col[steps - 1]
     return Trace(
         n=np.arange(steps + 1, dtype=np.int64),
-        X=rec["X"][0, : steps + 1].copy(),
+        X=rec["X"][: steps + 1].copy(),
         symbol=symbol,
         mode=mode,
         M=m_col,

@@ -29,6 +29,7 @@ import numpy as np
 
 from zoomctl import analysis
 from zoomctl.analysis import TraceBundle
+from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
 from zoomctl.harness import ExperimentConfig, Policy, run_experiment, run_recorded_bundle, trial_seed
@@ -94,7 +95,7 @@ def check_tracker_equality(cfg: ExperimentConfig, trace_file=None) -> CheckResul
                 cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
                 trial_seed(cfg.master_seed, t), check_feasibility=False,
             )
-    except AssertionError as exc:  # pragma: no cover - protocol invariant
+    except ProtocolError as exc:
         return CheckResult("tracker_equality", False, str(exc))
     return CheckResult(
         "tracker_equality", True,

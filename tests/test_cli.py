@@ -241,3 +241,67 @@ def test_cli_verify_reports_written(tmp_path, cfg_file):
 
 def test_cli_verify_unknown_check(cfg_file):
     assert main(["verify", str(cfg_file), "--checks", "nonsense"]) == 1
+
+
+def test_cli_sweep_rate_dimension(tmp_path, cfg_file):
+    out = tmp_path / "swr"
+    code = main(
+        ["sweep", str(cfg_file), "--dim", "R", "--values", "3,5",
+         "--out", str(out), "--set", "trials=3", "--set", "horizon=60"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[2:]]
+    assert [(r[0], r[2]) for r in rows] == [("R", "3"), ("R", "5")]
+    assert main(["sweep", str(cfg_file), "--dim", "R", "--values", "1", "--out", str(out)]) == 1
+
+
+def test_cli_rejects_non_integer_thread_count(tmp_path, cfg_file, monkeypatch, capsys):
+    monkeypatch.setenv("ZOOMCTL_THREADS", "abc")
+    for argv in (
+        ["simulate", str(cfg_file), "--out", str(tmp_path / "o")],
+        ["verify", str(cfg_file), "--checks", "tracker_equality"],
+        ["sweep", str(cfg_file), "--dim", "P", "--values", "2", "--out", str(tmp_path / "s")],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ZOOMCTL_THREADS must be an integer")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_verify_engine_tracker_desync_fails(cfg_file, monkeypatch, capsys):
+    import numpy as np
+
+    import zoomctl.harness as hz
+
+    decode = hz._decode_symbol
+
+    def mirrored(symbol, L, k_out, normal_out):
+        # the controller reads every normal symbol as the mirrored cell
+        decode(symbol, L, k_out, normal_out)
+        np.subtract(-1.0, k_out, out=k_out)
+
+    monkeypatch.setattr(hz, "_decode_symbol", mirrored)
+    code = main(["verify", str(cfg_file), "--checks", "tracker_equality",
+                 "--set", "trials=20", "--set", "horizon=50"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "tracker_equality  FAIL  encoder and controller trackers disagree at step 0" in out
+
+
+def test_cli_verify_scalar_tracker_desync_fails(cfg_file, monkeypatch, capsys):
+    import dataclasses
+
+    import zoomctl.loop as loop
+
+    step = loop.controller_step
+
+    def skewed(*args):
+        u, tracker = step(*args)
+        return u, dataclasses.replace(tracker, M=2.0 * tracker.M)
+
+    monkeypatch.setattr(loop, "controller_step", skewed)
+    code = main(["verify", str(cfg_file), "--checks", "tracker_equality",
+                 "--set", "trials=20", "--set", "horizon=50"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "tracker_equality  FAIL  tracker mismatch at step 0" in out

@@ -22,7 +22,7 @@ from zoomctl.harness import (
     write_summary_json,
     write_sweep_csv,
 )
-from zoomctl.loop import run_trial, validate_trace
+from zoomctl.loop import NO_SYMBOL, run_trial, validate_trace
 
 A_REF = DistributionSpec.gaussian(1.0, 0.5)
 W_REF = DistributionSpec.gaussian(0.0, 1.0)
@@ -164,6 +164,74 @@ def test_trace_retention_does_not_change_stats():
     assert len(traces) == 3
     assert np.array_equal(bare.curve_mean, kept.curve_mean)
     assert [t.seed for t in traces] == [trial_seed(cfg.master_seed, i) for i in range(3)]
+
+
+# rare huge gains: trials diverge at scattered steps, some never
+JUMPY_A = DistributionSpec.two_point(1e30, 0.01, 1.0)
+TRACE_FIELDS = ("n", "X", "symbol", "mode", "M", "I", "rho", "U", "A", "W", "round_id")
+
+
+def jumpy_cfg():
+    return make_cfg(a_spec=JUMPY_A, trials=12, horizon=400, master_seed=1)
+
+
+def assert_same_trace(got, want):
+    for field in TRACE_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+    assert (got.diverged, got.diverged_at, got.seed) == (want.diverged, want.diverged_at, want.seed)
+
+
+@pytest.mark.parametrize("chunk_trials, kept", [(512, 12), (7, 17)])
+def test_kept_traces_match_extract_trace(monkeypatch, chunk_trials, kept):
+    import zoomctl.harness as hz
+
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", chunk_trials)
+    cfg = jumpy_cfg()
+    _, traces = run_experiment(cfg, keep_traces=kept, envelope=False)
+    assert len(traces) == cfg.trials
+    steps = [t.diverged_at for t in traces]
+    assert None in steps and len(set(steps) - {None}) > 3
+    for t, trace in enumerate(traces):
+        assert_same_trace(trace, extract_trace(cfg, t))
+
+
+def test_lanes_diverging_mid_chunk_match_run_trial():
+    # one 12-lane chunk leaves its all-alive path at the first divergence
+    cfg = jumpy_cfg()
+    stats, traces = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
+    refs = [
+        run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
+                  trial_seed(cfg.master_seed, t), check_feasibility=False)
+        for t in range(cfg.trials)
+    ]
+    for ref, eng in zip(refs, traces):
+        assert_same_trace(eng, ref)
+    # recorded columns stop where each trial diverged
+    rec, div = run_recorded_bundle(cfg, full=True)
+    for t, ref in enumerate(refs):
+        steps = ref.steps
+        assert div[t] == (steps if ref.diverged else -1)
+        assert np.array_equal(rec["X"][t, : steps + 1], ref.X)
+        assert not rec["X"][t, steps + 1:].any()
+        assert np.array_equal(rec["symbol"][t, :steps], ref.symbol[:steps])
+        assert np.all(rec["symbol"][t, steps:] == NO_SYMBOL)
+        assert np.all(rec["rho"][t, steps:] == 1)
+        for f in ("M", "I", "U", "A", "W", "normal", "clamped"):
+            assert not rec[f][t, steps:].any(), f
+    # per-step sums run over the full chunk width, 0 at diverged lanes
+    xsq = np.zeros((cfg.horizon + 1, cfg.trials))
+    count = np.zeros(cfg.horizon + 1, dtype=np.int64)
+    for t, ref in enumerate(refs):
+        alive = ref.diverged_at if ref.diverged else ref.steps + 1
+        xsq[:alive, t] = ref.X[:alive] ** 2
+        count[:alive] += 1
+    assert np.array_equal(count, stats.curve_count)
+    sums = np.array([row.sum() for row in xsq])
+    mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
+    assert np.array_equal(mean, stats.curve_mean, equal_nan=True)
+    emergency = sum(int(np.sum(ref.mode[: ref.steps] == 1)) for ref in refs)
+    assert stats.emergency_fraction == emergency / sum(ref.steps for ref in refs)
+    assert stats.diverged_count == sum(ref.diverged for ref in refs)
 
 
 def test_master_seed_changes_results():
