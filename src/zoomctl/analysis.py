@@ -135,14 +135,17 @@ def freeze(trace: Trace, n0: int) -> FrozenTrace:
 
 
 def _tau_backward(guard: np.ndarray) -> np.ndarray:
-    """tau[n] = min{m >= n : guard[m]}, or -1 where unresolved."""
-    n = len(guard)
-    tau = np.empty(n, dtype=np.int64)
-    nxt = -1
-    for m in range(n - 1, -1, -1):
-        if guard[m]:
-            nxt = m
-        tau[m] = nxt
+    """tau[..., n] = min{m >= n : guard[..., m]}, or -1 where unresolved.
+
+    Works along the last axis of 1-D or 2-D guards.  Guard steps hold their
+    own index and the rest -1; read as uint64, -1 is the largest value, so a
+    reverse running minimum (in place) carries the nearest guard step back
+    and leaves -1 where none follows.
+    """
+    n = guard.shape[-1]
+    tau = np.where(guard, np.arange(n, dtype=np.int64), np.int64(-1))
+    rev = tau.view(np.uint64)[..., ::-1]
+    np.minimum.accumulate(rev, axis=-1, out=rev)
     return tau
 
 
@@ -157,10 +160,9 @@ def dominating_seq(frozen: FrozenTrace, K: float, P: float | None = None) -> Dom
     m_before = np.concatenate(([frozen.params.M0], frozen.Mt[:-1]))
     guard = np.abs(frozen.Xt) <= P * m_before
     tau = _tau_backward(guard)
-    if tau[-1] < 0 or np.any(tau < 0):
-        last = int(np.max(np.nonzero(tau < 0)[0], initial=len(tau) - 1))
+    if tau[-1] < 0:  # unresolved tau is a suffix
         raise DominatingSeqError(
-            f"round never exits within the frozen horizon; unresolved through index {last}"
+            f"round never exits within the frozen horizon; unresolved through index {len(tau) - 1}"
         )
     Q = np.sqrt(frozen.Mt**2 + K * frozen.It**2)
     idx = np.arange(len(tau), dtype=np.int64)
@@ -217,23 +219,22 @@ def envelope_squared(bundle: TraceBundle, K: float) -> tuple[np.ndarray, int]:
     trailing steps of a round that never exits within the horizon are
     excluded (unresolved tau is a suffix property).
     """
-    T, H = bundle.normal.shape
-    tau = np.empty((T, H), dtype=np.int64)
-    nxt = np.full(T, -1, dtype=np.int64)
-    for m in range(H - 1, -1, -1):
-        nxt = np.where(bundle.normal[:, m], m, nxt)
-        tau[:, m] = nxt
-    # unresolved tau is a suffix property, so counting it gives the cutoff
-    resolved = H - (tau < 0).sum(axis=1)
-    h = int(resolved.min())
+    tau = _tau_backward(bundle.normal)
+    # unresolved tau is a suffix and tau rises before it, so a trace's
+    # largest tau is its last resolved index (-1 when none is)
+    h = int(tau.max(axis=1).min()) + 1
     if h == 0:
         raise DominatingSeqError("a trace never exits its first round; no resolved steps")
     # work in the squared domain: N^2 = Q^2 * 4^(tau - n) avoids the sqrt
     # round trip, so power-of-two halving stays exact
     qsq = bundle.M**2 + K * bundle.I**2
     tau_h = tau[:, :h]
-    qsq_tau = np.take_along_axis(qsq, tau_h, axis=1)
-    nsq = np.ldexp(qsq_tau, 2 * (tau_h - np.arange(h, dtype=np.int64)[None, :]))
+    nsq = np.take_along_axis(qsq, tau_h, axis=1)
+    del qsq
+    # tau becomes the exponent 2 * (tau - n) in place
+    tau_h -= np.arange(h, dtype=np.int64)
+    tau_h *= 2
+    np.ldexp(nsq, tau_h, out=nsq)
     return nsq, h
 
 
@@ -326,8 +327,14 @@ def check_emergency_halving(bundle: TraceBundle, K: float) -> HalvingReport:
     by the factor 2 with no other change.  Checked as N^2_{n+1} == N^2_n / 4,
     which is equivalent and exact in float64 (power-of-two scaling).
     """
-    nsq, h = envelope_squared(bundle, K)
-    inside = ~bundle.normal[:, :h]
+    nsq, _ = envelope_squared(bundle, K)
+    return halving_from_envelope(nsq, bundle.normal)
+
+
+def halving_from_envelope(nsq: np.ndarray, normal: np.ndarray) -> HalvingReport:
+    """check_emergency_halving on an envelope from ``envelope_squared``."""
+    h = nsq.shape[1]
+    inside = ~normal[:, :h]
     pairs = inside[:, : h - 1]
     count = int(pairs.sum())
     bad = pairs & (nsq[:, 1:h] != nsq[:, : h - 1] / 4.0)
@@ -412,12 +419,19 @@ def drift_estimate(
         raise ValueError(
             f"drift statistics need at least {MIN_DRIFT_TRACES} traces, got {T}"
         )
-    nsq, h = envelope_squared(bundle, K)
-    mean_nsq = nsq[:, :h].mean(axis=0)
-    std_nsq = nsq[:, :h].std(axis=0, ddof=1)
+    nsq, _ = envelope_squared(bundle, K)
+    return drift_from_envelope(nsq, c, D)
+
+
+def drift_from_envelope(nsq: np.ndarray, c: float, D: float) -> DriftReport:
+    """drift_estimate's statistics on an envelope from ``envelope_squared``."""
+    T, h = nsq.shape
+    mean_nsq = nsq.mean(axis=0)
+    std_nsq = nsq.std(axis=0, ddof=1)
     stderr_nsq = std_nsq / math.sqrt(T)
 
-    diffs = nsq[:, 1:h] - (1.0 - c) * nsq[:, : h - 1]
+    diffs = (1.0 - c) * nsq[:, : h - 1]
+    np.subtract(nsq[:, 1:h], diffs, out=diffs)
     step_mean = diffs.mean(axis=0)
     step_stderr = diffs.std(axis=0, ddof=1) / math.sqrt(T)
     flagged = [int(n) for n in np.nonzero(step_mean > D + 3.0 * step_stderr)[0]]

@@ -17,7 +17,7 @@ from pathlib import Path
 from zoomctl import analysis
 from zoomctl.analysis import MomentOrderError, UnstabilizableError
 from zoomctl.config import ConfigError, load_config
-from zoomctl.distributions import moment_summary
+from zoomctl.distributions import MomentError, moment_summary
 from zoomctl.harness import (
     SWEEP_DIMENSIONS,
     _max_workers,
@@ -213,7 +213,11 @@ def main(argv: list[str] | None = None) -> int:
             _max_workers()
         except ValueError as exc:
             return _fail(str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MomentError as exc:
+        # a law lacking a moment the command needs (e.g. student_t, low dof)
+        return _fail(str(exc))
 
 
 def entry() -> None:

@@ -520,15 +520,18 @@ def run_experiment(
 
 
 def run_recorded_bundle(
-    cfg: ExperimentConfig, full: bool = False
+    cfg: ExperimentConfig, full: bool = False, *, fields: Sequence[str] | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Record per-step columns for every trial.
 
-    Returns the stacked record dict plus each trial's divergence step (-1
-    where the trial ran to the horizon).  Memory scales with
-    trials * horizon * fields; callers cap the horizon accordingly.
+    ``fields`` picks the columns (any of FULL_RECORD_FIELDS); by default all
+    of them when ``full``, else X, M, I and normal.  Returns the stacked
+    record dict plus each trial's divergence step (-1 where the trial ran
+    to the horizon).  Memory scales with trials * horizon * fields; callers
+    cap the horizon accordingly.
     """
-    fields = FULL_RECORD_FIELDS if full else ("X", "M", "I", "normal")
+    if fields is None:
+        fields = FULL_RECORD_FIELDS if full else ("X", "M", "I", "normal")
     outs = [_run_chunk(cfg, idx, fields, envelope=False) for idx in _chunked(range(cfg.trials))]
     rec = {
         f: np.concatenate([o.records[f] for o in outs], axis=0) for f in fields
@@ -633,6 +636,10 @@ def sweep(cfg: ExperimentConfig, dimension: str, values: Sequence[float]) -> lis
         raise ValueError(f"dimension must be one of {SWEEP_DIMENSIONS}, got {dimension!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    if dimension in ("L", "R"):
+        for v in values:
+            if not float(v).is_integer():
+                raise ValueError(f"sweep over {dimension} needs integer values, got {v!r}")
     rows = []
     for v in values:
         if dimension == "L":

@@ -1,7 +1,7 @@
 """Named empirical checks behind ``zoomctl verify``.
 
-Each check replays part of the strategy's correctness argument on fresh
-seeded ensembles:
+Each check replays part of the strategy's correctness argument on seeded
+ensembles:
 
 * tracker_equality -- encoder-side and controller-side trackers stay
   bit-identical at every step (the symbol stream is the only coupling).
@@ -15,6 +15,18 @@ seeded ensembles:
   exact halving of N during zoom-out.
 * oracle_match     -- simulated curves for the idealized policies match
   the closed-form second-moment recursions.
+
+The three exact checks share one recorded ensemble: ``run_checks``
+simulates the first min(trials, EXACT_TRIALS) trials once, recording X, M,
+I, mode, rho and the clamp flags (``record_exact``).  The engine compares
+the encoder and controller trackers exactly at every step of that pass,
+which is tracker_equality's ensemble half (a few scalar ``run_trial``
+replays are its other half); containment and domination read the recorded
+columns.  A tracker desync in the pass fails every requested exact check.
+The recording is freed before drift, which records M, I and mode over
+trials x min(horizon, DRIFT_HORIZON_CAP) and builds the N^2 envelope once
+for both its statistics and the halving check.  oracle_match runs its own
+two oracle-policy ensembles.
 
 Checks needing the tracker machinery require the adaptive policy; the
 oracle check swaps the policy itself and so runs for any config.
@@ -36,17 +48,20 @@ from zoomctl.harness import ExperimentConfig, Policy, run_experiment, run_record
 from zoomctl.loop import NO_SYMBOL, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
+EXACT_CHECKS = ("tracker_equality", "containment", "domination")
 
 # horizon caps keep the recorded ensembles in memory; documented in output
 DRIFT_HORIZON_CAP = 2000
-DOMINATION_TRIALS = 100
+EXACT_TRIALS = 100  # trials in the exact checks' shared recorded pass
+EXACT_FIELDS = ("X", "M", "I", "normal", "rho", "clamped")
+SCALAR_REPLAYS = 3  # trials tracker_equality repeats through run_trial
 DOMINATION_N0_PER_TRACE = 10
-CONTAINMENT_TRIALS = 100
-TRACKER_TRIALS = 100
 ORACLE_STEPS = 20
 
 # fixed stream tags so check-level sampling never collides with trial streams
 _N0_STREAM_TAG = 0x5EEDF00D
+
+Recorded = tuple[dict[str, np.ndarray], np.ndarray]  # (records, diverged_at)
 
 
 class InsufficientTrials(ValueError):
@@ -66,7 +81,20 @@ def _require_adaptive(cfg: ExperimentConfig, name: str) -> None:
         raise ConfigError(f"check {name!r} requires policy=adaptive_fixed_rate")
 
 
-def check_tracker_equality(cfg: ExperimentConfig, trace_file=None) -> CheckResult:
+def record_exact(cfg: ExperimentConfig) -> Recorded:
+    """The exact checks' recorded ensemble: the first min(trials, EXACT_TRIALS).
+
+    The engine compares both trackers exactly at every step and raises
+    ProtocolError on a mismatch.
+    """
+    sub = replace(cfg, trials=min(cfg.trials, EXACT_TRIALS))
+    return run_recorded_bundle(sub, fields=EXACT_FIELDS)
+
+
+def check_tracker_equality(
+    cfg: ExperimentConfig, trace_file=None, recorded: Recorded | None = None
+) -> CheckResult:
+    """Replay ``trace_file`` if given, else read the ``record_exact`` pass."""
     if trace_file is not None:
         cols = read_trace_csv(trace_file)
         mu_a, _ = moments(cfg.a_spec)
@@ -84,13 +112,11 @@ def check_tracker_equality(cfg: ExperimentConfig, trace_file=None) -> CheckResul
         )
 
     _require_adaptive(cfg, "tracker_equality")
-    trials = min(cfg.trials, TRACKER_TRIALS)
-    sub = replace(cfg, trials=trials)
+    # the engine compared both trackers at every step of the recorded pass
+    trials = len(recorded[1])
     try:
-        # the ensemble engine compares both trackers exactly at every step
-        run_experiment(sub, envelope=False)
         # scalar reference loop repeats the comparison on a few trials
-        for t in range(min(3, trials)):
+        for t in range(min(SCALAR_REPLAYS, trials)):
             run_trial(
                 cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
                 trial_seed(cfg.master_seed, t), check_feasibility=False,
@@ -103,11 +129,10 @@ def check_tracker_equality(cfg: ExperimentConfig, trace_file=None) -> CheckResul
     )
 
 
-def check_containment(cfg: ExperimentConfig) -> CheckResult:
+def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     _require_adaptive(cfg, "containment")
-    trials = min(cfg.trials, CONTAINMENT_TRIALS)
-    sub = replace(cfg, trials=trials)
-    rec, diverged_at = run_recorded_bundle(sub, full=True)
+    rec, diverged_at = recorded
+    trials = len(diverged_at)
     h = cfg.horizon
     executed = np.arange(h)[None, :] < np.where(diverged_at < 0, h, diverged_at)[:, None]
     eligible = rec["normal"] & ~rec["clamped"] & executed
@@ -129,11 +154,9 @@ def check_containment(cfg: ExperimentConfig) -> CheckResult:
     )
 
 
-def check_domination(cfg: ExperimentConfig) -> CheckResult:
+def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     _require_adaptive(cfg, "domination")
-    trials = min(cfg.trials, DOMINATION_TRIALS)
-    sub = replace(cfg, trials=trials)
-    rec, diverged_at = run_recorded_bundle(sub, full=False)
+    rec, diverged_at = recorded
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([cfg.master_seed, _N0_STREAM_TAG]))
     )
@@ -141,7 +164,7 @@ def check_domination(cfg: ExperimentConfig) -> CheckResult:
     points = []
     violations = []
     max_ratio = 0.0
-    for t in range(trials):
+    for t in range(len(diverged_at)):
         steps = cfg.horizon if diverged_at[t] < 0 else int(diverged_at[t])
         if steps == 0:
             continue
@@ -184,16 +207,20 @@ def check_drift(cfg: ExperimentConfig) -> CheckResult:
         )
     horizon = min(cfg.horizon, DRIFT_HORIZON_CAP)
     sub = replace(cfg, horizon=horizon)
-    rec, diverged_at = run_recorded_bundle(sub, full=False)
+    # the envelope needs no states; X is left out of the recording
+    rec, diverged_at = run_recorded_bundle(sub, fields=("M", "I", "normal"))
     if np.any(diverged_at >= 0):
         n_div = int(np.sum(diverged_at >= 0))
         return CheckResult(
             "drift", False, f"{n_div} trials diverged; drift statistics not applicable"
         )
-    bundle = TraceBundle(X=rec["X"], M=rec["M"], I=rec["I"], normal=rec["normal"])
+    bundle = TraceBundle(X=np.zeros((cfg.trials, horizon + 1)), M=rec["M"], I=rec["I"],
+                         normal=rec["normal"])
     d_const = 2.0 * moments(cfg.w_spec)[1] + (1.0 + cfg.params.K) * cfg.params.M0**2
-    report = analysis.drift_estimate(bundle, cfg.params.K, cfg.params.c, d_const)
-    halving = analysis.check_emergency_halving(bundle, cfg.params.K)
+    # one envelope serves the drift statistics and the halving check
+    nsq, _ = analysis.envelope_squared(bundle, cfg.params.K)
+    report = analysis.drift_from_envelope(nsq, cfg.params.c, d_const)
+    halving = analysis.halving_from_envelope(nsq, bundle.normal)
     passed = report.ok and halving.ok
     detail = (
         f"{report.num_traces} traces, {report.n_checked} indices (horizon capped at {horizon}); "
@@ -251,18 +278,33 @@ def check_oracle_match(cfg: ExperimentConfig) -> CheckResult:
 def run_checks(
     cfg: ExperimentConfig, names: list[str], trace_file=None
 ) -> list[CheckResult]:
+    """Results of the named checks, in the order asked for."""
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    checks = {
+        "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_file, rec),
+        "containment": lambda rec: check_containment(cfg, rec),
+        "domination": lambda rec: check_domination(cfg, rec),
+        "drift": lambda rec: check_drift(cfg),
+        "oracle_match": lambda rec: check_oracle_match(cfg),
+    }
+    shared = [n for n in EXACT_CHECKS
+              if n in names and not (n == "tracker_equality" and trace_file is not None)]
+    done = {}
+    if shared:
+        for name in shared:
+            _require_adaptive(cfg, name)
+        try:
+            recorded = record_exact(cfg)
+        except ProtocolError as exc:
+            done = {name: CheckResult(name, False, str(exc)) for name in shared}
+        else:
+            done = {name: checks[name](recorded) for name in shared}
+            del recorded  # freed before drift records its own ensemble
     results = []
     for name in names:
-        if name == "tracker_equality":
-            results.append(check_tracker_equality(cfg, trace_file=trace_file))
-        elif name == "containment":
-            results.append(check_containment(cfg))
-        elif name == "domination":
-            results.append(check_domination(cfg))
-        elif name == "drift":
-            results.append(check_drift(cfg))
-        elif name == "oracle_match":
-            results.append(check_oracle_match(cfg))
-        else:
-            raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+        if name not in done:
+            done[name] = checks[name](None)
+        results.append(done[name])
     return results

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from zoomctl.analysis import (
     MomentOrderError,
     TraceBundle,
     UnstabilizableError,
+    _tau_backward,
     check_domination,
     check_emergency_halving,
     dominating_seq,
@@ -26,6 +28,7 @@ from zoomctl.analysis import (
     oracle_mean_stderr,
 )
 from zoomctl.codec import StrategyParams
+from zoomctl.config import load_config
 from zoomctl.distributions import DistributionSpec, moment_summary
 from zoomctl.harness import ExperimentConfig, Policy, run_recorded_bundle
 from zoomctl.loop import run_trial
@@ -127,6 +130,66 @@ def test_tau_idempotent_on_simulated_traces(seed):
     tau = ds.tau
     assert np.all(tau >= np.arange(len(tau)))
     assert np.all(tau[tau] == tau)
+
+
+def _tau_by_definition(row):
+    """min{m >= n : row[m]} for each n, or -1 where no such m exists."""
+    return [next((m for m in range(n, len(row)) if row[m]), -1) for n in range(len(row))]
+
+
+def _guard_rows(width):
+    return st.one_of(
+        st.just([True] * width),
+        st.just([False] * width),
+        st.lists(st.booleans(), min_size=width, max_size=width),
+        # a resolved prefix followed by an unresolved (all-False) suffix
+        st.integers(0, width).flatmap(
+            lambda k: st.lists(st.booleans(), min_size=k, max_size=k).map(
+                lambda head: head + [False] * (width - k)
+            )
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(_guard_rows))
+def test_tau_backward_matches_definition_1d(row):
+    tau = _tau_backward(np.array(row, dtype=bool))
+    assert tau.dtype == np.int64
+    assert tau.tolist() == _tau_by_definition(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 25).flatmap(lambda w: st.lists(_guard_rows(w), min_size=1, max_size=6)))
+def test_tau_backward_matches_definition_2d(rows):
+    tau = _tau_backward(np.array(rows, dtype=bool))
+    assert tau.shape == (len(rows), len(rows[0]))
+    assert tau.tolist() == [_tau_by_definition(r) for r in rows]
+
+
+@pytest.mark.parametrize("seed", [7171, 3, 11])
+def test_envelope_matches_definition_on_emergency_bundles(seed):
+    cfg = load_config(
+        Path(__file__).resolve().parent.parent / "configs" / "emergency_rich.cfg",
+        ["trials=40", "horizon=600", f"seed={seed}"],
+    )
+    rec, div = run_recorded_bundle(cfg)
+    assert not np.any(div >= 0)
+    bundle = TraceBundle(X=rec["X"], M=rec["M"], I=rec["I"], normal=rec["normal"])
+    K = cfg.params.K
+    nsq, h = envelope_squared(bundle, K)
+
+    taus = np.array([_tau_by_definition(row) for row in rec["normal"].tolist()])
+    resolved = (taus >= 0).sum(axis=1)
+    assert resolved.min() < cfg.horizon  # some trace ends inside a round
+    assert h == resolved.min()
+    qsq = rec["M"] ** 2 + K * rec["I"] ** 2
+    expected = np.empty((cfg.trials, h))
+    for t in range(cfg.trials):
+        tau = taus[t, :h]
+        expected[t] = np.ldexp(qsq[t, tau], 2 * (tau - np.arange(h)))
+    assert nsq.shape == expected.shape
+    assert nsq.tobytes() == expected.tobytes()
 
 
 def test_domination_exact_on_simulated_traces():

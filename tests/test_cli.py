@@ -305,3 +305,33 @@ def test_cli_verify_scalar_tracker_desync_fails(cfg_file, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "tracker_equality  FAIL  tracker mismatch at step 0" in out
+
+
+@pytest.mark.parametrize("dim,value", [("L", "2.9"), ("R", "3.7")])
+def test_cli_sweep_rejects_non_integer_codebook_values(tmp_path, cfg_file, capsys, dim, value):
+    out = tmp_path / "sw"
+    code = main(["sweep", str(cfg_file), "--dim", dim, "--values", f"4,{value}",
+                 "--out", str(out), "--set", "trials=3", "--set", "horizon=60"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: sweep over {dim} needs integer values")
+    assert not (out / "sweep.csv").exists()
+
+
+STUDENT_T_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference_student_t.cfg"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--set", "A.dof=2"],
+    ["verify", "--set", "A.dof=4", "--checks", "oracle_match"],
+    ["feasibility", "--set", "A.dof=4"],
+    ["sweep", "--set", "A.dof=2", "--dim", "P", "--values", "2"],
+], ids=lambda argv: argv[0])
+def test_cli_missing_moment_exits_1(tmp_path, capsys, argv):
+    command, *rest = argv
+    extra = ["--out", str(tmp_path / "o")] if command in ("simulate", "sweep") else []
+    code = main([command, str(STUDENT_T_CFG), "--set", "trials=4", "--set", "horizon=20"]
+                + rest + extra)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "dof=" in captured.err
+    assert "Traceback" not in captured.err
