@@ -225,17 +225,27 @@ def envelope_squared(bundle: TraceBundle, K: float) -> tuple[np.ndarray, int]:
     h = int(tau.max(axis=1).min()) + 1
     if h == 0:
         raise DominatingSeqError("a trace never exits its first round; no resolved steps")
-    # work in the squared domain: N^2 = Q^2 * 4^(tau - n) avoids the sqrt
-    # round trip, so power-of-two halving stays exact
-    qsq = bundle.M**2 + K * bundle.I**2
-    tau_h = tau[:, :h]
-    nsq = np.take_along_axis(qsq, tau_h, axis=1)
+    return _nsq_from_tau(bundle.M, bundle.I, K, tau[:, :h]), h
+
+
+def _nsq_from_tau(M: np.ndarray, I: np.ndarray, K: float, tau: np.ndarray) -> np.ndarray:
+    """N^2 at columns 0..tau.shape[1]-1 from tracker columns and resolved tau.
+
+    ``tau`` indexes columns of ``M`` and ``I`` (column 0 is step 0 of the
+    window) and is overwritten with the exponent.  Works in the squared
+    domain, N^2 = Q^2_tau * 4^(tau - n), which avoids the sqrt round trip
+    so power-of-two halving stays exact.
+    """
+    qsq = M**2 + K * I**2
+    nsq = np.take_along_axis(qsq, tau, axis=1)
     del qsq
-    # tau becomes the exponent 2 * (tau - n) in place
-    tau_h -= np.arange(h, dtype=np.int64)
-    tau_h *= 2
-    np.ldexp(nsq, tau_h, out=nsq)
-    return nsq, h
+    # tau becomes the exponent 2 * (tau - n) in place, at most twice the
+    # window length; ldexp takes int32 exponents several times faster than
+    # int64 ones
+    tau -= np.arange(tau.shape[1], dtype=np.int64)
+    tau *= 2
+    np.ldexp(nsq, tau.astype(np.int32), out=nsq)
+    return nsq
 
 
 # ---------------------------------------------------------------------------

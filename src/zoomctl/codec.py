@@ -28,6 +28,7 @@ precise even when P is astronomically large relative to |x|.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # L is capped so cell indices and symbols stay exactly representable in
@@ -74,6 +75,15 @@ class StrategyParams:
             raise ValueError(f"K must be finite and > 0, got {self.K}")
         if not 0.0 < self.c < 0.75:
             raise ValueError(f"c must lie in (0, 0.75), got {self.c}")
+        # the first live range and cell width, P*M0 and P*M0/L, must be
+        # normal floats, or the cell arithmetic overflows or loses precision
+        if not math.isfinite(self.P * self.M0):
+            raise ValueError(f"P*M0 overflows: P={self.P}, M0={self.M0}")
+        if self.P * self.M0 / self.L < sys.float_info.min:
+            raise ValueError(
+                f"cell width P*M0/L = {self.P * self.M0 / self.L!r} is below the smallest "
+                f"normal float {sys.float_info.min!r}"
+            )
 
     @property
     def delta(self) -> float:
@@ -104,10 +114,14 @@ class Cell:
         return self.b - self.a
 
 
-def rate(params: StrategyParams) -> int:
-    """Channel rate in bits: ceil(log2(2L+1)), computed exactly."""
+def rate(params: StrategyParams | int) -> int:
+    """Channel rate in bits: ceil(log2(2L+1)), computed exactly.
+
+    Takes the strategy, or the codebook size L itself.
+    """
+    L = params if isinstance(params, int) else params.L
     # 2L+1 is odd, so ceil(log2(2L+1)) == bit_length(2L)
-    return (2 * params.L).bit_length()
+    return (2 * L).bit_length()
 
 
 def cell_width(m_prev: float, params: StrategyParams) -> float:

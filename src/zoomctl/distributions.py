@@ -119,9 +119,11 @@ def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
 def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None):
     """``n`` i.i.d. draws (``n=None`` gives a scalar).
 
-    A trial's noise streams are drawn as two batched calls (all gains, then
-    all disturbances), so the bit stream consumed per trial is a documented
-    function of (spec, seed, horizon).
+    Consecutive calls on one generator continue a single stream: draws of
+    sizes n1, n2, ... equal one draw of n1 + n2 + ... .  A trial's noise is
+    all its gains (one call), then all its disturbances (drawn one engine
+    time block at a time), so the bit stream consumed per trial is a
+    documented function of (spec, seed, horizon).
     """
     p = spec.params
     if spec.kind == "gaussian":

@@ -21,8 +21,17 @@ Policies:
 Aggregation: per time index, X_n^2 is averaged over the trials still alive
 at n (a trial dies when |X| exceeds the divergence limit); divergence is
 counted and reported, never mixed into means.  Sums reduce in trial order
-with a fixed chunk size, so identical configs give bit-identical stats.
-``ZOOMCTL_THREADS`` caps the number of worker threads used across chunks.
+over fixed groups of CHUNK_TRIALS trials, so identical configs give
+bit-identical stats.
+
+Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
+the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
+drawn whole up front; its disturbances, the per-step sums and the N^2
+envelope are produced one block at a time.  An unrecorded chunk holds about
+lanes x (8 * horizon + 50 * block) bytes; recording adds the requested
+columns over the whole horizon.  Neither the block length nor the number
+of threads changes a result.  ``ZOOMCTL_THREADS`` caps the number of worker
+threads used across chunks.
 """
 
 from __future__ import annotations
@@ -38,12 +47,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from zoomctl import analysis
-from zoomctl.analysis import TraceBundle
 from zoomctl.codec import ProtocolError, StrategyParams, rate
 from zoomctl.distributions import DistributionSpec, moments, sample_array
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace
 
-CHUNK_TRIALS = 512
+CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
+BLOCK_STEPS = 1000  # steps per time block of the engine
 
 POLICY_KINDS = (
     "adaptive_fixed_rate",
@@ -167,20 +176,29 @@ def trial_seed(master_seed: int, index: int) -> list[int]:
     return [master_seed, index]
 
 
-def _predraw(cfg: ExperimentConfig, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _predraw(
+    cfg: ExperimentConfig, indices: Sequence[int]
+) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """Each trial's gains, drawn whole, and its generator.
+
+    The generator is left at the start of the trial's disturbance stream,
+    which ``_run_chunk`` then draws one time block at a time.
+    """
     h = cfg.horizon
     a = np.empty((len(indices), h))
-    w = np.empty((len(indices), h))
+    rngs = []
     for j, t in enumerate(indices):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(trial_seed(cfg.master_seed, t))))
         a[j] = sample_array(cfg.a_spec, rng, h)
-        w[j] = sample_array(cfg.w_spec, rng, h)
-    return a, w
+        rngs.append(rng)
+    return a, rngs
 
 
 @dataclass
 class _ChunkOut:
-    sum_xsq: np.ndarray
+    """One chunk's results; sums are per trial group, in trial order."""
+
+    sum_xsq: np.ndarray  # (groups, horizon + 1)
     sum_x4: np.ndarray
     count: np.ndarray
     steps_alive: int
@@ -188,7 +206,7 @@ class _ChunkOut:
     diverged: int
     diverged_at: np.ndarray
     records: dict[str, np.ndarray] | None
-    sum_nsq: np.ndarray | None
+    sum_nsq: np.ndarray | None  # (groups, horizon)
     count_nsq: np.ndarray | None
 
 
@@ -198,25 +216,49 @@ _STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
               "symbol": NO_SYMBOL, "U": 0.0}
 
 
+@dataclass
+class _EnvelopeFold:
+    """N^2 column sums of one trial group, folded in as columns resolve.
+
+    Columns from ``start`` on are still open: some lane's round has not
+    exited yet.  Their M, I and mode flags wait here, lane-major.
+    """
+
+    sums: np.ndarray
+    start: int = 0
+    first: np.ndarray | None = None  # N^2 of column 0, per lane
+    M: np.ndarray | None = None
+    I: np.ndarray | None = None
+    normal: np.ndarray | None = None
+
+
 def _chunk_envelope(
-    m_rec: np.ndarray, i_rec: np.ndarray, normal_rec: np.ndarray, alive: np.ndarray, K: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index sums and counts of N^2 over non-diverged trials in a chunk."""
-    h = m_rec.shape[1]
-    n_keep = int(np.count_nonzero(alive))
-    if n_keep == 0:
-        return np.zeros(h), np.zeros(h, dtype=np.int64)
-    if n_keep < len(alive):
-        keep = np.flatnonzero(alive)
-        m_rec, i_rec, normal_rec = m_rec[keep], i_rec[keep], normal_rec[keep]
-    bundle = TraceBundle(X=np.zeros((n_keep, h + 1)), M=m_rec, I=i_rec, normal=normal_rec)
-    nsq, hr = analysis.envelope_squared(bundle, K)
-    sums = np.zeros(h)
-    counts = np.zeros(h, dtype=np.int64)
-    # nsq is C-ordered (trials, steps), so this adds trial by trial
-    sums[:hr] = nsq.sum(axis=0)
-    counts[:hr] = n_keep
-    return sums, counts
+    fold: _EnvelopeFold, m_blk: np.ndarray, i_blk: np.ndarray, normal_blk: np.ndarray, K: float
+) -> None:
+    """Fold one time block, (lanes, steps) columns, into a group's N^2 sums.
+
+    The columns every lane has resolved are summed and dropped, the rest
+    stay open.  Each column is summed once, lane by lane in trial order.
+    """
+    # lane-major and C-ordered, like the block columns
+    m_win, i_win, normal_win = (
+        new if old is None else np.concatenate((old, new), axis=1)
+        for old, new in ((fold.M, m_blk), (fold.I, i_blk), (fold.normal, normal_blk))
+    )
+    tau = analysis._tau_backward(normal_win)
+    # unresolved tau is a suffix and tau rises before it, so a lane's largest
+    # tau is its last resolved column (-1 when none is)
+    done = int(tau.max(axis=1).min()) + 1
+    if done:
+        nsq = analysis._nsq_from_tau(m_win, i_win, K, tau[:, :done])
+        # nsq is C-ordered (lanes, columns): sum(axis=0) adds row by row, in
+        # trial order, except on a single column, which numpy reduces pairwise
+        fold.sums[fold.start:fold.start + done] = nsq.sum(axis=0) if done > 1 else nsq.cumsum(axis=0)[-1]
+        if fold.start == 0:
+            fold.first = nsq[:, 0].copy()
+        fold.start += done
+    # copies, so the folded columns are freed
+    fold.M, fold.I, fold.normal = m_win[:, done:].copy(), i_win[:, done:].copy(), normal_win[:, done:].copy()
 
 
 def _decode_symbol(symbol: np.ndarray, L: int, k_out: np.ndarray, normal_out: np.ndarray) -> None:
@@ -233,6 +275,12 @@ def _run_chunk(
 ) -> _ChunkOut:
     """Run trials ``indices`` in lockstep, one lane each, under any policy.
 
+    The lanes split, in order, into groups of CHUNK_TRIALS trials, the unit
+    every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
+    steps: disturbances are drawn, per-step sums taken and the N^2 envelope
+    folded one block at a time, so only the gains and recorded columns span
+    the whole horizon.
+
     The step works on whole lane arrays with no mask until a lane diverges.
     A diverged lane is then parked: its X is held at 0 and its tracker
     frozen, so it adds 0 to the per-step sums and counts as a normal step,
@@ -246,14 +294,25 @@ def _run_chunk(
     L = p.L
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
-    a_draws, w_draws = _predraw(cfg, indices)
+    a_draws, rngs = _predraw(cfg, indices)
+    groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
+    block = min(BLOCK_STEPS, h)
 
     need_env = envelope and kind == "adaptive_fixed_rate"
-    # the envelope pass reads the recorded M, I and mode columns
-    wanted = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
+    wanted = set(record_fields or ())
+    # whole-horizon record columns, filled from the block columns at each
+    # block end; the envelope folds read the block's M, I and mode
     rec = {f: np.full((n_t, h), fill) for f, fill in _STEP_FILL.items() if f in wanted}
-    xs = np.zeros((h + 1, n_t))  # row n holds X_n; 0 at parked lanes
+    blk_fields = wanted | ({"M", "I", "normal"} if need_env else set())
+    blk = {f: np.full((n_t, block), fill) for f, fill in _STEP_FILL.items() if f in blk_fields}
+    folds = [_EnvelopeFold(np.zeros(h)) for _ in groups] if need_env else []
+    w_draws = np.empty((n_t, h if "W" in wanted else block))
+    # row n holds X_n, 0 at parked lanes: the whole history when X is
+    # recorded, else the current block with its start state in row 0
+    xs = np.zeros((h + 1 if "X" in wanted else block + 1, n_t))
     x = xs[0]
+    sum_xsq = np.zeros((len(groups), h + 1))
+    sum_x4 = np.zeros((len(groups), h + 1))
     diverged_at = np.full(n_t, -1, dtype=np.int64)
     x_diverged = np.zeros(n_t)
     parked = None
@@ -276,93 +335,118 @@ def _run_chunk(
     elif kind == "zero_control":
         u = mu_w
 
-    for n in range(h):
-        cols = {}
-        if kind == "adaptive_fixed_rate":
-            frozen = None if parked is None else trk.copy()
-            # zoom-out update M <- P*M, which is also the live range
-            lim = np.multiply(trk[0], p.P, out=trk[0])
-            wid = lim / L
-            w_enc = wid[0]
-            normal = normal2[0]
-            np.less_equal(np.abs(x), lim[0], out=normal)
-            k = np.floor(x / w_enc)
-            # one-ulp fixups against the endpoint arithmetic, as in the codec
-            k -= x < k * w_enc
-            k += x >= (k + 1.0) * w_enc
-            np.fmin(np.fmax(k, -L, out=k), L - 1, out=k2[0])
-            symbol = np.where(normal, k2[0] + L, 2 * L)
-            _decode_symbol(symbol, L, k2[1], normal2[1])
-            # the extreme cells end at the live range exactly
-            a_cell = np.where(k2 == -L, -lim, k2 * wid)
-            b_cell = np.where(k2 == L - 1, lim, (k2 + 1.0) * wid)
-            np.maximum(np.abs(a_cell), np.abs(b_cell), out=geo[0])
-            np.subtract(b_cell, a_cell, out=geo[1])
-            geo[1] /= 2.0
-            np.maximum(p.M0, geo, out=cand[:2])
-            cand[2] = np.where(a_cell >= 0.0, 1.0, -1.0)
-            trk = np.where(normal2, cand, trk)
-            if frozen is not None:
-                # a parked lane keeps the tracker it diverged with
-                trk = np.where(parked, frozen, trk)
-            if np.count_nonzero(trk[:, 0] != trk[:, 1]):
-                raise ProtocolError(f"encoder and controller trackers disagree at step {n}")
-            m_c, i_c, rho_c = trk[:, 1]
-            u = np.where(normal2[1], rho_c * mu_a * (m_c - i_c) + mu_w, mu_w)
-            emergency_steps += n_t - int(np.count_nonzero(normal))
-            if rec:
-                cols = {"M": trk[0, 0], "I": trk[1, 0], "normal": normal, "rho": trk[2, 0],
-                        "symbol": symbol, "U": u}
-                if "clamped" in rec:
-                    cols["clamped"] = ((geo[0, 0] < p.M0) | (geo[1, 0] < p.M0)) & normal
-        elif kind == "static_quantizer":
-            k = np.floor((x + srange) / w_cell_s)
-            np.fmin(np.fmax(k, 0.0, out=k), 2 * L, out=k)
-            a_cell = -srange + k * w_cell_s
-            b_cell = a_cell + w_cell_s
-            m_new = np.maximum(p.M0, np.maximum(np.abs(a_cell), np.abs(b_cell)))
-            i_new = np.maximum(p.M0, (b_cell - a_cell) / 2.0)
-            half = m_new - i_new
-            est = np.where(a_cell >= 0.0, half, np.where(b_cell <= 0.0, -half, 0.0))
-            u = mu_a * est + mu_w
-            if rec:
-                cols = {"M": m_new, "I": i_new, "normal": True, "symbol": k, "U": u}
-                if "rho" in rec:
-                    cols["rho"] = np.where(a_cell >= 0.0, 1, -1)
-        elif kind == "perfect_observation":
-            u = mu_a * x + mu_w
-            cols = {"normal": True, "U": u}
+    for b0 in range(0, h, block):
+        nb = min(block, h - b0)
+        if "X" in wanted:
+            xv = xs[b0:b0 + nb + 1]
         else:
-            cols = {"normal": True, "U": u}
-        for f, v in cols.items():
-            if f in rec:
-                rec[f][:, n] = v
+            xs[0] = x
+            xv = xs[:nb + 1]
+        x = xv[0]
+        w_blk = w_draws[:, b0:b0 + nb] if "W" in wanted else w_draws[:, :nb]
+        for j, rng in enumerate(rngs):
+            w_blk[j] = sample_array(cfg.w_spec, rng, nb)
 
-        x_prev, x = x, xs[n + 1]
-        np.multiply(a_draws[:, n], x_prev, out=x)
-        x += w_draws[:, n]
-        x -= u
-        if parked is not None:
-            np.copyto(x, 0.0, where=parked)
-        ok = np.abs(x) <= DIVERGENCE_LIMIT
-        if np.count_nonzero(ok) < n_t:
-            dead = ~ok
-            diverged_at[dead] = n + 1
-            x_diverged[dead] = x[dead]
-            x[dead] = 0.0
-            count[n + 1:] -= np.count_nonzero(dead)
-            parked = dead if parked is None else parked | dead
+        for i in range(nb):
+            n = b0 + i
+            cols = {}
+            if kind == "adaptive_fixed_rate":
+                frozen = None if parked is None else trk.copy()
+                # zoom-out update M <- P*M, which is also the live range
+                lim = np.multiply(trk[0], p.P, out=trk[0])
+                wid = lim / L
+                w_enc = wid[0]
+                normal = normal2[0]
+                np.less_equal(np.abs(x), lim[0], out=normal)
+                k = np.floor(x / w_enc)
+                # one-ulp fixups against the endpoint arithmetic, as in the codec
+                k -= x < k * w_enc
+                k += x >= (k + 1.0) * w_enc
+                np.fmin(np.fmax(k, -L, out=k), L - 1, out=k2[0])
+                symbol = np.where(normal, k2[0] + L, 2 * L)
+                _decode_symbol(symbol, L, k2[1], normal2[1])
+                # the extreme cells end at the live range exactly
+                a_cell = np.where(k2 == -L, -lim, k2 * wid)
+                b_cell = np.where(k2 == L - 1, lim, (k2 + 1.0) * wid)
+                np.maximum(np.abs(a_cell), np.abs(b_cell), out=geo[0])
+                np.subtract(b_cell, a_cell, out=geo[1])
+                geo[1] /= 2.0
+                np.maximum(p.M0, geo, out=cand[:2])
+                cand[2] = np.where(a_cell >= 0.0, 1.0, -1.0)
+                trk = np.where(normal2, cand, trk)
+                if frozen is not None:
+                    # a parked lane keeps the tracker it diverged with
+                    trk = np.where(parked, frozen, trk)
+                if np.count_nonzero(trk[:, 0] != trk[:, 1]):
+                    raise ProtocolError(f"encoder and controller trackers disagree at step {n}")
+                m_c, i_c, rho_c = trk[:, 1]
+                u = np.where(normal2[1], rho_c * mu_a * (m_c - i_c) + mu_w, mu_w)
+                emergency_steps += n_t - int(np.count_nonzero(normal))
+                if blk:
+                    cols = {"M": trk[0, 0], "I": trk[1, 0], "normal": normal, "rho": trk[2, 0],
+                            "symbol": symbol, "U": u}
+                    if "clamped" in blk:
+                        cols["clamped"] = ((geo[0, 0] < p.M0) | (geo[1, 0] < p.M0)) & normal
+            elif kind == "static_quantizer":
+                k = np.floor((x + srange) / w_cell_s)
+                np.fmin(np.fmax(k, 0.0, out=k), 2 * L, out=k)
+                a_cell = -srange + k * w_cell_s
+                b_cell = a_cell + w_cell_s
+                m_new = np.maximum(p.M0, np.maximum(np.abs(a_cell), np.abs(b_cell)))
+                i_new = np.maximum(p.M0, (b_cell - a_cell) / 2.0)
+                half = m_new - i_new
+                est = np.where(a_cell >= 0.0, half, np.where(b_cell <= 0.0, -half, 0.0))
+                u = mu_a * est + mu_w
+                if blk:
+                    cols = {"M": m_new, "I": i_new, "normal": True, "symbol": k, "U": u}
+                    if "rho" in blk:
+                        cols["rho"] = np.where(a_cell >= 0.0, 1, -1)
+            elif kind == "perfect_observation":
+                u = mu_a * x + mu_w
+                cols = {"normal": True, "U": u}
+            else:
+                cols = {"normal": True, "U": u}
+            for f, v in cols.items():
+                if f in blk:
+                    blk[f][:, i] = v
 
-    # per-step sums over the full chunk width, parked lanes contributing 0;
-    # xs is squared in place unless X is recorded
-    sq = xs * xs if "X" in wanted else np.multiply(xs, xs, out=xs)
-    sum_xsq = sq.sum(axis=1)
-    with np.errstate(over="ignore"):
-        # near the divergence limit x^4 saturates to inf; the stderr at
-        # such indices is reported as inf, means stay finite
-        sq *= sq
-        sum_x4 = sq.sum(axis=1)
-    del sq, x, x_prev  # views of xs
+            x_prev, x = x, xv[i + 1]
+            np.multiply(a_draws[:, n], x_prev, out=x)
+            x += w_blk[:, i]
+            x -= u
+            if parked is not None:
+                np.copyto(x, 0.0, where=parked)
+            ok = np.abs(x) <= DIVERGENCE_LIMIT
+            if np.count_nonzero(ok) < n_t:
+                dead = ~ok
+                diverged_at[dead] = n + 1
+                x_diverged[dead] = x[dead]
+                x[dead] = 0.0
+                count[n + 1:] -= np.count_nonzero(dead)
+                parked = dead if parked is None else parked | dead
+
+        # per-step sums of the block's states, parked lanes contributing 0
+        sq = xv[1:] * xv[1:]
+        for g, lanes in enumerate(groups):
+            sum_xsq[g, b0 + 1:b0 + nb + 1] = sq[:, lanes].sum(axis=1)
+        with np.errstate(over="ignore"):
+            # near the divergence limit x^4 saturates to inf; the stderr at
+            # such indices is reported as inf, means stay finite
+            sq *= sq
+            for g, lanes in enumerate(groups):
+                sum_x4[g, b0 + 1:b0 + nb + 1] = sq[:, lanes].sum(axis=1)
+        del sq
+        for f, col in rec.items():
+            col[:, b0:b0 + nb] = blk[f][:, :nb]
+        for g, fold in enumerate(folds):
+            lanes = groups[g]
+            if fold is None:
+                continue
+            if parked is not None and parked[lanes].any():
+                folds[g] = None  # refolded below from the group's survivors
+            else:
+                _chunk_envelope(fold, blk["M"][lanes, :nb], blk["I"][lanes, :nb],
+                                blk["normal"][lanes, :nb], p.K)
 
     records = None
     if record_fields:
@@ -380,8 +464,26 @@ def _run_chunk(
 
     sum_nsq = count_nsq = None
     if need_env:
-        del a_draws, w_draws, xs  # free the noise before the envelope pass
-        sum_nsq, count_nsq = _chunk_envelope(rec["M"], rec["I"], rec["normal"], diverged_at < 0, p.K)
+        del a_draws, w_draws, xs, blk
+        sum_nsq = np.zeros((len(groups), h))
+        count_nsq = np.zeros(h, dtype=np.int64)
+        for g, (lanes, fold) in enumerate(zip(groups, folds)):
+            if fold is None:
+                # the envelope counts non-diverged trials only: rerun them
+                keep = [indices[j] for j in range(lanes.start, lanes.stop) if diverged_at[j] < 0]
+                if keep:
+                    sub = _run_chunk(cfg, keep, None, True)
+                    sum_nsq[g] = sub.sum_nsq[0]
+                    count_nsq += sub.count_nsq
+                continue
+            if fold.start == 0:
+                raise analysis.DominatingSeqError("a trace never exits its first round; no resolved steps")
+            if fold.start == 1:
+                # a group resolved through column 0 only sums it pairwise,
+                # as sum(axis=0) over the whole-horizon envelope does
+                fold.sums[0] = fold.first.sum()
+            sum_nsq[g] = fold.sums
+            count_nsq[:fold.start] += lanes.stop - lanes.start
     return _ChunkOut(
         sum_xsq=sum_xsq,
         sum_x4=sum_x4,
@@ -397,9 +499,10 @@ def _run_chunk(
 
 
 def _chunked(indices: Sequence[int]) -> list[list[int]]:
-    """Trial indices split, in order, into engine chunks of CHUNK_TRIALS."""
+    """Trial indices split, in order, into engine chunks of two trial groups."""
     indices = list(indices)
-    return [indices[i:i + CHUNK_TRIALS] for i in range(0, len(indices), CHUNK_TRIALS)]
+    lanes = 2 * CHUNK_TRIALS
+    return [indices[i:i + lanes] for i in range(0, len(indices), lanes)]
 
 
 def _max_workers() -> int:
@@ -476,15 +579,18 @@ def run_experiment(
     count_nsq = np.zeros(h, dtype=np.int64)
     have_env = False
     for out in outs:
-        sum_xsq += out.sum_xsq
-        sum_x4 += out.sum_x4
+        # group sums in trial order
+        for g in range(len(out.sum_xsq)):
+            sum_xsq += out.sum_xsq[g]
+            sum_x4 += out.sum_x4[g]
+            if out.sum_nsq is not None:
+                sum_nsq += out.sum_nsq[g]
         count += out.count
         steps_alive += out.steps_alive
         emergency_steps += out.emergency_steps
         diverged += out.diverged
         if out.sum_nsq is not None:
             have_env = True
-            sum_nsq += out.sum_nsq
             count_nsq += out.count_nsq
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

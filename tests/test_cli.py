@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,8 +109,11 @@ def test_range_key_only_for_static(cfg_file):
 
 # --- CLI end to end -------------------------------------------------------------
 
-def test_cli_rate():
+def test_cli_rate(capsys):
     assert main(["rate", "8"]) == 0
+    assert capsys.readouterr().out == "L=8 num_symbols=17 R=5\n"
+    assert main(["rate", str(2**60)]) == 0
+    assert capsys.readouterr().out.endswith(f"num_symbols={2**61 + 1} R=62\n")
     assert main(["rate", "0"]) == 1
 
 
@@ -335,3 +339,26 @@ def test_cli_missing_moment_exits_1(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "dof=" in captured.err
     assert "Traceback" not in captured.err
+
+
+EMERGENCY_CFG = Path(__file__).resolve().parent.parent / "configs" / "emergency_rich.cfg"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "feasibility", "sweep"])
+@pytest.mark.parametrize("overrides, message", [
+    (["M0=1e-310"], "cell width P*M0/L"),
+    (["P=1e300", "M0=1e10"], "P*M0 overflows"),
+])
+def test_cli_degenerate_cell_width_exits_1(tmp_path, capsys, command, overrides, message):
+    extra = ["--out", str(tmp_path / "o")] if command in ("simulate", "sweep") else []
+    if command == "sweep":
+        extra += ["--dim", "K", "--values", "2"]
+    sets = [arg for item in overrides + ["horizon=1000"] for arg in ("--set", item)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, str(EMERGENCY_CFG)] + sets + extra)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "o").exists()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -40,6 +42,28 @@ def test_bad_params_rejected(kwargs):
         StrategyParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        # P*M0/L below the smallest normal float
+        (dict(L=8, P=2.0, M0=1e-310), "cell width"),
+        (dict(L=2**50, P=1.5, M0=1e-293), "cell width"),
+        # P*M0 overflows
+        (dict(L=8, P=1e300, M0=1e10), "P\\*M0 overflows"),
+    ],
+)
+def test_degenerate_cell_width_rejected(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        StrategyParams(K=2.0, c=0.2, **kwargs)
+
+
+def test_smallest_normal_cell_width_accepted():
+    tiny = sys.float_info.min
+    params = StrategyParams(L=4, P=2.0, M0=2.0 * tiny, K=2.0, c=0.2)
+    assert params.P * params.M0 / params.L == tiny
+    StrategyParams(L=1, P=1e300, M0=1e8, K=2.0, c=0.2)
+
+
 # --- rate -------------------------------------------------------------------
 
 @pytest.mark.parametrize("L,want", [(1, 2), (2, 3), (4, 4), (8, 5), (16, 6)])
@@ -51,6 +75,14 @@ def test_rate_formula(L, want):
 
 def test_rate_never_below_two():
     assert rate(StrategyParams(L=1, P=1.5, M0=1.0, K=1.0, c=0.2)) == 2
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8, 1000, 2**50, 2**60])
+def test_rate_of_codebook_size(L):
+    # ceil(log2(2L+1)) without floating point
+    assert rate(L) == next(r for r in range(1, 200) if 2**r >= 2 * L + 1)
+    if L <= 2**50:
+        assert rate(L) == rate(StrategyParams(L=L, P=2.0, M0=1.0, K=1.0, c=0.2))
 
 
 # --- encode / cell examples -------------------------------------------------

@@ -267,3 +267,26 @@ def test_stream_reproducibility_all_kinds(seed, kind):
     assert np.array_equal(
         sample_array(spec, rng_from(seed), 50), sample_array(spec, rng_from(seed), 50)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    kind=st.sampled_from(["gaussian", "uniform", "two_point", "student_t"]),
+    sizes=st.lists(st.integers(0, 300), max_size=8),
+)
+def test_blocked_draws_equal_one_call(seed, kind, sizes):
+    # the engine draws each trial's disturbances one time block at a time
+    spec = {
+        "gaussian": DistributionSpec.gaussian(0.5, 2.0),
+        "uniform": DistributionSpec.uniform(-1.0, 4.0),
+        "two_point": DistributionSpec.two_point(-1.0, 0.3, 2.0),
+        "student_t": DistributionSpec.student_t(2.5, 1.0, 0.0),
+    }[kind]
+    whole_rng = rng_from(seed)
+    whole = sample_array(spec, whole_rng, sum(sizes))
+    rng = rng_from(seed)
+    blocks = [sample_array(spec, rng, n) for n in sizes]
+    assert np.array_equal(np.concatenate([whole[:0]] + blocks), whole)
+    # and leaves the generator where one call does
+    assert rng.bit_generator.state == whole_rng.bit_generator.state

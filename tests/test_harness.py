@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -232,6 +233,114 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     emergency = sum(int(np.sum(ref.mode[: ref.steps] == 1)) for ref in refs)
     assert stats.emergency_fraction == emergency / sum(ref.steps for ref in refs)
     assert stats.diverged_count == sum(ref.diverged for ref in refs)
+
+
+# --- time blocks, lane groups and threads ------------------------------------------
+
+# P = 1.3 zooms out slowly: under a gaussian(1, 1) gain some rounds run to the
+# horizon, across many blocks, leaving an unresolved envelope suffix; under
+# uniform(0.5, 2.5) many lanes never return to normal mode after step 0
+SLOW_ZOOM = StrategyParams(L=8, P=1.3, M0=0.1, K=8.0, c=0.2)
+BLOCK_CASES = {
+    "adaptive": {},
+    "static": dict(policy=Policy.static()),
+    "perfect": dict(policy=Policy.perfect()),
+    "zero": dict(policy=Policy.zero()),
+    "diverging": dict(a_spec=JUMPY_A),
+    "never_exits": dict(a_spec=DistributionSpec.gaussian(1.0, 1.0), params=SLOW_ZOOM),
+    "never_returns": dict(a_spec=DistributionSpec.uniform(0.5, 2.5), params=SLOW_ZOOM),
+}
+STATS_FIELDS = ("curve_mean", "curve_stderr", "curve_count", "diverged_count",
+                "emergency_fraction", "window_ratio", "max_mean_nsq", "verdict")
+
+
+def block_case_cfg(case, **over):
+    return make_cfg(**{"trials": 30, "horizon": 45, "master_seed": 3, **BLOCK_CASES[case], **over})
+
+
+def engine_outputs(cfg, kept):
+    stats, traces = run_experiment(cfg, keep_traces=kept)
+    rec, div = run_recorded_bundle(cfg, full=True)
+    return stats, traces, rec, div
+
+
+def assert_same_outputs(got, want):
+    for field in STATS_FIELDS:
+        a, b = getattr(got[0], field), getattr(want[0], field)
+        assert np.array_equal(a, b, equal_nan=isinstance(a, (float, np.ndarray))), field
+    assert len(got[1]) == len(want[1])
+    for trace, ref in zip(got[1], want[1]):
+        assert_same_trace(trace, ref)
+    assert got[2].keys() == want[2].keys()
+    for f in want[2]:
+        assert np.array_equal(got[2][f], want[2][f]), f
+    assert np.array_equal(got[3], want[3])
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_results_independent_of_time_blocks_and_threads(monkeypatch, case):
+    import zoomctl.harness as hz
+
+    # groups of 9 trials, chunks of 18: 30 trials fill 18 + 12 lanes
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", 9)
+    cfg = block_case_cfg(case)
+    want = engine_outputs(cfg, cfg.trials)  # one block: the horizon
+    _, _, rec, div = want
+    if case == "diverging":
+        assert np.count_nonzero(div % 7 != 0) > 3  # lanes diverge mid-block
+    if case == "never_exits":
+        # some round stays open from before the third-to-last block on
+        assert min(np.flatnonzero(row)[-1] for row in rec["normal"]) < cfg.horizon - 14
+    if case == "never_returns":
+        # each group's envelope resolves column 0 only
+        stuck = ~rec["normal"][:, 1:].any(axis=1)
+        assert all(stuck[g:g + 9].any() for g in range(0, cfg.trials, 9))
+    for block, threads in [(1, "1"), (7, "1"), (7, "3"), (cfg.horizon, "3")]:
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setenv("ZOOMCTL_THREADS", threads)
+        assert_same_outputs(engine_outputs(cfg, cfg.trials), want)
+
+
+def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
+    import zoomctl.harness as hz
+
+    # 1030 trials: one chunk of two 512-trial groups, then 6 lanes
+    cfg = make_cfg(trials=1030, horizon=30, a_spec=DistributionSpec.two_point(1e30, 0.1, 1.0))
+    want = engine_outputs(cfg, 3)
+    assert want[0].diverged_count > 0
+    for block, threads in [(1, "1"), (7, "3")]:
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setenv("ZOOMCTL_THREADS", threads)
+        assert_same_outputs(engine_outputs(cfg, 3), want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 45])
+@pytest.mark.parametrize("case", ["adaptive", "diverging", "never_exits", "never_returns"])
+def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
+    import zoomctl.harness as hz
+    from zoomctl.analysis import TraceBundle, envelope_squared
+
+    # groups of 20: wide enough that a pairwise sum differs from a sequential one
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", 20)
+    monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+    cfg = block_case_cfg(case, trials=40)
+    out = hz._run_chunk(cfg, range(cfg.trials), None, True)
+    rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    count = np.zeros(cfg.horizon, dtype=np.int64)
+    for g in range(2):
+        # the envelope runs over the group's non-diverged trials only
+        keep = [t for t in range(20 * g, 20 * g + 20) if div[t] < 0]
+        nsq, hr = envelope_squared(
+            TraceBundle(X=np.zeros((len(keep), cfg.horizon + 1)),
+                        M=rec["M"][keep], I=rec["I"][keep], normal=rec["normal"][keep]),
+            cfg.params.K,
+        )
+        # each column summed trial by trial; numpy sums a lone column pairwise
+        want = functools.reduce(np.add, nsq) if hr > 1 else nsq.sum(axis=0)
+        assert np.array_equal(out.sum_nsq[g][:hr], want)
+        assert not out.sum_nsq[g][hr:].any()
+        count[:hr] += len(keep)
+    assert np.array_equal(out.count_nsq, count)
 
 
 def test_master_seed_changes_results():
