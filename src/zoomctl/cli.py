@@ -16,7 +16,7 @@ from pathlib import Path
 
 from zoomctl import analysis
 from zoomctl.analysis import MomentOrderError, UnstabilizableError
-from zoomctl.codec import rate
+from zoomctl.codec import rate_bits
 from zoomctl.config import ConfigError, load_config
 from zoomctl.distributions import MomentError, moment_summary
 from zoomctl.harness import (
@@ -156,7 +156,7 @@ def cmd_sweep(args) -> int:
 def cmd_rate(args) -> int:
     if args.L < 1:
         return _fail(f"L must be >= 1, got {args.L}")
-    print(f"L={args.L} num_symbols={2 * args.L + 1} R={rate(args.L)}")
+    print(f"L={args.L} num_symbols={2 * args.L + 1} R={rate_bits(args.L)}")
     return EXIT_OK
 
 

@@ -114,12 +114,13 @@ class Cell:
         return self.b - self.a
 
 
-def rate(params: StrategyParams | int) -> int:
-    """Channel rate in bits: ceil(log2(2L+1)), computed exactly.
+def rate(params: StrategyParams) -> int:
+    """Channel rate in bits: ceil(log2(2L+1)), computed exactly."""
+    return rate_bits(params.L)
 
-    Takes the strategy, or the codebook size L itself.
-    """
-    L = params if isinstance(params, int) else params.L
+
+def rate_bits(L: int) -> int:
+    """Bits per symbol of a codebook of 2L+1 symbols."""
     # 2L+1 is odd, so ceil(log2(2L+1)) == bit_length(2L)
     return (2 * L).bit_length()
 

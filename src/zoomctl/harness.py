@@ -29,9 +29,14 @@ the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
 drawn whole up front; its disturbances, the per-step sums and the N^2
 envelope are produced one block at a time.  An unrecorded chunk holds about
 lanes x (8 * horizon + 50 * block) bytes; recording adds the requested
-columns over the whole horizon.  Neither the block length nor the number
-of threads changes a result.  ``ZOOMCTL_THREADS`` caps the number of worker
-threads used across chunks.
+columns over the whole horizon.  The envelope adds 8 bytes per lane for
+each column some lane of its group has not resolved yet: a round that stays
+open over the whole horizon holds another 8 * horizon.  A group in which
+any trial diverges runs again without them for its envelope, so an adaptive
+ensemble in which some but not all trials diverge costs up to twice the
+engine time.  Neither the block length nor the number of threads changes a
+result.  ``ZOOMCTL_THREADS`` caps the number of worker threads used across
+chunks.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -211,7 +216,8 @@ class _ChunkOut:
 
 
 # Per-step record columns, with the value a lane holds from its divergence
-# step on.  X (the state history) and A, W (the noise draws) are kept apart.
+# step on.  X (the state history) and A, W (the noise draws) are kept apart
+# and hold 0 there.
 _STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
               "symbol": NO_SYMBOL, "U": 0.0}
 
@@ -220,16 +226,18 @@ _STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
 class _EnvelopeFold:
     """N^2 column sums of one trial group, folded in as columns resolve.
 
-    Columns from ``start`` on are still open: some lane's round has not
-    exited yet.  Their M, I and mode flags wait here, lane-major.
+    Columns from ``start`` on are not summed yet: some lane's round is
+    still open there.  Their N^2 values wait in ``window``, one lane-major
+    (block start, values) pair per time block.  A lane's values from
+    ``open_from`` on wait for its round to exit and are written then.
     """
 
     sums: np.ndarray
+    open_from: np.ndarray  # per lane
     start: int = 0
+    end: int = 0  # columns folded in so far
     first: np.ndarray | None = None  # N^2 of column 0, per lane
-    M: np.ndarray | None = None
-    I: np.ndarray | None = None
-    normal: np.ndarray | None = None
+    window: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def _chunk_envelope(
@@ -237,28 +245,54 @@ def _chunk_envelope(
 ) -> None:
     """Fold one time block, (lanes, steps) columns, into a group's N^2 sums.
 
-    The columns every lane has resolved are summed and dropped, the rest
-    stay open.  Each column is summed once, lane by lane in trial order.
+    N^2 at a column needs only the tracker at the lane's next normal step,
+    so each value is computed once: at its block when the round exits
+    there, else when it does.  The columns every lane has resolved are
+    summed, each once, lane by lane in trial order.
     """
-    # lane-major and C-ordered, like the block columns
-    m_win, i_win, normal_win = (
-        new if old is None else np.concatenate((old, new), axis=1)
-        for old, new in ((fold.M, m_blk), (fold.I, i_blk), (fold.normal, normal_blk))
-    )
-    tau = analysis._tau_backward(normal_win)
-    # unresolved tau is a suffix and tau rises before it, so a lane's largest
-    # tau is its last resolved column (-1 when none is)
-    done = int(tau.max(axis=1).min()) + 1
-    if done:
-        nsq = analysis._nsq_from_tau(m_win, i_win, K, tau[:, :done])
-        # nsq is C-ordered (lanes, columns): sum(axis=0) adds row by row, in
-        # trial order, except on a single column, which numpy reduces pairwise
-        fold.sums[fold.start:fold.start + done] = nsq.sum(axis=0) if done > 1 else nsq.cumsum(axis=0)[-1]
+    b0 = fold.end
+    nb = m_blk.shape[1]
+    tau = analysis._tau_backward(normal_blk)
+    exit_at = tau[:, 0].copy()  # each lane's first normal step in the block
+    # unresolved tau is a suffix; it stands in for itself until resolved
+    n_open = np.count_nonzero(tau < 0, axis=1)
+    np.copyto(tau, np.arange(nb, dtype=np.int64), where=tau < 0)
+    nsq = analysis._nsq_from_tau(m_blk, i_blk, K, tau)
+    # rounds open from an earlier block that exit in this one
+    waiting = fold.open_from < b0
+    exits = np.flatnonzero(waiting & (exit_at >= 0))
+    if len(exits):
+        q = nsq[exits, exit_at[exits]]  # Q^2 at the exit step
+        t = b0 + exit_at[exits]
+        since = fold.open_from[exits]
+        for s, vals in fold.window:
+            # each lane writes from where its round opened on
+            sel = since < s + vals.shape[1]
+            if not sel.any():
+                continue
+            lo = max(s, int(since[sel].min()))
+            cols = np.arange(lo, s + vals.shape[1])
+            rows = vals[exits[sel], lo - s:]
+            np.ldexp(q[sel, None], (2 * (t[sel, None] - cols)).astype(np.int32), out=rows,
+                     where=cols >= since[sel, None])
+            vals[exits[sel], lo - s:] = rows
+    fold.open_from = np.where(waiting & (exit_at < 0), fold.open_from, b0 + nb - n_open)
+    fold.window.append((b0, nsq))
+    fold.end = b0 + nb
+
+    done = int(fold.open_from.min())
+    while fold.start < done:
+        s, vals = fold.window[0]
+        lo, hi = fold.start - s, min(vals.shape[1], done - s)
+        part = vals[:, lo:hi]
+        # part is lane-major: sum(axis=0) adds row by row, in trial order,
+        # except on a single column, which numpy reduces pairwise
+        fold.sums[fold.start:s + hi] = part.sum(axis=0) if hi - lo > 1 else part.cumsum(axis=0)[-1]
         if fold.start == 0:
-            fold.first = nsq[:, 0].copy()
-        fold.start += done
-    # copies, so the folded columns are freed
-    fold.M, fold.I, fold.normal = m_win[:, done:].copy(), i_win[:, done:].copy(), normal_win[:, done:].copy()
+            fold.first = vals[:, 0].copy()
+        fold.start = s + hi
+        if hi == vals.shape[1]:
+            fold.window.pop(0)
 
 
 def _decode_symbol(symbol: np.ndarray, L: int, k_out: np.ndarray, normal_out: np.ndarray) -> None:
@@ -279,7 +313,9 @@ def _run_chunk(
     every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
     folded one block at a time, so only the gains and recorded columns span
-    the whole horizon.
+    the whole horizon.  The envelope also keeps each group's N^2 values of
+    the columns where some round is still open.  It sums non-diverged trials
+    only, so a group with a diverged lane reruns its surviving trials for it.
 
     The step works on whole lane arrays with no mask until a lane diverges.
     A diverged lane is then parked: its X is held at 0 and its tracker
@@ -305,7 +341,8 @@ def _run_chunk(
     rec = {f: np.full((n_t, h), fill) for f, fill in _STEP_FILL.items() if f in wanted}
     blk_fields = wanted | ({"M", "I", "normal"} if need_env else set())
     blk = {f: np.full((n_t, block), fill) for f, fill in _STEP_FILL.items() if f in blk_fields}
-    folds = [_EnvelopeFold(np.zeros(h)) for _ in groups] if need_env else []
+    folds = [_EnvelopeFold(np.zeros(h), np.zeros(lanes.stop - lanes.start, dtype=np.int64))
+             for lanes in groups] if need_env else []
     w_draws = np.empty((n_t, h if "W" in wanted else block))
     # row n holds X_n, 0 at parked lanes: the whole history when X is
     # recorded, else the current block with its start state in row 0
@@ -450,17 +487,17 @@ def _run_chunk(
 
     records = None
     if record_fields:
-        for j in np.flatnonzero(diverged_at >= 0):
-            d = diverged_at[j]
-            # the freshly diverged value is recorded too (flagged, excluded
-            # from the aggregates above)
-            xs[d, j] = x_diverged[j]
-            a_draws[j, d:] = 0.0
-            w_draws[j, d:] = 0.0
-            for f, col in rec.items():
-                col[j, d:] = _STEP_FILL[f]
+        # only the recorded columns span the whole horizon
         cols = {**rec, "X": xs.T, "A": a_draws, "W": w_draws}
         records = {f: cols[f] for f in record_fields}
+        for j in np.flatnonzero(diverged_at >= 0):
+            d = diverged_at[j]
+            for f, col in records.items():
+                col[j, d:] = _STEP_FILL.get(f, 0.0)
+            if "X" in records:
+                # the freshly diverged value is recorded too (flagged,
+                # excluded from the aggregates above)
+                records["X"][j, d] = x_diverged[j]
 
     sum_nsq = count_nsq = None
     if need_env:

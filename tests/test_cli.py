@@ -362,3 +362,17 @@ def test_cli_degenerate_cell_width_exits_1(tmp_path, capsys, command, overrides,
     assert captured.err.startswith("error: ") and message in captured.err
     assert "PASS" not in captured.out
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_verify_drift_reports_lanes_diverging_after_a_block(monkeypatch, capsys):
+    import zoomctl.harness as hz
+
+    # P = 1e10 sends every trial past the divergence limit at step 17 or 18,
+    # beyond the first 7-step block of the drift recording
+    monkeypatch.setattr(hz, "BLOCK_STEPS", 7)
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "drift",
+                 "--set", "P=1e10", "--set", "horizon=60"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "drift  FAIL  200 trials diverged" in captured.out
+    assert "Traceback" not in captured.err

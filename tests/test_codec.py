@@ -16,6 +16,7 @@ from zoomctl.codec import (
     encode_normal,
     is_clamped,
     rate,
+    rate_bits,
     symbol_to_bits,
     tracker_update_normal,
 )
@@ -80,9 +81,9 @@ def test_rate_never_below_two():
 @pytest.mark.parametrize("L", [1, 2, 3, 8, 1000, 2**50, 2**60])
 def test_rate_of_codebook_size(L):
     # ceil(log2(2L+1)) without floating point
-    assert rate(L) == next(r for r in range(1, 200) if 2**r >= 2 * L + 1)
+    assert rate_bits(L) == next(r for r in range(1, 200) if 2**r >= 2 * L + 1)
     if L <= 2**50:
-        assert rate(L) == rate(StrategyParams(L=L, P=2.0, M0=1.0, K=1.0, c=0.2))
+        assert rate_bits(L) == rate(StrategyParams(L=L, P=2.0, M0=1.0, K=1.0, c=0.2))
 
 
 # --- encode / cell examples -------------------------------------------------

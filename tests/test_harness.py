@@ -241,12 +241,15 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
 # horizon, across many blocks, leaving an unresolved envelope suffix; under
 # uniform(0.5, 2.5) many lanes never return to normal mode after step 0
 SLOW_ZOOM = StrategyParams(L=8, P=1.3, M0=0.1, K=8.0, c=0.2)
+# frequent huge gains: about half the trials diverge within 45 steps, at
+# steps 20 and later
+BURSTY_A = DistributionSpec.two_point(1e30, 0.1, 1.0)
 BLOCK_CASES = {
     "adaptive": {},
     "static": dict(policy=Policy.static()),
     "perfect": dict(policy=Policy.perfect()),
     "zero": dict(policy=Policy.zero()),
-    "diverging": dict(a_spec=JUMPY_A),
+    "diverging": dict(a_spec=BURSTY_A),
     "never_exits": dict(a_spec=DistributionSpec.gaussian(1.0, 1.0), params=SLOW_ZOOM),
     "never_returns": dict(a_spec=DistributionSpec.uniform(0.5, 2.5), params=SLOW_ZOOM),
 }
@@ -287,7 +290,9 @@ def test_results_independent_of_time_blocks_and_threads(monkeypatch, case):
     want = engine_outputs(cfg, cfg.trials)  # one block: the horizon
     _, _, rec, div = want
     if case == "diverging":
-        assert np.count_nonzero(div % 7 != 0) > 3  # lanes diverge mid-block
+        steps = div[div >= 0]
+        assert np.count_nonzero(steps % 7 != 0) > 3  # lanes diverge mid-block
+        assert all((div[g:g + 9] >= 0).any() for g in range(0, cfg.trials, 9))
     if case == "never_exits":
         # some round stays open from before the third-to-last block on
         assert min(np.flatnonzero(row)[-1] for row in rec["normal"]) < cfg.horizon - 14
@@ -305,13 +310,28 @@ def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
     import zoomctl.harness as hz
 
     # 1030 trials: one chunk of two 512-trial groups, then 6 lanes
-    cfg = make_cfg(trials=1030, horizon=30, a_spec=DistributionSpec.two_point(1e30, 0.1, 1.0))
+    cfg = make_cfg(trials=1030, horizon=30, a_spec=BURSTY_A)
     want = engine_outputs(cfg, 3)
     assert want[0].diverged_count > 0
     for block, threads in [(1, "1"), (7, "3")]:
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
         monkeypatch.setenv("ZOOMCTL_THREADS", threads)
         assert_same_outputs(engine_outputs(cfg, 3), want)
+
+
+@pytest.mark.parametrize("fields", [("M", "I", "normal"), ("W", "U"), ("X", "A")])
+def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
+    import zoomctl.harness as hz
+
+    monkeypatch.setattr(hz, "BLOCK_STEPS", 7)
+    cfg = block_case_cfg("diverging")
+    full, div = run_recorded_bundle(cfg, full=True)
+    assert np.count_nonzero(div > 8) > 3  # past the first block's state rows
+    part, part_div = run_recorded_bundle(cfg, fields=fields)
+    assert np.array_equal(part_div, div)
+    assert part.keys() == set(fields)
+    for f in fields:
+        assert np.array_equal(part[f], full[f]), f
 
 
 @pytest.mark.parametrize("block", [1, 7, 45])
@@ -330,6 +350,8 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     for g in range(2):
         # the envelope runs over the group's non-diverged trials only
         keep = [t for t in range(20 * g, 20 * g + 20) if div[t] < 0]
+        if case == "diverging":
+            assert 0 < len(keep) < 20
         nsq, hr = envelope_squared(
             TraceBundle(X=np.zeros((len(keep), cfg.horizon + 1)),
                         M=rec["M"][keep], I=rec["I"][keep], normal=rec["normal"][keep]),
