@@ -306,11 +306,12 @@ def _run_chunk(
     indices: Sequence[int],
     record_fields: tuple[str, ...] | None,
     envelope: bool,
+    group_sizes: Sequence[int] | None = None,
 ) -> _ChunkOut:
     """Run trials ``indices`` in lockstep, one lane each, under any policy.
 
-    The lanes split, in order, into groups of CHUNK_TRIALS trials, the unit
-    every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
+    The lanes split, in order, into groups of CHUNK_TRIALS trials (or of
+    ``group_sizes``), the unit every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
     folded one block at a time, so only the gains and recorded columns span
     the whole horizon.  The envelope also keeps each group's N^2 values of
@@ -331,7 +332,10 @@ def _run_chunk(
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
     a_draws, rngs = _predraw(cfg, indices)
-    groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
+    if group_sizes is None:
+        group_sizes = [min(CHUNK_TRIALS, n_t - g) for g in range(0, n_t, CHUNK_TRIALS)]
+    ends = np.cumsum(group_sizes).tolist()
+    groups = [slice(e - size, e) for e, size in zip(ends, group_sizes)]
     block = min(BLOCK_STEPS, h)
 
     need_env = envelope and kind == "adaptive_fixed_rate"
@@ -504,14 +508,19 @@ def _run_chunk(
         del a_draws, w_draws, xs, blk
         sum_nsq = np.zeros((len(groups), h))
         count_nsq = np.zeros(h, dtype=np.int64)
+        # the envelope counts non-diverged trials only: rerun those of the
+        # groups with a diverged lane, all in one chunk
+        redo = [g for g, fold in enumerate(folds) if fold is None]
+        keep = {g: [indices[j] for j in range(groups[g].start, groups[g].stop) if diverged_at[j] < 0]
+                for g in redo}
+        redo = [g for g in redo if keep[g]]
+        if redo:
+            sub = _run_chunk(cfg, [t for g in redo for t in keep[g]], None, True,
+                             [len(keep[g]) for g in redo])
+            sum_nsq[redo] = sub.sum_nsq
+            count_nsq += sub.count_nsq
         for g, (lanes, fold) in enumerate(zip(groups, folds)):
             if fold is None:
-                # the envelope counts non-diverged trials only: rerun them
-                keep = [indices[j] for j in range(lanes.start, lanes.stop) if diverged_at[j] < 0]
-                if keep:
-                    sub = _run_chunk(cfg, keep, None, True)
-                    sum_nsq[g] = sub.sum_nsq[0]
-                    count_nsq += sub.count_nsq
                 continue
             if fold.start == 0:
                 raise analysis.DominatingSeqError("a trace never exits its first round; no resolved steps")
