@@ -290,23 +290,23 @@ class DominationReport:
 
 def check_domination(trace: Trace, K: float, n0_set: Iterable[int]) -> DominationReport:
     """Exact check |X_{n0}| <= N_{n0} for each requested n0."""
-    violations = []
-    points = []
-    max_ratio = 0.0
-    checked = 0
-    for n0 in n0_set:
-        frozen = freeze(trace, int(n0))
-        ds = dominating_seq(frozen, K)
-        x_abs = abs(float(trace.X[n0]))
-        n_val = float(ds.N[n0])
-        checked += 1
-        points.append((0, int(n0), x_abs, n_val))
+    return domination_report(((0, freeze(trace, int(n0))) for n0 in n0_set), K)
+
+
+def domination_report(frozen: Iterable[tuple[int, FrozenTrace]], K: float) -> DominationReport:
+    """|X_{n0}| <= N_{n0}, exactly, for each (trace index, trace frozen at n0)."""
+    violations, points, max_ratio = [], [], 0.0
+    for t, ft in frozen:
+        n0 = ft.n0
+        x_abs = abs(float(ft.Xt[n0]))
+        n_val = float(dominating_seq(ft, K).N[n0])
+        points.append((t, n0, x_abs, n_val))
         if n_val > 0:
             max_ratio = max(max_ratio, x_abs / n_val)
         if x_abs > n_val:
-            violations.append((int(n0), x_abs, n_val))
+            violations.append((n0, x_abs, n_val))
     return DominationReport(
-        checked=checked, violations=violations, max_ratio=max_ratio, points=points
+        checked=len(points), violations=violations, max_ratio=max_ratio, points=points
     )
 
 
@@ -609,11 +609,8 @@ def feasibility(
             f"sigma_A^2 = {sig_a**2:.4g} >= 1: the system is not second-moment "
             "stabilizable at any rate"
         )
-    y = params.P * params.delta
-    coeff = sig_a**2 + (2.0 * abs(mu_a) + sig_a) * (2.0 * y) + (2.0 + params.K) * y * y
-    coeff_literal = sig_a**2 + (2.0 * mu_a + sig_a) * (2.0 * y) + (2.0 + params.K) * y * y
-    margin_drift = (1.0 - c) - coeff
-    margin_drift_literal = (1.0 - c) - coeff_literal
+    margin_drift = (1.0 - c) - params.drift_coefficient(abs(mu_a), sig_a)
+    margin_drift_literal = (1.0 - c) - params.drift_coefficient(mu_a, sig_a)
     margin_k = (1.0 - c) * params.K - mu_a**2
     margin_k_literal = (1.0 - c) * params.K - mu_a
 
@@ -629,7 +626,7 @@ def feasibility(
     drift_ok = margin_drift >= 0.0
     k_ok = margin_k >= 0.0
     eps_ok = c + eps < min(1.0 - sig_a**2, 0.75)
-    d_const = 2.0 * sig_w**2 + (1.0 + params.K) * params.M0**2
+    d_const = params.drift_constant(sig_w**2)
     return FeasibilityReport(
         ok=drift_ok and k_ok and eps_ok,
         margin_drift=margin_drift,
@@ -684,16 +681,6 @@ def moment_recursion_curve(
     for k in range(n):
         out[k + 1] = coef * out[k] + sig_w**2
     return out
-
-
-def moment_recursion_oracle(
-    policy: str,
-    A_moments: tuple[float, float],
-    W_moments: tuple[float, float],
-    n: int,
-) -> float:
-    """E[X_n^2] under an idealized policy (see moment_recursion_curve)."""
-    return float(moment_recursion_curve(policy, A_moments, W_moments, n)[-1])
 
 
 def oracle_mean_stderr(policy: str, a_spec, w_spec, n: int, trials: int) -> np.ndarray:

@@ -23,6 +23,10 @@ so that, with the floors at M0 inactive, x lies in rho*[M - 2I, M].
 Cell arithmetic is anchored at zero (endpoints are computed as multiples
 of the cell width, not as offsets from -P*M_prev) so that encoding stays
 precise even when P is astronomically large relative to |x|.
+
+``cell_index``, ``cell_endpoints`` and ``tracker_update`` are the array
+forms of encode_normal, cell_of and tracker_update_normal, expression by
+expression, over float cell indices k = symbol - L.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 # L is capped so cell indices and symbols stay exactly representable in
 # float64 and int64 intermediate arithmetic.
@@ -96,6 +102,15 @@ class StrategyParams:
     @property
     def emergency_symbol(self) -> int:
         return 2 * self.L
+
+    def drift_coefficient(self, mu_A: float, sigma_A: float) -> float:
+        """sigma_A^2 + (2 mu_A + sigma_A)(2 P delta) + (2+K)(P delta)^2, kept below 1 - c."""
+        y = self.P * self.delta
+        return sigma_A**2 + (2.0 * mu_A + sigma_A) * (2.0 * y) + (2.0 + self.K) * y * y
+
+    def drift_constant(self, var_W: float) -> float:
+        """D = 2 Var(W) + (1 + K) M0^2 of the drift inequality for E[N^2]."""
+        return 2.0 * var_W + (1.0 + self.K) * self.M0**2
 
     def describe(self) -> dict[str, object]:
         return {"L": self.L, "P": self.P, "M0": self.M0, "K": self.K, "c": self.c,
@@ -193,16 +208,41 @@ def tracker_update_normal(
     return m, i, rho
 
 
-def is_clamped(symbol: int, m_prev: float, params: StrategyParams) -> bool:
-    """True when either floor at M0 overrides the cell geometry.
+def cell_index(x: np.ndarray, live_range: np.ndarray, L: int) -> np.ndarray:
+    """Array form of encode_normal: cell index k of x in [-live_range, live_range].
+
+    ``live_range`` is P*M_prev per lane; no range check is made.
+    """
+    w = live_range / L
+    k = np.floor(x / w)
+    k -= x < k * w
+    k += x >= (k + 1.0) * w
+    return np.fmin(np.fmax(k, -L, out=k), L - 1, out=k)
+
+
+def cell_endpoints(
+    k: np.ndarray, live_range: np.ndarray, L: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of cell_of: endpoints (a, b) of the cells with index k."""
+    w = live_range / L
+    a = np.where(k == -L, -live_range, k * w)
+    b = np.where(k == L - 1, live_range, (k + 1.0) * w)
+    return a, b
+
+
+def tracker_update(a: np.ndarray, b: np.ndarray, M0: float) -> np.ndarray:
+    """Array form of tracker_update_normal from cell endpoints: rows M, I, rho."""
+    return np.array([np.maximum(M0, np.maximum(np.abs(a), np.abs(b))),
+                     np.maximum(M0, (b - a) / 2.0), np.where(a >= 0.0, 1.0, -1.0)])
+
+
+def is_clamped(a, b, M0: float):
+    """True where either floor at M0 overrides the geometry of cell [a, b).
 
     Ties (floor equal to the geometric value) count as unclamped since the
     resulting tracker values coincide with the unclamped ones.
     """
-    cell = cell_of(symbol, m_prev, params)
-    geo_m = max(abs(cell.a), abs(cell.b))
-    geo_i = (cell.b - cell.a) / 2.0
-    return geo_m < params.M0 or geo_i < params.M0
+    return (np.maximum(np.abs(a), np.abs(b)) < M0) | ((b - a) / 2.0 < M0)
 
 
 def symbol_to_bits(symbol: int, params: StrategyParams) -> tuple[int, ...]:

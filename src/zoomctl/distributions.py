@@ -264,17 +264,3 @@ def central_moment(spec: DistributionSpec, k: int) -> float:
         return 3.0 * scale**4 * dof**2 / ((dof - 2.0) * (dof - 4.0))
     raise AssertionError(spec.kind)
 
-
-def gain_tail_moment(a_spec: DistributionSpec, alpha: float) -> float:
-    """max(2, E[(|A| + |mu_A|)^alpha]): tail weight of the gain law.
-
-    The floor of 2 keeps the geometric-series constants of the zoom-out
-    bound valid for degenerate gain laws.
-    """
-    mean, _ = moments(a_spec)
-    return max(2.0, abs_moment(a_spec, alpha, abs(mean)))
-
-
-def noise_tail_moment(w_spec: DistributionSpec, alpha: float) -> float:
-    """E[|W|^alpha]: tail weight of the disturbance law."""
-    return abs_moment(w_spec, alpha, 0.0)

@@ -24,6 +24,10 @@ counted and reported, never mixed into means.  Sums reduce in trial order
 over fixed groups of CHUNK_TRIALS trials, so identical configs give
 bit-identical stats.
 
+The adaptive step carries the encoder's tracker only; ``verify`` checks the
+controller's by replaying recorded symbol streams.  Diverged lanes are
+parked outside the zoom-out multiply and the tracker update.
+
 Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
 the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
 drawn whole up front; its disturbances, the per-step sums and the N^2
@@ -52,7 +56,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from zoomctl import analysis
-from zoomctl.codec import ProtocolError, StrategyParams, rate
+from zoomctl.codec import (
+    StrategyParams, cell_endpoints, cell_index, is_clamped, rate, tracker_update,
+)
 from zoomctl.distributions import DistributionSpec, moments, sample_array
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace
 
@@ -295,12 +301,6 @@ def _chunk_envelope(
             fold.window.pop(0)
 
 
-def _decode_symbol(symbol: np.ndarray, L: int, k_out: np.ndarray, normal_out: np.ndarray) -> None:
-    """Controller side: cell index and mode from the received symbol alone."""
-    np.subtract(symbol, L, out=k_out)
-    np.not_equal(symbol, 2 * L, out=normal_out)
-
-
 def _run_chunk(
     cfg: ExperimentConfig,
     indices: Sequence[int],
@@ -318,10 +318,13 @@ def _run_chunk(
     the columns where some round is still open.  It sums non-diverged trials
     only, so a group with a diverged lane reruns its surviving trials for it.
 
-    The step works on whole lane arrays with no mask until a lane diverges.
-    A diverged lane is then parked: its X is held at 0 and its tracker
-    frozen, so it adds 0 to the per-step sums and counts as a normal step,
-    and its record tail is reset after the loop.  Cell indices are float64,
+    The adaptive step keeps the encoder's tracker only and computes symbols
+    and clamp flags only when recorded.  It works on whole lane arrays with
+    no mask until a lane diverges.  A diverged lane is then parked: its X is
+    held at 0, and the zoom-out multiply and tracker update skip it, so the
+    cell arithmetic runs on X = 0 within its last range and cannot overflow.
+    It adds 0 to the per-step sums, counts as a normal step, and its record
+    tail is reset after the loop.  Cell indices are float64,
     exact since |k| <= L <= 2^50.
     """
     kind = cfg.policy.kind
@@ -357,19 +360,15 @@ def _run_chunk(
     diverged_at = np.full(n_t, -1, dtype=np.int64)
     x_diverged = np.zeros(n_t)
     parked = None
+    live = True  # ~parked once a lane diverges
     count = np.full(h + 1, n_t, dtype=np.int64)
     emergency_steps = 0
 
     if kind == "adaptive_fixed_rate":
-        # tracker (M, I, rho) x (encoder, controller) x lane; the controller
-        # row is rebuilt from the symbol alone and must match exactly
-        trk = np.empty((3, 2, n_t))
+        # rows M, I, rho of the tracker, one column per lane
+        trk = np.empty((3, n_t))
         trk[:2] = p.M0
         trk[2] = 1.0
-        cand = np.empty_like(trk)
-        k2 = np.empty((2, n_t))  # cell index per side
-        normal2 = np.empty((2, n_t), dtype=bool)
-        geo = np.empty((2, 2, n_t))  # M and I before the floor at M0
     elif kind == "static_quantizer":
         srange = cfg.static_range()
         w_cell_s = 2.0 * srange / (2 * L + 1)
@@ -392,42 +391,22 @@ def _run_chunk(
             n = b0 + i
             cols = {}
             if kind == "adaptive_fixed_rate":
-                frozen = None if parked is None else trk.copy()
-                # zoom-out update M <- P*M, which is also the live range
-                lim = np.multiply(trk[0], p.P, out=trk[0])
-                wid = lim / L
-                w_enc = wid[0]
-                normal = normal2[0]
-                np.less_equal(np.abs(x), lim[0], out=normal)
-                k = np.floor(x / w_enc)
-                # one-ulp fixups against the endpoint arithmetic, as in the codec
-                k -= x < k * w_enc
-                k += x >= (k + 1.0) * w_enc
-                np.fmin(np.fmax(k, -L, out=k), L - 1, out=k2[0])
-                symbol = np.where(normal, k2[0] + L, 2 * L)
-                _decode_symbol(symbol, L, k2[1], normal2[1])
-                # the extreme cells end at the live range exactly
-                a_cell = np.where(k2 == -L, -lim, k2 * wid)
-                b_cell = np.where(k2 == L - 1, lim, (k2 + 1.0) * wid)
-                np.maximum(np.abs(a_cell), np.abs(b_cell), out=geo[0])
-                np.subtract(b_cell, a_cell, out=geo[1])
-                geo[1] /= 2.0
-                np.maximum(p.M0, geo, out=cand[:2])
-                cand[2] = np.where(a_cell >= 0.0, 1.0, -1.0)
-                trk = np.where(normal2, cand, trk)
-                if frozen is not None:
-                    # a parked lane keeps the tracker it diverged with
-                    trk = np.where(parked, frozen, trk)
-                if np.count_nonzero(trk[:, 0] != trk[:, 1]):
-                    raise ProtocolError(f"encoder and controller trackers disagree at step {n}")
-                m_c, i_c, rho_c = trk[:, 1]
-                u = np.where(normal2[1], rho_c * mu_a * (m_c - i_c) + mu_w, mu_w)
+                # zoom-out update M <- P*M, which is also the live range; a
+                # parked lane keeps the tracker it diverged with
+                lim = np.multiply(trk[0], p.P, out=trk[0], where=live)
+                normal = np.abs(x) <= lim
+                k = cell_index(x, lim, L)
+                a_cell, b_cell = cell_endpoints(k, lim, L)
+                cand = tracker_update(a_cell, b_cell, p.M0)
                 emergency_steps += n_t - int(np.count_nonzero(normal))
+                trk = np.where(normal if parked is None else normal & live, cand, trk)
+                u = np.where(normal, trk[2] * mu_a * (trk[0] - trk[1]) + mu_w, mu_w)
                 if blk:
-                    cols = {"M": trk[0, 0], "I": trk[1, 0], "normal": normal, "rho": trk[2, 0],
-                            "symbol": symbol, "U": u}
+                    cols = {"M": trk[0], "I": trk[1], "normal": normal, "rho": trk[2], "U": u}
+                    if "symbol" in blk:
+                        cols["symbol"] = np.where(normal, k + L, 2 * L)
                     if "clamped" in blk:
-                        cols["clamped"] = ((geo[0, 0] < p.M0) | (geo[1, 0] < p.M0)) & normal
+                        cols["clamped"] = is_clamped(a_cell, b_cell, p.M0) & normal
             elif kind == "static_quantizer":
                 k = np.floor((x + srange) / w_cell_s)
                 np.fmin(np.fmax(k, 0.0, out=k), 2 * L, out=k)
@@ -465,6 +444,7 @@ def _run_chunk(
                 x[dead] = 0.0
                 count[n + 1:] -= np.count_nonzero(dead)
                 parked = dead if parked is None else parked | dead
+                live = ~parked
 
         # per-step sums of the block's states, parked lanes contributing 0
         sq = xv[1:] * xv[1:]

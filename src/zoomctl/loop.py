@@ -39,7 +39,9 @@ import numpy as np
 from zoomctl.codec import (
     ProtocolError,
     StrategyParams,
+    cell_endpoints,
     encode_normal,
+    tracker_update,
     tracker_update_normal,
 )
 from zoomctl.distributions import DistributionSpec, moments, sample_array
@@ -287,9 +289,7 @@ def _warn_if_uncertified(a_spec, w_spec, params) -> None:
         return
     _feasibility_warned.add(key)
     mu_a, var_a = moments(a_spec)
-    sig_a = math.sqrt(var_a)
-    y = params.P * params.delta
-    coeff = var_a + (2.0 * abs(mu_a) + sig_a) * 2.0 * y + (2.0 + params.K) * y * y
+    coeff = params.drift_coefficient(abs(mu_a), math.sqrt(var_a))
     if var_a >= 1.0 or coeff > 1.0 - params.c or mu_a**2 > (1.0 - params.c) * params.K:
         warnings.warn(
             "strategy parameters are not certified by the drift margins; "
@@ -426,42 +426,46 @@ def validate_trace_columns(
 
     Detects any corruption of the common-knowledge columns (M, I, rho, U,
     mode): the replayed tracker is derived from the symbols alone, exactly
-    as the controller would derive it.
+    as ``controller_step`` would, through the codec's array forms.  Every
+    step replays at once from the tracker recorded at the step before; up to
+    the first mismatch that is the replayed tracker, so the first mismatch
+    (fields in the order symbol, mode, M, I, rho, U) is a stepwise replay's.
     """
-    tracker = initial_tracker(params)
-    steps = len(cols["n"]) - 1 if cols["symbol"][-1] == NO_SYMBOL else len(cols["n"])
-    for i in range(steps):
-        symbol = int(cols["symbol"][i])
-        try:
-            u, tracker = controller_step(symbol, tracker, mu_A, mu_W, params)
-        except ProtocolError as exc:
-            return TraceValidation(False, i, "symbol", str(exc))
-        expected_mode = 1 if symbol == params.emergency_symbol else 0
-        checks = (
-            ("mode", expected_mode, int(cols["mode"][i])),
-            ("M", tracker.M, float(cols["M"][i])),
-            ("I", tracker.I, float(cols["I"][i])),
-            ("rho", tracker.rho, int(cols["rho"][i])),
-            ("U", u, float(cols["U"][i])),
-        )
-        for name, want, got in checks:
-            if want != got:
-                return TraceValidation(
-                    False, i, name, f"expected {name}={want!r}, trace has {got!r}"
-                )
-    return TraceValidation(True)
+    symbol = cols["symbol"]
+    steps = len(symbol) - 1 if symbol[-1] == NO_SYMBOL else len(symbol)
+    sym = symbol[:steps]
+    zoom = sym == params.emergency_symbol
+    # values past the first mismatch are never reported, and may overflow
+    with np.errstate(all="ignore"):
+        got = {f: cols[f][:steps].astype(np.int64 if f in ("mode", "rho") else float)
+               for f in ("mode", "M", "I", "rho", "U")}
+        # the tracker entering each step, then M <- P*M, the live range
+        prev = np.empty((3, steps))
+        prev[:, :1] = [[params.M0], [params.M0], [1.0]]
+        prev[:, 1:] = [got["M"][:-1], got["I"][:-1], got["rho"][:-1]]
+        prev[0] *= params.P
+        cells = cell_endpoints(sym - float(params.L), prev[0], params.L)
+        trk = np.where(zoom, prev, tracker_update(*cells, params.M0))
+        u = np.where(zoom, mu_W, trk[2] * mu_A * (trk[0] - trk[1]) + mu_W)
+    want = {"mode": zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
+    bad = {"symbol": (sym < 0) | (sym > params.emergency_symbol)}
+    bad.update((name, want[name] != got[name]) for name in got)
+    found = [(int(np.argmax(mask)), order) for order, mask in enumerate(bad.values()) if mask.any()]
+    if not found:
+        return TraceValidation(True)
+    i, order = min(found)
+    name = list(bad)[order]
+    if name == "symbol":
+        return TraceValidation(False, i, name, (
+            f"received symbol {int(sym[i])} outside codebook [0, {params.emergency_symbol}]"))
+    cast = int if name in ("mode", "rho") else float
+    return TraceValidation(
+        False, i, name, f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
+    )
 
 
 def validate_trace(trace: Trace) -> TraceValidation:
     mu_a, _ = moments(trace.a_spec)
     mu_w, _ = moments(trace.w_spec)
-    cols = {
-        "n": trace.n,
-        "symbol": trace.symbol,
-        "mode": trace.mode,
-        "M": trace.M,
-        "I": trace.I,
-        "rho": trace.rho,
-        "U": trace.U,
-    }
+    cols = {f: getattr(trace, f) for f in ("symbol", "mode", "M", "I", "rho", "U")}
     return validate_trace_columns(cols, trace.params, mu_a, mu_w)

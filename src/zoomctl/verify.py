@@ -3,12 +3,12 @@
 Each check replays part of the strategy's correctness argument on seeded
 ensembles:
 
-* tracker_equality -- encoder-side and controller-side trackers stay
-  bit-identical at every step (the symbol stream is the only coupling).
+* tracker_equality -- the controller's tracker, rebuilt from the symbol
+  stream alone, equals the recorded (encoder-side) tracker at every step.
   With ``--trace-file`` the check instead replays a recorded trace from
   its symbols and reports the first corrupted index.
-* containment      -- at every normal step where neither floor at M0 is
-  active, rho*X_n lies in [M_n - 2 I_n, M_n], exactly.
+* containment      -- at every normal step, rho*X_n lies in
+  [M_n - 2 I_n, M_n], exactly; steps floored at M0 are counted apart.
 * domination       -- |X_{n0}| <= N_{n0} for sampled freeze points, exactly.
 * drift            -- E[N_{n+1}^2] <= (1-c) E[N_n^2] + D within three
   standard errors at every resolved index, the cap E[N^2] <= D/c, and
@@ -16,14 +16,13 @@ ensembles:
 * oracle_match     -- simulated curves for the idealized policies match
   the closed-form second-moment recursions.
 
-The three exact checks share one recorded ensemble: ``run_checks``
-simulates the first min(trials, EXACT_TRIALS) trials once, recording X, M,
-I, mode, rho and the clamp flags (``record_exact``).  The engine compares
-the encoder and controller trackers exactly at every step of that pass,
-which is tracker_equality's ensemble half (a few scalar ``run_trial``
-replays are its other half); containment and domination read the recorded
-columns.  A tracker desync in the pass fails every requested exact check.
-The recording is freed before drift, which records M, I and mode over
+The three exact checks share one recorded ensemble (``record_exact``) of
+the first min(trials, EXACT_TRIALS) trials.  Each trial's recorded symbol
+stream is replayed, one trial at a time, through
+``loop.validate_trace_columns`` against the recorded mode, M, I, rho and U:
+tracker_equality's ensemble half (a few scalar ``run_trial`` replays are
+its other half).  A mismatch fails every requested exact check.  The
+recording is freed before drift, which records M, I and mode over
 trials x min(horizon, DRIFT_HORIZON_CAP) and builds the N^2 envelope once
 for both its statistics and the halving check.  oracle_match runs its own
 two oracle-policy ensembles.
@@ -53,7 +52,7 @@ EXACT_CHECKS = ("tracker_equality", "containment", "domination")
 # horizon caps keep the recorded ensembles in memory; documented in output
 DRIFT_HORIZON_CAP = 2000
 EXACT_TRIALS = 100  # trials in the exact checks' shared recorded pass
-EXACT_FIELDS = ("X", "M", "I", "normal", "rho", "clamped")
+EXACT_FIELDS = ("X", "symbol", "M", "I", "normal", "rho", "U", "clamped")
 SCALAR_REPLAYS = 3  # trials tracker_equality repeats through run_trial
 DOMINATION_N0_PER_TRACE = 10
 ORACLE_STEPS = 20
@@ -82,13 +81,24 @@ def _require_adaptive(cfg: ExperimentConfig, name: str) -> None:
 
 
 def record_exact(cfg: ExperimentConfig) -> Recorded:
-    """The exact checks' recorded ensemble: the first min(trials, EXACT_TRIALS).
+    """The first min(trials, EXACT_TRIALS) trials, recorded and replayed.
 
-    The engine compares both trackers exactly at every step and raises
-    ProtocolError on a mismatch.
+    A replay mismatch raises ProtocolError naming the trial and step.
     """
     sub = replace(cfg, trials=min(cfg.trials, EXACT_TRIALS))
-    return run_recorded_bundle(sub, fields=EXACT_FIELDS)
+    rec, diverged_at = run_recorded_bundle(sub, fields=EXACT_FIELDS)
+    mu_a, _ = moments(cfg.a_spec)
+    mu_w, _ = moments(cfg.w_spec)
+    for t, div in enumerate(diverged_at):
+        steps = cfg.horizon if div < 0 else int(div)
+        cols = {f: rec[f][t, :steps] for f in ("symbol", "M", "I", "rho", "U")}
+        cols["mode"] = ~rec["normal"][t, :steps]
+        result = validate_trace_columns(cols, cfg.params, mu_a, mu_w)
+        if not result.ok:
+            raise ProtocolError(
+                f"replayed tracker differs at trial {t}, step {result.first_mismatch}: {result.detail}"
+            )
+    return rec, diverged_at
 
 
 def check_tracker_equality(
@@ -112,7 +122,7 @@ def check_tracker_equality(
         )
 
     _require_adaptive(cfg, "tracker_equality")
-    # the engine compared both trackers at every step of the recorded pass
+    # record_exact replayed every trial of the recorded pass from its symbols
     trials = len(recorded[1])
     try:
         # scalar reference loop repeats the comparison on a few trials
@@ -125,7 +135,7 @@ def check_tracker_equality(
         return CheckResult("tracker_equality", False, str(exc))
     return CheckResult(
         "tracker_equality", True,
-        f"{trials} trials x {cfg.horizon} steps, trackers bit-identical",
+        f"{trials} trials x {cfg.horizon} steps replayed from their symbols, trackers bit-identical",
     )
 
 
@@ -135,22 +145,24 @@ def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     trials = len(diverged_at)
     h = cfg.horizon
     executed = np.arange(h)[None, :] < np.where(diverged_at < 0, h, diverged_at)[:, None]
-    eligible = rec["normal"] & ~rec["clamped"] & executed
+    eligible = rec["normal"] & executed
     x = rec["X"][:, :h]
     lo = rec["M"] - 2.0 * rec["I"]
     rx = rec["rho"] * x
     bad = eligible & ((rx < lo) | (rx > rec["M"]))
     n_bad = int(bad.sum())
     n_checked = int(eligible.sum())
+    n_floored = int((eligible & rec["clamped"]).sum())
+    counts = f"{n_checked - n_floored} unfloored, {n_floored} floored at M0"
     if n_bad:
         t, n = map(int, next(zip(*np.nonzero(bad))))
         return CheckResult(
             "containment", False,
-            f"{n_bad} violations / {n_checked} eligible steps; first at trial {t}, step {n}",
+            f"{n_bad} violations / {n_checked} normal steps ({counts}); first at trial {t}, step {n}",
         )
     return CheckResult(
         "containment", True,
-        f"0 violations over {n_checked} unclamped normal steps ({trials} trials)",
+        f"0 violations over {n_checked} normal steps ({counts}; {trials} trials)",
     )
 
 
@@ -160,41 +172,30 @@ def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([cfg.master_seed, _N0_STREAM_TAG]))
     )
-    checked = 0
-    points = []
-    violations = []
-    max_ratio = 0.0
-    for t in range(len(diverged_at)):
-        steps = cfg.horizon if diverged_at[t] < 0 else int(diverged_at[t])
-        if steps == 0:
-            continue
-        n0s = rng.integers(0, steps, size=DOMINATION_N0_PER_TRACE)
-        for n0 in n0s:
-            frozen = analysis.freeze_arrays(
-                rec["X"][t], rec["M"][t, :steps], rec["I"][t, :steps], int(n0), cfg.params
-            )
-            ds = analysis.dominating_seq(frozen, cfg.params.K)
-            x_abs = abs(float(rec["X"][t, n0]))
-            n_val = float(ds.N[n0])
-            checked += 1
-            points.append((t, int(n0), x_abs, n_val))
-            if n_val > 0:
-                max_ratio = max(max_ratio, x_abs / n_val)
-            if x_abs > n_val:
-                violations.append((int(n0), x_abs, n_val))
-    report = analysis.DominationReport(
-        checked=checked, violations=violations, max_ratio=max_ratio, points=points
-    )
-    if violations:
-        n0, x_abs, n_val = violations[0]
+
+    def frozen():
+        for t, div in enumerate(diverged_at):
+            steps = cfg.horizon if div < 0 else int(div)
+            if steps == 0:
+                continue
+            for n0 in rng.integers(0, steps, size=DOMINATION_N0_PER_TRACE):
+                yield t, analysis.freeze_arrays(
+                    rec["X"][t], rec["M"][t, :steps], rec["I"][t, :steps], int(n0), cfg.params
+                )
+
+    report = analysis.domination_report(frozen(), cfg.params.K)
+    if report.violations:
+        n0, x_abs, n_val = report.violations[0]
         return CheckResult(
             "domination", False,
-            f"{len(violations)} violations / {checked}; first |X_{n0}|={x_abs!r} > N={n_val!r}",
+            f"{len(report.violations)} violations / {report.checked}; "
+            f"first |X_{n0}|={x_abs!r} > N={n_val!r}",
             report=report,
         )
     return CheckResult(
         "domination", True,
-        f"|X_n0| <= N_n0 at all {checked} sampled freeze points (max ratio {max_ratio:.3f})",
+        f"|X_n0| <= N_n0 at all {report.checked} sampled freeze points "
+        f"(max ratio {report.max_ratio:.3f})",
         report=report,
     )
 
@@ -216,7 +217,7 @@ def check_drift(cfg: ExperimentConfig) -> CheckResult:
         )
     bundle = TraceBundle(X=np.zeros((cfg.trials, horizon + 1)), M=rec["M"], I=rec["I"],
                          normal=rec["normal"])
-    d_const = 2.0 * moments(cfg.w_spec)[1] + (1.0 + cfg.params.K) * cfg.params.M0**2
+    d_const = cfg.params.drift_constant(moments(cfg.w_spec)[1])
     # one envelope serves the drift statistics and the halving check
     nsq, _ = analysis.envelope_squared(bundle, cfg.params.K)
     report = analysis.drift_from_envelope(nsq, cfg.params.c, d_const)

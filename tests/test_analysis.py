@@ -24,7 +24,6 @@ from zoomctl.analysis import (
     freeze_arrays,
     min_zoom_factor,
     moment_recursion_curve,
-    moment_recursion_oracle,
     oracle_mean_stderr,
 )
 from zoomctl.codec import StrategyParams
@@ -389,13 +388,13 @@ def test_oracle_zero_control_two_steps():
 
 
 def test_oracle_perfect_observation_fixed_point():
-    val = moment_recursion_oracle("perfect_observation", (1.0, 0.5), (0.0, 1.0), 200)
+    val = moment_recursion_curve("perfect_observation", (1.0, 0.5), (0.0, 1.0), 200)[-1]
     assert val == pytest.approx(4.0 / 3.0, rel=1e-9)
 
 
 def test_oracle_initial_state():
     for policy in ("zero_control", "perfect_observation"):
-        assert moment_recursion_oracle(policy, (1.0, 0.5), (0.0, 1.0), 0) == 0.0
+        assert moment_recursion_curve(policy, (1.0, 0.5), (0.0, 1.0), 0).tolist() == [0.0]
 
 
 def test_oracle_rejects_unknown_policy():

@@ -273,23 +273,22 @@ def test_cli_rejects_non_integer_thread_count(tmp_path, cfg_file, monkeypatch, c
 
 
 def test_cli_verify_engine_tracker_desync_fails(cfg_file, monkeypatch, capsys):
-    import numpy as np
+    import zoomctl.verify as verify
 
-    import zoomctl.harness as hz
+    record = verify.run_recorded_bundle
 
-    decode = hz._decode_symbol
+    def desynced(cfg, **kwargs):
+        # the engine's recorded tracker leaves the symbol stream at one step
+        rec, diverged_at = record(cfg, **kwargs)
+        rec["I"][4, 9] *= 2.0
+        return rec, diverged_at
 
-    def mirrored(symbol, L, k_out, normal_out):
-        # the controller reads every normal symbol as the mirrored cell
-        decode(symbol, L, k_out, normal_out)
-        np.subtract(-1.0, k_out, out=k_out)
-
-    monkeypatch.setattr(hz, "_decode_symbol", mirrored)
+    monkeypatch.setattr(verify, "run_recorded_bundle", desynced)
     code = main(["verify", str(cfg_file), "--checks", "tracker_equality",
                  "--set", "trials=20", "--set", "horizon=50"])
     out = capsys.readouterr().out
     assert code == 2
-    assert "tracker_equality  FAIL  encoder and controller trackers disagree at step 0" in out
+    assert out.startswith("tracker_equality  FAIL  replayed tracker differs at trial 4, step 9: expected I=")
 
 
 def test_cli_verify_scalar_tracker_desync_fails(cfg_file, monkeypatch, capsys):
@@ -376,3 +375,41 @@ def test_cli_verify_drift_reports_lanes_diverging_after_a_block(monkeypatch, cap
     assert code == 2
     assert "drift  FAIL  200 trials diverged" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_cli_simulate_parked_lanes_do_not_overflow(tmp_path, capsys):
+    import hashlib
+
+    # P*M0 = 1e295: every trial passes the divergence limit at step 1, and
+    # its parked lane would overflow if its tracker kept zooming out
+    out = tmp_path / "o"
+    sets = ["P=1e300", "M0=1e-5", "horizon=200", "trials=20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", str(EMERGENCY_CFG), "--out", str(out)]
+                    + [arg for item in sets for arg in ("--set", item)])
+    assert code == 3
+    assert "diverged=20/20" in capsys.readouterr().out
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.json", "curve.csv")}
+    # the bytes written before parked lanes left the zoom-out multiply
+    assert digests == {
+        "summary.json": "cf20a6c196c162b0adf46802e5b822fa71ff0aa089e6a06ee951369cac4af0a8",
+        "curve.csv": "e2b6460ebca4b433c4b12e6892d63ccfd5fb9de910bf46c3ee7a46bf092b100d",
+    }
+
+
+def test_cli_containment_counts_floored_steps(capsys):
+    # reference.cfg floors every normal step at M0; emergency_rich.cfg has both kinds
+    code = main(["verify", str(EMERGENCY_CFG.parent / "reference.cfg"), "--checks", "containment",
+                 "--set", "trials=20", "--set", "horizon=300"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "containment  PASS  0 violations over 6000 normal steps (0 unfloored, 6000 floored at M0; 20 trials)\n"
+    )
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "containment",
+                 "--set", "trials=20", "--set", "horizon=300"])
+    assert code == 0
+    counts = capsys.readouterr().out.split("(")[1].split(";")[0].split(", ")
+    unfloored, floored = (int(part.split()[0]) for part in counts)
+    assert unfloored > 0 and floored > 0

@@ -186,7 +186,7 @@ def test_tracker_invariants(params, m_prev, sym):
     assert i <= m
     assert rho in (-1, 1)
     cell = cell_of(sym, m_prev, params)
-    if not is_clamped(sym, m_prev, params):
+    if not is_clamped(cell.a, cell.b, params.M0):
         # unclamped: the canonical interval rho*[M-2I, M] is exactly the cell
         inner = m - 2.0 * i
         if rho == 1:
@@ -206,7 +206,8 @@ def test_containment_in_canonical_interval(params, m_prev, frac):
     x = frac * params.P * m_prev
     assume(abs(x) <= params.P * m_prev)
     sym = encode_normal(x, m_prev, params)
-    if is_clamped(sym, m_prev, params):
+    cell = cell_of(sym, m_prev, params)
+    if is_clamped(cell.a, cell.b, params.M0):
         return
     m, i, rho = tracker_update_normal(sym, m_prev, params)
     rx = rho * x

@@ -10,10 +10,8 @@ from zoomctl.distributions import (
     MomentError,
     abs_moment,
     central_moment,
-    gain_tail_moment,
     moment_summary,
     moments,
-    noise_tail_moment,
     sample,
     sample_array,
 )
@@ -202,9 +200,16 @@ def test_moment_summary_jensen_and_shift_ordering():
 
 
 def test_gain_tail_moment_floor():
-    # a point mass at 0 has tiny shifted moment; the floor of 2 applies
+    # a point mass at 0 has tiny shifted moment; feasibility's floor of 2 applies
+    from zoomctl.analysis import feasibility
+    from zoomctl.codec import StrategyParams
+
     spec = DistributionSpec.two_point(0.0, 1.0, 1.0)
-    assert gain_tail_moment(spec, 4.5) == 2.0
+    assert moment_summary(spec, 4.5).shifted_abs_moment_alpha < 2.0
+    params = StrategyParams(L=8, P=2.0, M0=1.0, K=2.0, c=0.2)
+    report = feasibility(0.2, params, moment_summary(spec, 4.5),
+                         moment_summary(DistributionSpec.gaussian(0.0, 1.0), 4.5), 4.5)
+    assert report.m_alpha == 2.0
 
 
 def test_noise_tail_moment_standard_normal():
@@ -212,7 +217,7 @@ def test_noise_tail_moment_standard_normal():
     from scipy.special import gamma
 
     want = 2.0 ** (4.5 / 2.0) * gamma((4.5 + 1.0) / 2.0) / math.sqrt(math.pi)
-    assert noise_tail_moment(DistributionSpec.gaussian(0.0, 1.0), 4.5) == pytest.approx(
+    assert moment_summary(DistributionSpec.gaussian(0.0, 1.0), 4.5).abs_moment_alpha == pytest.approx(
         want, rel=1e-6
     )
 

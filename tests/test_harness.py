@@ -182,6 +182,29 @@ def assert_same_trace(got, want):
     assert (got.diverged, got.diverged_at, got.seed) == (want.diverged, want.diverged_at, want.seed)
 
 
+# codebook and zoom extremes; the gains include rare 1e30 draws, so
+# some trials diverge and park their lanes mid-chunk
+EXTREME_PARAMS = {
+    "L=2^50": StrategyParams(L=2**50, P=1e13, M0=1.0, K=2.0, c=0.2),
+    "L=1": StrategyParams(L=1, P=1.5, M0=1.0, K=1.0, c=0.2),
+    "P=1.0000001": StrategyParams(L=8, P=1.0000001, M0=0.1, K=8.0, c=0.2),
+    "M0=1e-300": StrategyParams(L=8, P=2.0, M0=1e-300, K=8.0, c=0.2),
+    "M0=1e100": StrategyParams(L=8, P=2.0, M0=1e100, K=8.0, c=0.2),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_PARAMS)
+@pytest.mark.parametrize("a_spec", [A_REF, DistributionSpec.two_point(1e30, 0.01, 1.0)])
+def test_engine_matches_scalar_reference_loop_at_extremes(name, a_spec):
+    cfg = make_cfg(params=EXTREME_PARAMS[name], a_spec=a_spec, trials=6, horizon=400)
+    _, traces = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
+    for idx, eng in enumerate(traces):
+        ref = run_trial(a_spec, W_REF, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, idx),
+                        check_feasibility=False)
+        assert_same_trace(eng, ref)
+        assert validate_trace(eng).ok
+
+
 @pytest.mark.parametrize("chunk_trials, kept", [(512, 12), (7, 17)])
 def test_kept_traces_match_extract_trace(monkeypatch, chunk_trials, kept):
     import zoomctl.harness as hz

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoomctl.codec import ProtocolError, StrategyParams
-from zoomctl.distributions import DistributionSpec
+from zoomctl.distributions import DistributionSpec, moments
 from zoomctl.loop import (
     DIVERGENCE_LIMIT,
     EMERGENCY,
+    NO_SYMBOL,
     NORMAL,
+    TraceValidation,
     TrackerState,
     TrialDiverged,
     controller_step,
@@ -253,3 +256,96 @@ def test_validate_trace_detects_corruption(tmp_path):
     assert not result.ok
     assert result.first_mismatch == 50
     assert result.field == "M"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name, warns", [
+    ("reference", False), ("reference_student_t", False), ("emergency_rich", True), ("static_baseline", False),
+])
+def test_uncertified_warning_on_shipped_configs(monkeypatch, name, warns):
+    # the screen shares its margin formula with feasibility; the outcome on
+    # the shipped configs is pinned, as is its agreement with feasibility's
+    import zoomctl.loop as loop_mod
+    from zoomctl.analysis import feasibility
+    from zoomctl.config import load_config
+    from zoomctl.distributions import moment_summary
+
+    monkeypatch.setattr(loop_mod, "_feasibility_warned", set())
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_trial(cfg.a_spec, cfg.w_spec, cfg.params, 5, 1)
+    assert any("not certified" in str(w.message) for w in caught) == warns
+    report = feasibility(cfg.params.c, cfg.params, moment_summary(cfg.a_spec, cfg.alpha),
+                         moment_summary(cfg.w_spec, cfg.alpha), cfg.alpha)
+    assert (not (report.drift_ok and report.K_ok)) == warns
+
+
+# --- the vectorized replay against a step-by-step one ------------------------
+
+def stepwise_validation(cols, params, mu_A, mu_W):
+    """Reference replay: controller_step one step at a time."""
+    tracker = initial_tracker(params)
+    steps = len(cols["n"]) - 1 if cols["symbol"][-1] == NO_SYMBOL else len(cols["n"])
+    for i in range(steps):
+        symbol = int(cols["symbol"][i])
+        try:
+            u, tracker = controller_step(symbol, tracker, mu_A, mu_W, params)
+        except ProtocolError as exc:
+            return TraceValidation(False, i, "symbol", str(exc))
+        checks = (
+            ("mode", 1 if symbol == params.emergency_symbol else 0, int(cols["mode"][i])),
+            ("M", tracker.M, float(cols["M"][i])),
+            ("I", tracker.I, float(cols["I"][i])),
+            ("rho", tracker.rho, int(cols["rho"][i])),
+            ("U", u, float(cols["U"][i])),
+        )
+        for name, want, got in checks:
+            if want != got:
+                return TraceValidation(False, i, name, f"expected {name}={want!r}, trace has {got!r}")
+    return TraceValidation(True)
+
+
+REPLAY_PARAMS = [
+    PARAMS,
+    StrategyParams(L=1, P=1.5, M0=0.3, K=1.0, c=0.2),
+    StrategyParams(L=2**50, P=1e13, M0=1.0, K=2.0, c=0.2),
+    StrategyParams(L=3, P=1.0000001, M0=0.05, K=2.0, c=0.2),
+]
+REPLAY_GAINS = [A_REF, DistributionSpec.uniform(0.5, 2.5), DistributionSpec.two_point(1e30, 0.02, 1.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.sampled_from(REPLAY_PARAMS),
+    a_spec=st.sampled_from(REPLAY_GAINS),
+    mu_w=st.sampled_from([0.0, 0.4]),
+    seed=st.integers(0, 2**20),
+    field=st.sampled_from([None, "symbol", "mode", "M", "I", "rho", "U"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    pick=st.integers(-3, 2**51),
+    factor=st.sampled_from([0.5, 2.0, -1.0, 1.0 + 2.0**-52]),
+)
+def test_vectorized_replay_matches_stepwise(params, a_spec, mu_w, seed, field, where, pick, factor):
+    from zoomctl.harness import ExperimentConfig, Policy, extract_trace
+
+    cfg = ExperimentConfig(a_spec=a_spec, w_spec=DistributionSpec.gaussian(mu_w, 1.0), params=params,
+                           policy=Policy.adaptive(), horizon=120, trials=1, master_seed=seed, alpha=4.5)
+    tr = extract_trace(cfg, 0)
+    cols = {f: getattr(tr, f).copy() for f in ("n", "symbol", "mode", "M", "I", "rho", "U")}
+    if field is not None:
+        # one cell of an executed step: any codeword or one outside the
+        # codebook, any mode code, any rho in {-1, 0, 1}, a scaled value
+        i = int(where * tr.steps)
+        cols[field][i] = {
+            "symbol": pick % (2 * params.L + 4) - 2 if pick < 2**50 else pick,
+            "mode": pick % 3,
+            "rho": pick % 3 - 1,
+        }.get(field, factor * cols[field][i])
+    mu_a = moments(a_spec)[0]
+    got = validate_trace_columns(cols, params, mu_a, mu_w)
+    assert got == stepwise_validation(cols, params, mu_a, mu_w)
+    if field is None:
+        assert got.ok
