@@ -228,15 +228,17 @@ def envelope_squared(bundle: TraceBundle, K: float) -> tuple[np.ndarray, int]:
     return _nsq_from_tau(bundle.M, bundle.I, K, tau[:, :h]), h
 
 
-def _nsq_from_tau(M: np.ndarray, I: np.ndarray, K: float, tau: np.ndarray) -> np.ndarray:
+def _nsq_from_tau(M: np.ndarray, I: np.ndarray, K: float, tau: np.ndarray | None) -> np.ndarray:
     """N^2 at columns 0..tau.shape[1]-1 from tracker columns and resolved tau.
 
     ``tau`` indexes columns of ``M`` and ``I`` (column 0 is step 0 of the
-    window) and is overwritten with the exponent.  Works in the squared
-    domain, N^2 = Q^2_tau * 4^(tau - n), which avoids the sqrt round trip
-    so power-of-two halving stays exact.
+    window; None: each column resolves at itself) and is overwritten with
+    the exponent.  Works in the squared domain, N^2 = Q^2_tau * 4^(tau - n),
+    which avoids the sqrt round trip so power-of-two halving stays exact.
     """
     qsq = M**2 + K * I**2
+    if tau is None:
+        return qsq
     nsq = np.take_along_axis(qsq, tau, axis=1)
     del qsq
     # tau becomes the exponent 2 * (tau - n) in place, at most twice the

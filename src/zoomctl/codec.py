@@ -24,9 +24,9 @@ Cell arithmetic is anchored at zero (endpoints are computed as multiples
 of the cell width, not as offsets from -P*M_prev) so that encoding stays
 precise even when P is astronomically large relative to |x|.
 
-``cell_index``, ``cell_endpoints`` and ``tracker_update`` are the array
-forms of encode_normal, cell_of and tracker_update_normal, expression by
-expression, over float cell indices k = symbol - L.
+The array forms below (``cell_index``, ``cell_endpoints``, ``tracker_update``)
+repeat the scalar arithmetic expression by expression, with live_range =
+P*M_prev per lane and float cell indices k = symbol - L.
 """
 
 from __future__ import annotations
@@ -209,10 +209,7 @@ def tracker_update_normal(
 
 
 def cell_index(x: np.ndarray, live_range: np.ndarray, L: int) -> np.ndarray:
-    """Array form of encode_normal: cell index k of x in [-live_range, live_range].
-
-    ``live_range`` is P*M_prev per lane; no range check is made.
-    """
+    """Array form of encode_normal, with no range check: cell index k = symbol - L."""
     w = live_range / L
     k = np.floor(x / w)
     k -= x < k * w
@@ -220,9 +217,7 @@ def cell_index(x: np.ndarray, live_range: np.ndarray, L: int) -> np.ndarray:
     return np.fmin(np.fmax(k, -L, out=k), L - 1, out=k)
 
 
-def cell_endpoints(
-    k: np.ndarray, live_range: np.ndarray, L: int
-) -> tuple[np.ndarray, np.ndarray]:
+def cell_endpoints(k: np.ndarray, live_range: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Array form of cell_of: endpoints (a, b) of the cells with index k."""
     w = live_range / L
     a = np.where(k == -L, -live_range, k * w)

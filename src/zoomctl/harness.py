@@ -258,12 +258,16 @@ def _chunk_envelope(
     """
     b0 = fold.end
     nb = m_blk.shape[1]
-    tau = analysis._tau_backward(normal_blk)
-    exit_at = tau[:, 0].copy()  # each lane's first normal step in the block
-    # unresolved tau is a suffix; it stands in for itself until resolved
-    n_open = np.count_nonzero(tau < 0, axis=1)
-    np.copyto(tau, np.arange(nb, dtype=np.int64), where=tau < 0)
-    nsq = analysis._nsq_from_tau(m_blk, i_blk, K, tau)
+    if normal_blk.all():  # no zoom-out in the block: each column resolves at itself
+        exit_at = n_open = np.zeros(len(m_blk), dtype=np.int64)
+        nsq = analysis._nsq_from_tau(m_blk, i_blk, K, None)
+    else:
+        tau = analysis._tau_backward(normal_blk)
+        exit_at = tau[:, 0].copy()  # each lane's first normal step in the block
+        # unresolved tau is a suffix; it stands in for itself until resolved
+        n_open = np.count_nonzero(tau < 0, axis=1)
+        np.copyto(tau, np.arange(nb, dtype=np.int64), where=tau < 0)
+        nsq = analysis._nsq_from_tau(m_blk, i_blk, K, tau)
     # rounds open from an earlier block that exit in this one
     waiting = fold.open_from < b0
     exits = np.flatnonzero(waiting & (exit_at >= 0))
