@@ -56,38 +56,37 @@ def test_exact_checks_share_one_recorded_pass(capsys, monkeypatch):
     assert calls == [(verify.EXACT_TRIALS, 300, verify.EXACT_FIELDS)]
 
 
-CORRUPTIONS = {
-    "M": lambda v: 2.0 * v,
-    "I": lambda v: 0.5 * v,
-    "rho": lambda v: -v,
-    "U": lambda v: v + 1.0,
-    "normal": lambda v: not v,
-    "symbol": lambda v: -7,
-}
+# (field, trial, step, corruption) of one recorded value in the shared pass
+CORRUPTIONS = [
+    ("M", 0, 0, lambda v: 2.0 * v),
+    ("I", 7, 150, lambda v: 0.5 * v),
+    ("rho", 99, 299, lambda v: -v),
+    ("U", 60, 42, lambda v: v + 1.0),
+    ("normal", 33, 201, lambda v: not v),
+    ("symbol", 2, 3, lambda v: -7),
+]
 
 
-@pytest.mark.parametrize("field, trial, step", [
-    ("M", 0, 0), ("I", 7, 150), ("rho", 99, 299), ("U", 60, 42), ("normal", 33, 201), ("symbol", 2, 3),
-])
-def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch, field, trial, step):
+def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch):
     record = verify.run_recorded_bundle
+    for field, trial, step, corrupt in CORRUPTIONS:
+        def corrupted(cfg, **kwargs):
+            rec, diverged_at = record(cfg, **kwargs)
+            rec[field][trial, step] = corrupt(rec[field][trial, step])
+            return rec, diverged_at
 
-    def corrupted(cfg, **kwargs):
-        # one recorded value leaves the symbol stream
-        rec, diverged_at = record(cfg, **kwargs)
-        rec[field][trial, step] = CORRUPTIONS[field](rec[field][trial, step])
-        return rec, diverged_at
-
-    monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
-    code, lines = run_verify(capsys, "domination,tracker_equality,containment")
-    assert code == 2
-    msg = f"replayed tracker differs at trial {trial}, step {step}: "
-    if field == "symbol":
-        msg += "received symbol -7 outside codebook [0, 16]"
-    else:
-        msg += f"expected {'mode' if field == 'normal' else field}="
-    assert [line[:2] for line in lines] == [(n, "FAIL") for n in ("domination", "tracker_equality", "containment")]
-    assert all(line[2].startswith(msg) for line in lines), lines
+        monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
+        code, lines = run_verify(capsys, "domination,tracker_equality,containment")
+        assert code == 2
+        msg = f"replayed tracker differs at trial {trial}, step {step}: "
+        if field == "symbol":
+            msg += "received symbol -7 outside codebook [0, 16]"
+        else:
+            msg += f"expected {'mode' if field == 'normal' else field}="
+        assert [line[:2] for line in lines] == [
+            (name, "FAIL") for name in ("domination", "tracker_equality", "containment")
+        ]
+        assert all(line[2].startswith(msg) for line in lines), lines
 
 
 @pytest.mark.parametrize("checks", ["containment", "drift,domination"])
