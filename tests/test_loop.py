@@ -265,8 +265,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     ("reference", False), ("reference_student_t", False), ("emergency_rich", True), ("static_baseline", False),
 ])
 def test_uncertified_warning_on_shipped_configs(monkeypatch, name, warns):
-    # the screen shares its margin formula with feasibility; the outcome on
-    # the shipped configs is pinned, as is its agreement with feasibility's
+    # the screen shares its margin formula with feasibility; its outcome on
+    # the shipped configs is pinned, and so is its agreement with the margins
     import zoomctl.loop as loop_mod
     from zoomctl.analysis import feasibility
     from zoomctl.config import load_config
