@@ -231,7 +231,7 @@ def tracker_update(a: np.ndarray, b: np.ndarray, M0: float) -> np.ndarray:
                      np.maximum(M0, (b - a) / 2.0), np.where(a >= 0.0, 1.0, -1.0)])
 
 
-def is_clamped(a, b, M0: float):
+def is_clamped(a: np.ndarray, b: np.ndarray, M0: float) -> np.ndarray:
     """True where either floor at M0 overrides the geometry of cell [a, b).
 
     Ties (floor equal to the geometric value) count as unclamped since the
