@@ -321,16 +321,6 @@ class HalvingReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "emergency_pairs": self.emergency_pairs,
-            "violations": [
-                {"trace": t, "n": n, "N_n": a, "N_n1": b}
-                for t, n, a, b in self.violations
-            ],
-            "ok": self.ok,
-        }
-
 
 def check_emergency_halving(bundle: TraceBundle, K: float) -> HalvingReport:
     """N_{n+1} == N_n / 2 exactly at every step still inside a round.
@@ -345,16 +335,9 @@ def check_emergency_halving(bundle: TraceBundle, K: float) -> HalvingReport:
 
 def halving_from_envelope(nsq: np.ndarray, normal: np.ndarray) -> HalvingReport:
     """check_emergency_halving on an envelope from ``envelope_squared``."""
-    h = nsq.shape[1]
-    inside = ~normal[:, :h]
-    pairs = inside[:, : h - 1]
-    count = int(pairs.sum())
-    bad = pairs & (nsq[:, 1:h] != nsq[:, : h - 1] / 4.0)
-    violations = [
-        (int(t), int(n), float(math.sqrt(nsq[t, n])), float(math.sqrt(nsq[t, n + 1])))
-        for t, n in zip(*np.nonzero(bad))
-    ]
-    return HalvingReport(emergency_pairs=count, violations=violations)
+    acc = EnvelopeMoments.sized(len(nsq), nsq.shape[1], 0.0)
+    acc.add(nsq, ~normal[:, : nsq.shape[1]])
+    return acc.halving_report()
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +390,15 @@ class DriftReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "mean_Nsq", "stderr_Nsq", "step_excess", "step_stderr"])
-            for n in range(self.n_checked):
-                row = [n, self.mean_nsq[n], self.stderr_nsq[n]]
-                if n < len(self.step_excess):
-                    row += [self.step_excess[n], self.step_stderr[n]]
-                else:
-                    row += ["", ""]
-                writer.writerow([row[0]] + [repr(float(v)) if v != "" else "" for v in row[1:]])
+            # csv writes Python floats by repr; the last index has no step pair
+            cols = [a.tolist() for a in (self.mean_nsq, self.stderr_nsq, self.step_excess, self.step_stderr)]
+            writer.writerows(zip(range(self.n_checked), *cols[:2], *(c + [""] for c in cols[2:])))
 
 
 def drift_estimate(
     traces: TraceBundle | Sequence[Trace], K: float, c: float, D: float
 ) -> DriftReport:
-    """Empirical check of the per-step contraction and the implied cap.
-
-    Flags every index n where the paired sample mean of
-    N_{n+1}^2 - (1-c) * N_n^2 exceeds D by more than three standard errors,
-    and every n where mean N_n^2 exceeds (D/c) * (1 + 3 * relative stderr).
-    """
+    """Empirical check of the contraction and the cap, by ``EnvelopeMoments.drift_report``."""
     bundle = traces if isinstance(traces, TraceBundle) else TraceBundle.from_traces(list(traces))
     T = bundle.num_traces
     if T < MIN_DRIFT_TRACES:
@@ -437,36 +411,101 @@ def drift_estimate(
 
 def drift_from_envelope(nsq: np.ndarray, c: float, D: float) -> DriftReport:
     """drift_estimate's statistics on an envelope from ``envelope_squared``."""
-    T, h = nsq.shape
-    mean_nsq = nsq.mean(axis=0)
-    std_nsq = nsq.std(axis=0, ddof=1)
-    stderr_nsq = std_nsq / math.sqrt(T)
+    acc = EnvelopeMoments.sized(len(nsq), nsq.shape[1], c)
+    acc.add(nsq, None)
+    return acc.drift_report(D)
 
-    diffs = (1.0 - c) * nsq[:, : h - 1]
-    np.subtract(nsq[:, 1:h], diffs, out=diffs)
-    step_mean = diffs.mean(axis=0)
-    step_stderr = diffs.std(axis=0, ddof=1) / math.sqrt(T)
-    flagged = [int(n) for n in np.nonzero(step_mean > D + 3.0 * step_stderr)[0]]
 
-    cap = D / c
-    rel = np.divide(
-        stderr_nsq, mean_nsq, out=np.zeros_like(stderr_nsq), where=mean_nsq > 0
-    )
-    cap_violations = [
-        int(n) for n in np.nonzero(mean_nsq > cap * (1.0 + 3.0 * rel))[0]
-    ]
-    return DriftReport(
-        num_traces=T,
-        n_checked=h,
-        c=c,
-        D=D,
-        mean_nsq=mean_nsq,
-        stderr_nsq=stderr_nsq,
-        step_excess=step_mean - D,
-        step_stderr=step_stderr,
-        flagged=flagged,
-        cap_violations=cap_violations,
-    )
+@dataclass
+class EnvelopeMoments:
+    """Drift and halving statistics of N^2, fed resolved columns in order.
+
+    Per column n: the sum and centered sum of squares of N^2_n and of
+    d_n = N^2_{n+1} - (1-c) N^2_n, and the halving pairs (emergency steps n)
+    with their mismatches N^2_{n+1} != N^2_n / 4.  Each lane's last column
+    is carried to pair with the next batch.  Trial groups merge in trial
+    order by Chan's update, over the columns both have resolved.
+    """
+
+    c: float
+    count: int  # traces
+    sums: np.ndarray  # rows: N^2 sum and centered sum of squares, then those of d
+    pairs: np.ndarray  # halving pairs per column
+    first: int = 0  # trace index of the first lane
+    resolved: int = 0  # columns fed in so far
+    mismatches: list = field(default_factory=list)  # (trace, n, N^2_n, N^2_{n+1})
+    last: tuple | None = None  # (N^2, emergency flag) of each lane's last column
+
+    @classmethod
+    def sized(cls, count: int, horizon: int, c: float, first: int = 0) -> "EnvelopeMoments":
+        return cls(c, count, np.zeros((4, horizon)), np.zeros(horizon, dtype=np.int64), first)
+
+    def add(self, nsq: np.ndarray, inside: np.ndarray | None) -> None:
+        """Fold in the next columns' N^2 and emergency flags (None: all normal)."""
+        s = self.resolved
+        self.resolved = e = s + nsq.shape[1]
+        self.sums[:2, s:e] = _sum_and_centered(nsq, self.count)
+        if inside is None:
+            inside = np.zeros(nsq.shape, dtype=bool)
+        if self.last is not None:
+            s -= 1
+            nsq, inside = (np.concatenate((a[:, None], b), axis=1) for a, b in zip(self.last, (nsq, inside)))
+        self.last = nsq[:, -1].copy(), inside[:, -1].copy()
+        d = (1.0 - self.c) * nsq[:, :-1]
+        np.subtract(nsq[:, 1:], d, out=d)
+        self.sums[2:, s:e - 1] = _sum_and_centered(d, self.count)
+        inside = inside[:, :-1]
+        self.pairs[s:e - 1] = np.count_nonzero(inside, axis=0)
+        bad = inside & (nsq[:, 1:] != nsq[:, :-1] / 4.0)
+        self.mismatches += [(self.first + int(t), s + int(j), nsq[t, j], nsq[t, j + 1])
+                            for t, j in zip(*np.nonzero(bad))]
+
+    def merge(self, other: "EnvelopeMoments") -> "EnvelopeMoments":
+        """Append the next group's statistics (its traces follow this one's); returns self."""
+        r = min(self.resolved, other.resolved)
+        na, nb = self.count, other.count
+        a, b = self.sums[:, :r], other.sums[:, :r]
+        delta = b[::2] / nb - a[::2] / na
+        a[1::2] += b[1::2] + delta * delta * (na * nb / (na + nb))
+        a[::2] += b[::2]
+        self.pairs[:r] += other.pairs[:r]
+        self.mismatches += other.mismatches
+        self.count, self.resolved = na + nb, r
+        return self
+
+    def drift_report(self, D: float) -> DriftReport:
+        """Flags each n where the mean of d_n exceeds D by more than three standard
+        errors, and each n where mean N_n^2 exceeds (D/c) * (1 + 3 * relative stderr)."""
+        T, h = self.count, self.resolved
+        mean_nsq, step_mean = self.sums[0, :h] / T, self.sums[2, :h - 1] / T
+        stderr_nsq = np.sqrt(self.sums[1, :h] / (T - 1)) / math.sqrt(T)
+        step_stderr = np.sqrt(self.sums[3, :h - 1] / (T - 1)) / math.sqrt(T)
+        rel = np.divide(stderr_nsq, mean_nsq, out=np.zeros_like(stderr_nsq), where=mean_nsq > 0)
+        return DriftReport(
+            num_traces=T, n_checked=h, c=self.c, D=D, mean_nsq=mean_nsq, stderr_nsq=stderr_nsq,
+            step_excess=step_mean - D, step_stderr=step_stderr,
+            flagged=np.flatnonzero(step_mean > D + 3.0 * step_stderr).tolist(),
+            cap_violations=np.flatnonzero(mean_nsq > D / self.c * (1.0 + 3.0 * rel)).tolist(),
+        )
+
+    def halving_report(self) -> HalvingReport:
+        """N_{n+1} == N_n / 2 at each emergency step n below the last resolved column."""
+        h = self.resolved
+        return HalvingReport(int(self.pairs[:h - 1].sum()), [
+            (t, n, math.sqrt(a), math.sqrt(b)) for t, n, a, b in sorted(self.mismatches) if n < h - 1])
+
+
+def _sum_and_centered(x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column sum of x and of its squared deviations from the column mean.
+
+    Deviations beyond ~1e154 square to inf, as in numpy's two-pass std: the
+    stderr there is reported as inf.
+    """
+    total = x.sum(axis=0)
+    dev = x - total / count
+    with np.errstate(over="ignore"):
+        dev *= dev
+        return total, dev.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

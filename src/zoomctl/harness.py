@@ -35,10 +35,9 @@ envelope are produced one block at a time.  An unrecorded chunk holds about
 lanes x (8 * horizon + 50 * block) bytes; recording adds the requested
 columns over the whole horizon.  The envelope adds 8 bytes per lane for
 each column some lane of its group has not resolved yet: a round that stays
-open over the whole horizon holds another 8 * horizon.  A group in which
-any trial diverges runs again without them for its envelope, so an adaptive
-ensemble in which some but not all trials diverge costs up to twice the
-engine time.  Neither the block length nor the number of threads changes a
+open over the whole horizon holds another 8 * horizon.  It covers
+ensembles with no diverged trial only; a chunk drops it at its first
+diverged lane.  Neither the block length nor the number of threads changes a
 result.  ``ZOOMCTL_THREADS`` caps the number of worker threads used across
 chunks.
 """
@@ -46,6 +45,7 @@ chunks.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -217,8 +217,9 @@ class _ChunkOut:
     diverged: int
     diverged_at: np.ndarray
     records: dict[str, np.ndarray] | None
-    sum_nsq: np.ndarray | None  # (groups, horizon)
+    sum_nsq: np.ndarray | None  # (groups, horizon); None once a lane diverged
     count_nsq: np.ndarray | None
+    stats: list[analysis.EnvelopeMoments] | None  # per group, with drift=True
 
 
 # Per-step record columns, with the value a lane holds from its divergence
@@ -234,8 +235,10 @@ class _EnvelopeFold:
 
     Columns from ``start`` on are not summed yet: some lane's round is
     still open there.  Their N^2 values wait in ``window``, one lane-major
-    (block start, values) pair per time block.  A lane's values from
-    ``open_from`` on wait for its round to exit and are written then.
+    (block start, values, emergency flags) triple per time block.  A lane's
+    values from ``open_from`` on wait for its round to exit and are written
+    then.  With ``stats``, resolved columns also feed the drift and halving
+    statistics.
     """
 
     sums: np.ndarray
@@ -243,7 +246,8 @@ class _EnvelopeFold:
     start: int = 0
     end: int = 0  # columns folded in so far
     first: np.ndarray | None = None  # N^2 of column 0, per lane
-    window: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    window: list[tuple[int, np.ndarray, np.ndarray | None]] = field(default_factory=list)
+    stats: analysis.EnvelopeMoments | None = None
 
 
 def _chunk_envelope(
@@ -258,7 +262,8 @@ def _chunk_envelope(
     """
     b0 = fold.end
     nb = m_blk.shape[1]
-    if normal_blk.all():  # no zoom-out in the block: each column resolves at itself
+    all_normal = normal_blk.all()
+    if all_normal:  # no zoom-out in the block: each column resolves at itself
         exit_at = n_open = np.zeros(len(m_blk), dtype=np.int64)
         nsq = analysis._nsq_from_tau(m_blk, i_blk, K, None)
     else:
@@ -275,7 +280,7 @@ def _chunk_envelope(
         q = nsq[exits, exit_at[exits]]  # Q^2 at the exit step
         t = b0 + exit_at[exits]
         since = fold.open_from[exits]
-        for s, vals in fold.window:
+        for s, vals, _ in fold.window:
             # each lane writes from where its round opened on
             sel = since < s + vals.shape[1]
             if not sel.any():
@@ -287,17 +292,21 @@ def _chunk_envelope(
                      where=cols >= since[sel, None])
             vals[exits[sel], lo - s:] = rows
     fold.open_from = np.where(waiting & (exit_at < 0), fold.open_from, b0 + nb - n_open)
-    fold.window.append((b0, nsq))
+    # emergency flags, kept for the halving statistics (None: all normal)
+    inside = None if fold.stats is None or all_normal else ~normal_blk
+    fold.window.append((b0, nsq, inside))
     fold.end = b0 + nb
 
     done = int(fold.open_from.min())
     while fold.start < done:
-        s, vals = fold.window[0]
+        s, vals, inside = fold.window[0]
         lo, hi = fold.start - s, min(vals.shape[1], done - s)
         part = vals[:, lo:hi]
         # part is lane-major: sum(axis=0) adds row by row, in trial order,
         # except on a single column, which numpy reduces pairwise
         fold.sums[fold.start:s + hi] = part.sum(axis=0) if hi - lo > 1 else part.cumsum(axis=0)[-1]
+        if fold.stats is not None:
+            fold.stats.add(part, None if inside is None else inside[:, lo:hi])
         if fold.start == 0:
             fold.first = vals[:, 0].copy()
         fold.start = s + hi
@@ -310,26 +319,30 @@ def _run_chunk(
     indices: Sequence[int],
     record_fields: tuple[str, ...] | None,
     envelope: bool,
-    group_sizes: Sequence[int] | None = None,
+    *,
+    drift: bool = False,
 ) -> _ChunkOut:
     """Run trials ``indices`` in lockstep, one lane each, under any policy.
 
-    The lanes split, in order, into groups of CHUNK_TRIALS trials (or of
-    ``group_sizes``), the unit every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
+    The lanes split, in order, into groups of CHUNK_TRIALS trials, the unit
+    every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
     folded one block at a time, so only the gains and recorded columns span
     the whole horizon.  The envelope also keeps each group's N^2 values of
-    the columns where some round is still open.  It sums non-diverged trials
-    only, so a group with a diverged lane reruns its surviving trials for it.
+    the columns where some round is still open; with ``drift`` it also
+    accumulates each group's drift and halving statistics.  It covers
+    ensembles with no diverged trial only: the chunk drops it once a lane
+    diverges.
 
     The adaptive step keeps the encoder's tracker only and computes symbols
     and clamp flags only when recorded.  It works on whole lane arrays with
     no mask until a lane diverges.  A diverged lane is then parked: its X is
-    held at 0, and the zoom-out multiply and tracker update skip it, so the
-    cell arithmetic runs on X = 0 within its last range and cannot overflow.
-    It adds 0 to the per-step sums, counts as a normal step, and its record
-    tail is reset after the loop.  Cell indices are float64,
-    exact since |k| <= L <= 2^50.
+    held at 0, and the zoom-out multiply and tracker update skip it.  The
+    cell arithmetic sees X = 0 on lanes in zoom-out and parked lanes, always
+    within their range, and the control's product is formed on normal lanes
+    only, so neither overflows.  A parked lane adds 0 to the per-step sums,
+    counts as a normal step, and its record tail is reset after the loop.
+    Cell indices are float64, exact since |k| <= L <= 2^50.
     """
     kind = cfg.policy.kind
     n_t = len(indices)
@@ -339,10 +352,7 @@ def _run_chunk(
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
     a_draws, rngs = _predraw(cfg, indices)
-    if group_sizes is None:
-        group_sizes = [min(CHUNK_TRIALS, n_t - g) for g in range(0, n_t, CHUNK_TRIALS)]
-    ends = np.cumsum(group_sizes).tolist()
-    groups = [slice(e - size, e) for e, size in zip(ends, group_sizes)]
+    groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
     block = min(BLOCK_STEPS, h)
 
     need_env = envelope and kind == "adaptive_fixed_rate"
@@ -352,7 +362,9 @@ def _run_chunk(
     rec = {f: np.full((n_t, h), fill) for f, fill in _STEP_FILL.items() if f in wanted}
     blk_fields = wanted | ({"M", "I", "normal"} if need_env else set())
     blk = {f: np.full((n_t, block), fill) for f, fill in _STEP_FILL.items() if f in blk_fields}
-    folds = [_EnvelopeFold(np.zeros(h), np.zeros(lanes.stop - lanes.start, dtype=np.int64))
+    folds = [_EnvelopeFold(np.zeros(h), np.zeros(lanes.stop - lanes.start, dtype=np.int64),
+                           stats=analysis.EnvelopeMoments.sized(
+                               lanes.stop - lanes.start, h, p.c, indices[lanes.start]) if drift else None)
              for lanes in groups] if need_env else []
     w_draws = np.empty((n_t, h if "W" in wanted else block))
     # row n holds X_n, 0 at parked lanes: the whole history when X is
@@ -399,12 +411,17 @@ def _run_chunk(
                 # parked lane keeps the tracker it diverged with
                 lim = np.multiply(trk[0], p.P, out=trk[0], where=live)
                 normal = np.abs(x) <= lim
-                k = cell_index(x, lim, L)
+                # lanes in zoom-out encode X = 0; the mode select drops their cells
+                k = cell_index(np.where(normal, x, 0.0), lim, L)
                 a_cell, b_cell = cell_endpoints(k, lim, L)
                 cand = tracker_update(a_cell, b_cell, p.M0)
                 emergency_steps += n_t - int(np.count_nonzero(normal))
-                trk = np.where(normal if parked is None else normal & live, cand, trk)
-                u = np.where(normal, trk[2] * mu_a * (trk[0] - trk[1]) + mu_w, mu_w)
+                sel = normal if parked is None else normal & live
+                trk = np.where(sel, cand, trk)
+                u = trk[2] * mu_a
+                np.multiply(u, trk[0] - trk[1], out=u, where=sel)
+                u += mu_w
+                u = np.where(normal, u, mu_w)
                 if blk:
                     cols = {"M": trk[0], "I": trk[1], "normal": normal, "rho": trk[2], "U": u}
                     if "symbol" in blk:
@@ -463,15 +480,11 @@ def _run_chunk(
         del sq
         for f, col in rec.items():
             col[:, b0:b0 + nb] = blk[f][:, :nb]
-        for g, fold in enumerate(folds):
-            lanes = groups[g]
-            if fold is None:
-                continue
-            if parked is not None and parked[lanes].any():
-                folds[g] = None  # refolded below from the group's survivors
-            else:
-                _chunk_envelope(fold, blk["M"][lanes, :nb], blk["I"][lanes, :nb],
-                                blk["normal"][lanes, :nb], p.K)
+        if parked is not None:
+            folds = []  # the envelope covers ensembles with no diverged trial
+        for lanes, fold in zip(groups, folds):
+            _chunk_envelope(fold, blk["M"][lanes, :nb], blk["I"][lanes, :nb],
+                            blk["normal"][lanes, :nb], p.K)
 
     records = None
     if record_fields:
@@ -488,32 +501,17 @@ def _run_chunk(
                 records["X"][j, d] = x_diverged[j]
 
     sum_nsq = count_nsq = None
-    if need_env:
-        del a_draws, w_draws, xs, blk
-        sum_nsq = np.zeros((len(groups), h))
+    if folds:
         count_nsq = np.zeros(h, dtype=np.int64)
-        # the envelope counts non-diverged trials only: rerun those of the
-        # groups with a diverged lane, all in one chunk
-        redo = [g for g, fold in enumerate(folds) if fold is None]
-        keep = {g: [indices[j] for j in range(groups[g].start, groups[g].stop) if diverged_at[j] < 0]
-                for g in redo}
-        redo = [g for g in redo if keep[g]]
-        if redo:
-            sub = _run_chunk(cfg, [t for g in redo for t in keep[g]], None, True,
-                             [len(keep[g]) for g in redo])
-            sum_nsq[redo] = sub.sum_nsq
-            count_nsq += sub.count_nsq
-        for g, (lanes, fold) in enumerate(zip(groups, folds)):
-            if fold is None:
-                continue
+        for lanes, fold in zip(groups, folds):
             if fold.start == 0:
                 raise analysis.DominatingSeqError("a trace never exits its first round; no resolved steps")
             if fold.start == 1:
                 # a group resolved through column 0 only sums it pairwise,
                 # as sum(axis=0) over the whole-horizon envelope does
                 fold.sums[0] = fold.first.sum()
-            sum_nsq[g] = fold.sums
             count_nsq[:fold.start] += lanes.stop - lanes.start
+        sum_nsq = np.array([fold.sums for fold in folds])
     return _ChunkOut(
         sum_xsq=sum_xsq,
         sum_x4=sum_x4,
@@ -525,6 +523,7 @@ def _run_chunk(
         records=records,
         sum_nsq=sum_nsq,
         count_nsq=count_nsq,
+        stats=[fold.stats for fold in folds] if drift and folds else None,
     )
 
 
@@ -533,6 +532,29 @@ def _chunked(indices: Sequence[int]) -> list[list[int]]:
     indices = list(indices)
     lanes = 2 * CHUNK_TRIALS
     return [indices[i:i + lanes] for i in range(0, len(indices), lanes)]
+
+
+def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False) -> list[_ChunkOut]:
+    """Every trial of ``cfg``, unrecorded, in engine chunks over the worker threads."""
+    chunks = _chunked(range(cfg.trials))
+    workers = _max_workers()
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda idx: _run_chunk(cfg, idx, None, envelope, drift=drift), chunks))
+    return [_run_chunk(cfg, idx, None, envelope, drift=drift) for idx in chunks]
+
+
+def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
+    """(Drift and halving statistics of the N^2 envelope, diverged trials).
+
+    One unrecorded adaptive pass; the group statistics merge in trial order.
+    They cover ensembles with no diverged trial only, and are None otherwise.
+    """
+    outs = _run_chunks(cfg, True, drift=True)
+    diverged = sum(out.diverged for out in outs)
+    if diverged:
+        return None, diverged
+    return functools.reduce(analysis.EnvelopeMoments.merge, [g for out in outs for g in out.stats]), 0
 
 
 def _max_workers() -> int:
@@ -588,51 +610,32 @@ def run_experiment(
     ``keep_traces`` retains the first k trials as full Trace objects
     (re-simulated together through the recording path; bit-identical to
     their ensemble counterparts).  ``envelope`` controls whether the dominating
-    envelope statistic max_mean_nsq is computed (adaptive policy only).
+    envelope statistic max_mean_nsq is computed (adaptive policy only); it
+    is None when any trial diverged.
     """
-    chunks = _chunked(range(cfg.trials))
-    workers = _max_workers()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda idx: _run_chunk(cfg, idx, None, envelope), chunks))
-    else:
-        outs = [_run_chunk(cfg, idx, None, envelope) for idx in chunks]
-
+    outs = _run_chunks(cfg, envelope)
     h = cfg.horizon
-    sum_xsq = np.zeros(h + 1)
-    sum_x4 = np.zeros(h + 1)
-    count = np.zeros(h + 1, dtype=np.int64)
-    steps_alive = 0
-    emergency_steps = 0
-    diverged = 0
-    sum_nsq = np.zeros(h)
-    count_nsq = np.zeros(h, dtype=np.int64)
-    have_env = False
-    for out in outs:
-        # group sums in trial order
-        for g in range(len(out.sum_xsq)):
-            sum_xsq += out.sum_xsq[g]
-            sum_x4 += out.sum_x4[g]
-            if out.sum_nsq is not None:
-                sum_nsq += out.sum_nsq[g]
-        count += out.count
-        steps_alive += out.steps_alive
-        emergency_steps += out.emergency_steps
-        diverged += out.diverged
-        if out.sum_nsq is not None:
-            have_env = True
-            count_nsq += out.count_nsq
 
+    def group_total(f, width):
+        # group sums in trial order
+        return functools.reduce(np.add, (s for out in outs for s in getattr(out, f)), np.zeros(width))
+
+    sum_xsq, sum_x4 = group_total("sum_xsq", h + 1), group_total("sum_x4", h + 1)
+    count = sum(out.count for out in outs)
+    steps_alive = sum(out.steps_alive for out in outs)
+    emergency_steps = sum(out.emergency_steps for out in outs)
+    diverged = sum(out.diverged for out in outs)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = np.where(count > 0, sum_xsq / np.maximum(count, 1), np.nan)
         ex4 = np.where(count > 0, sum_x4 / np.maximum(count, 1), np.nan)
         var = np.maximum(ex4 - mean**2, 0.0)
         stderr = np.where(count > 1, np.sqrt(var / np.maximum(count, 1)), np.nan)
-        mean_nsq = np.where(count_nsq > 0, sum_nsq / np.maximum(count_nsq, 1), np.nan)
 
     max_mean_nsq = None
-    if have_env and np.any(count_nsq > 0):
-        max_mean_nsq = float(np.nanmax(mean_nsq))
+    if outs[0].sum_nsq is not None and diverged == 0:
+        count_nsq = sum(out.count_nsq for out in outs)
+        mean_nsq = group_total("sum_nsq", h) / np.maximum(count_nsq, 1)
+        max_mean_nsq = float(np.nanmax(np.where(count_nsq > 0, mean_nsq, np.nan)))
 
     stats = SummaryStats(
         policy=cfg.policy.kind,
@@ -692,50 +695,35 @@ def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
 
 def _trace_from_records(cfg: ExperimentConfig, out: _ChunkOut, j: int, index: int) -> Trace:
     """Lane j of a fully recorded chunk, which ran trial ``index``, as a Trace."""
-    rec = {f: col[j] for f, col in out.records.items()}
-    quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
     div_at = int(out.diverged_at[j])
     steps = cfg.horizon if div_at < 0 else div_at
-    mode = np.zeros(steps + 1, dtype=np.uint8)
-    mode[:steps] = ~rec["normal"][:steps]
-    normal_steps = rec["normal"][:steps]
-    round_id = np.maximum(np.cumsum(normal_steps.astype(np.int64)) - 1, 0)
-    symbol = np.full(steps + 1, NO_SYMBOL, dtype=np.int64)
-    rho = np.ones(steps + 1, dtype=np.int64)
-    m_col = np.full(steps + 1, cfg.params.M0)
-    i_col = np.full(steps + 1, cfg.params.M0)
-    if quantized:
-        symbol[:steps] = rec["symbol"][:steps]
-        rho[:steps] = rec["rho"][:steps]
-        m_col[:steps] = rec["M"][:steps]
-        i_col[:steps] = rec["I"][:steps]
-    if steps:
-        m_col[steps] = m_col[steps - 1]
-        i_col[steps] = i_col[steps - 1]
-        rho[steps] = rho[steps - 1]
-        mode[steps] = mode[steps - 1]
-    u_col = np.zeros(steps + 1)
-    u_col[:steps] = rec["U"][:steps]
-    a_col = np.full(steps + 1, np.nan)
-    a_col[:steps] = rec["A"][:steps]
-    w_col = np.full(steps + 1, np.nan)
-    w_col[:steps] = rec["W"][:steps]
-    round_col = np.zeros(steps + 1, dtype=np.int64)
-    round_col[:steps] = round_id
-    if steps:
-        round_col[steps] = round_col[steps - 1]
+
+    def column(values, fill, dtype=float, hold=False):
+        # the executed steps, then the state-only row: ``fill``, or with
+        # ``hold`` the last step's value
+        col = np.full(steps + 1, fill, dtype=dtype)
+        if values is not None:
+            col[:steps] = values[:steps]
+        if hold and steps:
+            col[steps] = col[steps - 1]
+        return col
+
+    rec = {f: col[j] for f, col in out.records.items()}
+    normal = rec["normal"][:steps]
+    quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
+    trk = rec if quantized else dict.fromkeys(("symbol", "M", "I", "rho"))
     return Trace(
         n=np.arange(steps + 1, dtype=np.int64),
         X=rec["X"][: steps + 1].copy(),
-        symbol=symbol,
-        mode=mode,
-        M=m_col,
-        I=i_col,
-        rho=rho,
-        U=u_col,
-        A=a_col,
-        W=w_col,
-        round_id=round_col,
+        symbol=column(trk["symbol"], NO_SYMBOL, np.int64),
+        mode=column(~normal, 0, np.uint8, hold=True),
+        M=column(trk["M"], cfg.params.M0, hold=True),
+        I=column(trk["I"], cfg.params.M0, hold=True),
+        rho=column(trk["rho"], 1, np.int64, hold=True),
+        U=column(rec["U"], 0.0),
+        A=column(rec["A"], np.nan),
+        W=column(rec["W"], np.nan),
+        round_id=column(np.maximum(np.cumsum(normal, dtype=np.int64) - 1, 0), 0, np.int64, hold=True),
         params=cfg.params,
         a_spec=cfg.a_spec,
         w_spec=cfg.w_spec,

@@ -189,19 +189,8 @@ class Trace:
         return EMERGENCY if self.mode[i] else NORMAL
 
     def row(self, i: int) -> TraceRow:
-        return TraceRow(
-            n=int(self.n[i]),
-            X=float(self.X[i]),
-            symbol=int(self.symbol[i]),
-            mode=self.mode_str(i),
-            M=float(self.M[i]),
-            I=float(self.I[i]),
-            rho=int(self.rho[i]),
-            U=float(self.U[i]),
-            A=float(self.A[i]),
-            W=float(self.W[i]),
-            round_id=int(self.round_id[i]),
-        )
+        return TraceRow(*(self.mode_str(i) if f == "mode" else getattr(self, f)[i].item()
+                          for f in TRACE_CSV_HEADER))
 
     def rows(self):
         return (self.row(i) for i in range(len(self.n)))
@@ -211,25 +200,13 @@ class Trace:
         return self.mode[: self.steps] == 0
 
     def to_csv(self, path) -> None:
+        # csv writes Python floats by repr, ints by str
+        cols = [[self.mode_str(i) for i in range(len(self.n))] if f == "mode" else getattr(self, f).tolist()
+                for f in TRACE_CSV_HEADER]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_CSV_HEADER)
-            for i in range(len(self.n)):
-                writer.writerow(
-                    [
-                        int(self.n[i]),
-                        repr(float(self.X[i])),
-                        int(self.symbol[i]),
-                        self.mode_str(i),
-                        repr(float(self.M[i])),
-                        repr(float(self.I[i])),
-                        int(self.rho[i]),
-                        repr(float(self.U[i])),
-                        repr(float(self.A[i])),
-                        repr(float(self.W[i])),
-                        int(self.round_id[i]),
-                    ]
-                )
+            writer.writerows(zip(*cols))
 
     def summary(self) -> dict:
         xs = self.X[: self.steps + 1]

@@ -22,9 +22,10 @@ stream is replayed, one trial at a time, through
 ``loop.validate_trace_columns`` against the recorded mode, M, I, rho and U:
 tracker_equality's ensemble half (a few scalar ``run_trial`` replays are
 its other half).  A mismatch fails every requested exact check.  The
-recording is freed before drift, which records M, I and mode over
-trials x min(horizon, DRIFT_HORIZON_CAP) and builds the N^2 envelope once
-for both its statistics and the halving check.  oracle_match runs its own
+recording is freed before drift, which records nothing: it runs
+trials x min(horizon, DRIFT_HORIZON_CAP) through the engine once and
+accumulates its statistics and the halving check in the engine's N^2
+envelope fold (``harness.envelope_moments``).  oracle_match runs its own
 two oracle-policy ensembles.
 
 Checks needing the tracker machinery require the adaptive policy; the
@@ -39,17 +40,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from zoomctl import analysis
-from zoomctl.analysis import TraceBundle
 from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
-from zoomctl.harness import ExperimentConfig, Policy, run_experiment, run_recorded_bundle, trial_seed
+from zoomctl.harness import (
+    ExperimentConfig, Policy, envelope_moments, run_experiment, run_recorded_bundle, trial_seed,
+)
 from zoomctl.loop import NO_SYMBOL, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
 EXACT_CHECKS = ("tracker_equality", "containment", "domination")
 
-# horizon caps keep the recorded ensembles in memory; documented in output
+# the exact checks' recording and drift's horizon are capped; documented in output
 DRIFT_HORIZON_CAP = 2000
 EXACT_TRIALS = 100  # trials in the exact checks' shared recorded pass
 EXACT_FIELDS = ("X", "symbol", "M", "I", "normal", "rho", "U", "clamped")
@@ -207,26 +209,18 @@ def check_drift(cfg: ExperimentConfig) -> CheckResult:
             f"drift needs at least {analysis.MIN_DRIFT_TRACES} trials, config has {cfg.trials}"
         )
     horizon = min(cfg.horizon, DRIFT_HORIZON_CAP)
-    sub = replace(cfg, horizon=horizon)
-    # the envelope needs no states; X is left out of the recording
-    rec, diverged_at = run_recorded_bundle(sub, fields=("M", "I", "normal"))
-    if np.any(diverged_at >= 0):
-        n_div = int(np.sum(diverged_at >= 0))
-        return CheckResult(
-            "drift", False, f"{n_div} trials diverged; drift statistics not applicable"
-        )
-    bundle = TraceBundle(X=np.zeros((cfg.trials, horizon + 1)), M=rec["M"], I=rec["I"],
-                         normal=rec["normal"])
+    stats, n_div = envelope_moments(replace(cfg, horizon=horizon))
+    if n_div:
+        return CheckResult("drift", False, f"{n_div} trials diverged; drift statistics not applicable")
     d_const = cfg.params.drift_constant(moments(cfg.w_spec)[1])
-    # one envelope serves the drift statistics and the halving check
-    nsq, _ = analysis.envelope_squared(bundle, cfg.params.K)
-    report = analysis.drift_from_envelope(nsq, cfg.params.c, d_const)
-    halving = analysis.halving_from_envelope(nsq, bundle.normal)
+    report = stats.drift_report(d_const)
+    halving = stats.halving_report()
     passed = report.ok and halving.ok
     detail = (
         f"{report.num_traces} traces, {report.n_checked} indices (horizon capped at {horizon}); "
         f"flagged={report.flagged[:5]}, cap_violations={report.cap_violations[:5]}, "
         f"halving pairs={halving.emergency_pairs} violations={len(halving.violations)}"
+        + (" (not exercised)" if halving.emergency_pairs == 0 else "")
     )
     return CheckResult("drift", passed, detail, report=report)
 

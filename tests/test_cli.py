@@ -377,6 +377,46 @@ def test_cli_verify_drift_reports_lanes_diverging_after_a_block(monkeypatch, cap
     assert "Traceback" not in captured.err
 
 
+def test_cli_verify_halving_with_no_pairs_says_so(capsys):
+    # reference.cfg never zooms out: the halving check examines no pair
+    code = main(["verify", str(EMERGENCY_CFG.parent / "reference.cfg"), "--checks", "drift",
+                 "--set", "trials=100", "--set", "horizon=50"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("drift  PASS  100 traces, 50 indices")
+    assert out.endswith("halving pairs=0 violations=0 (not exercised)\n")
+
+
+def test_cli_verify_drift_fails_on_corrupted_halving(monkeypatch, capsys):
+    import re
+
+    import numpy as np
+
+    import zoomctl.analysis as analysis
+
+    nsq_from_tau = analysis._nsq_from_tau
+    corrupted = []
+
+    def corrupt_one(M, I, K, tau):
+        nsq = nsq_from_tau(M, I, K, tau)
+        if tau is not None and not corrupted:
+            # tau now holds 2 * (tau(n) - n), positive at steps inside a round;
+            # corrupt the first such value, early in the envelope fold
+            lane, n = np.argwhere(tau > 0)[0]
+            nsq[lane, n] *= 3.0
+            corrupted.append((lane, n))
+        return nsq
+
+    monkeypatch.setattr(analysis, "_nsq_from_tau", corrupt_one)
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "drift", "--set", "horizon=300"])
+    out = capsys.readouterr().out
+    assert corrupted
+    assert code == 2
+    assert out.startswith("drift  FAIL  200 traces")
+    pairs, violations = map(int, re.search(r"halving pairs=(\d+) violations=(\d+)$", out).groups())
+    assert pairs > 10_000 and violations in (1, 2)
+
+
 def test_cli_simulate_parked_lanes_do_not_overflow(tmp_path, capsys):
     import hashlib
 

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,23 +370,107 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     cfg = block_case_cfg(case, trials=40)
     out = hz._run_chunk(cfg, range(cfg.trials), None, True)
     rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    if case == "diverging":
+        # the envelope covers ensembles with no diverged trial only
+        assert all(0 < np.count_nonzero(div[g:g + 20] >= 0) < 20 for g in (0, 20))
+        assert out.sum_nsq is None and out.count_nsq is None
+        return
     count = np.zeros(cfg.horizon, dtype=np.int64)
     for g in range(2):
-        # the envelope runs over the group's non-diverged trials only
-        keep = [t for t in range(20 * g, 20 * g + 20) if div[t] < 0]
-        if case == "diverging":
-            assert 0 < len(keep) < 20
+        lanes = slice(20 * g, 20 * g + 20)
         nsq, hr = envelope_squared(
-            TraceBundle(X=np.zeros((len(keep), cfg.horizon + 1)),
-                        M=rec["M"][keep], I=rec["I"][keep], normal=rec["normal"][keep]),
+            TraceBundle(X=np.zeros((20, cfg.horizon + 1)),
+                        M=rec["M"][lanes], I=rec["I"][lanes], normal=rec["normal"][lanes]),
             cfg.params.K,
         )
         # each column summed trial by trial; numpy sums a lone column pairwise
         want = functools.reduce(np.add, nsq) if hr > 1 else nsq.sum(axis=0)
         assert np.array_equal(out.sum_nsq[g][:hr], want)
         assert not out.sum_nsq[g][hr:].any()
-        count[:hr] += len(keep)
+        count[:hr] += 20
     assert np.array_equal(out.count_nsq, count)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# (config, overrides): reference and student-t never zoom out; emergency_rich
+# does, about a third of its steps; at P = 1.01 rounds stay open across many
+# blocks and some through the horizon, so the resolved horizon ends early
+STREAM_CASES = {
+    "reference": ("reference.cfg", []),
+    "emergency_rich": ("emergency_rich.cfg", []),
+    "reference_student_t": ("reference_student_t.cfg", []),
+    "open_rounds": ("emergency_rich.cfg", ["P=1.01", "horizon=300"]),
+}
+
+
+def two_pass_drift(nsq, normal, c, D):
+    """The drift and halving statistics by numpy two-pass reductions."""
+    T, h = nsq.shape
+    d = nsq[:, 1:] - (1.0 - c) * nsq[:, :-1]
+    mean, step_mean = nsq.mean(axis=0), d.mean(axis=0)
+    stderr = nsq.std(axis=0, ddof=1) / math.sqrt(T)
+    step_stderr = d.std(axis=0, ddof=1) / math.sqrt(T)
+    rel = np.where(mean > 0, stderr / np.where(mean > 0, mean, 1.0), 0.0)
+    inside = ~normal[:, :h - 1]
+    return {
+        "mean_nsq": mean, "stderr_nsq": stderr, "step_mean": step_mean, "step_stderr": step_stderr,
+        "flagged": np.flatnonzero(step_mean > D + 3.0 * step_stderr).tolist(),
+        "cap_violations": np.flatnonzero(mean > D / c * (1.0 + 3.0 * rel)).tolist(),
+        "pairs": int(inside.sum()),
+        "mismatches": int((inside & (nsq[:, 1:] != nsq[:, :-1] / 4.0)).sum()),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, "horizon"])
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_streamed_drift_matches_two_pass(monkeypatch, case, block):
+    import zoomctl.harness as hz
+    from zoomctl.analysis import TraceBundle, envelope_squared
+    from zoomctl.config import load_config
+    from zoomctl.distributions import moments
+
+    name, overrides = STREAM_CASES[case]
+    cfg = load_config(CONFIGS / name, ["trials=100", "horizon=60", "seed=5", *overrides])
+    # groups of 16, chunks of 32 lanes: group statistics merge across chunks
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", 16)
+    monkeypatch.setattr(hz, "BLOCK_STEPS", cfg.horizon if block == "horizon" else block)
+    stats, diverged = hz.envelope_moments(cfg)
+    assert diverged == 0
+    D = cfg.params.drift_constant(moments(cfg.w_spec)[1])
+    got, halving = stats.drift_report(D), stats.halving_report()
+
+    rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    assert not (div >= 0).any()
+    nsq, h = envelope_squared(TraceBundle(X=np.zeros((cfg.trials, 0)), M=rec["M"], I=rec["I"],
+                                          normal=rec["normal"]), cfg.params.K)
+    want = two_pass_drift(nsq, rec["normal"], cfg.params.c, D)
+    if case == "open_rounds":
+        assert 100 < h < cfg.horizon - 50 and want["pairs"] > 10_000
+    assert (got.num_traces, got.n_checked) == (cfg.trials, h)
+    assert got.flagged == want["flagged"] and got.cap_violations == want["cap_violations"]
+    assert (halving.emergency_pairs, len(halving.violations)) == (want["pairs"], want["mismatches"])
+    # relative to the value, or to the size of N^2 where the value is
+    # rounding noise (the spread of a column of equal N^2 is 0 up to it)
+    scale = np.maximum(want["mean_nsq"], D)
+    for field, value, size in [("mean_nsq", got.mean_nsq, scale), ("stderr_nsq", got.stderr_nsq, scale),
+                               ("step_mean", got.step_excess + D, scale[1:]),
+                               ("step_stderr", got.step_stderr, scale[1:])]:
+        err = np.abs(value - want[field]) / np.maximum(np.abs(want[field]), size)
+        assert err.max(initial=0.0) <= 1e-12, field
+
+
+def test_diverging_ensemble_has_no_drift_or_envelope(tmp_path):
+    from zoomctl.verify import check_drift
+
+    cfg = block_case_cfg("diverging", trials=100)
+    stats, _ = run_experiment(cfg)
+    assert 0 < stats.diverged_count < cfg.trials
+    assert stats.max_mean_nsq is None
+    write_summary_json(stats, cfg, tmp_path / "summary.json")
+    assert json.loads((tmp_path / "summary.json").read_text())["max_mean_nsq"] is None
+    result = check_drift(cfg)
+    assert not result.passed
+    assert result.detail == f"{stats.diverged_count} trials diverged; drift statistics not applicable"
 
 
 def test_master_seed_changes_results():
