@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -267,6 +268,54 @@ def test_drift_report_serialization(tmp_path):
     lines = (tmp_path / "drift.csv").read_text().splitlines()
     assert lines[0] == "n,mean_Nsq,stderr_Nsq,step_excess,step_stderr"
     assert len(lines) == rep.n_checked + 1
+
+
+def cuts(data, lo, hi, n):
+    """Sorted cut points lo < ... < hi splitting [lo, hi) into at most n pieces."""
+    inner = data.draw(st.lists(st.integers(lo + 1, hi - 1), max_size=n - 1, unique=True)) if hi - lo > 1 else []
+    return [lo, *sorted(inner), hi]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_envelope_moments_match_two_pass_over_any_split(data):
+    from zoomctl.analysis import EnvelopeMoments
+
+    T, h, c, D = data.draw(st.integers(2, 24)), data.draw(st.integers(1, 20)), 0.2, 3.0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nsq = rng.exponential(size=(T, h)) * 10.0 ** rng.integers(-2, 3, size=(T, 1))
+    inside = rng.random((T, h)) < 0.5
+    for t, n in zip(*np.nonzero(inside[:, :-1] & (rng.random((T, h - 1)) < 0.7))):
+        nsq[t, n + 1] = nsq[t, n] / 4.0  # most emergency pairs halve exactly
+    # trial groups, each resolving its own prefix of columns, fed in batches
+    groups, bounds = [], cuts(data, 0, T, 4)
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        acc = EnvelopeMoments.sized(g1 - g0, h, c, g0)
+        batches = cuts(data, 0, data.draw(st.integers(1, h)), 5)
+        for a, b in zip(batches[:-1], batches[1:]):
+            flags = inside[g0:g1, a:b]
+            acc.add(nsq[g0:g1, a:b], flags if flags.any() else None)
+        groups.append(acc)
+    r = min(g.resolved for g in groups)
+    merged = functools.reduce(EnvelopeMoments.merge, groups)
+    got, halving = merged.drift_report(D), merged.halving_report()
+
+    x = nsq[:, :r]
+    d = x[:, 1:] - (1.0 - c) * x[:, :-1]
+    mean, step_mean = x.mean(axis=0), d.mean(axis=0)
+    se, step_se = x.std(axis=0, ddof=1) / math.sqrt(T), d.std(axis=0, ddof=1) / math.sqrt(T)
+    assert (got.num_traces, got.n_checked) == (T, r)
+    scale = np.abs(x).max(axis=0)
+    for value, want, size in [(got.mean_nsq, mean, scale), (got.stderr_nsq, se, scale),
+                              (got.step_excess + D, step_mean, scale[1:]), (got.step_stderr, step_se, scale[1:])]:
+        assert np.all(np.abs(value - want) <= 1e-12 * np.maximum(np.abs(want), size))
+    assert got.flagged == np.flatnonzero(step_mean > D + 3.0 * step_se).tolist()
+    assert got.cap_violations == np.flatnonzero(mean > D / c * (1.0 + 3.0 * se / mean)).tolist()
+    pairs = inside[:, :r - 1]
+    bad = pairs & (x[:, 1:] != x[:, :-1] / 4.0)
+    assert halving.emergency_pairs == int(pairs.sum())
+    assert halving.violations == [(int(t), int(n), math.sqrt(x[t, n]), math.sqrt(x[t, n + 1]))
+                                  for t, n in zip(*np.nonzero(bad))]
 
 
 # --- feasibility ---------------------------------------------------------------
