@@ -474,8 +474,7 @@ class EnvelopeMoments:
         return self
 
     def drift_report(self, D: float) -> DriftReport:
-        """Flags each n where the mean of d_n exceeds D by more than three standard
-        errors, and each n where mean N_n^2 exceeds (D/c) * (1 + 3 * relative stderr)."""
+        """Flags n where mean d_n > D + 3 stderr, and where mean N_n^2 > (D/c)(1 + 3 relative stderr)."""
         T, h = self.count, self.resolved
         mean_nsq, step_mean = self.sums[0, :h] / T, self.sums[2, :h - 1] / T
         stderr_nsq = np.sqrt(self.sums[1, :h] / (T - 1)) / math.sqrt(T)
@@ -495,17 +494,22 @@ class EnvelopeMoments:
             (t, n, math.sqrt(a), math.sqrt(b)) for t, n, a, b in sorted(self.mismatches) if n < h - 1])
 
 
+def _lane_sums(x: np.ndarray) -> np.ndarray:
+    """Column sums of lane-major rows, added row by row in trial order, whatever the width."""
+    return x.sum(axis=0) if x.shape[1] != 1 else x.cumsum(axis=0)[-1]  # numpy sums one column pairwise
+
+
 def _sum_and_centered(x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-column sum of x and of its squared deviations from the column mean.
 
     Deviations beyond ~1e154 square to inf, as in numpy's two-pass std: the
     stderr there is reported as inf.
     """
-    total = x.sum(axis=0)
+    total = _lane_sums(x)
     dev = x - total / count
     with np.errstate(over="ignore"):
         dev *= dev
-        return total, dev.sum(axis=0)
+        return total, _lane_sums(dev)
 
 
 # ---------------------------------------------------------------------------

@@ -302,9 +302,7 @@ def _chunk_envelope(
         s, vals, inside = fold.window[0]
         lo, hi = fold.start - s, min(vals.shape[1], done - s)
         part = vals[:, lo:hi]
-        # part is lane-major: sum(axis=0) adds row by row, in trial order,
-        # except on a single column, which numpy reduces pairwise
-        fold.sums[fold.start:s + hi] = part.sum(axis=0) if hi - lo > 1 else part.cumsum(axis=0)[-1]
+        fold.sums[fold.start:s + hi] = analysis._lane_sums(part)
         if fold.stats is not None:
             fold.stats.add(part, None if inside is None else inside[:, lo:hi])
         if fold.start == 0:
@@ -545,10 +543,9 @@ def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False) -> l
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
-    """(Drift and halving statistics of the N^2 envelope, diverged trials).
+    """(N^2 drift and halving statistics, diverged trials) of one unrecorded adaptive pass.
 
-    One unrecorded adaptive pass; the group statistics merge in trial order.
-    They cover ensembles with no diverged trial only, and are None otherwise.
+    The group statistics merge in trial order; they are None when any trial diverged.
     """
     outs = _run_chunks(cfg, True, drift=True)
     diverged = sum(out.diverged for out in outs)

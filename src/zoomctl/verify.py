@@ -43,9 +43,8 @@ from zoomctl import analysis
 from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
-from zoomctl.harness import (
-    ExperimentConfig, Policy, envelope_moments, run_experiment, run_recorded_bundle, trial_seed,
-)
+from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, run_experiment,
+                             run_recorded_bundle, trial_seed)
 from zoomctl.loop import NO_SYMBOL, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")

@@ -421,9 +421,8 @@ def two_pass_drift(nsq, normal, c, D):
     }
 
 
-@pytest.mark.parametrize("block", [1, 7, "horizon"])
 @pytest.mark.parametrize("case", STREAM_CASES)
-def test_streamed_drift_matches_two_pass(monkeypatch, case, block):
+def test_streamed_drift_matches_two_pass(monkeypatch, case):
     import zoomctl.harness as hz
     from zoomctl.analysis import TraceBundle, envelope_squared
     from zoomctl.config import load_config
@@ -431,13 +430,23 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case, block):
 
     name, overrides = STREAM_CASES[case]
     cfg = load_config(CONFIGS / name, ["trials=100", "horizon=60", "seed=5", *overrides])
+    D = cfg.params.drift_constant(moments(cfg.w_spec)[1])
     # groups of 16, chunks of 32 lanes: group statistics merge across chunks
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 16)
-    monkeypatch.setattr(hz, "BLOCK_STEPS", cfg.horizon if block == "horizon" else block)
-    stats, diverged = hz.envelope_moments(cfg)
-    assert diverged == 0
-    D = cfg.params.drift_constant(moments(cfg.w_spec)[1])
-    got, halving = stats.drift_report(D), stats.halving_report()
+    streamed = []
+    for block, threads in [(1, "1"), (7, "3"), (cfg.horizon, "1")]:
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setenv("ZOOMCTL_THREADS", threads)
+        stats, diverged = hz.envelope_moments(cfg)
+        assert diverged == 0
+        streamed.append((stats.drift_report(D), stats.halving_report()))
+    got, halving = streamed[0]
+    # neither the time blocks nor the threads change a bit
+    for rep, halv in streamed[1:]:
+        assert halv == halving
+        assert (rep.n_checked, rep.flagged, rep.cap_violations) == (got.n_checked, got.flagged, got.cap_violations)
+        for field in ("mean_nsq", "stderr_nsq", "step_excess", "step_stderr"):
+            assert np.array_equal(getattr(rep, field), getattr(got, field)), field
 
     rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
     assert not (div >= 0).any()
