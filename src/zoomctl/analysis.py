@@ -2,9 +2,10 @@
 
 The stability argument rests on a dominating sequence built per trace:
 
-* freeze(trace, n0): hold the state fixed at X_{n0} from n0 on (gains 1,
-  disturbances 0, controls 0) while the tracker keeps growing by P per
-  step whenever it still sits below |X_{n0}|.
+* freeze_arrays(X, M, I, n0, params): hold the state of one recorded
+  trial fixed at X_{n0} from n0 on (gains 1, disturbances 0, controls 0)
+  while the tracker keeps growing by P per step whenever it still sits
+  below |X_{n0}|.
 * tau(n): first step m >= n whose guard |X~_m| <= P*M~_{m-1} holds, i.e.
   the step where the round containing n exits back to normal mode.
 * Q_n = sqrt(M~_n^2 + K*I~_n^2): composite envelope of the tracker.
@@ -32,16 +33,15 @@ signed/linear literal variants are reported alongside for comparison.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from zoomctl.codec import StrategyParams, rate
 from zoomctl.distributions import MomentSummary
-from zoomctl.loop import Trace
+from zoomctl.loop import json_safe, write_json
 
 STALE_GUARD_STEPS = 2  # padding kept after a frozen tracker stabilizes
 
@@ -124,16 +124,6 @@ def freeze_arrays(
     return FrozenTrace(n0=n0, Xt=Xt, Mt=Mt, It=It, params=params)
 
 
-def freeze(trace: Trace, n0: int) -> FrozenTrace:
-    """Freeze a recorded trial at step n0 (must index an executed step)."""
-    if trace.diverged and trace.diverged_at is not None and trace.diverged_at <= n0:
-        raise ValueError(
-            f"trace diverged at step {trace.diverged_at}, before requested n0={n0}"
-        )
-    steps = trace.steps
-    return freeze_arrays(trace.X, trace.M[:steps], trace.I[:steps], n0, trace.params)
-
-
 def _tau_backward(guard: np.ndarray) -> np.ndarray:
     """tau[..., n] = min{m >= n : guard[..., m]}, or -1 where unresolved.
 
@@ -149,16 +139,10 @@ def _tau_backward(guard: np.ndarray) -> np.ndarray:
     return tau
 
 
-def dominating_seq(frozen: FrozenTrace, K: float, P: float | None = None) -> DominatingSeq:
-    """tau, Q and N over the frozen horizon.
-
-    ``P`` defaults to the strategy's zoom factor; it is accepted separately
-    so the guard can be probed at other thresholds in tests.
-    """
-    if P is None:
-        P = frozen.params.P
+def dominating_seq(frozen: FrozenTrace, K: float) -> DominatingSeq:
+    """tau, Q and N over the frozen horizon."""
     m_before = np.concatenate(([frozen.params.M0], frozen.Mt[:-1]))
-    guard = np.abs(frozen.Xt) <= P * m_before
+    guard = np.abs(frozen.Xt) <= frozen.params.P * m_before
     tau = _tau_backward(guard)
     if tau[-1] < 0:  # unresolved tau is a suffix
         raise DominatingSeqError(
@@ -179,36 +163,13 @@ def dominating_seq(frozen: FrozenTrace, K: float, P: float | None = None) -> Dom
 class TraceBundle:
     """Stacked per-trace columns for ensemble diagnostics.
 
-    X: (T, steps+1) states; M, I: (T, steps) tracker values; normal:
-    (T, steps) True where the step ran in normal mode.
+    M, I: (T, steps) tracker values; normal: (T, steps) True where the step
+    ran in normal mode.
     """
 
-    X: np.ndarray
     M: np.ndarray
     I: np.ndarray
     normal: np.ndarray
-
-    @classmethod
-    def from_traces(cls, traces: Sequence[Trace]) -> "TraceBundle":
-        steps = {t.steps for t in traces}
-        if len(steps) != 1:
-            raise ValueError(f"traces have mixed lengths {sorted(steps)}")
-        if any(t.diverged for t in traces):
-            raise ValueError("diverged traces cannot enter envelope statistics")
-        return cls(
-            X=np.stack([t.X for t in traces]),
-            M=np.stack([t.M[: t.steps] for t in traces]),
-            I=np.stack([t.I[: t.steps] for t in traces]),
-            normal=np.stack([t.normal_mask() for t in traces]),
-        )
-
-    @property
-    def num_traces(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.M.shape[1]
 
 
 def envelope_squared(bundle: TraceBundle, K: float) -> tuple[np.ndarray, int]:
@@ -278,9 +239,7 @@ class DominationReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -288,11 +247,6 @@ class DominationReport:
             writer.writerow(["trace", "n0", "abs_x", "N", "ok"])
             for t, n0, x_abs, n_val in self.points:
                 writer.writerow([t, n0, repr(x_abs), repr(n_val), int(x_abs <= n_val)])
-
-
-def check_domination(trace: Trace, K: float, n0_set: Iterable[int]) -> DominationReport:
-    """Exact check |X_{n0}| <= N_{n0} for each requested n0."""
-    return domination_report(((0, freeze(trace, int(n0))) for n0 in n0_set), K)
 
 
 def domination_report(frozen: Iterable[tuple[int, FrozenTrace]], K: float) -> DominationReport:
@@ -329,14 +283,9 @@ def check_emergency_halving(bundle: TraceBundle, K: float) -> HalvingReport:
     by the factor 2 with no other change.  Checked as N^2_{n+1} == N^2_n / 4,
     which is equivalent and exact in float64 (power-of-two scaling).
     """
-    nsq, _ = envelope_squared(bundle, K)
-    return halving_from_envelope(nsq, bundle.normal)
-
-
-def halving_from_envelope(nsq: np.ndarray, normal: np.ndarray) -> HalvingReport:
-    """check_emergency_halving on an envelope from ``envelope_squared``."""
-    acc = EnvelopeMoments.sized(len(nsq), nsq.shape[1], 0.0)
-    acc.add(nsq, ~normal[:, : nsq.shape[1]])
+    nsq, h = envelope_squared(bundle, K)
+    acc = EnvelopeMoments.sized(len(nsq), h, 0.0)
+    acc.add(nsq, ~bundle.normal[:, :h])
     return acc.halving_report()
 
 
@@ -382,9 +331,7 @@ class DriftReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -395,23 +342,15 @@ class DriftReport:
             writer.writerows(zip(range(self.n_checked), *cols[:2], *(c + [""] for c in cols[2:])))
 
 
-def drift_estimate(
-    traces: TraceBundle | Sequence[Trace], K: float, c: float, D: float
-) -> DriftReport:
+def drift_estimate(bundle: TraceBundle, K: float, c: float, D: float) -> DriftReport:
     """Empirical check of the contraction and the cap, by ``EnvelopeMoments.drift_report``."""
-    bundle = traces if isinstance(traces, TraceBundle) else TraceBundle.from_traces(list(traces))
-    T = bundle.num_traces
+    T = len(bundle.M)
     if T < MIN_DRIFT_TRACES:
         raise ValueError(
             f"drift statistics need at least {MIN_DRIFT_TRACES} traces, got {T}"
         )
-    nsq, _ = envelope_squared(bundle, K)
-    return drift_from_envelope(nsq, c, D)
-
-
-def drift_from_envelope(nsq: np.ndarray, c: float, D: float) -> DriftReport:
-    """drift_estimate's statistics on an envelope from ``envelope_squared``."""
-    acc = EnvelopeMoments.sized(len(nsq), nsq.shape[1], c)
+    nsq, h = envelope_squared(bundle, K)
+    acc = EnvelopeMoments.sized(T, h, c)
     acc.add(nsq, None)
     return acc.drift_report(D)
 
@@ -474,7 +413,10 @@ class EnvelopeMoments:
         return self
 
     def drift_report(self, D: float) -> DriftReport:
-        """Flags n where mean d_n > D + 3 stderr, and where mean N_n^2 > (D/c)(1 + 3 relative stderr)."""
+        """Flags n where mean d_n > D + 3 stderr, and where mean N_n^2 > (D/c)(1 + 3 relative stderr).
+
+        A column whose stderr is not finite (the spread overflowed) fails the rule of that stderr.
+        """
         T, h = self.count, self.resolved
         mean_nsq, step_mean = self.sums[0, :h] / T, self.sums[2, :h - 1] / T
         stderr_nsq = np.sqrt(self.sums[1, :h] / (T - 1)) / math.sqrt(T)
@@ -483,8 +425,9 @@ class EnvelopeMoments:
         return DriftReport(
             num_traces=T, n_checked=h, c=self.c, D=D, mean_nsq=mean_nsq, stderr_nsq=stderr_nsq,
             step_excess=step_mean - D, step_stderr=step_stderr,
-            flagged=np.flatnonzero(step_mean > D + 3.0 * step_stderr).tolist(),
-            cap_violations=np.flatnonzero(mean_nsq > D / self.c * (1.0 + 3.0 * rel)).tolist(),
+            flagged=np.flatnonzero((step_mean > D + 3.0 * step_stderr) | ~np.isfinite(step_stderr)).tolist(),
+            cap_violations=np.flatnonzero(
+                (mean_nsq > D / self.c * (1.0 + 3.0 * rel)) | ~np.isfinite(stderr_nsq)).tolist(),
         )
 
     def halving_report(self) -> HalvingReport:
@@ -614,17 +557,8 @@ class FeasibilityReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "ok", "margin_drift", "margin_K", "epsilon_estimate", "D", "C", "R",
-            "drift_ok", "K_ok", "epsilon_ok", "margin_drift_literal",
-            "margin_K_literal", "c", "alpha", "mu_A", "sigma_A", "sigma_W",
-            "m_alpha", "ell_alpha",
-        )}
-        d["notes"] = list(self.notes)
-        d["epsilon_estimate"] = (
-            None if not math.isfinite(self.epsilon_estimate) else self.epsilon_estimate
-        )
-        return d
+        return asdict(self) | {"notes": list(self.notes),
+                               "epsilon_estimate": json_safe(self.epsilon_estimate)}
 
 
 def feasibility(

@@ -36,16 +36,18 @@ EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+# rejected input, each reported as one "error: " line with exit 1; MomentError
+# is a law lacking a moment the command needs (e.g. student_t, low dof)
+USER_ERRORS = (ConfigError, OSError, MomentError, InsufficientTrials, MomentOrderError,
+               UnstabilizableError)
+
+
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
 
 
-def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config, args.set)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_simulate(args, cfg) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats, traces = run_experiment(cfg, keep_traces=args.keep_traces)
@@ -65,15 +67,9 @@ def cmd_simulate(args) -> int:
     )
 
 
-def cmd_verify(args) -> int:
-    try:
-        cfg = load_config(args.config, args.set)
-        names = [c.strip() for c in args.checks.split(",")] if args.checks else list(CHECK_NAMES)
-        results = run_checks(cfg, names, trace_file=args.trace_file)
-    except InsufficientTrials as exc:
-        return _fail(str(exc))
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_verify(args, cfg) -> int:
+    names = [c.strip() for c in args.checks.split(",")] if args.checks else list(CHECK_NAMES)
+    results = run_checks(cfg, names, trace_file=args.trace_file)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
@@ -88,17 +84,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_NEGATIVE
 
 
-def cmd_feasibility(args) -> int:
-    try:
-        cfg = load_config(args.config, args.set)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc))
-    try:
-        a_m = moment_summary(cfg.a_spec, cfg.alpha)
-        w_m = moment_summary(cfg.w_spec, cfg.alpha)
-        report = analysis.feasibility(cfg.params.c, cfg.params, a_m, w_m, cfg.alpha)
-    except (MomentOrderError, UnstabilizableError) as exc:
-        return _fail(str(exc))
+def cmd_feasibility(args, cfg) -> int:
+    a_m = moment_summary(cfg.a_spec, cfg.alpha)
+    w_m = moment_summary(cfg.w_spec, cfg.alpha)
+    report = analysis.feasibility(cfg.params.c, cfg.params, a_m, w_m, cfg.alpha)
     rows = [
         ("rate R (bits)", report.R),
         ("margin_drift", f"{report.margin_drift:.6g}"),
@@ -123,11 +112,7 @@ def cmd_feasibility(args) -> int:
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config, args.set)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_sweep(args, cfg) -> int:
     if args.dim not in SWEEP_DIMENSIONS:
         return _fail(f"--dim must be one of {', '.join(SWEEP_DIMENSIONS)}; got {args.dim!r}")
     raw = [v for v in (args.values or "").split(",") if v.strip()]
@@ -153,7 +138,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args, cfg) -> int:
     if args.L < 1:
         return _fail(f"L must be >= 1, got {args.L}")
     print(f"L={args.L} num_symbols={2 * args.L + 1} R={rate_bits(args.L)}")
@@ -214,9 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             return _fail(str(exc))
     try:
-        return args.func(args)
-    except MomentError as exc:
-        # a law lacking a moment the command needs (e.g. student_t, low dof)
+        cfg = load_config(args.config, args.set) if "config" in args else None
+        return args.func(args, cfg)
+    except USER_ERRORS as exc:
         return _fail(str(exc))
 
 

@@ -60,7 +60,7 @@ from zoomctl.codec import (
     StrategyParams, cell_endpoints, cell_index, is_clamped, rate, tracker_update,
 )
 from zoomctl.distributions import DistributionSpec, moments, sample_array
-from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace
+from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
 BLOCK_STEPS = 1000  # steps per time block of the engine
@@ -168,12 +168,6 @@ class SummaryStats:
     window_ratio: float
     max_mean_nsq: float | None
     verdict: str
-
-    def second_moment_curve(self) -> list[tuple[int, float, float]]:
-        return [
-            (int(n), float(self.curve_mean[n]), float(self.curve_stderr[n]))
-            for n in range(len(self.curve_mean))
-        ]
 
     def terminal_mean(self) -> tuple[int, float]:
         """Mean X^2 at the last index where any trial is still alive."""
@@ -656,18 +650,15 @@ def run_experiment(
 
 
 def run_recorded_bundle(
-    cfg: ExperimentConfig, full: bool = False, *, fields: Sequence[str] | None = None
+    cfg: ExperimentConfig, fields: Sequence[str] = ("X", "M", "I", "normal")
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Record per-step columns for every trial.
 
-    ``fields`` picks the columns (any of FULL_RECORD_FIELDS); by default all
-    of them when ``full``, else X, M, I and normal.  Returns the stacked
-    record dict plus each trial's divergence step (-1 where the trial ran
-    to the horizon).  Memory scales with trials * horizon * fields; callers
-    cap the horizon accordingly.
+    ``fields`` picks the columns, any of FULL_RECORD_FIELDS.  Returns the
+    stacked record dict plus each trial's divergence step (-1 where the
+    trial ran to the horizon).  Memory scales with trials * horizon *
+    fields; callers cap the horizon accordingly.
     """
-    if fields is None:
-        fields = FULL_RECORD_FIELDS if full else ("X", "M", "I", "normal")
     outs = [_run_chunk(cfg, idx, fields, envelope=False) for idx in _chunked(range(cfg.trials))]
     rec = {
         f: np.concatenate([o.records[f] for o in outs], axis=0) for f in fields
@@ -795,12 +786,6 @@ def sweep(cfg: ExperimentConfig, dimension: str, values: Sequence[float]) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
 def write_summary_json(stats: SummaryStats, cfg: ExperimentConfig, path) -> None:
     n_term, mean_term = stats.terminal_mean()
     payload = {
@@ -810,35 +795,30 @@ def write_summary_json(stats: SummaryStats, cfg: ExperimentConfig, path) -> None
         "horizon": stats.horizon,
         "diverged_count": stats.diverged_count,
         "emergency_fraction": stats.emergency_fraction,
-        "window_ratio": _json_safe(stats.window_ratio),
-        "max_mean_nsq": _json_safe(stats.max_mean_nsq),
-        "terminal": {"n": n_term, "mean_xsq": _json_safe(mean_term)},
+        "window_ratio": json_safe(stats.window_ratio),
+        "max_mean_nsq": json_safe(stats.max_mean_nsq),
+        "terminal": {"n": n_term, "mean_xsq": json_safe(mean_term)},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
+
+
+def _write_config_csv(cfg: ExperimentConfig, path, header: list[str], rows: Iterable) -> None:
+    """CSV rows under a ``# config:`` line holding the config's JSON; floats are written by repr."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config: {json.dumps(cfg.describe(), sort_keys=True)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_curve_csv(stats: SummaryStats, cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {json.dumps(cfg.describe(), sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean", "stderr"])
-        for n in range(len(stats.curve_mean)):
-            writer.writerow([n, repr(float(stats.curve_mean[n])), repr(float(stats.curve_stderr[n]))])
+    _write_config_csv(cfg, path, ["n", "mean", "stderr"], zip(
+        range(len(stats.curve_mean)), stats.curve_mean.tolist(), stats.curve_stderr.tolist()))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {json.dumps(cfg.describe(), sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["dimension", "value", "R", "verdict", "diverged_count",
-             "window_ratio", "emergency_fraction", "terminal_mean_xsq"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.dimension, repr(r.value), r.R, r.verdict, r.diverged_count,
-                 repr(float(r.window_ratio)), repr(float(r.emergency_fraction)),
-                 repr(float(r.terminal_mean_xsq))]
-            )
+    _write_config_csv(cfg, path, [
+        "dimension", "value", "R", "verdict", "diverged_count",
+        "window_ratio", "emergency_fraction", "terminal_mean_xsq",
+    ], ([r.dimension, r.value, r.R, r.verdict, r.diverged_count, float(r.window_ratio),
+         float(r.emergency_fraction), float(r.terminal_mean_xsq)] for r in rows))

@@ -195,10 +195,6 @@ class Trace:
     def rows(self):
         return (self.row(i) for i in range(len(self.n)))
 
-    def normal_mask(self) -> np.ndarray:
-        """Boolean mask over executed steps: True where the step was normal."""
-        return self.mode[: self.steps] == 0
-
     def to_csv(self, path) -> None:
         # csv writes Python floats by repr, ints by str
         cols = [[self.mode_str(i) for i in range(len(self.n))] if f == "mode" else getattr(self, f).tolist()
@@ -227,9 +223,19 @@ class Trace:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.summary(), path)
+
+
+def json_safe(x):
+    """A float that JSON cannot hold (inf, nan) as None; anything else as is."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def write_json(payload, path) -> None:
+    """The deterministic JSON form of every report and summary: sorted keys, 2-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
@@ -391,6 +397,7 @@ class TraceValidation:
     first_mismatch: int | None = None
     field: str | None = None
     detail: str = ""
+    steps: int = 0  # replayed, when ok
 
 
 def validate_trace_columns(
@@ -429,7 +436,7 @@ def validate_trace_columns(
     bad.update((name, want[name] != got[name]) for name in got)
     found = [(int(np.argmax(mask)), order) for order, mask in enumerate(bad.values()) if mask.any()]
     if not found:
-        return TraceValidation(True)
+        return TraceValidation(True, steps=steps)
     i, order = min(found)
     name = list(bad)[order]
     if name == "symbol":

@@ -19,17 +19,19 @@ ensembles:
 The three exact checks share one recorded ensemble (``record_exact``) of
 the first min(trials, EXACT_TRIALS) trials.  Each trial's recorded symbol
 stream is replayed, one trial at a time, through
-``loop.validate_trace_columns`` against the recorded mode, M, I, rho and U:
-tracker_equality's ensemble half (a few scalar ``run_trial`` replays are
-its other half).  A mismatch fails every requested exact check.  The
-recording is freed before drift, which records nothing: it runs
+``loop.validate_trace_columns`` against the recorded mode, M, I, rho and U;
+a mismatch fails every requested exact check.  tracker_equality also reruns
+the first SCALAR_REPLAYS trials through the scalar ``run_trial``, an
+independent encoder, and compares each with its recorded lane bit for bit.
+The recording is freed before drift, which records nothing: it runs
 trials x min(horizon, DRIFT_HORIZON_CAP) through the engine once and
 accumulates its statistics and the halving check in the engine's N^2
 envelope fold (``harness.envelope_moments``).  oracle_match runs its own
 two oracle-policy ensembles.
 
-Checks needing the tracker machinery require the adaptive policy; the
-oracle check swaps the policy itself and so runs for any config.
+``run_checks`` checks its inputs before any ensemble runs: the check names,
+the adaptive policy the tracker checks need (oracle_match swaps the policy
+itself), and drift's minimum number of trials.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
 from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, run_experiment,
                              run_recorded_bundle, trial_seed)
-from zoomctl.loop import NO_SYMBOL, read_trace_csv, run_trial, validate_trace_columns
+from zoomctl.loop import Trace, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
 EXACT_CHECKS = ("tracker_equality", "containment", "domination")
+TRACKER_CHECKS = EXACT_CHECKS + ("drift",)  # need the adaptive policy
 
 # the exact checks' recording and drift's horizon are capped; documented in output
 DRIFT_HORIZON_CAP = 2000
@@ -74,11 +77,6 @@ class CheckResult:
     passed: bool
     detail: str
     report: object | None = None
-
-
-def _require_adaptive(cfg: ExperimentConfig, name: str) -> None:
-    if cfg.policy.kind != "adaptive_fixed_rate":
-        raise ConfigError(f"check {name!r} requires policy=adaptive_fixed_rate")
 
 
 def record_exact(cfg: ExperimentConfig) -> Recorded:
@@ -112,26 +110,28 @@ def check_tracker_equality(
         mu_w, _ = moments(cfg.w_spec)
         result = validate_trace_columns(cols, cfg.params, mu_a, mu_w)
         if result.ok:
-            steps = len(cols["n"]) - 1 if cols["symbol"][-1] == NO_SYMBOL else len(cols["n"])
             return CheckResult(
                 "tracker_equality", True,
-                f"trace file replays cleanly over {steps} steps",
+                f"trace file replays cleanly over {result.steps} steps",
             )
         return CheckResult(
             "tracker_equality", False,
             f"first divergent index {result.first_mismatch} ({result.field}): {result.detail}",
         )
 
-    _require_adaptive(cfg, "tracker_equality")
     # record_exact replayed every trial of the recorded pass from its symbols
-    trials = len(recorded[1])
+    rec, diverged_at = recorded
+    trials = len(diverged_at)
     try:
-        # scalar reference loop repeats the comparison on a few trials
+        # the scalar reference loop reruns a few trials; each must equal its recorded lane
         for t in range(min(SCALAR_REPLAYS, trials)):
-            run_trial(
+            tr = run_trial(
                 cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
                 trial_seed(cfg.master_seed, t), check_feasibility=False,
             )
+            mismatch = _scalar_mismatch(tr, rec, int(diverged_at[t]), t)
+            if mismatch:
+                return CheckResult("tracker_equality", False, mismatch)
     except ProtocolError as exc:
         return CheckResult("tracker_equality", False, str(exc))
     return CheckResult(
@@ -140,8 +140,27 @@ def check_tracker_equality(
     )
 
 
+def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) -> str:
+    """Where run_trial's trace of trial t first differs from recorded lane t, bit for bit ("" if nowhere)."""
+    at = -1 if tr.diverged_at is None else tr.diverged_at
+    if at != div:
+        return f"scalar run_trial of trial {t} diverges at step {at}, its recorded lane at {div} (-1: never)"
+    cols = {"X": tr.X, "symbol": tr.symbol, "normal": tr.mode == 0,
+            "M": tr.M, "I": tr.I, "rho": tr.rho, "U": tr.U}
+    found = []  # (step, field order, field) of each field's first difference; X_n enters step n
+    for order, (f, col) in enumerate(cols.items()):
+        col = col[:tr.steps + (f == "X")].astype(float)
+        bad = col.view(np.int64) != rec[f][t, :len(col)].astype(float).view(np.int64)
+        if bad.any():
+            found.append((int(np.argmax(bad)), order, f))
+    if not found:
+        return ""
+    n, _, f = min(found)
+    return (f"scalar run_trial differs from recorded trial {t} at step {n}: "
+            f"{f}={cols[f][n].item()!r}, recorded {rec[f][t, n].item()!r}")
+
+
 def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
-    _require_adaptive(cfg, "containment")
     rec, diverged_at = recorded
     trials = len(diverged_at)
     h = cfg.horizon
@@ -168,7 +187,6 @@ def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
 
 
 def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
-    _require_adaptive(cfg, "domination")
     rec, diverged_at = recorded
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([cfg.master_seed, _N0_STREAM_TAG]))
@@ -202,11 +220,6 @@ def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
 
 
 def check_drift(cfg: ExperimentConfig) -> CheckResult:
-    _require_adaptive(cfg, "drift")
-    if cfg.trials < analysis.MIN_DRIFT_TRACES:
-        raise InsufficientTrials(
-            f"drift needs at least {analysis.MIN_DRIFT_TRACES} trials, config has {cfg.trials}"
-        )
     horizon = min(cfg.horizon, DRIFT_HORIZON_CAP)
     stats, n_div = envelope_moments(replace(cfg, horizon=horizon))
     if n_div:
@@ -272,10 +285,18 @@ def check_oracle_match(cfg: ExperimentConfig) -> CheckResult:
 def run_checks(
     cfg: ExperimentConfig, names: list[str], trace_file=None
 ) -> list[CheckResult]:
-    """Results of the named checks, in the order asked for."""
+    """Results of the named checks, in the order asked for; input errors raise before any ensemble runs."""
     for name in names:
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    # the checks that read the adaptive tracker, in CHECK_NAMES order
+    tracked = [n for n in TRACKER_CHECKS if n in names and (n != "tracker_equality" or trace_file is None)]
+    if tracked and cfg.policy.kind != "adaptive_fixed_rate":
+        raise ConfigError(f"check {tracked[0]!r} requires policy=adaptive_fixed_rate")
+    if "drift" in names and cfg.trials < analysis.MIN_DRIFT_TRACES:
+        raise InsufficientTrials(
+            f"drift needs at least {analysis.MIN_DRIFT_TRACES} trials, config has {cfg.trials}"
+        )
     checks = {
         "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_file, rec),
         "containment": lambda rec: check_containment(cfg, rec),
@@ -283,12 +304,9 @@ def run_checks(
         "drift": lambda rec: check_drift(cfg),
         "oracle_match": lambda rec: check_oracle_match(cfg),
     }
-    shared = [n for n in EXACT_CHECKS
-              if n in names and not (n == "tracker_equality" and trace_file is not None)]
+    shared = [n for n in tracked if n in EXACT_CHECKS]
     done = {}
     if shared:
-        for name in shared:
-            _require_adaptive(cfg, name)
         try:
             recorded = record_exact(cfg)
         except ProtocolError as exc:

@@ -28,6 +28,7 @@ from zoomctl.codec import StrategyParams, rate
 from zoomctl.config import load_config
 from zoomctl.distributions import moment_summary, moments
 from zoomctl.harness import (
+    FULL_RECORD_FIELDS,
     ExperimentConfig,
     Policy,
     run_experiment,
@@ -82,26 +83,31 @@ def student_run(student_cfg):
     return stats
 
 
-def _bundle(cfg, trials, horizon):
+def _recorded(cfg, trials, horizon):
+    """X, M, I and the mode flags of the first ``trials`` trials."""
     sub = replace(cfg, trials=trials, horizon=horizon)
     rec, diverged_at = run_recorded_bundle(sub)
-    assert not np.any(diverged_at >= 0), "bundle trials must not diverge"
-    return TraceBundle(X=rec["X"], M=rec["M"], I=rec["I"], normal=rec["normal"])
+    assert not np.any(diverged_at >= 0), "recorded trials must not diverge"
+    return rec
+
+
+def _bundle(rec):
+    return TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"])
 
 
 @pytest.fixture(scope="session")
-def reference_bundle(reference_cfg):
-    return _bundle(reference_cfg, DRIFT_TRIALS, DRIFT_HORIZON)
+def reference_rec(reference_cfg):
+    return _recorded(reference_cfg, DRIFT_TRIALS, DRIFT_HORIZON)
 
 
 @pytest.fixture(scope="session")
-def student_bundle(student_cfg):
-    return _bundle(student_cfg, DRIFT_TRIALS, DRIFT_HORIZON)
+def student_rec(student_cfg):
+    return _recorded(student_cfg, DRIFT_TRIALS, DRIFT_HORIZON)
 
 
 @pytest.fixture(scope="session")
-def emergency_bundle(emergency_cfg):
-    return _bundle(emergency_cfg, 300, DRIFT_HORIZON)
+def emergency_rec(emergency_cfg):
+    return _recorded(emergency_cfg, 300, DRIFT_HORIZON)
 
 
 def _d_const(cfg) -> float:
@@ -109,18 +115,18 @@ def _d_const(cfg) -> float:
     return 2.0 * var_w + (1.0 + cfg.params.K) * cfg.params.M0**2
 
 
-def _check_domination(bundle, params, seed) -> tuple[int, int, float]:
+def _check_domination(rec, params, seed) -> tuple[int, int, float]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5EED])))
     checked, violations, max_ratio = 0, 0, 0.0
     per_trace = DOMINATION_N0 // DOMINATION_TRIALS
     for t in range(DOMINATION_TRIALS):
-        for n0 in rng.integers(0, bundle.steps, size=per_trace):
+        for n0 in rng.integers(0, rec["M"].shape[1], size=per_trace):
             frozen = analysis.freeze_arrays(
-                bundle.X[t], bundle.M[t], bundle.I[t], int(n0), params
+                rec["X"][t], rec["M"][t], rec["I"][t], int(n0), params
             )
             ds = analysis.dominating_seq(frozen, params.K)
             checked += 1
-            x_abs = abs(float(bundle.X[t, n0]))
+            x_abs = abs(float(rec["X"][t, n0]))
             n_val = float(ds.N[n0])
             if x_abs > n_val:
                 violations += 1
@@ -157,18 +163,18 @@ def test_criterion_01_reference_stability(reference_cfg, reference_run):
 # criterion 2: domination |X_n0| <= N_n0, exact, zero violations
 # --------------------------------------------------------------------------
 
-def test_criterion_02_domination(reference_cfg, reference_bundle):
+def test_criterion_02_domination(reference_cfg, reference_rec):
     checked, violations, max_ratio = _check_domination(
-        reference_bundle, reference_cfg.params, reference_cfg.master_seed
+        reference_rec, reference_cfg.params, reference_cfg.master_seed
     )
     assert checked == DOMINATION_N0
     assert violations == 0
     report(2, f"{checked} freeze points, 0 violations (max |X|/N = {max_ratio:.4f})")
 
 
-def test_criterion_02_domination_zoom_heavy(emergency_cfg, emergency_bundle):
+def test_criterion_02_domination_zoom_heavy(emergency_cfg, emergency_rec):
     checked, violations, max_ratio = _check_domination(
-        emergency_bundle, emergency_cfg.params, emergency_cfg.master_seed
+        emergency_rec, emergency_cfg.params, emergency_cfg.master_seed
     )
     assert violations == 0
     report(2, f"zoom-heavy supplement: {checked} freeze points, 0 violations "
@@ -179,10 +185,10 @@ def test_criterion_02_domination_zoom_heavy(emergency_cfg, emergency_bundle):
 # criterion 3: drift contraction and cap on E[N^2]
 # --------------------------------------------------------------------------
 
-def test_criterion_03_drift(reference_cfg, reference_bundle):
+def test_criterion_03_drift(reference_cfg, reference_rec):
     d_const = _d_const(reference_cfg)
     rep = analysis.drift_estimate(
-        reference_bundle, reference_cfg.params.K, reference_cfg.params.c, d_const
+        _bundle(reference_rec), reference_cfg.params.K, reference_cfg.params.c, d_const
     )
     assert rep.num_traces >= 2000
     assert rep.flagged == []
@@ -199,11 +205,11 @@ def test_criterion_03_drift(reference_cfg, reference_bundle):
 # criterion 4: exact halving of N during zoom-out
 # --------------------------------------------------------------------------
 
-def test_criterion_04_emergency_halving(reference_cfg, reference_bundle,
-                                        emergency_cfg, emergency_bundle):
-    rep_ref = analysis.check_emergency_halving(reference_bundle, reference_cfg.params.K)
+def test_criterion_04_emergency_halving(reference_cfg, reference_rec,
+                                        emergency_cfg, emergency_rec):
+    rep_ref = analysis.check_emergency_halving(_bundle(reference_rec), reference_cfg.params.K)
     assert rep_ref.ok
-    rep_em = analysis.check_emergency_halving(emergency_bundle, emergency_cfg.params.K)
+    rep_em = analysis.check_emergency_halving(_bundle(emergency_rec), emergency_cfg.params.K)
     assert rep_em.ok
     assert rep_em.emergency_pairs > 10_000, "the supplement must exercise zoom-out"
     report(
@@ -295,7 +301,7 @@ def test_criterion_08_rate_contract(emergency_cfg):
         assert rate(params) == want
         assert params.num_symbols == 2 * L + 1
         cfg = replace(emergency_cfg, params=params, trials=20, horizon=500)
-        rec, _ = run_recorded_bundle(cfg, full=True)
+        rec, _ = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
         syms = rec["symbol"]
         assert np.all(syms >= 0)
         assert np.all(syms <= 2 * L)
@@ -307,7 +313,7 @@ def test_criterion_08_rate_contract(emergency_cfg):
 # criterion 9: heavy-tailed gain (Student-t, dof 5) passes criteria 1-4
 # --------------------------------------------------------------------------
 
-def test_criterion_09_student_t(student_cfg, student_run, student_bundle):
+def test_criterion_09_student_t(student_cfg, student_run, student_rec):
     mu_a, var_a = moments(student_cfg.a_spec)
     assert (mu_a, var_a) == (1.0, pytest.approx(0.25))
     a_m = moment_summary(student_cfg.a_spec, student_cfg.alpha)
@@ -321,16 +327,16 @@ def test_criterion_09_student_t(student_cfg, student_run, student_bundle):
     assert 0.5 <= stats.window_ratio <= 1.5
 
     checked, violations, _ = _check_domination(
-        student_bundle, student_cfg.params, student_cfg.master_seed
+        student_rec, student_cfg.params, student_cfg.master_seed
     )
     assert checked == DOMINATION_N0 and violations == 0
 
     rep = analysis.drift_estimate(
-        student_bundle, student_cfg.params.K, student_cfg.params.c, _d_const(student_cfg)
+        _bundle(student_rec), student_cfg.params.K, student_cfg.params.c, _d_const(student_cfg)
     )
     assert rep.flagged == [] and rep.cap_violations == []
 
-    halving = analysis.check_emergency_halving(student_bundle, student_cfg.params.K)
+    halving = analysis.check_emergency_halving(_bundle(student_rec), student_cfg.params.K)
     assert halving.ok
     report(
         9,
@@ -345,7 +351,7 @@ def test_criterion_09_student_t(student_cfg, student_run, student_bundle):
 
 def _containment_violations(cfg, trials, horizon):
     sub = replace(cfg, trials=trials, horizon=horizon)
-    rec, diverged_at = run_recorded_bundle(sub, full=True)
+    rec, diverged_at = run_recorded_bundle(sub, fields=FULL_RECORD_FIELDS)
     assert not np.any(diverged_at >= 0)
     eligible = rec["normal"] & ~rec["clamped"]
     x = rec["X"][:, :horizon]

@@ -14,14 +14,13 @@ from zoomctl.analysis import (
     TraceBundle,
     UnstabilizableError,
     _tau_backward,
-    check_domination,
     check_emergency_halving,
     dominating_seq,
+    domination_report,
     drift_estimate,
     envelope_squared,
     epsilon_bound,
     feasibility,
-    freeze,
     freeze_arrays,
     min_zoom_factor,
     moment_recursion_curve,
@@ -41,6 +40,11 @@ UNIT_PARAMS = StrategyParams(L=2, P=2.0, M0=1.0, K=8.0, c=0.2)
 
 def emergency_trial(horizon=2000, seed=42):
     return run_trial(A_REF, W_REF, EMERGENCY_PARAMS, horizon, seed, check_feasibility=False)
+
+
+def frozen_at(tr, n0):
+    """A scalar trace frozen at step n0, from its executed steps' columns."""
+    return freeze_arrays(tr.X, tr.M[: tr.steps], tr.I[: tr.steps], n0, tr.params)
 
 
 # --- freeze -----------------------------------------------------------------
@@ -67,7 +71,7 @@ def test_freeze_constant_when_state_already_covered():
 
 def test_freeze_at_origin_is_trivial():
     tr = emergency_trial(200, 3)
-    fr = freeze(tr, 0)
+    fr = frozen_at(tr, 0)
     assert np.all(fr.Xt == 0.0)
     assert np.all(fr.Mt == fr.Mt[0])
 
@@ -75,9 +79,9 @@ def test_freeze_at_origin_is_trivial():
 def test_freeze_rejects_bad_n0():
     tr = emergency_trial(50, 4)
     with pytest.raises(ValueError):
-        freeze(tr, 50)
+        frozen_at(tr, 50)
     with pytest.raises(ValueError):
-        freeze(tr, -1)
+        frozen_at(tr, -1)
 
 
 # --- dominating sequence ------------------------------------------------------
@@ -123,9 +127,11 @@ def test_emergency_span_tau_and_n():
 @given(seed=st.integers(0, 10**6))
 def test_tau_idempotent_on_simulated_traces(seed):
     tr = emergency_trial(400, seed)
-    bundle = TraceBundle.from_traces([tr])
+    assert not tr.diverged
+    steps = tr.steps
+    bundle = TraceBundle(M=tr.M[None, :steps], I=tr.I[None, :steps], normal=tr.mode[None, :steps] == 0)
     nsq, h = envelope_squared(bundle, EMERGENCY_PARAMS.K)
-    fr = freeze(tr, h - 1)
+    fr = frozen_at(tr, h - 1)
     ds = dominating_seq(fr, EMERGENCY_PARAMS.K)
     tau = ds.tau
     assert np.all(tau >= np.arange(len(tau)))
@@ -175,7 +181,7 @@ def test_envelope_matches_definition_on_emergency_bundles(seed):
     )
     rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
-    bundle = TraceBundle(X=rec["X"], M=rec["M"], I=rec["I"], normal=rec["normal"])
+    bundle = TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"])
     K = cfg.params.K
     nsq, h = envelope_squared(bundle, K)
 
@@ -195,7 +201,8 @@ def test_envelope_matches_definition_on_emergency_bundles(seed):
 def test_domination_exact_on_simulated_traces():
     tr = emergency_trial(2000, 77)
     rng = np.random.default_rng(1)
-    rep = check_domination(tr, EMERGENCY_PARAMS.K, rng.integers(0, tr.steps, 300))
+    points = ((0, frozen_at(tr, int(n0))) for n0 in rng.integers(0, tr.steps, 300))
+    rep = domination_report(points, EMERGENCY_PARAMS.K)
     assert rep.ok
     assert rep.checked == 300
     assert rep.max_ratio <= 1.0
@@ -208,7 +215,7 @@ def test_halving_exact_during_emergencies():
     )
     rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
-    bundle = TraceBundle(X=rec["X"], M=rec["M"], I=rec["I"], normal=rec["normal"])
+    bundle = TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"])
     rep = check_emergency_halving(bundle, EMERGENCY_PARAMS.K)
     assert rep.emergency_pairs > 1000
     assert rep.ok
@@ -217,7 +224,6 @@ def test_halving_exact_during_emergencies():
 def test_envelope_requires_resolution():
     # a trace that never leaves emergency mode has no resolved tau
     bundle = TraceBundle(
-        X=np.zeros((1, 4)),
         M=np.ones((1, 3)),
         I=np.ones((1, 3)),
         normal=np.zeros((1, 3), dtype=bool),
@@ -236,7 +242,7 @@ def certified_bundle(trials=150, horizon=800, seed=11):
     )
     rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
-    return TraceBundle(X=rec["X"], M=rec["M"], I=rec["I"], normal=rec["normal"]), params
+    return TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"]), params
 
 
 def test_drift_holds_for_certified_params():

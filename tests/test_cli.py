@@ -453,3 +453,102 @@ def test_cli_containment_counts_floored_steps(capsys):
     counts = capsys.readouterr().out.split("(")[1].split(";")[0].split(", ")
     unfloored, floored = (int(part.split()[0]) for part in counts)
     assert unfloored > 0 and floored > 0
+
+
+REFERENCE_CFG = str(EMERGENCY_CFG.parent / "reference.cfg")
+
+
+MISSING = "[Errno 2] No such file or directory: 'no_such.cfg'"
+UNKNOWN_KEY = "unknown key 'bogus' in --set"
+BOGUS = ["--set", "bogus=1"]
+SWEEP_ARGS = ["--dim", "P", "--values", "2"]
+# (arguments, stderr message) per case
+USER_ERRORS = {
+    "simulate-missing": (["simulate", "no_such.cfg"], MISSING),
+    "verify-missing": (["verify", "no_such.cfg"], MISSING),
+    "feasibility-missing": (["feasibility", "no_such.cfg"], MISSING),
+    "sweep-missing": (["sweep", "no_such.cfg", *SWEEP_ARGS], MISSING),
+    "simulate-unknown-key": (["simulate", REFERENCE_CFG, *BOGUS], UNKNOWN_KEY),
+    "verify-unknown-key": (["verify", REFERENCE_CFG, *BOGUS], UNKNOWN_KEY),
+    "feasibility-unknown-key": (["feasibility", REFERENCE_CFG, *BOGUS], UNKNOWN_KEY),
+    "sweep-unknown-key": (["sweep", REFERENCE_CFG, *BOGUS, *SWEEP_ARGS], UNKNOWN_KEY),
+    "verify-drift-trials": (["verify", REFERENCE_CFG, "--checks", "drift", "--set", "trials=50"],
+                            "drift needs at least 100 trials, config has 50"),
+    "feasibility-alpha": (["feasibility", REFERENCE_CFG, "--set", "alpha=4"],
+                          "feasibility requires a tail moment order alpha > 4, got 4.0"),
+}
+
+
+@pytest.mark.parametrize("case", USER_ERRORS)
+def test_cli_user_errors_exit_1(tmp_path, capsys, case):
+    argv, message = USER_ERRORS[case]
+    extra = ["--out", str(tmp_path / "o")] if argv[0] in ("simulate", "sweep") else []
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["policy=zero_control"], "check 'drift' requires policy=adaptive_fixed_rate"),
+    (["trials=50"], "drift needs at least 100 trials, config has 50"),
+], ids=["zero_control", "trials=50"])
+def test_cli_verify_checks_inputs_before_any_ensemble(monkeypatch, capsys, sets, message):
+    import zoomctl.harness as hz
+
+    calls = []
+    run_chunk = hz._run_chunk
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return run_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "_run_chunk", counting)
+    argv = ["verify", REFERENCE_CFG, "--checks", "oracle_match,drift", "--set", "horizon=20"]
+    code = main(argv + [arg for item in sets for arg in ("--set", item)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    # the counter does see oracle_match's ensembles when it runs alone
+    assert main(argv[:3] + ["oracle_match"] + argv[4:]) in (0, 2)
+    assert calls
+
+
+def test_cli_verify_drift_flags_columns_whose_spread_overflows(tmp_path, capsys):
+    import csv
+
+    # at P = 1.01 some rounds run long enough for N^2 to pass 1e154 near
+    # step 446, where the squared deviations of d and then of N^2 overflow
+    out = tmp_path / "rep"
+    sets = ["P=1.01", "horizon=1000", "trials=100"]
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "drift", "--out", str(out)]
+                + [arg for item in sets for arg in ("--set", item)])
+    assert code == 2
+    with open(out / "drift_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    step_inf = [int(r["n"]) for r in rows if r["step_stderr"] == "inf"]
+    nsq_inf = [int(r["n"]) for r in rows if r["stderr_Nsq"] == "inf"]
+    assert step_inf == list(range(446, 452)) and nsq_inf == list(range(447, 453))
+    report = json.loads((out / "drift_report.json").read_text())
+    assert set(step_inf) <= set(report["flagged"])
+    assert set(nsq_inf) <= set(report["cap_violations"])
+    assert "flagged=[446, 447, 448, 449, 450]" in capsys.readouterr().out
+
+
+def test_cli_verify_scalar_replays_catch_an_engine_cell_shift(monkeypatch, capsys):
+    import numpy as np
+
+    import zoomctl.harness as hz
+
+    # the engine's encoder picks the cell above the right one; the recorded
+    # trackers still follow the recorded symbols, so only the independent
+    # scalar encoder can tell
+    cell_index = hz.cell_index
+    monkeypatch.setattr(hz, "cell_index", lambda x, lim, L: np.fmin(cell_index(x, lim, L) + 1.0, L - 1))
+    code = main(["verify", REFERENCE_CFG, "--checks", "tracker_equality",
+                 "--set", "trials=20", "--set", "horizon=50"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("tracker_equality  FAIL  scalar run_trial differs from recorded trial 0 at step 0: ")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zoomctl.codec import StrategyParams
 from zoomctl.distributions import DistributionSpec
 from zoomctl.harness import (
+    FULL_RECORD_FIELDS,
     ExperimentConfig,
     Policy,
     SummaryStats,
@@ -232,7 +233,7 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     for ref, eng in zip(refs, traces):
         assert_same_trace(eng, ref)
     # recorded columns stop where each trial diverged
-    rec, div = run_recorded_bundle(cfg, full=True)
+    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
     for t, ref in enumerate(refs):
         steps = ref.steps
         assert div[t] == (steps if ref.diverged else -1)
@@ -287,7 +288,7 @@ def block_case_cfg(case, **over):
 
 def engine_outputs(cfg, kept):
     stats, traces = run_experiment(cfg, keep_traces=kept)
-    rec, div = run_recorded_bundle(cfg, full=True)
+    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
     return stats, traces, rec, div
 
 
@@ -349,7 +350,7 @@ def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
 
     monkeypatch.setattr(hz, "BLOCK_STEPS", 7)
     cfg = block_case_cfg("diverging")
-    full, div = run_recorded_bundle(cfg, full=True)
+    full, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
     assert np.count_nonzero(div > 8) > 3  # past the first block's state rows
     part, part_div = run_recorded_bundle(cfg, fields=fields)
     assert np.array_equal(part_div, div)
@@ -379,8 +380,7 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     for g in range(2):
         lanes = slice(20 * g, 20 * g + 20)
         nsq, hr = envelope_squared(
-            TraceBundle(X=np.zeros((20, cfg.horizon + 1)),
-                        M=rec["M"][lanes], I=rec["I"][lanes], normal=rec["normal"][lanes]),
+            TraceBundle(M=rec["M"][lanes], I=rec["I"][lanes], normal=rec["normal"][lanes]),
             cfg.params.K,
         )
         # each column summed trial by trial; numpy sums a lone column pairwise
@@ -450,8 +450,7 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case):
 
     rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
     assert not (div >= 0).any()
-    nsq, h = envelope_squared(TraceBundle(X=np.zeros((cfg.trials, 0)), M=rec["M"], I=rec["I"],
-                                          normal=rec["normal"]), cfg.params.K)
+    nsq, h = envelope_squared(TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"]), cfg.params.K)
     want = two_pass_drift(nsq, rec["normal"], cfg.params.c, D)
     if case == "open_rounds":
         assert 100 < h < cfg.horizon - 50 and want["pairs"] > 10_000
@@ -653,7 +652,7 @@ def test_written_files_deterministic(tmp_path):
 
 def test_recorded_bundle_matches_traces():
     cfg = make_cfg(trials=5, horizon=200)
-    rec, div = run_recorded_bundle(cfg, full=True)
+    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
     assert not np.any(div >= 0)
     for idx in range(cfg.trials):
         tr = extract_trace(cfg, idx)

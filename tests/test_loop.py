@@ -305,7 +305,7 @@ def stepwise_validation(cols, params, mu_A, mu_W):
         for name, want, got in checks:
             if want != got:
                 return TraceValidation(False, i, name, f"expected {name}={want!r}, trace has {got!r}")
-    return TraceValidation(True)
+    return TraceValidation(True, steps=steps)
 
 
 REPLAY_PARAMS = [

@@ -96,3 +96,30 @@ def test_exact_checks_need_adaptive_policy(capsys, checks):
     assert code == 1
     assert "requires policy=adaptive_fixed_rate" in captured.err
     assert captured.out == ""
+
+
+# the symbol replay reads neither X nor the divergence steps; the scalar
+# reruns of trials 0-2 compare both with the recorded pass
+SCALAR_DETAILS = {
+    "X": "scalar run_trial differs from recorded trial 1 at step 10: X=",
+    "diverged_at": "scalar run_trial of trial 2 diverges at step -1, its recorded lane at 250 (-1: never)",
+}
+
+
+@pytest.mark.parametrize("column", SCALAR_DETAILS)
+def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, column):
+    record = verify.run_recorded_bundle
+
+    def corrupted(cfg, **kwargs):
+        rec, diverged_at = record(cfg, **kwargs)
+        if column == "X":
+            rec["X"][1, 10] *= 2.0
+        else:
+            diverged_at[2] = 250
+        return rec, diverged_at
+
+    monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
+    code, lines = run_verify(capsys, "tracker_equality")
+    assert code == 2
+    assert lines[0][:2] == ("tracker_equality", "FAIL")
+    assert lines[0][2].startswith(SCALAR_DETAILS[column]), lines
