@@ -180,6 +180,8 @@ def envelope_squared(bundle: TraceBundle, K: float) -> tuple[np.ndarray, int]:
     trailing steps of a round that never exits within the horizon are
     excluded (unresolved tau is a suffix property).
     """
+    if bundle.normal.all():  # no zoom-out: each step resolves at itself
+        return _nsq_from_tau(bundle.M, bundle.I, K, None), bundle.normal.shape[1]
     tau = _tau_backward(bundle.normal)
     # unresolved tau is a suffix and tau rises before it, so a trace's
     # largest tau is its last resolved index (-1 when none is)

@@ -28,6 +28,7 @@ from zoomctl.harness import (
     write_summary_json,
     write_sweep_csv,
 )
+from zoomctl.loop import TraceFormatError
 from zoomctl.verify import CHECK_NAMES, InsufficientTrials, run_checks
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ EXIT_INCONCLUSIVE = 3
 # rejected input, each reported as one "error: " line with exit 1; MomentError
 # is a law lacking a moment the command needs (e.g. student_t, low dof)
 USER_ERRORS = (ConfigError, OSError, MomentError, InsufficientTrials, MomentOrderError,
-               UnstabilizableError)
+               UnstabilizableError, TraceFormatError)
 
 
 def _fail(msg: str) -> int:

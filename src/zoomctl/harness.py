@@ -32,10 +32,11 @@ Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
 the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
 drawn whole up front; its disturbances, the per-step sums and the N^2
 envelope are produced one block at a time.  An unrecorded chunk holds about
-lanes x (8 * horizon + 50 * block) bytes; recording adds the requested
-columns over the whole horizon.  The envelope adds 8 bytes per lane for
-each column some lane of its group has not resolved yet: a round that stays
-open over the whole horizon holds another 8 * horizon.  It covers
+lanes x (8 * horizon + 50 * block) bytes; a recorded chunk is one block as
+long as the horizon, whose columns are its records.  The envelope keeps
+each lane's M, I and mode, about 17 bytes, for each column from the first
+one some lane of its group has not resolved yet: a round that stays open
+over the whole horizon holds another 17 * horizon.  It covers
 ensembles with no diverged trial only; a chunk drops it at its first
 diverged lane.  Neither the block length nor the number of threads changes a
 result.  ``ZOOMCTL_THREADS`` caps the number of worker threads used across
@@ -50,7 +51,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -228,19 +229,15 @@ class _EnvelopeFold:
     """N^2 column sums of one trial group, folded in as columns resolve.
 
     Columns from ``start`` on are not summed yet: some lane's round is
-    still open there.  Their N^2 values wait in ``window``, one lane-major
-    (block start, values, emergency flags) triple per time block.  A lane's
-    values from ``open_from`` on wait for its round to exit and are written
-    then.  With ``stats``, resolved columns also feed the drift and halving
-    statistics.
+    still open there.  Their raw (M, I, mode) columns wait in ``pending``,
+    lane-major, to be resolved together with the next block.  With
+    ``stats``, resolved columns also feed the drift and halving statistics.
     """
 
     sums: np.ndarray
-    open_from: np.ndarray  # per lane
     start: int = 0
-    end: int = 0  # columns folded in so far
     first: np.ndarray | None = None  # N^2 of column 0, per lane
-    window: list[tuple[int, np.ndarray, np.ndarray | None]] = field(default_factory=list)
+    pending: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     stats: analysis.EnvelopeMoments | None = None
 
 
@@ -249,61 +246,26 @@ def _chunk_envelope(
 ) -> None:
     """Fold one time block, (lanes, steps) columns, into a group's N^2 sums.
 
-    N^2 at a column needs only the tracker at the lane's next normal step,
-    so each value is computed once: at its block when the round exits
-    there, else when it does.  The columns every lane has resolved are
-    summed, each once, lane by lane in trial order.
+    The block joins the pending columns and ``analysis.envelope_squared``
+    resolves the window.  Its resolved prefix is summed, each column once,
+    lane by lane in trial order; the rest is kept, copied out of the reused
+    block buffers, for the next block.
     """
-    b0 = fold.end
-    nb = m_blk.shape[1]
-    all_normal = normal_blk.all()
-    if all_normal:  # no zoom-out in the block: each column resolves at itself
-        exit_at = n_open = np.zeros(len(m_blk), dtype=np.int64)
-        nsq = analysis._nsq_from_tau(m_blk, i_blk, K, None)
-    else:
-        tau = analysis._tau_backward(normal_blk)
-        exit_at = tau[:, 0].copy()  # each lane's first normal step in the block
-        # unresolved tau is a suffix; it stands in for itself until resolved
-        n_open = np.count_nonzero(tau < 0, axis=1)
-        np.copyto(tau, np.arange(nb, dtype=np.int64), where=tau < 0)
-        nsq = analysis._nsq_from_tau(m_blk, i_blk, K, tau)
-    # rounds open from an earlier block that exit in this one
-    waiting = fold.open_from < b0
-    exits = np.flatnonzero(waiting & (exit_at >= 0))
-    if len(exits):
-        q = nsq[exits, exit_at[exits]]  # Q^2 at the exit step
-        t = b0 + exit_at[exits]
-        since = fold.open_from[exits]
-        for s, vals, _ in fold.window:
-            # each lane writes from where its round opened on
-            sel = since < s + vals.shape[1]
-            if not sel.any():
-                continue
-            lo = max(s, int(since[sel].min()))
-            cols = np.arange(lo, s + vals.shape[1])
-            rows = vals[exits[sel], lo - s:]
-            np.ldexp(q[sel, None], (2 * (t[sel, None] - cols)).astype(np.int32), out=rows,
-                     where=cols >= since[sel, None])
-            vals[exits[sel], lo - s:] = rows
-    fold.open_from = np.where(waiting & (exit_at < 0), fold.open_from, b0 + nb - n_open)
-    # emergency flags, kept for the halving statistics (None: all normal)
-    inside = None if fold.stats is None or all_normal else ~normal_blk
-    fold.window.append((b0, nsq, inside))
-    fold.end = b0 + nb
-
-    done = int(fold.open_from.min())
-    while fold.start < done:
-        s, vals, inside = fold.window[0]
-        lo, hi = fold.start - s, min(vals.shape[1], done - s)
-        part = vals[:, lo:hi]
-        fold.sums[fold.start:s + hi] = analysis._lane_sums(part)
+    cols = (m_blk, i_blk, normal_blk)
+    if fold.pending is not None:
+        cols = tuple(np.concatenate(pair, axis=1) for pair in zip(fold.pending, cols))
+    try:
+        nsq, done = analysis.envelope_squared(analysis.TraceBundle(*cols), K)
+    except analysis.DominatingSeqError:  # no column resolved yet
+        done = 0
+    if done:
+        fold.sums[fold.start:fold.start + done] = analysis._lane_sums(nsq)
         if fold.stats is not None:
-            fold.stats.add(part, None if inside is None else inside[:, lo:hi])
+            fold.stats.add(nsq, ~cols[2][:, :done])
         if fold.start == 0:
-            fold.first = vals[:, 0].copy()
-        fold.start = s + hi
-        if hi == vals.shape[1]:
-            fold.window.pop(0)
+            fold.first = nsq[:, 0].copy()
+        fold.start += done
+    fold.pending = tuple(c[:, done:].copy() for c in cols) if done < cols[0].shape[1] else None
 
 
 def _run_chunk(
@@ -319,9 +281,10 @@ def _run_chunk(
     The lanes split, in order, into groups of CHUNK_TRIALS trials, the unit
     every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
-    folded one block at a time, so only the gains and recorded columns span
-    the whole horizon.  The envelope also keeps each group's N^2 values of
-    the columns where some round is still open; with ``drift`` it also
+    folded one block at a time, so only the gains span the whole horizon.
+    A recorded chunk runs the horizon as one block, whose columns are its
+    records.  The envelope also keeps each group's M, I and mode from the
+    first column where some round is still open; with ``drift`` it also
     accumulates each group's drift and halving statistics.  It covers
     ensembles with no diverged trial only: the chunk drops it once a lane
     diverges.
@@ -345,23 +308,19 @@ def _run_chunk(
     mu_w, _ = moments(cfg.w_spec)
     a_draws, rngs = _predraw(cfg, indices)
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
-    block = min(BLOCK_STEPS, h)
+    # a recorded chunk is one block, so its block columns are its records
+    block = h if record_fields else min(BLOCK_STEPS, h)
 
     need_env = envelope and kind == "adaptive_fixed_rate"
-    wanted = set(record_fields or ())
-    # whole-horizon record columns, filled from the block columns at each
-    # block end; the envelope folds read the block's M, I and mode
-    rec = {f: np.full((n_t, h), fill) for f, fill in _STEP_FILL.items() if f in wanted}
-    blk_fields = wanted | ({"M", "I", "normal"} if need_env else set())
+    # the envelope folds read the block's M, I and mode
+    blk_fields = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
     blk = {f: np.full((n_t, block), fill) for f, fill in _STEP_FILL.items() if f in blk_fields}
-    folds = [_EnvelopeFold(np.zeros(h), np.zeros(lanes.stop - lanes.start, dtype=np.int64),
-                           stats=analysis.EnvelopeMoments.sized(
+    folds = [_EnvelopeFold(np.zeros(h), stats=analysis.EnvelopeMoments.sized(
                                lanes.stop - lanes.start, h, p.c, indices[lanes.start]) if drift else None)
              for lanes in groups] if need_env else []
-    w_draws = np.empty((n_t, h if "W" in wanted else block))
-    # row n holds X_n, 0 at parked lanes: the whole history when X is
-    # recorded, else the current block with its start state in row 0
-    xs = np.zeros((h + 1 if "X" in wanted else block + 1, n_t))
+    w_draws = np.empty((n_t, block))
+    # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
+    xs = np.zeros((block + 1, n_t))
     x = xs[0]
     sum_xsq = np.zeros((len(groups), h + 1))
     sum_x4 = np.zeros((len(groups), h + 1))
@@ -385,13 +344,10 @@ def _run_chunk(
 
     for b0 in range(0, h, block):
         nb = min(block, h - b0)
-        if "X" in wanted:
-            xv = xs[b0:b0 + nb + 1]
-        else:
-            xs[0] = x
-            xv = xs[:nb + 1]
+        xs[0] = x
+        xv = xs[:nb + 1]
         x = xv[0]
-        w_blk = w_draws[:, b0:b0 + nb] if "W" in wanted else w_draws[:, :nb]
+        w_blk = w_draws[:, :nb]
         for j, rng in enumerate(rngs):
             w_blk[j] = sample_array(cfg.w_spec, rng, nb)
 
@@ -470,8 +426,6 @@ def _run_chunk(
             for g, lanes in enumerate(groups):
                 sum_x4[g, b0 + 1:b0 + nb + 1] = sq[:, lanes].sum(axis=1)
         del sq
-        for f, col in rec.items():
-            col[:, b0:b0 + nb] = blk[f][:, :nb]
         if parked is not None:
             folds = []  # the envelope covers ensembles with no diverged trial
         for lanes, fold in zip(groups, folds):
@@ -480,8 +434,7 @@ def _run_chunk(
 
     records = None
     if record_fields:
-        # only the recorded columns span the whole horizon
-        cols = {**rec, "X": xs.T, "A": a_draws, "W": w_draws}
+        cols = {**blk, "X": xs.T, "A": a_draws, "W": w_draws}
         records = {f: cols[f] for f in record_fields}
         for j in np.flatnonzero(diverged_at >= 0):
             d = diverged_at[j]
@@ -559,12 +512,11 @@ def _max_workers() -> int:
         raise ValueError(f"ZOOMCTL_THREADS must be an integer, got {raw!r}") from None
 
 
-def _window_ratio(curve: np.ndarray, split: float) -> float:
+def _window_ratio(curve: np.ndarray) -> float:
+    """Mean of the curve's last quarter over that of its third quarter (NaN when undefined)."""
     h = len(curve) - 1
-    lo = int(math.floor(h * split))
-    mid = int(math.floor(h * (1.0 + split) / 2.0))
-    third = curve[lo:mid]
-    last = curve[mid:]
+    third = curve[h // 2:3 * h // 4]
+    last = curve[3 * h // 4:]
     third = third[np.isfinite(third)]
     last = last[np.isfinite(last)]
     if len(third) == 0 or len(last) == 0 or third.mean() == 0.0:
@@ -572,18 +524,16 @@ def _window_ratio(curve: np.ndarray, split: float) -> float:
     return float(last.mean() / third.mean())
 
 
-def stability_verdict(stats: SummaryStats, split: float = 0.5) -> str:
+def stability_verdict(stats: SummaryStats) -> str:
     """Operational reading of the bounded-second-moment requirement.
 
     stable: flat tail (window ratio within [0.5, 1.5]) and zero divergence.
     unstable: window ratio above 4 or more than 1% of trials diverged.
     Anything else, including an undefined ratio, is inconclusive.
     """
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must lie in (0, 1), got {split}")
     if stats.horizon < 1000:
         raise ValueError(f"verdicts need horizon >= 1000, got {stats.horizon}")
-    ratio = _window_ratio(stats.curve_mean, split)
+    ratio = _window_ratio(stats.curve_mean)
     if (math.isfinite(ratio) and ratio > 4.0) or stats.diverged_count > 0.01 * stats.trials:
         return "unstable"
     if math.isfinite(ratio) and 0.5 <= ratio <= 1.5 and stats.diverged_count == 0:
@@ -637,7 +587,7 @@ def run_experiment(
         curve_count=count,
         diverged_count=diverged,
         emergency_fraction=(emergency_steps / steps_alive) if steps_alive else 0.0,
-        window_ratio=_window_ratio(mean, 0.5),
+        window_ratio=_window_ratio(mean),
         max_mean_nsq=max_mean_nsq,
         verdict="",
     )

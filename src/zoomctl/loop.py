@@ -61,6 +61,10 @@ class TrialDiverged(RuntimeError):
     """Raised internally when the state leaves the finite simulation range."""
 
 
+class TraceFormatError(ValueError):
+    """A file read as a trace CSV does not hold one."""
+
+
 @dataclass(frozen=True)
 class TrackerState:
     """Common-knowledge quantities maintained identically on both sides."""
@@ -239,25 +243,31 @@ def write_json(payload, path) -> None:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Columns of a trace CSV, as arrays keyed by header name."""
+    """Columns of a trace CSV, as arrays keyed by header name; a malformed file raises TraceFormatError."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"unexpected trace header {header}")
-        rows = list(reader)
+        try:
+            header, *rows = list(csv.reader(fh)) or [None]  # an empty file has no header
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None
+    if header != TRACE_CSV_HEADER:
+        raise TraceFormatError(f"{path}: unexpected trace header {header}")
+    if not rows:
+        raise TraceFormatError(f"{path}: no trace rows")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise TraceFormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
     cols: dict[str, np.ndarray] = {}
-    for j, name in enumerate(TRACE_CSV_HEADER):
-        vals = [row[j] for row in rows]
-        if name in ("n", "symbol", "rho", "round_id"):
-            cols[name] = np.array([int(v) for v in vals], dtype=np.int64)
-        elif name == "mode":
-            cols[name] = np.array(
-                [0 if v == NORMAL else (1 if v == EMERGENCY else 2) for v in vals],
-                dtype=np.uint8,
-            )
-        else:
-            cols[name] = np.array([float(v) for v in vals])
+    try:
+        for name, vals in zip(header, zip(*rows)):
+            if name in ("n", "symbol", "rho", "round_id"):
+                cols[name] = np.array([int(v) for v in vals], dtype=np.int64)
+            elif name == "mode":
+                cols[name] = np.array([0 if v == NORMAL else (1 if v == EMERGENCY else 2) for v in vals],
+                                      dtype=np.uint8)
+            else:
+                cols[name] = np.array([float(v) for v in vals])
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: column {name}: {exc}") from None
     return cols
 
 

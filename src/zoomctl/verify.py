@@ -244,33 +244,23 @@ def check_oracle_match(cfg: ExperimentConfig) -> CheckResult:
     w_m = (mu_w, math.sqrt(var_w))
     problems = []
 
-    steps = min(ORACLE_STEPS, cfg.horizon)
-    zero_cfg = replace(cfg, policy=Policy.zero(), horizon=max(steps, 1))
-    stats, _ = run_experiment(zero_cfg, envelope=False)
-    oracle = analysis.moment_recursion_curve("zero_control", a_m, w_m, steps)
-    se = analysis.oracle_mean_stderr("zero_control", cfg.a_spec, cfg.w_spec, steps, cfg.trials)
-    for n in range(steps + 1):
-        if abs(stats.curve_mean[n] - oracle[n]) > 3.0 * se[n]:
-            problems.append(
-                f"zero_control n={n}: mean {stats.curve_mean[n]:.4g} vs oracle "
-                f"{oracle[n]:.4g} (3se={3.0 * se[n]:.3g})"
-            )
-
-    perfect_cfg = replace(cfg, policy=Policy.perfect())
-    stats_p, _ = run_experiment(perfect_cfg, envelope=False)
-    h = cfg.horizon
-    oracle_p = analysis.moment_recursion_curve("perfect_observation", a_m, w_m, h)
-    se_p = analysis.oracle_mean_stderr("perfect_observation", cfg.a_spec, cfg.w_spec, h, cfg.trials)
-    if abs(stats_p.curve_mean[h] - oracle_p[h]) > 3.0 * se_p[h]:
-        problems.append(
-            f"perfect_observation n={h}: mean {stats_p.curve_mean[h]:.4g} vs oracle "
-            f"{oracle_p[h]:.4g} (3se={3.0 * se_p[h]:.3g})"
-        )
+    steps, h = min(ORACLE_STEPS, cfg.horizon), cfg.horizon
+    # zero_control at every n <= steps, then perfect_observation at the horizon
+    for policy, horizon, indices in ((Policy.zero(), steps, range(steps + 1)), (Policy.perfect(), h, [h])):
+        stats, _ = run_experiment(replace(cfg, policy=policy, horizon=horizon))
+        oracle = analysis.moment_recursion_curve(policy.kind, a_m, w_m, horizon)
+        se = analysis.oracle_mean_stderr(policy.kind, cfg.a_spec, cfg.w_spec, horizon, cfg.trials)
+        for n in indices:
+            if abs(stats.curve_mean[n] - oracle[n]) > 3.0 * se[n]:
+                problems.append(
+                    f"{policy.kind} n={n}: mean {stats.curve_mean[n]:.4g} vs oracle "
+                    f"{oracle[n]:.4g} (3se={3.0 * se[n]:.3g})"
+                )
     if var_a < 1.0 and h >= 1000:
         plateau = var_w / (1.0 - var_a)
-        if abs(stats_p.curve_mean[h] - plateau) > 0.05 * plateau:
+        if abs(stats.curve_mean[h] - plateau) > 0.05 * plateau:  # perfect_observation's
             problems.append(
-                f"perfect_observation plateau: mean {stats_p.curve_mean[h]:.4g} vs "
+                f"perfect_observation plateau: mean {stats.curve_mean[h]:.4g} vs "
                 f"{plateau:.4g} (5% band)"
             )
     if problems:

@@ -13,6 +13,7 @@ from zoomctl.analysis import (
     MomentOrderError,
     TraceBundle,
     UnstabilizableError,
+    _nsq_from_tau,
     _tau_backward,
     check_emergency_halving,
     dominating_seq,
@@ -196,6 +197,16 @@ def test_envelope_matches_definition_on_emergency_bundles(seed):
         expected[t] = np.ldexp(qsq[t, tau], 2 * (tau - np.arange(h)))
     assert nsq.shape == expected.shape
     assert nsq.tobytes() == expected.tobytes()
+
+
+def test_envelope_all_normal_fast_path_matches_tau_path():
+    # tracker values over most of float64's range, every step normal
+    rng = np.random.default_rng(3)
+    M, I = (10.0 ** rng.uniform(-150, 150, size=(6, 50)) for _ in range(2))
+    normal = np.ones((6, 50), dtype=bool)
+    nsq, h = envelope_squared(TraceBundle(M=M, I=I, normal=normal), 8.0)
+    assert h == 50
+    assert nsq.tobytes() == _nsq_from_tau(M, I, 8.0, _tau_backward(normal)).tobytes()
 
 
 def test_domination_exact_on_simulated_traces():

@@ -231,6 +231,41 @@ def test_cli_verify_corrupted_trace(tmp_path, cfg_file, capsys):
     assert "first divergent index 40" in outtxt
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _x_cell(lines, value):
+    """The header and the first row of a trace CSV, with that row's X cell set to ``value``."""
+    row = lines[1].split(",")
+    row[1] = value
+    return "\n".join([lines[0], ",".join(row)])
+
+
+# (malformed trace text from a good trace's lines, end of the stderr message)
+MALFORMED_TRACES = {
+    "readme": (lambda lines: README.read_text(), "unexpected trace header ['# zoomctl']"),
+    "bad-cell": (lambda lines: _x_cell(lines, "abc"), "column X: could not convert string to float: 'abc'"),
+    "short-row": (lambda lines: "\n".join([lines[0], lines[1], "1,0.5,3"]), "row 2 has 3 cells, expected 11"),
+    "header-only": (lambda lines: lines[0] + "\n", "no trace rows"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRACES)
+def test_cli_verify_malformed_trace_file_exits_1(tmp_path, capsys, case):
+    make, message = MALFORMED_TRACES[case]
+    sim = tmp_path / "sim"
+    main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
+          "--set", "horizon=20", "--set", "trials=2"])
+    trace_path = tmp_path / "bad.csv"
+    trace_path.write_text(make((sim / "trace_0000.csv").read_text().splitlines()))
+    capsys.readouterr()
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "tracker_equality", "--trace-file", str(trace_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {trace_path}: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_verify_reports_written(tmp_path, cfg_file):
     out = tmp_path / "rep"
     main(["verify", str(cfg_file), "--checks", "drift,domination", "--out", str(out),

@@ -584,8 +584,6 @@ def test_verdict_divergence_rules():
 def test_verdict_requires_horizon():
     with pytest.raises(ValueError):
         stability_verdict(fake_stats(np.ones(500)))
-    with pytest.raises(ValueError):
-        stability_verdict(fake_stats(np.ones(2001)), split=1.0)
 
 
 # --- sweeps ------------------------------------------------------------------------------
