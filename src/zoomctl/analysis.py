@@ -440,7 +440,7 @@ class EnvelopeMoments:
 
 
 def _lane_sums(x: np.ndarray) -> np.ndarray:
-    """Column sums of lane-major rows, added row by row in trial order, whatever the width."""
+    """Column sums of C-ordered lane-major rows, added row by row in trial order, whatever the width."""
     return x.sum(axis=0) if x.shape[1] != 1 else x.cumsum(axis=0)[-1]  # numpy sums one column pairwise
 
 

@@ -146,8 +146,16 @@ def cmd_rate(args, cfg) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its usage errors on the contract's exit code 1 rather than 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zoomctl",
         description="simulate and verify the two-mode fixed-rate quantized control strategy",
     )

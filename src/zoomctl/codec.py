@@ -24,9 +24,10 @@ Cell arithmetic is anchored at zero (endpoints are computed as multiples
 of the cell width, not as offsets from -P*M_prev) so that encoding stays
 precise even when P is astronomically large relative to |x|.
 
-The array forms below (``cell_index``, ``cell_endpoints``, ``tracker_update``)
-repeat the scalar arithmetic expression by expression, with live_range =
-P*M_prev per lane and float cell indices k = symbol - L.
+``cell_tracker`` is the array form of the three: it repeats the scalar
+arithmetic expression by expression, one lane per element, with live_range
+= P*M_prev per lane and float cell indices k = symbol - L, and writes into
+the caller's buffers.
 """
 
 from __future__ import annotations
@@ -208,27 +209,55 @@ def tracker_update_normal(
     return m, i, rho
 
 
-def cell_index(x: np.ndarray, live_range: np.ndarray, L: int) -> np.ndarray:
-    """Array form of encode_normal, with no range check: cell index k = symbol - L."""
-    w = live_range / L
-    k = np.floor(x / w)
-    k -= x < k * w
-    k += x >= (k + 1.0) * w
-    return np.fmin(np.fmax(k, -L, out=k), L - 1, out=k)
+def cell_tracker(x, live_range, L: int, M0: float, k: np.ndarray, out, work) -> None:
+    """Array form of encode_normal, cell_of and tracker_update_normal, in place.
 
+    With ``x``, encodes it into ``k`` as encode_normal does, with no range
+    check: floor, the one-ulp fixups, the clip to [-L, L - 1].  With x None,
+    ``k`` holds the cell indices already.  ``work`` = (a, b, flag): a and b
+    receive the endpoints of cell k, the extreme cells taking -live_range and
+    live_range exactly, and flag is boolean scratch.  ``out`` = (M, I, rho)
+    receives the tracker: the floors at M0 and rho = +-1, as floats.  All
+    are arrays of one shape; nothing is allocated.  The fixups, the clip and
+    the extreme-cell endpoints cost extra calls only when some lane needs
+    them.
+    """
+    m, i, rho = out
+    a, b, flag = work
+    w = np.divide(live_range, L, out=i)  # the cell width, held in I until the endpoints are known
 
-def cell_endpoints(k: np.ndarray, live_range: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of cell_of: endpoints (a, b) of the cells with index k."""
-    w = live_range / L
-    a = np.where(k == -L, -live_range, k * w)
-    b = np.where(k == L - 1, live_range, (k + 1.0) * w)
-    return a, b
+    def endpoints():
+        np.multiply(k, w, out=a)
+        np.multiply(np.add(k, 1.0, out=b), w, out=b)
 
-
-def tracker_update(a: np.ndarray, b: np.ndarray, M0: float) -> np.ndarray:
-    """Array form of tracker_update_normal from cell endpoints: rows M, I, rho."""
-    return np.array([np.maximum(M0, np.maximum(np.abs(a), np.abs(b))),
-                     np.maximum(M0, (b - a) / 2.0), np.where(a >= 0.0, 1.0, -1.0)])
+    if x is not None:
+        np.floor(np.divide(x, w, out=k), out=k)
+        k += 0.0  # the index of x = -0.0 is 0, not -0.0
+        np.multiply(k, w, out=a)
+        fixed = np.count_nonzero(np.less(x, a, out=flag))
+        if fixed:
+            np.subtract(k, flag, out=k)
+        np.multiply(np.add(k, 1.0, out=b), w, out=b)
+        if np.count_nonzero(np.greater_equal(x, b, out=flag)):
+            np.add(k, flag, out=k)
+            fixed = True
+        if fixed:
+            endpoints()
+    else:
+        endpoints()
+    lo, hi = (k.min(), k.max()) if k.size else (0.0, 0.0)
+    if x is not None and not (-L <= lo and hi <= L - 1):  # also when NaN
+        np.fmin(np.fmax(k, -L, out=k), L - 1, out=k)
+        endpoints()
+        lo, hi = -L, L - 1
+    if lo <= -L:  # M not written yet holds -live_range
+        np.putmask(a, np.equal(k, -L, out=flag), np.negative(live_range, out=m))
+    if hi >= L - 1:
+        np.putmask(b, np.equal(k, L - 1, out=flag), live_range)
+    # a <= b, so max(|a|, |b|) is max(-a, b)
+    np.maximum(np.maximum(np.negative(a, out=m), b, out=m), M0, out=m)
+    np.maximum(np.divide(np.subtract(b, a, out=i), 2.0, out=i), M0, out=i)
+    np.subtract(np.multiply(np.greater_equal(a, 0.0, out=flag), 2.0, out=rho), 1.0, out=rho)
 
 
 def is_clamped(a: np.ndarray, b: np.ndarray, M0: float) -> np.ndarray:

@@ -31,9 +31,11 @@ parked outside the zoom-out multiply and the tracker update.
 Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
 the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
 drawn whole up front; its disturbances, the per-step sums and the N^2
-envelope are produced one block at a time.  An unrecorded chunk holds about
+envelope are produced one block at a time, from step-major block buffers
+that each step writes a row of in place (see ``_run_chunk``), read through
+transposed views.  An unrecorded chunk holds about
 lanes x (8 * horizon + 50 * block) bytes; a recorded chunk is one block as
-long as the horizon, whose columns are its records.  The envelope keeps
+long as the horizon, whose rows are its records.  The envelope keeps
 each lane's M, I and mode, about 17 bytes, for each column from the first
 one some lane of its group has not resolved yet: a round that stays open
 over the whole horizon holds another 17 * horizon.  It covers
@@ -58,7 +60,7 @@ import numpy as np
 
 from zoomctl import analysis
 from zoomctl.codec import (
-    StrategyParams, cell_endpoints, cell_index, is_clamped, rate, tracker_update,
+    StrategyParams, cell_tracker, is_clamped, rate,
 )
 from zoomctl.distributions import DistributionSpec, moments, sample_array
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
@@ -220,7 +222,7 @@ class _ChunkOut:
 # Per-step record columns, with the value a lane holds from its divergence
 # step on.  X (the state history) and A, W (the noise draws) are kept apart
 # and hold 0 there.
-_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
+_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1.0, "clamped": False,
               "symbol": NO_SYMBOL, "U": 0.0}
 
 
@@ -249,7 +251,8 @@ def _chunk_envelope(
     The block joins the pending columns and ``analysis.envelope_squared``
     resolves the window.  Its resolved prefix is summed, each column once,
     lane by lane in trial order; the rest is kept, copied out of the reused
-    block buffers, for the next block.
+    block buffers, for the next block.  The columns may be views of any
+    layout, such as transposed step-major rows: the sums come out the same.
     """
     cols = (m_blk, i_blk, normal_blk)
     if fold.pending is not None:
@@ -259,6 +262,9 @@ def _chunk_envelope(
     except analysis.DominatingSeqError:  # no column resolved yet
         done = 0
     if done:
+        # sum(axis=0) adds lane after lane only on C-ordered rows; on
+        # transposed ones it sums each column pairwise
+        nsq = np.ascontiguousarray(nsq)
         fold.sums[fold.start:fold.start + done] = analysis._lane_sums(nsq)
         if fold.stats is not None:
             fold.stats.add(nsq, ~cols[2][:, :done])
@@ -282,22 +288,31 @@ def _run_chunk(
     every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
     folded one block at a time, so only the gains span the whole horizon.
-    A recorded chunk runs the horizon as one block, whose columns are its
+    A recorded chunk runs the horizon as one block, whose rows are its
     records.  The envelope also keeps each group's M, I and mode from the
     first column where some round is still open; with ``drift`` it also
     accumulates each group's drift and halving statistics.  It covers
     ensembles with no diverged trial only: the chunk drops it once a lane
     diverges.
 
-    The adaptive step keeps the encoder's tracker only and computes symbols
-    and clamp flags only when recorded.  It works on whole lane arrays with
-    no mask until a lane diverges.  A diverged lane is then parked: its X is
-    held at 0, and the zoom-out multiply and tracker update skip it.  The
-    cell arithmetic sees X = 0 on lanes in zoom-out and parked lanes, always
-    within their range, and the control's product is formed on normal lanes
-    only, so neither overflows.  A parked lane adds 0 to the per-step sums,
-    counts as a normal step, and its record tail is reset after the loop.
-    Cell indices are float64, exact since |k| <= L <= 2^50.
+    Every per-step field has a step-major buffer, one column per lane, and
+    step n of a block writes its row n + 1 in place (``out=``), so a step
+    neither copies nor allocates.  A field gets a row per block step only
+    when a recording or the envelope (M, I and mode) reads it; otherwise the
+    adaptive tracker alternates between two rows and every other field
+    reuses one.
+
+    The adaptive step keeps the encoder's tracker only, updated by
+    ``codec.cell_tracker``, and computes symbols and clamp flags only when
+    recorded.  A step where every lane is normal runs with no mask.
+    Otherwise lanes in zoom-out keep their tracker through masked selects,
+    and so do diverged lanes, which are parked: X held at 0, and the
+    zoom-out multiply skips them.  The cell arithmetic sees X = 0 on lanes
+    in zoom-out and parked lanes, always within their range, and the
+    control's product is kept to live normal lanes, so neither overflows.
+    A parked lane adds 0 to the per-step sums, counts as a normal step, and
+    its record tail is reset after the loop.  Cell indices are float64,
+    exact since |k| <= L <= 2^50.
     """
     kind = cfg.policy.kind
     n_t = len(indices)
@@ -313,8 +328,12 @@ def _run_chunk(
 
     need_env = envelope and kind == "adaptive_fixed_rate"
     # the envelope folds read the block's M, I and mode
-    blk_fields = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
-    blk = {f: np.full((n_t, block), fill) for f, fill in _STEP_FILL.items() if f in blk_fields}
+    blocked = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
+    carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
+    rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
+            for f, fill in _STEP_FILL.items()}
+    m_rows, i_rows, mode_rows, rho_rows, u_rows, sym_rows, clamp_rows = (
+        rows[f] for f in ("M", "I", "normal", "rho", "U", "symbol", "clamped"))
     folds = [_EnvelopeFold(np.zeros(h), stats=analysis.EnvelopeMoments.sized(
                                lanes.stop - lanes.start, h, p.c, indices[lanes.start]) if drift else None)
              for lanes in groups] if need_env else []
@@ -322,6 +341,7 @@ def _run_chunk(
     # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
     xs = np.zeros((block + 1, n_t))
     x = xs[0]
+    ax = np.zeros(n_t)  # |X| of the current step
     sum_xsq = np.zeros((len(groups), h + 1))
     sum_x4 = np.zeros((len(groups), h + 1))
     diverged_at = np.full(n_t, -1, dtype=np.int64)
@@ -331,89 +351,118 @@ def _run_chunk(
     count = np.full(h + 1, n_t, dtype=np.int64)
     emergency_steps = 0
 
+    # per-step scratch
+    k, lim, xz = np.empty((3, n_t))
+    work = (np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=bool))
+    zoom, keep = np.empty((2, n_t), dtype=bool)
     if kind == "adaptive_fixed_rate":
-        # rows M, I, rho of the tracker, one column per lane
-        trk = np.empty((3, n_t))
-        trk[:2] = p.M0
-        trk[2] = 1.0
-    elif kind == "static_quantizer":
+        m_rows[0] = i_rows[0] = p.M0
+    else:
+        mode_rows[:] = True
+    if kind == "static_quantizer":
         srange = cfg.static_range()
         w_cell_s = 2.0 * srange / (2 * L + 1)
+        sign, below = np.empty(n_t), np.empty(n_t, dtype=bool)
     elif kind == "zero_control":
-        u = mu_w
+        u_rows[:] = mu_w
 
     for b0 in range(0, h, block):
         nb = min(block, h - b0)
-        xs[0] = x
+        if b0:  # carry the last rows of the previous block, which had ``block`` steps
+            xs[0] = x
+            for buf in (m_rows, i_rows):
+                buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
-        x = xv[0]
         w_blk = w_draws[:, :nb]
         for j, rng in enumerate(rngs):
             w_blk[j] = sample_array(cfg.w_spec, rng, nb)
 
         for i in range(nb):
             n = b0 + i
-            cols = {}
+            x = xv[i]
+            m, i_new = m_rows[(i + 1) % len(m_rows)], i_rows[(i + 1) % len(i_rows)]
+            u = u_rows[(i + 1) % len(u_rows)]
+            rho = rho_rows[(i + 1) % len(rho_rows)]
             if kind == "adaptive_fixed_rate":
                 # zoom-out update M <- P*M, which is also the live range; a
                 # parked lane keeps the tracker it diverged with
-                lim = np.multiply(trk[0], p.P, out=trk[0], where=live)
-                normal = np.abs(x) <= lim
-                # lanes in zoom-out encode X = 0; the mode select drops their cells
-                k = cell_index(np.where(normal, x, 0.0), lim, L)
-                a_cell, b_cell = cell_endpoints(k, lim, L)
-                cand = tracker_update(a_cell, b_cell, p.M0)
-                emergency_steps += n_t - int(np.count_nonzero(normal))
-                sel = normal if parked is None else normal & live
-                trk = np.where(sel, cand, trk)
-                u = trk[2] * mu_a
-                np.multiply(u, trk[0] - trk[1], out=u, where=sel)
-                u += mu_w
-                u = np.where(normal, u, mu_w)
-                if blk:
-                    cols = {"M": trk[0], "I": trk[1], "normal": normal, "rho": trk[2], "U": u}
-                    if "symbol" in blk:
-                        cols["symbol"] = np.where(normal, k + L, 2 * L)
-                    if "clamped" in blk:
-                        cols["clamped"] = is_clamped(a_cell, b_cell, p.M0) & normal
+                if parked is None:
+                    np.multiply(m_rows[i % len(m_rows)], p.P, out=lim)
+                else:
+                    np.copyto(lim, m_rows[i % len(m_rows)])
+                    np.multiply(lim, p.P, out=lim, where=live)
+                normal = mode_rows[(i + 1) % len(mode_rows)]
+                zooming = n_t - int(np.count_nonzero(np.less_equal(ax, lim, out=normal)))
+                if not zooming and parked is None:
+                    cell_tracker(x, lim, L, p.M0, k, (m, i_new, rho), work)
+                    np.subtract(m, i_new, out=u)
+                    u *= rho
+                    u *= mu_a
+                    u += mu_w
+                else:
+                    emergency_steps += zooming
+                    # lanes in zoom-out encode X = 0; their cells are dropped below
+                    np.logical_not(normal, out=zoom)
+                    np.copyto(xz, x)
+                    np.putmask(xz, zoom, 0.0)
+                    cell_tracker(xz, lim, L, p.M0, k, (m, i_new, rho), work)
+                    held = zoom if parked is None else np.logical_or(zoom, parked, out=keep)
+                    # the control's product is formed on live normal lanes only
+                    np.subtract(m, i_new, out=u)
+                    u *= rho
+                    np.putmask(u, held, 0.0)
+                    u *= mu_a
+                    u += mu_w
+                    np.putmask(u, held, mu_w)
+                    np.putmask(m, held, lim)
+                    np.putmask(i_new, held, i_rows[i % len(i_rows)])
+                    if len(rho_rows) > 1:
+                        np.putmask(rho, held, rho_rows[i % len(rho_rows)])
+                if len(sym_rows) > 1:
+                    np.add(k, L, out=sym_rows[i + 1], casting="unsafe")
+                    if zooming:
+                        np.putmask(sym_rows[i + 1], zoom, 2 * L)
+                if len(clamp_rows) > 1:
+                    np.logical_and(is_clamped(*work[:2], p.M0), normal, out=clamp_rows[i + 1])
             elif kind == "static_quantizer":
-                k = np.floor((x + srange) / w_cell_s)
+                a_cell, b_cell, above = work
+                np.floor(np.divide(np.add(x, srange, out=k), w_cell_s, out=k), out=k)
                 np.fmin(np.fmax(k, 0.0, out=k), 2 * L, out=k)
-                a_cell = -srange + k * w_cell_s
-                b_cell = a_cell + w_cell_s
-                m_new = np.maximum(p.M0, np.maximum(np.abs(a_cell), np.abs(b_cell)))
-                i_new = np.maximum(p.M0, (b_cell - a_cell) / 2.0)
-                half = m_new - i_new
-                est = np.where(a_cell >= 0.0, half, np.where(b_cell <= 0.0, -half, 0.0))
-                u = mu_a * est + mu_w
-                if blk:
-                    cols = {"M": m_new, "I": i_new, "normal": True, "symbol": k, "U": u}
-                    if "rho" in blk:
-                        cols["rho"] = np.where(a_cell >= 0.0, 1, -1)
+                np.add(np.multiply(k, w_cell_s, out=a_cell), -srange, out=a_cell)
+                np.add(a_cell, w_cell_s, out=b_cell)
+                # a <= b, so max(|a|, |b|) is max(-a, b)
+                np.maximum(np.maximum(np.negative(a_cell, out=m), b_cell, out=m), p.M0, out=m)
+                np.maximum(np.divide(np.subtract(b_cell, a_cell, out=i_new), 2.0, out=i_new), p.M0, out=i_new)
+                # the cell's midpoint estimate: M - I right of 0, I - M left of
+                # it, 0 on the cell around 0
+                np.subtract(np.greater_equal(a_cell, 0.0, out=above), np.less_equal(b_cell, 0.0, out=below),
+                            out=sign, dtype=float)
+                np.multiply(np.subtract(m, i_new, out=u), sign, out=u)
+                u *= mu_a
+                u += mu_w
+                if len(sym_rows) > 1:
+                    np.copyto(sym_rows[i + 1], k, casting="unsafe")
+                if len(rho_rows) > 1:
+                    np.subtract(np.multiply(above, 2.0, out=rho), 1.0, out=rho)
             elif kind == "perfect_observation":
-                u = mu_a * x + mu_w
-                cols = {"normal": True, "U": u}
-            else:
-                cols = {"normal": True, "U": u}
-            for f, v in cols.items():
-                if f in blk:
-                    blk[f][:, i] = v
+                np.multiply(x, mu_a, out=u)
+                u += mu_w
 
-            x_prev, x = x, xv[i + 1]
-            np.multiply(a_draws[:, n], x_prev, out=x)
-            x += w_blk[:, i]
-            x -= u
+            x_next = xv[i + 1]
+            np.multiply(a_draws[:, n], x, out=x_next)
+            x_next += w_blk[:, i]
+            x_next -= u
             if parked is not None:
-                np.copyto(x, 0.0, where=parked)
-            ok = np.abs(x) <= DIVERGENCE_LIMIT
-            if np.count_nonzero(ok) < n_t:
-                dead = ~ok
+                np.putmask(x_next, parked, 0.0)
+            if not np.abs(x_next, out=ax).max() <= DIVERGENCE_LIMIT:
+                dead = ~(ax <= DIVERGENCE_LIMIT)
                 diverged_at[dead] = n + 1
-                x_diverged[dead] = x[dead]
-                x[dead] = 0.0
+                x_diverged[dead] = x_next[dead]
+                x_next[dead] = ax[dead] = 0.0
                 count[n + 1:] -= np.count_nonzero(dead)
                 parked = dead if parked is None else parked | dead
                 live = ~parked
+        x = xv[nb]
 
         # per-step sums of the block's states, parked lanes contributing 0
         sq = xv[1:] * xv[1:]
@@ -429,13 +478,13 @@ def _run_chunk(
         if parked is not None:
             folds = []  # the envelope covers ensembles with no diverged trial
         for lanes, fold in zip(groups, folds):
-            _chunk_envelope(fold, blk["M"][lanes, :nb], blk["I"][lanes, :nb],
-                            blk["normal"][lanes, :nb], p.K)
+            _chunk_envelope(fold, m_rows[1:nb + 1, lanes].T, i_rows[1:nb + 1, lanes].T,
+                            mode_rows[1:nb + 1, lanes].T, p.K)
 
     records = None
     if record_fields:
-        cols = {**blk, "X": xs.T, "A": a_draws, "W": w_draws}
-        records = {f: cols[f] for f in record_fields}
+        cols = {**{f: buf[1:].T for f, buf in rows.items()}, "X": xs.T, "A": a_draws, "W": w_draws}
+        records = {f: cols[f] if f != "rho" else cols[f].astype(np.int64) for f in record_fields}
         for j in np.flatnonzero(diverged_at >= 0):
             d = diverged_at[j]
             for f, col in records.items():

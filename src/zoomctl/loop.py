@@ -39,9 +39,8 @@ import numpy as np
 from zoomctl.codec import (
     ProtocolError,
     StrategyParams,
-    cell_endpoints,
+    cell_tracker,
     encode_normal,
-    tracker_update,
     tracker_update_normal,
 )
 from zoomctl.distributions import DistributionSpec, moments, sample_array
@@ -438,8 +437,10 @@ def validate_trace_columns(
         prev[:, :1] = [[params.M0], [params.M0], [1.0]]
         prev[:, 1:] = [got["M"][:-1], got["I"][:-1], got["rho"][:-1]]
         prev[0] *= params.P
-        cells = cell_endpoints(sym - float(params.L), prev[0], params.L)
-        trk = np.where(zoom, prev, tracker_update(*cells, params.M0))
+        trk = np.empty((3, steps))
+        cell_tracker(None, prev[0], params.L, params.M0, sym - float(params.L), trk,
+                     (np.empty(steps), np.empty(steps), np.empty(steps, dtype=bool)))
+        trk = np.where(zoom, prev, trk)
         u = np.where(zoom, mu_W, trk[2] * mu_A * (trk[0] - trk[1]) + mu_W)
     want = {"mode": zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
     bad = {"symbol": (sym < 0) | (sym > params.emergency_symbol)}

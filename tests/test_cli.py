@@ -526,6 +526,32 @@ def test_cli_user_errors_exit_1(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
+# arguments the parser itself rejects, with the start of its error line
+PARSER_ERRORS = {
+    "no-command": ([], "zoomctl: error: the following arguments are required: command"),
+    "rate-not-int": (["rate", "abc"], "zoomctl rate: error: argument L: invalid int value: 'abc'"),
+    "sweep-no-dim": (["sweep", REFERENCE_CFG], "zoomctl sweep: error: the following arguments are required: --dim"),
+    "keep-traces-not-int": (["simulate", "--keep-traces", "x", REFERENCE_CFG],
+                            "zoomctl simulate: error: argument --keep-traces: invalid int value: 'x'"),
+    "unknown-flag": (["verify", REFERENCE_CFG, "--bogus"], "zoomctl: error: unrecognized arguments: --bogus"),
+}
+
+
+@pytest.mark.parametrize("case", PARSER_ERRORS)
+def test_cli_parser_errors_exit_1(capsys, case):
+    argv, message = PARSER_ERRORS[case]
+    # the parser ends the process through SystemExit, which prints no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: zoomctl")
+    assert [line for line in lines if "error: " in line] == [lines[-1]]
+    assert lines[-1].startswith(message)
+
+
 @pytest.mark.parametrize("sets, message", [
     (["policy=zero_control"], "check 'drift' requires policy=adaptive_fixed_rate"),
     (["trials=50"], "drift needs at least 100 trials, config has 50"),
@@ -580,8 +606,14 @@ def test_cli_verify_scalar_replays_catch_an_engine_cell_shift(monkeypatch, capsy
     # the engine's encoder picks the cell above the right one; the recorded
     # trackers still follow the recorded symbols, so only the independent
     # scalar encoder can tell
-    cell_index = hz.cell_index
-    monkeypatch.setattr(hz, "cell_index", lambda x, lim, L: np.fmin(cell_index(x, lim, L) + 1.0, L - 1))
+    cell_tracker = hz.cell_tracker
+
+    def shifted(x, live_range, L, M0, k, out, work):
+        cell_tracker(x, live_range, L, M0, k, out, work)
+        np.fmin(k + 1.0, L - 1, out=k)
+        cell_tracker(None, live_range, L, M0, k, out, work)
+
+    monkeypatch.setattr(hz, "cell_tracker", shifted)
     code = main(["verify", REFERENCE_CFG, "--checks", "tracker_equality",
                  "--set", "trials=20", "--set", "horizon=50"])
     out = capsys.readouterr().out

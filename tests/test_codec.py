@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ from zoomctl.codec import (
     StrategyParams,
     bits_to_symbol,
     cell_of,
+    cell_tracker,
     cell_width,
     encode_normal,
     is_clamped,
@@ -226,6 +228,112 @@ def test_huge_codebook_precision():
         assert cell.a <= x <= cell.b
         # endpoint rounding grows with the distance from the origin
         assert cell.width == pytest.approx(w, abs=4.0 * np.spacing(abs(x) + w))
+
+
+# --- in-place array form ------------------------------------------------------
+
+def _valid_params(L, P, M0):
+    try:
+        return StrategyParams(L=L, P=P, M0=M0, K=2.0, c=0.2)
+    except ValueError:
+        return None
+
+
+# L from 1 to 2^50, P just above 1 and huge, M0 tiny and huge: the valid
+# combinations.  With L a power of two the extreme cells' endpoints come out
+# exact anyway; with L = 3 or 2^50 - 1 only the extreme-cell rule gives them
+EXTREME_PARAMS = [p for L in (1, 2, 3, 2**50 - 1, 2**50) for P in (1.0000001, 1e300)
+                  for M0 in (1e-300, 1e100) if (p := _valid_params(L, P, M0)) is not None]
+
+
+def _branches(x, m_prev, params):
+    """Which exception branches encode_normal and cell_of take for x.
+
+    The extreme cells count where their exact endpoint differs from the
+    multiple of the cell width.
+    """
+    L, lim = params.L, params.P * m_prev
+    w = cell_width(m_prev, params)
+    k = math.floor(x / w)
+    down = x < k * w
+    k -= down
+    up = x >= (k + 1) * w
+    k += up
+    clip = not -L <= k <= L - 1
+    k = min(max(k, -L), L - 1)
+    inexact = L * w != lim
+    return {"down": down, "up": up, "clip": clip, "low": k == -L and inexact, "high": k == L - 1 and inexact}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _lane_x(params, m_prev, kind, j, ulp, frac):
+    """A lane's state; zoom-out lanes encode X = 0, as in the engine."""
+    lim = params.P * m_prev
+    if kind in ("edge", "-edge"):
+        return lim if kind == "edge" else -lim
+    if kind == "boundary":
+        x = (j % (2 * params.L + 1) - params.L) * (lim / params.L)
+        x = np.nextafter(x, math.copysign(math.inf, ulp)) if ulp else x
+        return float(min(max(x, -lim), lim))
+    if kind == "frac":
+        return frac * lim
+    return -0.0 if kind == "-zero" else 0.0  # zero, -zero and zoom-out
+
+
+def _check_lanes(params, m_prev, xs):
+    """cell_tracker on the lanes, both ways, against the scalar codec lane by lane; the branches taken."""
+    n = len(xs)
+    lim = params.P * np.asarray(m_prev, dtype=float)
+    k, out = np.empty(n), np.empty((3, n))
+    work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    cell_tracker(np.asarray(xs, dtype=float), lim, params.L, params.M0, k, out, work)
+    syms = [encode_normal(x, m, params) for x, m in zip(xs, m_prev)]
+    cells = [cell_of(s, m, params) for s, m in zip(syms, m_prev)]
+    want = np.array([tracker_update_normal(s, m, params) for s, m in zip(syms, m_prev)], dtype=float).T
+    assert np.array_equal(k, np.array(syms, dtype=float) - params.L)
+    assert np.array_equal(_bits(work[0]), _bits([c.a for c in cells]))
+    assert np.array_equal(_bits(work[1]), _bits([c.b for c in cells]))
+    assert np.array_equal(_bits(out), _bits(want))
+    # replay: the same cells from their indices
+    out2, k2 = np.empty((3, n)), np.array(syms, dtype=float) - params.L
+    cell_tracker(None, lim, params.L, params.M0, k2, out2, work)
+    assert np.array_equal(_bits(out2), _bits(want))
+    return [_branches(x, m, params) for x, m in zip(xs, m_prev)]
+
+
+LANE = st.tuples(
+    st.sampled_from(["edge", "-edge", "boundary", "zero", "-zero", "frac", "zoom"]),
+    st.floats(0.0, 40.0),  # m_prev = M0 * 2^e
+    st.integers(0, 2**51),  # cell index, reduced to [-L, L]
+    st.sampled_from([-1, 0, 1]),  # ulps off the boundary
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.sampled_from(EXTREME_PARAMS), lanes=st.lists(LANE, min_size=1, max_size=12))
+def test_cell_tracker_matches_scalar_codec(params, lanes):
+    m_prev = [params.M0 * 2.0**e for _, e, *_ in lanes]
+    xs = [_lane_x(params, m, kind, j, ulp, frac) for m, (kind, _, j, ulp, frac) in zip(m_prev, lanes)]
+    _check_lanes(params, m_prev, xs)
+
+
+def test_cell_tracker_takes_every_exception_branch():
+    rng = np.random.default_rng(5)
+    taken = dict.fromkeys(("down", "up", "clip", "low", "high"), 0)
+    for params in EXTREME_PARAMS + [StrategyParams(L=8, P=2.0, M0=0.1, K=8.0, c=0.2)]:
+        for e in rng.uniform(0.0, 17.0, size=3):
+            m = params.M0 * 2.0**e
+            lanes = [_lane_x(params, m, "boundary", int(j), ulp, 0.0)
+                     for j in rng.integers(0, 2**51, size=40) for ulp in (-1, 0, 1)]
+            lanes += [_lane_x(params, m, kind, 0, 0, 0.0) for kind in ("edge", "-edge", "zero", "-zero")]
+            for flags in _check_lanes(params, [m] * len(lanes), lanes):
+                for name, hit in flags.items():
+                    taken[name] += hit
+    assert all(taken.values()), taken
 
 
 # --- bit field ----------------------------------------------------------------

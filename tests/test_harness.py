@@ -357,6 +357,15 @@ def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
     assert part.keys() == set(fields)
     for f in fields:
         assert np.array_equal(part[f], full[f]), f
+    # a recorded chunk is one block; the unrecorded one walks 7-step blocks,
+    # with those lanes diverging after the first, and sums as one block does
+    blocked = hz._run_chunk(cfg, range(cfg.trials), None, True)
+    monkeypatch.setattr(hz, "BLOCK_STEPS", cfg.horizon)
+    whole = hz._run_chunk(cfg, range(cfg.trials), None, True)
+    assert np.array_equal(blocked.diverged_at, div)
+    for f in ("sum_xsq", "sum_x4", "count", "diverged_at"):
+        assert np.array_equal(getattr(blocked, f).view(np.int64), getattr(whole, f).view(np.int64)), f
+    assert (blocked.steps_alive, blocked.emergency_steps) == (whole.steps_alive, whole.emergency_steps)
 
 
 @pytest.mark.parametrize("block", [1, 7, 45])
@@ -389,6 +398,55 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
         assert not out.sum_nsq[g][hr:].any()
         count[:hr] += 20
     assert np.array_equal(out.count_nsq, count)
+
+
+# tracker values with generic mantissas, so that sums depend on their order:
+# no zoom-out (the fast path), rare ones (the tau path, some columns pending
+# at block ends), and frequent ones
+LAYOUT_CASES = {
+    "all_normal": StrategyParams(L=2**40, P=1e5, M0=1e-3, K=2.0, c=0.2),
+    "rare_zoom_out": StrategyParams(L=2**40, P=1e3, M0=1e-3, K=2.0, c=0.2),
+    "zoom_out": EMERGENCY_PARAMS,
+}
+
+
+@pytest.mark.parametrize("drift", [False, True], ids=["sums", "drift"])
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_envelope_fold_does_not_depend_on_layout(case, drift):
+    import zoomctl.harness as hz
+    from zoomctl.analysis import EnvelopeMoments, TraceBundle, envelope_squared
+
+    # one group of 20 trials (CHUNK_TRIALS = 20), wide enough that numpy's
+    # pairwise column sums differ from lane-by-lane ones
+    cfg = make_cfg(params=LAYOUT_CASES[case], trials=20, horizon=45, master_seed=3)
+    rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    assert not (div >= 0).any()
+    cols = [np.ascontiguousarray(rec[f]) for f in ("M", "I", "normal")]
+    nsq, _ = envelope_squared(TraceBundle(*cols), cfg.params.K)
+    assert (np.asfortranarray(nsq).sum(axis=0) != functools.reduce(np.add, nsq)).any()
+
+    def transposed(a):  # an F-ordered view, as of step-major block rows
+        return np.ascontiguousarray(a.T).T
+
+    folds = []
+    for layout in (np.ascontiguousarray, transposed):
+        fold = hz._EnvelopeFold(np.zeros(cfg.horizon), stats=EnvelopeMoments.sized(
+            20, cfg.horizon, cfg.params.c) if drift else None)
+        for b0 in range(0, cfg.horizon, 7):
+            blk = [layout(c[:, b0:b0 + 7]) for c in cols]
+            assert all(b.flags.f_contiguous != (layout is np.ascontiguousarray) for b in blk)
+            hz._chunk_envelope(fold, *blk, cfg.params.K)
+        folds.append(fold)
+    c_fold, f_fold = folds
+    assert c_fold.start == f_fold.start > 0
+    assert np.array_equal(c_fold.sums.view(np.int64), f_fold.sums.view(np.int64))
+    assert np.array_equal(c_fold.first.view(np.int64), f_fold.first.view(np.int64))
+    if drift:
+        a, b = c_fold.stats, f_fold.stats
+        assert (a.count, a.resolved, a.mismatches) == (b.count, b.resolved, b.mismatches)
+        assert np.array_equal(a.sums.view(np.int64), b.sums.view(np.int64))
+        assert np.array_equal(a.pairs, b.pairs)
+        assert all(np.array_equal(x, y) for x, y in zip(a.last, b.last))
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
