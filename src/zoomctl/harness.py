@@ -222,7 +222,7 @@ class _ChunkOut:
 # Per-step record columns, with the value a lane holds from its divergence
 # step on.  X (the state history) and A, W (the noise draws) are kept apart
 # and hold 0 there.
-_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1.0, "clamped": False,
+_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
               "symbol": NO_SYMBOL, "U": 0.0}
 
 
@@ -323,11 +323,15 @@ def _run_chunk(
     mu_w, _ = moments(cfg.w_spec)
     a_draws, rngs = _predraw(cfg, indices)
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
-    # a recorded chunk is one block, so its block columns are its records
+    # a recorded chunk is one block, so its block rows are its records
     block = h if record_fields else min(BLOCK_STEPS, h)
 
     need_env = envelope and kind == "adaptive_fixed_rate"
-    # the envelope folds read the block's M, I and mode
+    w_draws = np.empty((n_t, block))
+    # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
+    xs = np.zeros((block + 1, n_t))
+    # a row per block step for the fields a recording or the envelope folds
+    # (M, I and mode) read; the adaptive tracker alternates two rows otherwise
     blocked = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
     carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
     rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
@@ -337,9 +341,6 @@ def _run_chunk(
     folds = [_EnvelopeFold(np.zeros(h), stats=analysis.EnvelopeMoments.sized(
                                lanes.stop - lanes.start, h, p.c, indices[lanes.start]) if drift else None)
              for lanes in groups] if need_env else []
-    w_draws = np.empty((n_t, block))
-    # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
-    xs = np.zeros((block + 1, n_t))
     x = xs[0]
     ax = np.zeros(n_t)  # |X| of the current step
     sum_xsq = np.zeros((len(groups), h + 1))
@@ -351,8 +352,8 @@ def _run_chunk(
     count = np.full(h + 1, n_t, dtype=np.int64)
     emergency_steps = 0
 
-    # per-step scratch
-    k, lim, xz = np.empty((3, n_t))
+    # per-step scratch; rho is recorded apart, as an integer
+    k, lim, xz, rho = np.empty((4, n_t))
     work = (np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=bool))
     zoom, keep = np.empty((2, n_t), dtype=bool)
     if kind == "adaptive_fixed_rate":
@@ -382,7 +383,6 @@ def _run_chunk(
             x = xv[i]
             m, i_new = m_rows[(i + 1) % len(m_rows)], i_rows[(i + 1) % len(i_rows)]
             u = u_rows[(i + 1) % len(u_rows)]
-            rho = rho_rows[(i + 1) % len(rho_rows)]
             if kind == "adaptive_fixed_rate":
                 # zoom-out update M <- P*M, which is also the live range; a
                 # parked lane keeps the tracker it diverged with
@@ -418,6 +418,8 @@ def _run_chunk(
                     np.putmask(i_new, held, i_rows[i % len(i_rows)])
                     if len(rho_rows) > 1:
                         np.putmask(rho, held, rho_rows[i % len(rho_rows)])
+                if len(rho_rows) > 1:
+                    np.copyto(rho_rows[i + 1], rho, casting="unsafe")
                 if len(sym_rows) > 1:
                     np.add(k, L, out=sym_rows[i + 1], casting="unsafe")
                     if zooming:
@@ -443,7 +445,7 @@ def _run_chunk(
                 if len(sym_rows) > 1:
                     np.copyto(sym_rows[i + 1], k, casting="unsafe")
                 if len(rho_rows) > 1:
-                    np.subtract(np.multiply(above, 2.0, out=rho), 1.0, out=rho)
+                    np.subtract(np.multiply(above, 2, out=rho_rows[i + 1]), 1, out=rho_rows[i + 1])
             elif kind == "perfect_observation":
                 np.multiply(x, mu_a, out=u)
                 u += mu_w
@@ -484,7 +486,7 @@ def _run_chunk(
     records = None
     if record_fields:
         cols = {**{f: buf[1:].T for f, buf in rows.items()}, "X": xs.T, "A": a_draws, "W": w_draws}
-        records = {f: cols[f] if f != "rho" else cols[f].astype(np.int64) for f in record_fields}
+        records = {f: cols[f] for f in record_fields}
         for j in np.flatnonzero(diverged_at >= 0):
             d = diverged_at[j]
             for f, col in records.items():
