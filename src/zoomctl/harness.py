@@ -407,7 +407,7 @@ def _run_chunk(
                     np.putmask(xz, zoom, 0.0)
                     cell_tracker(xz, lim, L, p.M0, k, (m, i_new, rho), work)
                     held = zoom if parked is None else np.logical_or(zoom, parked, out=keep)
-                    # the control's product is formed on live normal lanes only
+                    # the product with mu_A is formed on live normal lanes only
                     np.subtract(m, i_new, out=u)
                     u *= rho
                     np.putmask(u, held, 0.0)
