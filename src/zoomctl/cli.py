@@ -21,7 +21,6 @@ from zoomctl.config import ConfigError, load_config
 from zoomctl.distributions import MomentError, moment_summary
 from zoomctl.harness import (
     SWEEP_DIMENSIONS,
-    _max_workers,
     run_experiment,
     sweep,
     write_curve_csv,
@@ -49,6 +48,8 @@ def _fail(msg: str) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
+    if args.keep_traces < 0:
+        return _fail(f"--keep-traces must be >= 0, got {args.keep_traces}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats, traces = run_experiment(cfg, keep_traces=args.keep_traces)
@@ -202,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "verify", "sweep"):
-        try:
-            _max_workers()
-        except ValueError as exc:
-            return _fail(str(exc))
     try:
         cfg = load_config(args.config, args.set) if "config" in args else None
         return args.func(args, cfg)

@@ -268,24 +268,3 @@ def is_clamped(a: np.ndarray, b: np.ndarray, M0: float) -> np.ndarray:
     """
     return (np.maximum(np.abs(a), np.abs(b)) < M0) | ((b - a) / 2.0 < M0)
 
-
-def symbol_to_bits(symbol: int, params: StrategyParams) -> tuple[int, ...]:
-    """Little-endian R-bit field for a symbol (bit 0 first)."""
-    if not 0 <= symbol <= params.emergency_symbol:
-        raise ProtocolError(f"symbol {symbol} outside codebook")
-    r = rate(params)
-    return tuple((symbol >> i) & 1 for i in range(r))
-
-
-def bits_to_symbol(bits: tuple[int, ...], params: StrategyParams) -> int:
-    """Inverse of symbol_to_bits; rejects unused codewords."""
-    r = rate(params)
-    if len(bits) != r:
-        raise ProtocolError(f"expected {r} bits, got {len(bits)}")
-    symbol = sum((1 << i) for i, bit in enumerate(bits) if bit)
-    if symbol > params.emergency_symbol:
-        raise ProtocolError(
-            f"bit pattern decodes to unused codeword {symbol} "
-            f"(codebook has {params.num_symbols} entries)"
-        )
-    return symbol

@@ -2,10 +2,10 @@
 
 Trials are vectorized in lockstep across a chunk axis; every trial draws
 its noise from its own counter-derived stream (PCG64 seeded by mixing the
-master seed with the trial index), so results are independent of chunking
-and threading.  The vectorized step mirrors the scalar reference loop
-expression by expression and is held to bit-identical agreement with it by
-the test suite.
+master seed with the trial index), so results are independent of chunking.
+The vectorized step mirrors the scalar reference loop expression by
+expression and is held to bit-identical agreement with it by the test
+suite.
 
 Policies:
 
@@ -40,9 +40,8 @@ each lane's M, I and mode, about 17 bytes, for each column from the first
 one some lane of its group has not resolved yet: a round that stays open
 over the whole horizon holds another 17 * horizon.  It covers
 ensembles with no diverged trial only; a chunk drops it at its first
-diverged lane.  Neither the block length nor the number of threads changes a
-result.  ``ZOOMCTL_THREADS`` caps the number of worker threads used across
-chunks.
+diverged lane.  Chunks run one after another on the calling thread, and
+neither the block length nor the chunking changes a result.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ import csv
 import functools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -531,13 +528,8 @@ def _chunked(indices: Sequence[int]) -> list[list[int]]:
 
 
 def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False) -> list[_ChunkOut]:
-    """Every trial of ``cfg``, unrecorded, in engine chunks over the worker threads."""
-    chunks = _chunked(range(cfg.trials))
-    workers = _max_workers()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda idx: _run_chunk(cfg, idx, None, envelope, drift=drift), chunks))
-    return [_run_chunk(cfg, idx, None, envelope, drift=drift) for idx in chunks]
+    """Every trial of ``cfg``, unrecorded, in engine chunks run one after another."""
+    return [_run_chunk(cfg, idx, None, envelope, drift=drift) for idx in _chunked(range(cfg.trials))]
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
@@ -553,14 +545,8 @@ def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | 
 
 
 def _max_workers() -> int:
-    """Engine worker threads from ZOOMCTL_THREADS (unset: 1)."""
-    raw = os.environ.get("ZOOMCTL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"ZOOMCTL_THREADS must be an integer, got {raw!r}") from None
+    """Engine workers: always 1, the calling thread (the benchmark harness reports it)."""
+    return 1
 
 
 def _window_ratio(curve: np.ndarray) -> float:

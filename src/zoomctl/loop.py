@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,33 +269,12 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     return cols
 
 
-_feasibility_warned: set = set()
-
-
-def _warn_if_uncertified(a_spec, w_spec, params) -> None:
-    # cheap margin screen only; the full certification (including the
-    # zoom-out tail bound) lives in the analysis layer
-    key = (a_spec, w_spec, params)
-    if key in _feasibility_warned:
-        return
-    _feasibility_warned.add(key)
-    mu_a, var_a = moments(a_spec)
-    coeff = params.drift_coefficient(abs(mu_a), math.sqrt(var_a))
-    if var_a >= 1.0 or coeff > 1.0 - params.c or mu_a**2 > (1.0 - params.c) * params.K:
-        warnings.warn(
-            "strategy parameters are not certified by the drift margins; "
-            "running anyway (expected for baseline failure demos)",
-            stacklevel=3,
-        )
-
-
 def run_trial(
     a_spec: DistributionSpec,
     w_spec: DistributionSpec,
     params: StrategyParams,
     horizon: int,
     seed,
-    check_feasibility: bool = True,
 ) -> Trace:
     """Simulate one closed-loop trial of the two-mode strategy.
 
@@ -306,12 +284,11 @@ def run_trial(
     bit-identical traces.
 
     Encoder-side and controller-side trackers are maintained separately;
-    any disagreement is a bug and raises immediately.
+    any disagreement is a bug and raises immediately.  The parameters are
+    run as given, certified or not; ``analysis.feasibility`` certifies them.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if check_feasibility:
-        _warn_if_uncertified(a_spec, w_spec, params)
     mu_a, _ = moments(a_spec)
     mu_w, _ = moments(w_spec)
 
@@ -458,9 +435,3 @@ def validate_trace_columns(
         False, i, name, f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
     )
 
-
-def validate_trace(trace: Trace) -> TraceValidation:
-    mu_a, _ = moments(trace.a_spec)
-    mu_w, _ = moments(trace.w_spec)
-    cols = {f: getattr(trace, f) for f in ("symbol", "mode", "M", "I", "rho", "U")}
-    return validate_trace_columns(cols, trace.params, mu_a, mu_w)

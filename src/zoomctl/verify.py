@@ -125,10 +125,7 @@ def check_tracker_equality(
     try:
         # the scalar reference loop reruns a few trials; each must equal its recorded lane
         for t in range(min(SCALAR_REPLAYS, trials)):
-            tr = run_trial(
-                cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
-                trial_seed(cfg.master_seed, t), check_feasibility=False,
-            )
+            tr = run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, t))
             mismatch = _scalar_mismatch(tr, rec, int(diverged_at[t]), t)
             if mismatch:
                 return CheckResult("tracker_equality", False, mismatch)
@@ -228,8 +225,9 @@ def check_drift(cfg: ExperimentConfig) -> CheckResult:
     report = stats.drift_report(d_const)
     halving = stats.halving_report()
     passed = report.ok and halving.ok
+    capped = f" (horizon capped at {horizon})" if cfg.horizon > DRIFT_HORIZON_CAP else ""
     detail = (
-        f"{report.num_traces} traces, {report.n_checked} indices (horizon capped at {horizon}); "
+        f"{report.num_traces} traces, {report.n_checked} indices{capped}; "
         f"flagged={report.flagged[:5]}, cap_violations={report.cap_violations[:5]}, "
         f"halving pairs={halving.emergency_pairs} violations={len(halving.violations)}"
         + (" (not exercised)" if halving.emergency_pairs == 0 else "")

@@ -35,7 +35,7 @@ from zoomctl.harness import (
     run_recorded_bundle,
     trial_seed,
 )
-from zoomctl.loop import run_trial, validate_trace
+from zoomctl.loop import run_trial, validate_trace_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -282,12 +282,10 @@ def test_criterion_07_common_knowledge(reference_cfg, emergency_cfg):
     # the scalar loop maintains both trackers and compares exactly per step;
     # replaying the symbol stream must reproduce the recorded tracker columns
     for cfg, horizon in ((reference_cfg, 1000), (emergency_cfg, 1000)):
+        mu_a, mu_w = moments(cfg.a_spec)[0], moments(cfg.w_spec)[0]
         for t in range(50):
-            tr = run_trial(
-                cfg.a_spec, cfg.w_spec, cfg.params, horizon,
-                trial_seed(cfg.master_seed, t), check_feasibility=False,
-            )
-            assert validate_trace(tr).ok
+            tr = run_trial(cfg.a_spec, cfg.w_spec, cfg.params, horizon, trial_seed(cfg.master_seed, t))
+            assert validate_trace_columns(vars(tr), cfg.params, mu_a, mu_w).ok
     report(7, "100 seeded trials (2 configs x 50): trackers bit-identical at every step")
 
 

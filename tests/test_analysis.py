@@ -40,7 +40,7 @@ UNIT_PARAMS = StrategyParams(L=2, P=2.0, M0=1.0, K=8.0, c=0.2)
 
 
 def emergency_trial(horizon=2000, seed=42):
-    return run_trial(A_REF, W_REF, EMERGENCY_PARAMS, horizon, seed, check_feasibility=False)
+    return run_trial(A_REF, W_REF, EMERGENCY_PARAMS, horizon, seed)
 
 
 def frozen_at(tr, n0):

@@ -11,7 +11,6 @@ from zoomctl.codec import (
     EncodeRangeError,
     ProtocolError,
     StrategyParams,
-    bits_to_symbol,
     cell_of,
     cell_tracker,
     cell_width,
@@ -19,7 +18,6 @@ from zoomctl.codec import (
     is_clamped,
     rate,
     rate_bits,
-    symbol_to_bits,
     tracker_update_normal,
 )
 
@@ -335,22 +333,3 @@ def test_cell_tracker_takes_every_exception_branch():
                     taken[name] += hit
     assert all(taken.values()), taken
 
-
-# --- bit field ----------------------------------------------------------------
-
-@settings(max_examples=100, deadline=None)
-@given(params=params_strategy(), sym=st.integers(0, 10**6))
-def test_bits_round_trip(params, sym):
-    sym = sym % params.num_symbols
-    bits = symbol_to_bits(sym, params)
-    assert len(bits) == rate(params)
-    assert bits_to_symbol(bits, params) == sym
-
-
-def test_unused_codeword_rejected():
-    params = StrategyParams(L=2, P=2.0, M0=1.0, K=1.0, c=0.2)  # 5 symbols, R=3
-    bits = tuple(int(b) for b in [1, 1, 1])  # 7 > emergency symbol 4
-    with pytest.raises(ProtocolError, match="unused codeword"):
-        bits_to_symbol(bits, params)
-    with pytest.raises(ProtocolError):
-        symbol_to_bits(5, params)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoomctl.codec import StrategyParams
-from zoomctl.distributions import DistributionSpec
+from zoomctl.distributions import DistributionSpec, moments
 from zoomctl.harness import (
     FULL_RECORD_FIELDS,
     ExperimentConfig,
@@ -25,7 +25,7 @@ from zoomctl.harness import (
     write_summary_json,
     write_sweep_csv,
 )
-from zoomctl.loop import NO_SYMBOL, run_trial, validate_trace
+from zoomctl.loop import NO_SYMBOL, run_trial, validate_trace_columns
 
 A_REF = DistributionSpec.gaussian(1.0, 0.5)
 W_REF = DistributionSpec.gaussian(0.0, 1.0)
@@ -89,10 +89,7 @@ def test_single_trial_curve_is_pointwise_square():
 def test_engine_matches_scalar_reference_loop(params):
     cfg = make_cfg(params=params, trials=4, horizon=600)
     for idx in range(cfg.trials):
-        ref = run_trial(
-            A_REF, W_REF, params, cfg.horizon, trial_seed(cfg.master_seed, idx),
-            check_feasibility=False,
-        )
+        ref = run_trial(A_REF, W_REF, params, cfg.horizon, trial_seed(cfg.master_seed, idx))
         eng = extract_trace(cfg, idx)
         for field in ("X", "symbol", "mode", "M", "I", "rho", "U", "A", "W", "round_id"):
             ref_col = getattr(ref, field)
@@ -101,7 +98,7 @@ def test_engine_matches_scalar_reference_loop(params):
                 np.allclose(ref_col, eng_col, rtol=0, atol=0, equal_nan=True)
             )
             assert same, f"column {field} differs for trial {idx}"
-        assert validate_trace(eng).ok
+        assert validate_trace_columns(vars(eng), params, moments(A_REF)[0], moments(W_REF)[0]).ok
 
 
 @settings(max_examples=25, deadline=None)
@@ -124,25 +121,22 @@ def test_engine_equivalence_random_params(L, P, M0, seed, kind):
         a_spec=a_spec, w_spec=W_REF, params=params, policy=Policy.adaptive(),
         horizon=150, trials=1, master_seed=seed, alpha=4.5,
     )
-    ref = run_trial(a_spec, W_REF, params, 150, trial_seed(seed, 0), check_feasibility=False)
+    ref = run_trial(a_spec, W_REF, params, 150, trial_seed(seed, 0))
     eng = extract_trace(cfg, 0)
     assert ref.diverged == eng.diverged and ref.steps == eng.steps
     for field in ("X", "symbol", "mode", "M", "I", "rho", "U", "round_id"):
         assert np.array_equal(getattr(ref, field), getattr(eng, field)), field
 
 
-def test_rerun_and_threading_bit_identical(monkeypatch):
+def test_rerun_bit_identical():
     cfg = make_cfg(trials=30, horizon=200)
     base, _ = run_experiment(cfg)
     again, _ = run_experiment(cfg)
-    monkeypatch.setenv("ZOOMCTL_THREADS", "3")
-    threaded, _ = run_experiment(cfg)
-    for other in (again, threaded):
-        assert np.array_equal(base.curve_mean, other.curve_mean)
-        assert np.array_equal(base.curve_stderr, other.curve_stderr, equal_nan=True)
-        assert base.diverged_count == other.diverged_count
-        assert base.emergency_fraction == other.emergency_fraction
-        assert base.window_ratio == other.window_ratio
+    assert np.array_equal(base.curve_mean, again.curve_mean)
+    assert np.array_equal(base.curve_stderr, again.curve_stderr, equal_nan=True)
+    assert base.diverged_count == again.diverged_count
+    assert base.emergency_fraction == again.emergency_fraction
+    assert base.window_ratio == again.window_ratio
 
 
 def test_chunk_size_only_reorders_float_sums(monkeypatch):
@@ -201,10 +195,9 @@ def test_engine_matches_scalar_reference_loop_at_extremes(name, a_spec):
     cfg = make_cfg(params=EXTREME_PARAMS[name], a_spec=a_spec, trials=6, horizon=400)
     _, traces = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
     for idx, eng in enumerate(traces):
-        ref = run_trial(a_spec, W_REF, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, idx),
-                        check_feasibility=False)
+        ref = run_trial(a_spec, W_REF, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, idx))
         assert_same_trace(eng, ref)
-        assert validate_trace(eng).ok
+        assert validate_trace_columns(vars(eng), cfg.params, moments(a_spec)[0], moments(W_REF)[0]).ok
 
 
 @pytest.mark.parametrize("chunk_trials, kept", [(512, 12), (7, 17)])
@@ -226,8 +219,7 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     cfg = jumpy_cfg()
     stats, traces = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
     refs = [
-        run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
-                  trial_seed(cfg.master_seed, t), check_feasibility=False)
+        run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, t))
         for t in range(cfg.trials)
     ]
     for ref, eng in zip(refs, traces):
@@ -260,7 +252,7 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     assert stats.diverged_count == sum(ref.diverged for ref in refs)
 
 
-# --- time blocks, lane groups and threads ------------------------------------------
+# --- time blocks and lane groups ---------------------------------------------------
 
 # P = 1.3 zooms out slowly: under a gaussian(1, 1) gain some rounds run to the
 # horizon, across many blocks, leaving an unresolved envelope suffix; under
@@ -325,9 +317,8 @@ def test_results_independent_of_time_blocks_and_threads(monkeypatch, case):
         # each group's envelope resolves column 0 only
         stuck = ~rec["normal"][:, 1:].any(axis=1)
         assert all(stuck[g:g + 9].any() for g in range(0, cfg.trials, 9))
-    for block, threads in [(1, "1"), (7, "1"), (7, "3"), (cfg.horizon, "3")]:
+    for block in (1, 7, cfg.horizon):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
-        monkeypatch.setenv("ZOOMCTL_THREADS", threads)
         assert_same_outputs(engine_outputs(cfg, cfg.trials), want)
 
 
@@ -338,9 +329,8 @@ def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
     cfg = make_cfg(trials=1030, horizon=30, a_spec=BURSTY_A)
     want = engine_outputs(cfg, 3)
     assert want[0].diverged_count > 0
-    for block, threads in [(1, "1"), (7, "3")]:
+    for block in (1, 7):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
-        monkeypatch.setenv("ZOOMCTL_THREADS", threads)
         assert_same_outputs(engine_outputs(cfg, 3), want)
 
 
@@ -484,7 +474,6 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case):
     import zoomctl.harness as hz
     from zoomctl.analysis import TraceBundle, envelope_squared
     from zoomctl.config import load_config
-    from zoomctl.distributions import moments
 
     name, overrides = STREAM_CASES[case]
     cfg = load_config(CONFIGS / name, ["trials=100", "horizon=60", "seed=5", *overrides])
@@ -492,14 +481,13 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case):
     # groups of 16, chunks of 32 lanes: group statistics merge across chunks
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 16)
     streamed = []
-    for block, threads in [(1, "1"), (7, "3"), (cfg.horizon, "1")]:
+    for block in (1, 7, cfg.horizon):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
-        monkeypatch.setenv("ZOOMCTL_THREADS", threads)
         stats, diverged = hz.envelope_moments(cfg)
         assert diverged == 0
         streamed.append((stats.drift_report(D), stats.halving_report()))
     got, halving = streamed[0]
-    # neither the time blocks nor the threads change a bit
+    # the time blocks change no bit
     for rep, halv in streamed[1:]:
         assert halv == halving
         assert (rep.n_checked, rep.flagged, rep.cap_violations) == (got.n_checked, got.flagged, got.cap_violations)
