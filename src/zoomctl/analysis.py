@@ -1,17 +1,24 @@
 """Verification machinery for the two-mode strategy.
 
-The stability argument rests on a dominating sequence built per trace:
+The stability argument rests on a dominating sequence:
 
-* freeze_arrays(X, M, I, n0, params): hold the state of one recorded
-  trial fixed at X_{n0} from n0 on (gains 1, disturbances 0, controls 0)
-  while the tracker keeps growing by P per step whenever it still sits
-  below |X_{n0}|.
-* tau(n): first step m >= n whose guard |X~_m| <= P*M~_{m-1} holds, i.e.
+* freeze at n0: hold the state of one recorded trial fixed at X_{n0} from
+  n0 on (gains 1, disturbances 0, controls 0) while the tracker keeps
+  growing by P per step whenever it still sits below |X_{n0}|.
+* tau(n): first step m >= n whose guard |X_m| <= P*M_{m-1} holds, i.e.
   the step where the round containing n exits back to normal mode.
-* Q_n = sqrt(M~_n^2 + K*I~_n^2): composite envelope of the tracker.
+* Q_n = sqrt(M_n^2 + K*I_n^2): composite envelope of the tracker.
 * N_n = Q_{tau(n)} * 2^(tau(n)-n): the dominating sequence.  It front-loads
   the cost of a zoom-out: during an emergency N halves per step by
   construction, and |X_{n0}| <= N_{n0} always (checked here, exactly).
+
+The domination check needs N at the freeze point only, from the recorded
+step there.  A normal step passes its guard, so tau(n0) = n0 and
+N_{n0} = Q_{n0}.  A zoom-out step's tracker M_{n0} = P*M_{n0-1} is below
+|X_{n0}|; the frozen round exits after the J >= 1 multiplies by P that
+first reach |X_{n0}|, with I held, so N_{n0} = 2^J sqrt(g^2 + K*I_{n0}^2)
+for the grown tracker g.  ``freeze_arrays`` gives (g, J) and
+``dominating_seq`` gives N, each over an array of freeze points.
 
 The drift diagnostic checks the contraction E[N_{n+1}^2] <= (1-c) E[N_n^2] + D
 with D = 2*sigma_W^2 + (1+K)*M0^2 on trial ensembles, plus the implied cap
@@ -35,15 +42,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from zoomctl.codec import StrategyParams, rate
 from zoomctl.distributions import MomentSummary
 from zoomctl.loop import json_safe, write_json
-
-STALE_GUARD_STEPS = 2  # padding kept after a frozen tracker stabilizes
 
 
 class UnstabilizableError(ValueError):
@@ -63,65 +67,30 @@ class DominatingSeqError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# frozen traces and the dominating sequence
+# the dominating sequence at freeze points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrozenTrace:
-    """State/tracker sequences with the state held fixed from step n0 on.
-
-    Arrays extend past the source trace far enough for the grown tracker to
-    stabilize; beyond their length everything is constant.
-    """
-
-    n0: int
-    Xt: np.ndarray
-    Mt: np.ndarray
-    It: np.ndarray
-    params: StrategyParams
-
-
-@dataclass(frozen=True)
-class DominatingSeq:
-    tau: np.ndarray
-    Q: np.ndarray
-    N: np.ndarray
-    K: float
-
-
 def freeze_arrays(
-    X: np.ndarray, M: np.ndarray, I: np.ndarray, n0: int, params: StrategyParams
-) -> FrozenTrace:
-    """Frozen sequences from raw per-step columns.
+    x_abs: np.ndarray, M: np.ndarray, normal: np.ndarray, P: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, J): the tracker where each freeze point's round exits, and J = tau - n0.
 
-    ``X`` holds states (one more entry than executed steps); ``M`` and ``I``
-    hold post-update tracker values per executed step.  ``n0`` must index an
-    executed step.
+    The arrays hold |X_{n0}|, M_{n0} and the mode flag at each point.  A
+    normal point exits at itself: g = M_{n0}, J = 0.  At a zoom-out point g
+    grows by P, the same float product as the engine's zoom-out update,
+    while it is below |X_{n0}|; J counts the multiplies.
     """
-    steps = len(M)
-    if not 0 <= n0 < steps:
-        raise ValueError(f"n0={n0} outside executed steps [0, {steps})")
-    x_frozen = abs(float(X[n0]))
-
-    grown = [float(M[n0])]
-    # tracker growth after the freeze: multiply by P while it still sits
-    # below the frozen state (threshold without the factor P, by definition)
-    while x_frozen > grown[-1]:
-        grown.append(params.P * grown[-1])
-    ext_len = max(steps, n0 + len(grown) + STALE_GUARD_STEPS)
-
-    Xt = np.empty(ext_len)
-    Xt[:n0] = X[:n0]
-    Xt[n0:] = X[n0]
-    Mt = np.empty(ext_len)
-    Mt[: n0 + 1] = M[: n0 + 1]
-    Mt[n0 : n0 + len(grown)] = grown
-    Mt[n0 + len(grown) :] = grown[-1]
-    It = np.empty(ext_len)
-    It[: n0 + 1] = I[: n0 + 1]
-    It[n0 + 1 :] = I[n0]
-    return FrozenTrace(n0=n0, Xt=Xt, Mt=Mt, It=It, params=params)
+    g = np.array(M, dtype=float)
+    J = np.zeros(g.shape, dtype=np.int64)
+    grow = ~normal & (g < x_abs)
+    # a tracker grown past float range is inf, which ends its round like any g >= |X|
+    with np.errstate(over="ignore"):
+        while grow.any():
+            np.multiply(g, P, out=g, where=grow)
+            J += grow
+            grow &= g < x_abs
+    return g, J
 
 
 def _tau_backward(guard: np.ndarray) -> np.ndarray:
@@ -139,19 +108,13 @@ def _tau_backward(guard: np.ndarray) -> np.ndarray:
     return tau
 
 
-def dominating_seq(frozen: FrozenTrace, K: float) -> DominatingSeq:
-    """tau, Q and N over the frozen horizon."""
-    m_before = np.concatenate(([frozen.params.M0], frozen.Mt[:-1]))
-    guard = np.abs(frozen.Xt) <= frozen.params.P * m_before
-    tau = _tau_backward(guard)
-    if tau[-1] < 0:  # unresolved tau is a suffix
-        raise DominatingSeqError(
-            f"round never exits within the frozen horizon; unresolved through index {len(tau) - 1}"
-        )
-    Q = np.sqrt(frozen.Mt**2 + K * frozen.It**2)
-    idx = np.arange(len(tau), dtype=np.int64)
-    N = np.ldexp(Q[tau], tau - idx)
-    return DominatingSeq(tau=tau, Q=Q, N=N, K=float(K))
+def dominating_seq(g: np.ndarray, I: np.ndarray, J: np.ndarray, K: float) -> np.ndarray:
+    """N_{n0} = 2^J sqrt(g^2 + K*I_{n0}^2) at each freeze point, from freeze_arrays' (g, J)."""
+    # a tracker beyond ~1e154 squares to inf, and 2^J can carry N past float
+    # range; such an N is inf, bounds every state, and is counted apart by
+    # DominationReport.unbounded
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(g**2 + K * I**2), J)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +183,45 @@ def _nsq_from_tau(M: np.ndarray, I: np.ndarray, K: float, tau: np.ndarray | None
 
 @dataclass
 class DominationReport:
-    checked: int
-    violations: list[tuple[int, float, float]]  # (n0, |X_n0|, N_n0)
-    max_ratio: float
-    points: list[tuple[int, int, float, float]] = field(default_factory=list)
-    # (trace index, n0, |X_n0|, N_n0) for every checked point
+    """|X_{n0}| <= N_{n0} at freeze points: one entry per point, in trial order."""
+
+    trace: np.ndarray
+    n0: np.ndarray
+    x_abs: np.ndarray
+    N: np.ndarray
+
+    @property
+    def checked(self) -> int:
+        return len(self.n0)
+
+    @property
+    def violations(self) -> np.ndarray:
+        """Indices of the points where |X_{n0}| > N_{n0}."""
+        return np.flatnonzero(self.x_abs > self.N)
+
+    @property
+    def unbounded(self) -> int:
+        """Points whose N overflowed to inf."""
+        return int(np.count_nonzero(np.isinf(self.N)))
+
+    @property
+    def max_ratio(self) -> float:
+        ratio = np.divide(self.x_abs, self.N, out=np.zeros_like(self.N), where=self.N > 0)
+        return float(ratio.max(initial=0.0))
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not len(self.violations)
+
+    def rows(self, points=slice(None)) -> list[tuple[int, int, float, float]]:
+        """(trace, n0, |X_n0|, N_n0) of the points, as Python numbers."""
+        return list(zip(*(a[points].tolist() for a in (self.trace, self.n0, self.x_abs, self.N))))
 
     def to_dict(self) -> dict:
         return {
             "checked": self.checked,
             "violations": [
-                {"n0": n0, "abs_x": x, "N": n} for n0, x, n in self.violations
+                {"trace": t, "n0": n0, "abs_x": x, "N": n} for t, n0, x, n in self.rows(self.violations)
             ],
             "max_ratio": self.max_ratio,
             "ok": self.ok,
@@ -247,25 +234,17 @@ class DominationReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trace", "n0", "abs_x", "N", "ok"])
-            for t, n0, x_abs, n_val in self.points:
+            for t, n0, x_abs, n_val in self.rows():
                 writer.writerow([t, n0, repr(x_abs), repr(n_val), int(x_abs <= n_val)])
 
 
-def domination_report(frozen: Iterable[tuple[int, FrozenTrace]], K: float) -> DominationReport:
-    """|X_{n0}| <= N_{n0}, exactly, for each (trace index, trace frozen at n0)."""
-    violations, points, max_ratio = [], [], 0.0
-    for t, ft in frozen:
-        n0 = ft.n0
-        x_abs = abs(float(ft.Xt[n0]))
-        n_val = float(dominating_seq(ft, K).N[n0])
-        points.append((t, n0, x_abs, n_val))
-        if n_val > 0:
-            max_ratio = max(max_ratio, x_abs / n_val)
-        if x_abs > n_val:
-            violations.append((n0, x_abs, n_val))
-    return DominationReport(
-        checked=len(points), violations=violations, max_ratio=max_ratio, points=points
-    )
+def domination_report(
+    rec: dict[str, np.ndarray], trace: np.ndarray, n0: np.ndarray, params: StrategyParams
+) -> DominationReport:
+    """|X_{n0}| <= N_{n0}, exactly, at the points (trace[i], n0[i]) of recorded X, M, I and mode flags."""
+    x_abs = np.abs(rec["X"][trace, n0])
+    g, J = freeze_arrays(x_abs, rec["M"][trace, n0], rec["normal"][trace, n0], params.P)
+    return DominationReport(trace, n0, x_abs, dominating_seq(g, rec["I"][trace, n0], J, params.K))
 
 
 @dataclass

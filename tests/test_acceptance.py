@@ -117,22 +117,11 @@ def _d_const(cfg) -> float:
 
 def _check_domination(rec, params, seed) -> tuple[int, int, float]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5EED])))
-    checked, violations, max_ratio = 0, 0, 0.0
     per_trace = DOMINATION_N0 // DOMINATION_TRIALS
-    for t in range(DOMINATION_TRIALS):
-        for n0 in rng.integers(0, rec["M"].shape[1], size=per_trace):
-            frozen = analysis.freeze_arrays(
-                rec["X"][t], rec["M"][t], rec["I"][t], int(n0), params
-            )
-            ds = analysis.dominating_seq(frozen, params.K)
-            checked += 1
-            x_abs = abs(float(rec["X"][t, n0]))
-            n_val = float(ds.N[n0])
-            if x_abs > n_val:
-                violations += 1
-            elif n_val > 0:
-                max_ratio = max(max_ratio, x_abs / n_val)
-    return checked, violations, max_ratio
+    n0 = rng.integers(0, rec["M"].shape[1], size=(DOMINATION_TRIALS, per_trace))
+    trace = np.repeat(np.arange(DOMINATION_TRIALS), per_trace)
+    rep = analysis.domination_report(rec, trace, n0.ravel(), params)
+    return rep.checked, len(rep.violations), rep.max_ratio
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import functools
 import math
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zoomctl.analysis import (
@@ -29,7 +31,7 @@ from zoomctl.analysis import (
 )
 from zoomctl.codec import StrategyParams
 from zoomctl.config import load_config
-from zoomctl.distributions import DistributionSpec, moment_summary
+from zoomctl.distributions import DistributionSpec, moment_summary, moments
 from zoomctl.harness import ExperimentConfig, Policy, run_recorded_bundle
 from zoomctl.loop import run_trial
 
@@ -43,85 +45,89 @@ def emergency_trial(horizon=2000, seed=42):
     return run_trial(A_REF, W_REF, EMERGENCY_PARAMS, horizon, seed)
 
 
-def frozen_at(tr, n0):
-    """A scalar trace frozen at step n0, from its executed steps' columns."""
-    return freeze_arrays(tr.X, tr.M[: tr.steps], tr.I[: tr.steps], n0, tr.params)
+def recorded(tr):
+    """A scalar trace's executed steps as a one-trial recorded bundle."""
+    steps = tr.steps
+    return {"X": tr.X[None, : steps + 1], "M": tr.M[None, :steps], "I": tr.I[None, :steps],
+            "normal": (tr.mode[:steps] == 0)[None]}
+
+
+def point_n(x_abs, M, I, normal, params):
+    """(N, J) at freeze points through freeze_arrays and dominating_seq."""
+    x_abs, M, I, normal = (np.atleast_1d(np.asarray(v)) for v in (x_abs, M, I, normal))
+    g, J = freeze_arrays(x_abs, M, normal, params.P)
+    return dominating_seq(g, I, J, params.K), J
+
+
+def frozen_n_by_definition(x_abs, m_prev, m, i, P, K):
+    """(N_n0, tau - n0) from a frozen trace built step by step.
+
+    From n0 on the state stays x_abs, I stays i, and the tracker, starting
+    at M_{n0} = m, grows by P while below x_abs; tau is the first step whose
+    guard |X| <= P * (tracker one step earlier) holds, M_{n0-1} = m_prev
+    being the tracker before n0.
+    """
+    mt = [m_prev, m]  # the tracker at n0 - 1, n0, n0 + 1, ...
+    while not x_abs <= P * mt[-2]:  # the guard of step n0 + len(mt) - 2
+        mt.append(P * mt[-1] if x_abs > mt[-1] else mt[-1])
+    j = len(mt) - 2
+    q = np.float64(mt[-1])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(q * q + K * (np.float64(i) * i)), j), j
 
 
 # --- freeze -----------------------------------------------------------------
 
 def test_freeze_grows_tracker_until_it_covers_the_state():
-    X = np.array([0.0, 10.0, 10.0])
-    M = np.array([1.0, 1.0])
-    I = np.array([1.0, 1.0])
-    fr = freeze_arrays(X, M, I, 1, UNIT_PARAMS)
-    assert fr.Mt[1:6].tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
-    assert np.all(fr.Mt[5:] == 16.0)
-    assert np.all(fr.Xt[1:] == 10.0)
-    assert np.all(fr.It[2:] == 1.0)
+    g, J = freeze_arrays(np.array([10.0, 16.0, 16.5]), np.array([2.0, 2.0, 2.0]),
+                         np.zeros(3, dtype=bool), 2.0)
+    assert g.tolist() == [16.0, 16.0, 32.0]
+    assert J.tolist() == [3, 3, 4]
 
 
 def test_freeze_constant_when_state_already_covered():
-    X = np.array([0.0, 0.5, 3.0])
-    M = np.array([1.0, 1.0])
-    I = np.array([1.0, 0.5])
-    fr = freeze_arrays(X, M, I, 1, UNIT_PARAMS)
-    assert np.all(fr.Mt[1:] == 1.0)
-    assert np.all(fr.It[2:] == 0.5)
+    # a normal step passed its guard |X| <= P*M_{n0-1}: its round exits at
+    # n0, whatever M_{n0} is
+    g, J = freeze_arrays(np.array([0.5, 3.0]), np.array([1.0, 1.0]), np.ones(2, dtype=bool), 2.0)
+    assert g.tolist() == [1.0, 1.0]
+    assert J.tolist() == [0, 0]
 
 
 def test_freeze_at_origin_is_trivial():
     tr = emergency_trial(200, 3)
-    fr = frozen_at(tr, 0)
-    assert np.all(fr.Xt == 0.0)
-    assert np.all(fr.Mt == fr.Mt[0])
-
-
-def test_freeze_rejects_bad_n0():
-    tr = emergency_trial(50, 4)
-    with pytest.raises(ValueError):
-        frozen_at(tr, 50)
-    with pytest.raises(ValueError):
-        frozen_at(tr, -1)
+    N, J = point_n(abs(tr.X[0]), tr.M[0], tr.I[0], tr.mode[0] == 0, EMERGENCY_PARAMS)
+    assert tr.X[0] == 0.0 and J.tolist() == [0]
+    assert N[0] == math.sqrt(tr.M[0] ** 2 + EMERGENCY_PARAMS.K * tr.I[0] ** 2)
 
 
 # --- dominating sequence ------------------------------------------------------
 
 def test_all_normal_segment_has_tau_identity():
-    X = np.zeros(6)
-    M = np.full(5, 1.0)
-    I = np.full(5, 1.0)
-    fr = freeze_arrays(X, M, I, 4, UNIT_PARAMS)
-    ds = dominating_seq(fr, UNIT_PARAMS.K)
-    assert np.array_equal(ds.tau, np.arange(len(ds.tau)))
-    assert np.array_equal(ds.N, ds.Q)
+    M = np.array([1.0, 2.0, 0.5, 3.0])
+    I = np.array([1.0, 0.25, 0.5, 1.5])
+    N, J = point_n(M, M, I, np.ones(4, dtype=bool), UNIT_PARAMS)
+    assert J.tolist() == [0, 0, 0, 0]
+    assert N.tobytes() == np.sqrt(M**2 + UNIT_PARAMS.K * I**2).tobytes()
+    assert _tau_backward(np.ones(4, dtype=bool)).tolist() == [0, 1, 2, 3]
 
 
 def test_q_value_example():
-    fr = freeze_arrays(np.array([0.0, 0.0]), np.array([1.0]), np.array([1.0]), 0, UNIT_PARAMS)
-    ds = dominating_seq(fr, 8.0)
-    assert ds.Q[0] == 3.0
-    assert ds.N[0] == 3.0
+    assert dominating_seq(np.array([1.0]), np.array([1.0]), np.array([0]), 8.0).tolist() == [3.0]
 
 
 def test_emergency_span_tau_and_n():
-    # steps n..n+2 in emergency (guard fails), exit at n+3
+    # M_{n0-1} = 1, so the zoom-out step has M_{n0} = 2 < 30; frozen, the
+    # tracker grows 2 -> 4 -> 8 -> 16 -> 32 and the guard 30 <= 2*16 holds
+    # four steps on: N_{n0} = 2^4 Q with Q = sqrt(32^2 + K*1^2)
     params = UNIT_PARAMS
-    X = np.array([0.0, 1.0, 30.0, 30.0, 30.0, 5.0, 5.0])
-    M = np.array([1.0, 1.0, 2.0, 4.0, 8.0, 8.0])
-    I = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    # guard: |X_m| <= P * M_{m-1}: m=2: 30 > 2*1 F; m=3: 30 > 2*2 F; m=4: 30 > 2*4 F
-    # m=5: 5 <= 2*8 T  -> tau(2..4) = 5
-    fr = freeze_arrays(X, M, I, 5, params)
-    ds = dominating_seq(fr, params.K)
-    assert ds.tau[2] == ds.tau[3] == ds.tau[4] == 5
-    assert ds.N[2] == ds.Q[5] * 8.0
-    assert ds.N[3] == ds.Q[5] * 4.0
-    assert ds.N[4] == ds.Q[5] * 2.0
-    # idempotence: tau(tau(n)) == tau(n) >= n
-    for n in range(len(ds.tau)):
-        assert ds.tau[n] >= n
-        assert ds.tau[ds.tau[n]] == ds.tau[n]
+    N, J = point_n(30.0, 2.0, 1.0, False, params)
+    assert J.tolist() == [4]
+    assert N[0] == math.sqrt(32.0**2 + params.K) * 16.0
+    assert (N[0], 4) == frozen_n_by_definition(30.0, 1.0, 2.0, 1.0, params.P, params.K)
+    # the recorded round of the same shape: three zoom-out steps, then normal
+    tau = _tau_backward(np.array([True, True, False, False, False, True]))
+    assert tau.tolist() == [0, 1, 5, 5, 5, 5]
+    assert np.all(tau[tau] == tau)
 
 
 @settings(max_examples=15, deadline=None)
@@ -129,14 +135,48 @@ def test_emergency_span_tau_and_n():
 def test_tau_idempotent_on_simulated_traces(seed):
     tr = emergency_trial(400, seed)
     assert not tr.diverged
-    steps = tr.steps
-    bundle = TraceBundle(M=tr.M[None, :steps], I=tr.I[None, :steps], normal=tr.mode[None, :steps] == 0)
-    nsq, h = envelope_squared(bundle, EMERGENCY_PARAMS.K)
-    fr = frozen_at(tr, h - 1)
-    ds = dominating_seq(fr, EMERGENCY_PARAMS.K)
-    tau = ds.tau
-    assert np.all(tau >= np.arange(len(tau)))
-    assert np.all(tau[tau] == tau)
+    tau = _tau_backward(tr.mode[: tr.steps] == 0)
+    resolved = tau >= 0
+    assert resolved.all() == (tr.mode[tr.steps - 1] == 0)
+    assert np.all(tau[resolved] >= np.flatnonzero(resolved))
+    assert np.all(tau[tau[resolved]] == tau[resolved])
+
+
+ZOOM_FACTORS = (1.001, 1.3, 2.0, 1e13, 1e300)
+
+
+@st.composite
+def freeze_points(draw):
+    """(|X_n0|, M_{n0-1}, M_n0, I_n0, normal, P) as the engine records them."""
+    P = draw(st.sampled_from(ZOOM_FACTORS))
+    # the live range P*M_{n0-1} is finite
+    m_prev = 10.0 ** draw(st.floats(-300.0, 308.0 - math.log10(P)))
+    lim = P * m_prev
+    i = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if draw(st.booleans()):  # normal: the guard holds, M_n0 comes from the cell
+        return lim * draw(st.floats(0.0, 1.0)), m_prev, 10.0 ** draw(st.floats(-300.0, 300.0)), i, True, P
+    # zoom-out: M_n0 = P*M_{n0-1} < |X_n0| < inf; at P = 1.001 the round
+    # lasts at most some ten thousand steps
+    span = min(4.0 if P < 1.01 else 300.0, math.log10(sys.float_info.max / lim))
+    x = lim * 10.0 ** (span * draw(st.floats(1e-6, 1.0)))
+    assume(lim < x < math.inf)
+    return x, m_prev, lim, i, False, P
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(freeze_points(), min_size=1, max_size=6))
+def test_point_form_matches_frozen_trace(points):
+    for P in ZOOM_FACTORS:
+        pts = [pt for pt in points if pt[5] == P]
+        if not pts:
+            continue
+        x, m_prev, m, i, normal, _ = map(np.array, zip(*pts))
+        params = replace(UNIT_PARAMS, P=P)
+        N, J = point_n(x, m, i, normal, params)
+        expected = [frozen_n_by_definition(*pt[:4], P, params.K) for pt in pts]
+        assert J.tolist() == [j for _, j in expected]
+        assert N.tobytes() == np.array([n for n, _ in expected]).tobytes()
+        assert np.all(J[normal] == 0) and np.all(J[~normal] >= 1)
 
 
 def _tau_by_definition(row):
@@ -211,12 +251,18 @@ def test_envelope_all_normal_fast_path_matches_tau_path():
 
 def test_domination_exact_on_simulated_traces():
     tr = emergency_trial(2000, 77)
-    rng = np.random.default_rng(1)
-    points = ((0, frozen_at(tr, int(n0))) for n0 in rng.integers(0, tr.steps, 300))
-    rep = domination_report(points, EMERGENCY_PARAMS.K)
+    n0 = np.random.default_rng(1).integers(0, tr.steps, 300)
+    rep = domination_report(recorded(tr), np.zeros(300, dtype=np.int64), n0, EMERGENCY_PARAMS)
     assert rep.ok
     assert rep.checked == 300
     assert rep.max_ratio <= 1.0
+    assert rep.unbounded == 0
+    zoom = tr.mode[n0] == 1
+    assert 0 < zoom.sum() < 300
+    # each point's N from a frozen trace built step by step
+    expected = [frozen_n_by_definition(abs(tr.X[n]), tr.M[n - 1] if n else EMERGENCY_PARAMS.M0, tr.M[n],
+                                       tr.I[n], EMERGENCY_PARAMS.P, EMERGENCY_PARAMS.K)[0] for n in n0]
+    assert rep.N.tobytes() == np.array(expected).tobytes()
 
 
 def test_halving_exact_during_emergencies():
@@ -456,6 +502,18 @@ def test_oracle_zero_control_two_steps():
 def test_oracle_perfect_observation_fixed_point():
     val = moment_recursion_curve("perfect_observation", (1.0, 0.5), (0.0, 1.0), 200)[-1]
     assert val == pytest.approx(4.0 / 3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["reference", "reference_student_t", "static_baseline", "emergency_rich"])
+def test_oracle_equals_the_plateau_from_step_1000(name):
+    # so oracle_match's z-test at n = horizon >= 1000 compares the mean
+    # with the plateau Var(W) / (1 - Var(A)) itself
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg")
+    (mu_a, var_a), (mu_w, var_w) = moments(cfg.a_spec), moments(cfg.w_spec)
+    curve = moment_recursion_curve(
+        "perfect_observation", (mu_a, math.sqrt(var_a)), (mu_w, math.sqrt(var_w)), cfg.horizon)
+    assert cfg.horizon >= 1000
+    assert np.all(curve[1000:] == var_w / (1.0 - var_a))
 
 
 def test_oracle_initial_state():

@@ -628,3 +628,31 @@ def test_cli_verify_scalar_replays_catch_an_engine_cell_shift(monkeypatch, capsy
     out = capsys.readouterr().out
     assert code == 2
     assert out.startswith("tracker_equality  FAIL  scalar run_trial differs from recorded trial 0 at step 0: ")
+
+
+@pytest.mark.parametrize("config", ["reference.cfg", "reference_student_t.cfg"])
+def test_cli_oracle_match_passes_at_seed_11(capsys, config):
+    # the perfect_observation mean at the horizon is 5.8% (reference) and
+    # 8.1% (student_t) off its plateau here, inside the z-test's 3 standard errors
+    code = main(["verify", str(EMERGENCY_CFG.parent / config), "--checks", "oracle_match",
+                 "--set", "seed=11"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("oracle_match  PASS  ")
+
+
+def test_cli_verify_domination_counts_n_overflowed_to_inf(tmp_path, capsys):
+    # at L = 1 and P = 1e10 trackers reach 1e154 and beyond, where N^2 and
+    # then N overflow; such points pass as |X| <= inf and are counted apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", str(EMERGENCY_CFG), "--checks", "domination", "--out", str(tmp_path),
+                     "--set", "P=1e10", "--set", "L=1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    rows = (tmp_path / "domination_report.csv").read_text().splitlines()[1:]
+    n_inf = sum(row.split(",")[3] == "inf" for row in rows)
+    assert n_inf > 0
+    assert captured.out.startswith("domination  PASS  |X_n0| <= N_n0 at all 1000 sampled freeze points")
+    assert captured.out.endswith(f"; N overflowed to inf at {n_inf})\n")

@@ -1,5 +1,7 @@
 """The exact checks' shared recorded pass, through the CLI."""
 
+import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -123,3 +125,26 @@ def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, colum
     assert code == 2
     assert lines[0][:2] == ("tracker_equality", "FAIL")
     assert lines[0][2].startswith(SCALAR_DETAILS[column]), lines
+
+
+def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
+    record = verify.run_recorded_bundle
+
+    def inflated(cfg, **kwargs):
+        # the symbol replay reads no X, so only domination sees the change
+        rec, diverged_at = record(cfg, **kwargs)
+        rec["X"][37] = 1e6
+        return rec, diverged_at
+
+    monkeypatch.setattr(verify, "run_recorded_bundle", inflated)
+    code = main(["verify", EMERGENCY_CFG, "--checks", "domination", "--out", str(tmp_path)] + SMALL)
+    out = capsys.readouterr().out
+    with open(tmp_path / "domination_report.csv", newline="") as fh:
+        bad = [row for row in csv.DictReader(fh) if row["ok"] == "0"]
+    assert code == 2
+    assert 0 < len(bad) < verify.DOMINATION_N0_PER_TRACE  # the zoom-out points still pass
+    assert {row["trace"] for row in bad} == {"37"}
+    report = json.loads((tmp_path / "domination_report.json").read_text())
+    assert [(v["trace"], v["n0"]) for v in report["violations"]] == [(37, int(row["n0"])) for row in bad]
+    assert out.startswith(f"domination  FAIL  {len(bad)} violations / 1000; "
+                          f"first at trial 37, |X_{bad[0]['n0']}|=1000000.0 > N=")
