@@ -10,7 +10,9 @@ moments (alpha < dof), which exercises that hypothesis.
 
 Closed forms are used for two_point and uniform.  gaussian and student_t
 absolute moments fall back to adaptive quadrature at a fixed relative
-tolerance of 1e-6 (not configurable).
+tolerance of 1e-6 (not configurable).  scipy, which does that quadrature,
+is imported on the first quadrature moment only, so importing the package
+and simulating load no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 QUAD_REL_TOL = 1e-6
 
@@ -116,7 +117,8 @@ def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
     return float(sample_array(spec, rng, None))
 
 
-def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None):
+def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None,
+                 out: np.ndarray | None = None):
     """``n`` i.i.d. draws (``n=None`` gives a scalar).
 
     Consecutive calls on one generator continue a single stream: draws of
@@ -124,17 +126,31 @@ def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None
     all its gains (one call), then all its disturbances (drawn one engine
     time block at a time), so the bit stream consumed per trial is a
     documented function of (spec, seed, horizon).
+
+    With ``out`` (a contiguous float array of length ``n``) the draws are
+    written there and ``out`` is returned; the values are the same.
     """
     p = spec.params
     if spec.kind == "gaussian":
-        return p[0] + p[1] * rng.standard_normal(n)
+        if out is None:
+            return p[0] + p[1] * rng.standard_normal(n)
+        # the same products and sums as above, with no temporaries
+        rng.standard_normal(n, out=out)
+        out *= p[1]
+        out += p[0]
+        return out
     if spec.kind == "uniform":
-        return rng.uniform(p[0], p[1], n)
-    if spec.kind == "two_point":
-        return np.where(rng.random(n) < p[1], p[0], p[2])
-    if spec.kind == "student_t":
-        return p[2] + p[1] * rng.standard_t(p[0], n)
-    raise AssertionError(spec.kind)
+        draws = rng.uniform(p[0], p[1], n)
+    elif spec.kind == "two_point":
+        draws = np.where(rng.random(n) < p[1], p[0], p[2])
+    elif spec.kind == "student_t":
+        draws = p[2] + p[1] * rng.standard_t(p[0], n)
+    else:
+        raise AssertionError(spec.kind)
+    if out is None:
+        return draws
+    out[...] = draws
+    return out
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float]:
@@ -180,6 +196,9 @@ def _uniform_abs_moment(lo: float, hi: float, alpha: float, shift: float) -> flo
 
 
 def _quad_abs_moment(spec: DistributionSpec, alpha: float, shift: float) -> float:
+    # imported here, its only use: scipy takes most of a cold start otherwise
+    from scipy import integrate, stats
+
     if spec.kind == "gaussian":
         mean, sd = spec.params
         pdf = stats.norm(mean, sd).pdf

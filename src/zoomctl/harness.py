@@ -126,6 +126,15 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        # the adaptive control is mu_A times a point of the live range, first
+        # [-P*M0, P*M0]; past float range every lane's first control is inf
+        if self.policy.kind == "adaptive_fixed_rate":
+            mu_a = moments(self.a_spec)[0]
+            if not math.isfinite(abs(mu_a) * (self.params.P * self.params.M0)):
+                raise ValueError(
+                    f"|mu_A|*P*M0 overflows: mu_A={mu_a:.4g}, P={self.params.P:.4g}, "
+                    f"M0={self.params.M0:.4g}; the first control would be inf"
+                )
 
     def static_range(self) -> float:
         if self.policy.range is not None:
@@ -373,7 +382,7 @@ def _run_chunk(
         xv = xs[:nb + 1]
         w_blk = w_draws[:, :nb]
         for j, rng in enumerate(rngs):
-            w_blk[j] = sample_array(cfg.w_spec, rng, nb)
+            sample_array(cfg.w_spec, rng, nb, out=w_blk[j])
 
         for i in range(nb):
             n = b0 + i
@@ -739,7 +748,8 @@ def sweep(cfg: ExperimentConfig, dimension: str, values: Sequence[float]) -> lis
         for v in values:
             if not float(v).is_integer():
                 raise ValueError(f"sweep over {dimension} needs integer values, got {v!r}")
-    rows = []
+    # every value is checked before the first ensemble runs
+    subs = []
     for v in values:
         if dimension == "L":
             params = replace(cfg.params, L=int(v))
@@ -750,14 +760,16 @@ def sweep(cfg: ExperimentConfig, dimension: str, values: Sequence[float]) -> lis
             params = replace(cfg.params, L=(2**bits - 1) // 2)
         else:
             params = replace(cfg.params, **{dimension: float(v)})
-        sub = replace(cfg, params=params)
+        subs.append(replace(cfg, params=params))
+    rows = []
+    for v, sub in zip(values, subs):
         stats, _ = run_experiment(sub, envelope=False)
         n_term, mean_term = stats.terminal_mean()
         rows.append(
             SweepRow(
                 dimension=dimension,
                 value=float(v),
-                R=rate(params),
+                R=rate(sub.params),
                 verdict=stats.verdict,
                 diverged_count=stats.diverged_count,
                 window_ratio=stats.window_ratio,

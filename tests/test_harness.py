@@ -74,6 +74,16 @@ def test_config_validation():
         make_cfg(trials=0)
     with pytest.raises(ValueError):
         make_cfg(master_seed=-1)
+    # the first control, mu_A times a point of [-P*M0, P*M0], would be inf
+    huge_p = StrategyParams(L=4, P=1e300, M0=1e-5, K=2.0, c=0.2)
+    with pytest.raises(ValueError, match=r"\|mu_A\|\*P\*M0 overflows"):
+        make_cfg(params=huge_p, a_spec=DistributionSpec.two_point(1e30, 0.01, 1.0))
+    assert make_cfg(params=huge_p).params is huge_p
+    # the static quantizer's control never sees P: its range is policy.range
+    make_cfg(params=huge_p, a_spec=DistributionSpec.gaussian(1e30, 0.5), policy=Policy.static(1.5))
+    # the bound is mu_A times P*M0: here |mu_A|*P alone would overflow, the control does not
+    make_cfg(params=StrategyParams(L=4, P=1e300, M0=1e-20, K=2.0, c=0.2),
+             a_spec=DistributionSpec.gaussian(1e10, 0.5))
 
 
 # --- engine correctness ----------------------------------------------------------
@@ -662,6 +672,17 @@ def test_sweep_rejects_bad_input():
         sweep(cfg, "Q", [1.0])
     with pytest.raises(ValueError):
         sweep(cfg, "P", [])
+
+
+def test_sweep_checks_every_value_before_any_ensemble(monkeypatch):
+    import zoomctl.harness as hz
+
+    monkeypatch.setattr(hz, "run_experiment", lambda *args, **kwargs: pytest.fail("an ensemble ran"))
+    cfg = make_cfg(trials=2, horizon=50, a_spec=DistributionSpec.gaussian(1e25, 0.5))
+    with pytest.raises(ValueError, match="the first control would be inf"):
+        sweep(cfg, "P", [2.0, 1e300])
+    with pytest.raises(ValueError, match="R >= 2"):
+        sweep(cfg, "R", [8, 1])
 
 
 def test_sweep_large_p_drives_verdict_unstable():
