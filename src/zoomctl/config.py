@@ -141,7 +141,7 @@ def build_experiment(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
 
     Raises ConfigError for structural problems, including a gain law that
     fails the stabilizability requirement sigma_A^2 < 1 and an adaptive
-    strategy whose first control overflows (|mu_A|*P*M0 not finite).
+    strategy whose bound on the first control, |mu_A|*P*M0, is not finite.
     """
     a_spec = _build_spec("A", entries)
     w_spec = _build_spec("W", entries)

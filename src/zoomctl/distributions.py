@@ -117,8 +117,7 @@ def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
     return float(sample_array(spec, rng, None))
 
 
-def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None,
-                 out: np.ndarray | None = None):
+def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None):
     """``n`` i.i.d. draws (``n=None`` gives a scalar).
 
     Consecutive calls on one generator continue a single stream: draws of
@@ -126,31 +125,17 @@ def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None
     all its gains (one call), then all its disturbances (drawn one engine
     time block at a time), so the bit stream consumed per trial is a
     documented function of (spec, seed, horizon).
-
-    With ``out`` (a contiguous float array of length ``n``) the draws are
-    written there and ``out`` is returned; the values are the same.
     """
     p = spec.params
     if spec.kind == "gaussian":
-        if out is None:
-            return p[0] + p[1] * rng.standard_normal(n)
-        # the same products and sums as above, with no temporaries
-        rng.standard_normal(n, out=out)
-        out *= p[1]
-        out += p[0]
-        return out
+        return p[0] + p[1] * rng.standard_normal(n)
     if spec.kind == "uniform":
-        draws = rng.uniform(p[0], p[1], n)
-    elif spec.kind == "two_point":
-        draws = np.where(rng.random(n) < p[1], p[0], p[2])
-    elif spec.kind == "student_t":
-        draws = p[2] + p[1] * rng.standard_t(p[0], n)
-    else:
-        raise AssertionError(spec.kind)
-    if out is None:
-        return draws
-    out[...] = draws
-    return out
+        return rng.uniform(p[0], p[1], n)
+    if spec.kind == "two_point":
+        return np.where(rng.random(n) < p[1], p[0], p[2])
+    if spec.kind == "student_t":
+        return p[2] + p[1] * rng.standard_t(p[0], n)
+    raise AssertionError(spec.kind)
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float]:

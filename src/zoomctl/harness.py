@@ -127,13 +127,15 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         # the adaptive control is mu_A times a point of the live range, first
-        # [-P*M0, P*M0]; past float range every lane's first control is inf
+        # [-P*M0, P*M0], so |mu_A|*P*M0 bounds the first control.  The check
+        # is on that bound, which is slightly conservative: a config just past
+        # float range is rejected although its first control may be finite
         if self.policy.kind == "adaptive_fixed_rate":
             mu_a = moments(self.a_spec)[0]
             if not math.isfinite(abs(mu_a) * (self.params.P * self.params.M0)):
                 raise ValueError(
-                    f"|mu_A|*P*M0 overflows: mu_A={mu_a:.4g}, P={self.params.P:.4g}, "
-                    f"M0={self.params.M0:.4g}; the first control would be inf"
+                    f"|mu_A|*P*M0, the bound on the first control, is not finite: "
+                    f"mu_A={mu_a:.4g}, P={self.params.P:.4g}, M0={self.params.M0:.4g}"
                 )
 
     def static_range(self) -> float:
@@ -382,7 +384,7 @@ def _run_chunk(
         xv = xs[:nb + 1]
         w_blk = w_draws[:, :nb]
         for j, rng in enumerate(rngs):
-            sample_array(cfg.w_spec, rng, nb, out=w_blk[j])
+            w_blk[j] = sample_array(cfg.w_spec, rng, nb)
 
         for i in range(nb):
             n = b0 + i
@@ -748,8 +750,7 @@ def sweep(cfg: ExperimentConfig, dimension: str, values: Sequence[float]) -> lis
         for v in values:
             if not float(v).is_integer():
                 raise ValueError(f"sweep over {dimension} needs integer values, got {v!r}")
-    # every value is checked before the first ensemble runs
-    subs = []
+    rows = []
     for v in values:
         if dimension == "L":
             params = replace(cfg.params, L=int(v))
@@ -760,16 +761,14 @@ def sweep(cfg: ExperimentConfig, dimension: str, values: Sequence[float]) -> lis
             params = replace(cfg.params, L=(2**bits - 1) // 2)
         else:
             params = replace(cfg.params, **{dimension: float(v)})
-        subs.append(replace(cfg, params=params))
-    rows = []
-    for v, sub in zip(values, subs):
+        sub = replace(cfg, params=params)
         stats, _ = run_experiment(sub, envelope=False)
         n_term, mean_term = stats.terminal_mean()
         rows.append(
             SweepRow(
                 dimension=dimension,
                 value=float(v),
-                R=rate(sub.params),
+                R=rate(params),
                 verdict=stats.verdict,
                 diverged_count=stats.diverged_count,
                 window_ratio=stats.window_ratio,

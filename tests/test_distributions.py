@@ -295,11 +295,3 @@ def test_blocked_draws_equal_one_call(seed, kind, sizes):
     assert np.array_equal(np.concatenate([whole[:0]] + blocks), whole)
     # and leaves the generator where one call does
     assert rng.bit_generator.state == whole_rng.bit_generator.state
-    # the same blocks drawn into slices of one buffer, as the engine does
-    rng = rng_from(seed)
-    buf = np.full(sum(sizes), np.nan)
-    ends = np.cumsum(sizes, dtype=int)
-    for n, end in zip(sizes, ends):
-        assert sample_array(spec, rng, n, out=buf[end - n:end]).base is buf
-    assert buf.tobytes() == whole.tobytes()
-    assert rng.bit_generator.state == whole_rng.bit_generator.state
