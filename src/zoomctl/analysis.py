@@ -24,7 +24,10 @@ The drift diagnostic checks the contraction E[N_{n+1}^2] <= (1-c) E[N_n^2] + D
 with D = 2*sigma_W^2 + (1+K)*M0^2 on trial ensembles, plus the implied cap
 E[N_n^2] <= D/c.  Drift statistics use N computed on unmodified traces;
 the frozen construction is only needed for the domination check (the two
-coincide up to the step where a freeze would start).
+coincide up to the step where a freeze would start).  ``EnvelopeMoments``
+is the one N^2 accumulator: fed resolved columns in order, it keeps the
+column sums behind the engine's max_mean_nsq and, given c, the drift and
+halving statistics.
 
 Feasibility reproduces the parameter arithmetic: the normal-mode
 contraction margin, the envelope-weight condition on K, and the zoom-out
@@ -122,36 +125,23 @@ def dominating_seq(g: np.ndarray, I: np.ndarray, J: np.ndarray, K: float) -> np.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TraceBundle:
-    """Stacked per-trace columns for ensemble diagnostics.
+def envelope_squared(M: np.ndarray, I: np.ndarray, normal: np.ndarray, K: float) -> tuple[np.ndarray, int]:
+    """(N^2 per trace and step, resolved horizon) of (traces, steps) trackers and mode flags.
 
-    M, I: (T, steps) tracker values; normal: (T, steps) True where the step
-    ran in normal mode.
+    tau comes straight from the mode flags.  The resolved horizon is the
+    largest h such that every trace has tau defined for all n < h; trailing
+    steps of a round that never exits within the horizon are excluded
+    (unresolved tau is a suffix property).
     """
-
-    M: np.ndarray
-    I: np.ndarray
-    normal: np.ndarray
-
-
-def envelope_squared(bundle: TraceBundle, K: float) -> tuple[np.ndarray, int]:
-    """(N^2 per trace and step, resolved horizon).
-
-    tau comes straight from the recorded mode flags.  The resolved horizon
-    is the largest h such that every trace has tau defined for all n < h;
-    trailing steps of a round that never exits within the horizon are
-    excluded (unresolved tau is a suffix property).
-    """
-    if bundle.normal.all():  # no zoom-out: each step resolves at itself
-        return _nsq_from_tau(bundle.M, bundle.I, K, None), bundle.normal.shape[1]
-    tau = _tau_backward(bundle.normal)
+    if normal.all():  # no zoom-out: each step resolves at itself
+        return _nsq_from_tau(M, I, K, None), normal.shape[1]
+    tau = _tau_backward(normal)
     # unresolved tau is a suffix and tau rises before it, so a trace's
     # largest tau is its last resolved index (-1 when none is)
     h = int(tau.max(axis=1).min()) + 1
     if h == 0:
         raise DominatingSeqError("a trace never exits its first round; no resolved steps")
-    return _nsq_from_tau(bundle.M, bundle.I, K, tau[:, :h]), h
+    return _nsq_from_tau(M, I, K, tau[:, :h]), h
 
 
 def _nsq_from_tau(M: np.ndarray, I: np.ndarray, K: float, tau: np.ndarray | None) -> np.ndarray:
@@ -257,16 +247,16 @@ class HalvingReport:
         return not self.violations
 
 
-def check_emergency_halving(bundle: TraceBundle, K: float) -> HalvingReport:
+def check_emergency_halving(M: np.ndarray, I: np.ndarray, normal: np.ndarray, K: float) -> HalvingReport:
     """N_{n+1} == N_n / 2 exactly at every step still inside a round.
 
     tau(n) > n exactly when step n ran in emergency mode, and then N drops
     by the factor 2 with no other change.  Checked as N^2_{n+1} == N^2_n / 4,
     which is equivalent and exact in float64 (power-of-two scaling).
     """
-    nsq, h = envelope_squared(bundle, K)
+    nsq, h = envelope_squared(M, I, normal, K)
     acc = EnvelopeMoments.sized(len(nsq), h, 0.0)
-    acc.add(nsq, ~bundle.normal[:, :h])
+    acc.add(nsq, normal[:, :h])
     return acc.halving_report()
 
 
@@ -323,14 +313,15 @@ class DriftReport:
             writer.writerows(zip(range(self.n_checked), *cols[:2], *(c + [""] for c in cols[2:])))
 
 
-def drift_estimate(bundle: TraceBundle, K: float, c: float, D: float) -> DriftReport:
+def drift_estimate(M: np.ndarray, I: np.ndarray, normal: np.ndarray, K: float, c: float, D: float
+                   ) -> DriftReport:
     """Empirical check of the contraction and the cap, by ``EnvelopeMoments.drift_report``."""
-    T = len(bundle.M)
+    T = len(M)
     if T < MIN_DRIFT_TRACES:
         raise ValueError(
             f"drift statistics need at least {MIN_DRIFT_TRACES} traces, got {T}"
         )
-    nsq, h = envelope_squared(bundle, K)
+    nsq, h = envelope_squared(M, I, normal, K)
     acc = EnvelopeMoments.sized(T, h, c)
     acc.add(nsq, None)
     return acc.drift_report(D)
@@ -338,18 +329,19 @@ def drift_estimate(bundle: TraceBundle, K: float, c: float, D: float) -> DriftRe
 
 @dataclass
 class EnvelopeMoments:
-    """Drift and halving statistics of N^2, fed resolved columns in order.
+    """N^2 statistics of one trial group, fed resolved columns in order.
 
-    Per column n: the sum and centered sum of squares of N^2_n and of
+    Per column n: the sum of N^2_n, lane by lane in trial order.  With a
+    contraction factor ``c`` also its centered sum of squares, those of
     d_n = N^2_{n+1} - (1-c) N^2_n, and the halving pairs (emergency steps n)
     with their mismatches N^2_{n+1} != N^2_n / 4.  Each lane's last column
     is carried to pair with the next batch.  Trial groups merge in trial
     order by Chan's update, over the columns both have resolved.
     """
 
-    c: float
+    c: float | None
     count: int  # traces
-    sums: np.ndarray  # rows: N^2 sum and centered sum of squares, then those of d
+    sums: np.ndarray  # rows: N^2 sum; with c, its centered sum of squares, then those of d
     pairs: np.ndarray  # halving pairs per column
     first: int = 0  # trace index of the first lane
     resolved: int = 0  # columns fed in so far
@@ -357,16 +349,18 @@ class EnvelopeMoments:
     last: tuple | None = None  # (N^2, emergency flag) of each lane's last column
 
     @classmethod
-    def sized(cls, count: int, horizon: int, c: float, first: int = 0) -> "EnvelopeMoments":
-        return cls(c, count, np.zeros((4, horizon)), np.zeros(horizon, dtype=np.int64), first)
+    def sized(cls, count: int, horizon: int, c: float | None = None, first: int = 0) -> "EnvelopeMoments":
+        return cls(c, count, np.zeros((1 if c is None else 4, horizon)), np.zeros(horizon, np.int64), first)
 
-    def add(self, nsq: np.ndarray, inside: np.ndarray | None) -> None:
-        """Fold in the next columns' N^2 and emergency flags (None: all normal)."""
+    def add(self, nsq: np.ndarray, normal: np.ndarray | None) -> None:
+        """Fold in the next columns' N^2, C-ordered lane-major rows, and mode flags (None: all normal)."""
         s = self.resolved
         self.resolved = e = s + nsq.shape[1]
+        if self.c is None:
+            self.sums[0, s:e] = _lane_sums(nsq)
+            return
         self.sums[:2, s:e] = _sum_and_centered(nsq, self.count)
-        if inside is None:
-            inside = np.zeros(nsq.shape, dtype=bool)
+        inside = np.zeros(nsq.shape, dtype=bool) if normal is None else ~normal
         if self.last is not None:
             s -= 1
             nsq, inside = (np.concatenate((a[:, None], b), axis=1) for a, b in zip(self.last, (nsq, inside)))
@@ -643,6 +637,15 @@ def moment_recursion_curve(
     return out
 
 
+def oracle_law_moments(a_spec, w_spec) -> tuple[float, float, float]:
+    """(E[A_c^3], E[A_c^4], E[W_c^4]) for ``oracle_mean_stderr``: finite (MomentError), and W symmetric."""
+    from zoomctl.distributions import central_moment
+
+    if abs(w_c3 := central_moment(w_spec, 3)) > 1e-12:
+        raise ValueError(f"exact oracle stderr requires a symmetric disturbance law, got E[W_c^3]={w_c3:.4g}")
+    return central_moment(a_spec, 3), central_moment(a_spec, 4), central_moment(w_spec, 4)
+
+
 def oracle_mean_stderr(policy: str, a_spec, w_spec, n: int, trials: int) -> np.ndarray:
     """Exact standard error of the ensemble mean of X_k^2, k = 0..n.
 
@@ -656,15 +659,11 @@ def oracle_mean_stderr(policy: str, a_spec, w_spec, n: int, trials: int) -> np.n
     oracle comparison a proper z-test; the empirical standard error of a
     heavy-tailed X^2 shrinks together with its mean and would understate.
     """
-    from zoomctl.distributions import central_moment, moments as law_moments
+    from zoomctl.distributions import moments as law_moments
 
     mu_a, var_a = law_moments(a_spec)
     _, var_w = law_moments(w_spec)
-    if abs(central_moment(w_spec, 3)) > 1e-12:
-        raise ValueError("exact oracle stderr requires a symmetric disturbance law")
-    a_c4 = central_moment(a_spec, 4)
-    a_c3 = central_moment(a_spec, 3)
-    w_c4 = central_moment(w_spec, 4)
+    a_c3, a_c4, w_c4 = oracle_law_moments(a_spec, w_spec)
     if policy == "zero_control":
         g2 = var_a + mu_a**2
         g4 = mu_a**4 + 6.0 * mu_a**2 * var_a + 4.0 * mu_a * a_c3 + a_c4

@@ -35,13 +35,16 @@ envelope are produced one block at a time, from step-major block buffers
 that each step writes a row of in place (see ``_run_chunk``), read through
 transposed views.  An unrecorded chunk holds about
 lanes x (8 * horizon + 50 * block) bytes; a recorded chunk is one block as
-long as the horizon, whose rows are its records.  The envelope keeps
-each lane's M, I and mode, about 17 bytes, for each column from the first
-one some lane of its group has not resolved yet: a round that stays open
-over the whole horizon holds another 17 * horizon.  It covers
-ensembles with no diverged trial only; a chunk drops it at its first
-diverged lane.  Chunks run one after another on the calling thread, and
-neither the block length nor the chunking changes a result.
+long as the horizon, whose rows are its records.  The N^2 envelope is one
+``analysis.EnvelopeMoments`` per trial group: its column sums, 8 * horizon
+bytes, and for ``verify``'s drift the drift and halving statistics,
+32 * horizon more.  Each lane's M, I and mode, about 17 bytes, wait for
+each column from the first one some lane of its group has not resolved
+yet: a round that stays open over the whole horizon holds another
+17 * horizon per lane.  It covers ensembles with no diverged trial only; a
+chunk drops it at its first diverged lane.  Chunks run one after another
+on the calling thread, and neither the block length nor the chunking
+changes a result.
 """
 
 from __future__ import annotations
@@ -222,9 +225,7 @@ class _ChunkOut:
     diverged: int
     diverged_at: np.ndarray
     records: dict[str, np.ndarray] | None
-    sum_nsq: np.ndarray | None  # (groups, horizon); None once a lane diverged
-    count_nsq: np.ndarray | None
-    stats: list[analysis.EnvelopeMoments] | None  # per group, with drift=True
+    envelopes: list[analysis.EnvelopeMoments] | None  # per group; None once a lane diverged
 
 
 # Per-step record columns, with the value a lane holds from its divergence
@@ -234,52 +235,28 @@ _STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
               "symbol": NO_SYMBOL, "U": 0.0}
 
 
-@dataclass
-class _EnvelopeFold:
-    """N^2 column sums of one trial group, folded in as columns resolve.
-
-    Columns from ``start`` on are not summed yet: some lane's round is
-    still open there.  Their raw (M, I, mode) columns wait in ``pending``,
-    lane-major, to be resolved together with the next block.  With
-    ``stats``, resolved columns also feed the drift and halving statistics.
-    """
-
-    sums: np.ndarray
-    start: int = 0
-    first: np.ndarray | None = None  # N^2 of column 0, per lane
-    pending: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    stats: analysis.EnvelopeMoments | None = None
-
-
 def _chunk_envelope(
-    fold: _EnvelopeFold, m_blk: np.ndarray, i_blk: np.ndarray, normal_blk: np.ndarray, K: float
-) -> None:
-    """Fold one time block, (lanes, steps) columns, into a group's N^2 sums.
+    acc: analysis.EnvelopeMoments, pending: tuple[np.ndarray, ...] | None,
+    m_blk: np.ndarray, i_blk: np.ndarray, normal_blk: np.ndarray, K: float,
+) -> tuple[np.ndarray, ...] | None:
+    """Fold one time block of (lanes, steps) columns into ``acc``; returns the columns left pending.
 
-    The block joins the pending columns and ``analysis.envelope_squared``
-    resolves the window.  Its resolved prefix is summed, each column once,
-    lane by lane in trial order; the rest is kept, copied out of the reused
-    block buffers, for the next block.  The columns may be views of any
-    layout, such as transposed step-major rows: the sums come out the same.
+    The block joins the ``pending`` (M, I, mode) columns, where some round
+    is still open, and ``analysis.envelope_squared`` resolves the window.
+    The resolved prefix goes to ``acc`` as C-ordered rows, so it sums lane by
+    lane whatever the block's layout (such as transposed step-major rows);
+    the rest is copied out of the reused block buffers (None: nothing left).
     """
     cols = (m_blk, i_blk, normal_blk)
-    if fold.pending is not None:
-        cols = tuple(np.concatenate(pair, axis=1) for pair in zip(fold.pending, cols))
+    if pending is not None:
+        cols = tuple(np.concatenate(pair, axis=1) for pair in zip(pending, cols))
     try:
-        nsq, done = analysis.envelope_squared(analysis.TraceBundle(*cols), K)
+        nsq, done = analysis.envelope_squared(*cols, K)
     except analysis.DominatingSeqError:  # no column resolved yet
         done = 0
     if done:
-        # sum(axis=0) adds lane after lane only on C-ordered rows; on
-        # transposed ones it sums each column pairwise
-        nsq = np.ascontiguousarray(nsq)
-        fold.sums[fold.start:fold.start + done] = analysis._lane_sums(nsq)
-        if fold.stats is not None:
-            fold.stats.add(nsq, ~cols[2][:, :done])
-        if fold.start == 0:
-            fold.first = nsq[:, 0].copy()
-        fold.start += done
-    fold.pending = tuple(c[:, done:].copy() for c in cols) if done < cols[0].shape[1] else None
+        acc.add(np.ascontiguousarray(nsq), cols[2][:, :done])
+    return tuple(c[:, done:].copy() for c in cols) if done < cols[0].shape[1] else None
 
 
 def _run_chunk(
@@ -297,11 +274,11 @@ def _run_chunk(
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
     folded one block at a time, so only the gains span the whole horizon.
     A recorded chunk runs the horizon as one block, whose rows are its
-    records.  The envelope also keeps each group's M, I and mode from the
-    first column where some round is still open; with ``drift`` it also
-    accumulates each group's drift and halving statistics.  It covers
-    ensembles with no diverged trial only: the chunk drops it once a lane
-    diverges.
+    records.  The envelope is one ``analysis.EnvelopeMoments`` per group,
+    with the drift and halving statistics when ``drift`` is set, plus the
+    group's M, I and mode from the first column where some round is still
+    open.  It covers ensembles with no diverged trial only: the chunk drops
+    it once a lane diverges.
 
     Every per-step field has a step-major buffer, one column per lane, and
     step n of a block writes its row n + 1 in place (``out=``), so a step
@@ -346,9 +323,9 @@ def _run_chunk(
             for f, fill in _STEP_FILL.items()}
     m_rows, i_rows, mode_rows, rho_rows, u_rows, sym_rows, clamp_rows = (
         rows[f] for f in ("M", "I", "normal", "rho", "U", "symbol", "clamped"))
-    folds = [_EnvelopeFold(np.zeros(h), stats=analysis.EnvelopeMoments.sized(
-                               lanes.stop - lanes.start, h, p.c, indices[lanes.start]) if drift else None)
-             for lanes in groups] if need_env else []
+    envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
+                                           indices[lanes.start]) for lanes in groups] if need_env else []
+    pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns
     x = xs[0]
     ax = np.zeros(n_t)  # |X| of the current step
     sum_xsq = np.zeros((len(groups), h + 1))
@@ -486,10 +463,10 @@ def _run_chunk(
                 sum_x4[g, b0 + 1:b0 + nb + 1] = sq[:, lanes].sum(axis=1)
         del sq
         if parked is not None:
-            folds = []  # the envelope covers ensembles with no diverged trial
-        for lanes, fold in zip(groups, folds):
-            _chunk_envelope(fold, m_rows[1:nb + 1, lanes].T, i_rows[1:nb + 1, lanes].T,
-                            mode_rows[1:nb + 1, lanes].T, p.K)
+            envs = []  # the envelope covers ensembles with no diverged trial
+        for g, (lanes, acc) in enumerate(zip(groups, envs)):
+            cols = (buf[1:nb + 1, lanes].T for buf in (m_rows, i_rows, mode_rows))
+            pending[g] = _chunk_envelope(acc, pending[g], *cols, p.K)
 
     records = None
     if record_fields:
@@ -504,18 +481,6 @@ def _run_chunk(
                 # excluded from the aggregates above)
                 records["X"][j, d] = x_diverged[j]
 
-    sum_nsq = count_nsq = None
-    if folds:
-        count_nsq = np.zeros(h, dtype=np.int64)
-        for lanes, fold in zip(groups, folds):
-            if fold.start == 0:
-                raise analysis.DominatingSeqError("a trace never exits its first round; no resolved steps")
-            if fold.start == 1:
-                # a group resolved through column 0 only sums it pairwise,
-                # as sum(axis=0) over the whole-horizon envelope does
-                fold.sums[0] = fold.first.sum()
-            count_nsq[:fold.start] += lanes.stop - lanes.start
-        sum_nsq = np.array([fold.sums for fold in folds])
     return _ChunkOut(
         sum_xsq=sum_xsq,
         sum_x4=sum_x4,
@@ -525,9 +490,7 @@ def _run_chunk(
         diverged=int(np.count_nonzero(diverged_at >= 0)),
         diverged_at=diverged_at,
         records=records,
-        sum_nsq=sum_nsq,
-        count_nsq=count_nsq,
-        stats=[fold.stats for fold in folds] if drift and folds else None,
+        envelopes=envs or None,
     )
 
 
@@ -552,7 +515,7 @@ def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | 
     diverged = sum(out.diverged for out in outs)
     if diverged:
         return None, diverged
-    return functools.reduce(analysis.EnvelopeMoments.merge, [g for out in outs for g in out.stats]), 0
+    return functools.reduce(analysis.EnvelopeMoments.merge, [g for out in outs for g in out.envelopes]), 0
 
 
 def _max_workers() -> int:
@@ -621,9 +584,10 @@ def run_experiment(
         stderr = np.where(count > 1, np.sqrt(var / np.maximum(count, 1)), np.nan)
 
     max_mean_nsq = None
-    if outs[0].sum_nsq is not None and diverged == 0:
-        count_nsq = sum(out.count_nsq for out in outs)
-        mean_nsq = group_total("sum_nsq", h) / np.maximum(count_nsq, 1)
+    if outs[0].envelopes is not None and diverged == 0:
+        envs = [e for out in outs for e in out.envelopes]
+        count_nsq = sum(e.count * (np.arange(h) < e.resolved) for e in envs)
+        mean_nsq = functools.reduce(np.add, (e.sums[0] for e in envs), np.zeros(h)) / np.maximum(count_nsq, 1)
         max_mean_nsq = float(np.nanmax(np.where(count_nsq > 0, mean_nsq, np.nan)))
 
     stats = SummaryStats(

@@ -28,14 +28,16 @@ a mismatch fails every requested exact check.  tracker_equality also reruns
 the first SCALAR_REPLAYS trials through the scalar ``run_trial``, an
 independent encoder, and compares each with its recorded lane bit for bit.
 The recording is freed before drift, which records nothing: it runs
-trials x min(horizon, DRIFT_HORIZON_CAP) through the engine once and
-accumulates its statistics and the halving check in the engine's N^2
-envelope fold (``harness.envelope_moments``).  oracle_match runs its own
+trials x min(horizon, DRIFT_HORIZON_CAP) through the engine once, and the
+engine's one N^2 accumulator per trial group (``analysis.EnvelopeMoments``)
+gathers its statistics and the halving check (``harness.envelope_moments``).  oracle_match runs its own
 two oracle-policy ensembles.
 
 ``run_checks`` checks its inputs before any ensemble runs: the check names,
-the adaptive policy the tracker checks need (oracle_match swaps the policy
-itself), and drift's minimum number of trials.
+each once, a trace file only with tracker_equality, the adaptive policy the
+tracker checks need (oracle_match swaps the policy itself), drift's minimum
+number of trials, and oracle_match's laws: a disturbance with third central
+moment 0, and finite fourth central moments of gain and disturbance.
 """
 
 from __future__ import annotations
@@ -268,6 +270,10 @@ def run_checks(
     for name in names:
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+        if names.count(name) > 1:
+            raise ConfigError(f"check {name!r} is named more than once")
+    if trace_file is not None and "tracker_equality" not in names:
+        raise ConfigError("--trace-file is read by the tracker_equality check only, which is not asked for")
     # the checks that read the adaptive tracker, in CHECK_NAMES order
     tracked = [n for n in TRACKER_CHECKS if n in names and (n != "tracker_equality" or trace_file is None)]
     if tracked and cfg.policy.kind != "adaptive_fixed_rate":
@@ -276,6 +282,11 @@ def run_checks(
         raise InsufficientTrials(
             f"drift needs at least {analysis.MIN_DRIFT_TRACES} trials, config has {cfg.trials}"
         )
+    if "oracle_match" in names:
+        try:
+            analysis.oracle_law_moments(cfg.a_spec, cfg.w_spec)
+        except ValueError as exc:  # MomentError included
+            raise ConfigError(f"oracle_match: {exc}") from None
     checks = {
         "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_file, rec),
         "containment": lambda rec: check_containment(cfg, rec),

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from zoomctl import analysis
-from zoomctl.analysis import TraceBundle
 from zoomctl.codec import StrategyParams, rate
 from zoomctl.config import load_config
 from zoomctl.distributions import moment_summary, moments
@@ -92,7 +91,7 @@ def _recorded(cfg, trials, horizon):
 
 
 def _bundle(rec):
-    return TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"])
+    return rec["M"], rec["I"], rec["normal"]
 
 
 @pytest.fixture(scope="session")
@@ -177,7 +176,7 @@ def test_criterion_02_domination_zoom_heavy(emergency_cfg, emergency_rec):
 def test_criterion_03_drift(reference_cfg, reference_rec):
     d_const = _d_const(reference_cfg)
     rep = analysis.drift_estimate(
-        _bundle(reference_rec), reference_cfg.params.K, reference_cfg.params.c, d_const
+        *_bundle(reference_rec), reference_cfg.params.K, reference_cfg.params.c, d_const
     )
     assert rep.num_traces >= 2000
     assert rep.flagged == []
@@ -196,9 +195,9 @@ def test_criterion_03_drift(reference_cfg, reference_rec):
 
 def test_criterion_04_emergency_halving(reference_cfg, reference_rec,
                                         emergency_cfg, emergency_rec):
-    rep_ref = analysis.check_emergency_halving(_bundle(reference_rec), reference_cfg.params.K)
+    rep_ref = analysis.check_emergency_halving(*_bundle(reference_rec), reference_cfg.params.K)
     assert rep_ref.ok
-    rep_em = analysis.check_emergency_halving(_bundle(emergency_rec), emergency_cfg.params.K)
+    rep_em = analysis.check_emergency_halving(*_bundle(emergency_rec), emergency_cfg.params.K)
     assert rep_em.ok
     assert rep_em.emergency_pairs > 10_000, "the supplement must exercise zoom-out"
     report(
@@ -319,11 +318,11 @@ def test_criterion_09_student_t(student_cfg, student_run, student_rec):
     assert checked == DOMINATION_N0 and violations == 0
 
     rep = analysis.drift_estimate(
-        _bundle(student_rec), student_cfg.params.K, student_cfg.params.c, _d_const(student_cfg)
+        *_bundle(student_rec), student_cfg.params.K, student_cfg.params.c, _d_const(student_cfg)
     )
     assert rep.flagged == [] and rep.cap_violations == []
 
-    halving = analysis.check_emergency_halving(_bundle(student_rec), student_cfg.params.K)
+    halving = analysis.check_emergency_halving(*_bundle(student_rec), student_cfg.params.K)
     assert halving.ok
     report(
         9,

@@ -13,7 +13,6 @@ from zoomctl.analysis import (
     BoundDomainError,
     DominatingSeqError,
     MomentOrderError,
-    TraceBundle,
     UnstabilizableError,
     _nsq_from_tau,
     _tau_backward,
@@ -222,9 +221,9 @@ def test_envelope_matches_definition_on_emergency_bundles(seed):
     )
     rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
-    bundle = TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"])
+    bundle = rec["M"], rec["I"], rec["normal"]
     K = cfg.params.K
-    nsq, h = envelope_squared(bundle, K)
+    nsq, h = envelope_squared(*bundle, K)
 
     taus = np.array([_tau_by_definition(row) for row in rec["normal"].tolist()])
     resolved = (taus >= 0).sum(axis=1)
@@ -244,7 +243,7 @@ def test_envelope_all_normal_fast_path_matches_tau_path():
     rng = np.random.default_rng(3)
     M, I = (10.0 ** rng.uniform(-150, 150, size=(6, 50)) for _ in range(2))
     normal = np.ones((6, 50), dtype=bool)
-    nsq, h = envelope_squared(TraceBundle(M=M, I=I, normal=normal), 8.0)
+    nsq, h = envelope_squared(M, I, normal, 8.0)
     assert h == 50
     assert nsq.tobytes() == _nsq_from_tau(M, I, 8.0, _tau_backward(normal)).tobytes()
 
@@ -272,21 +271,16 @@ def test_halving_exact_during_emergencies():
     )
     rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
-    bundle = TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"])
-    rep = check_emergency_halving(bundle, EMERGENCY_PARAMS.K)
+    bundle = rec["M"], rec["I"], rec["normal"]
+    rep = check_emergency_halving(*bundle, EMERGENCY_PARAMS.K)
     assert rep.emergency_pairs > 1000
     assert rep.ok
 
 
 def test_envelope_requires_resolution():
     # a trace that never leaves emergency mode has no resolved tau
-    bundle = TraceBundle(
-        M=np.ones((1, 3)),
-        I=np.ones((1, 3)),
-        normal=np.zeros((1, 3), dtype=bool),
-    )
     with pytest.raises(DominatingSeqError):
-        envelope_squared(bundle, 1.0)
+        envelope_squared(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3), dtype=bool), 1.0)
 
 
 # --- drift -------------------------------------------------------------------
@@ -299,13 +293,13 @@ def certified_bundle(trials=150, horizon=800, seed=11):
     )
     rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
-    return TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"]), params
+    return (rec["M"], rec["I"], rec["normal"]), params
 
 
 def test_drift_holds_for_certified_params():
     bundle, params = certified_bundle()
     d_const = 2.0 + (1.0 + params.K) * params.M0**2
-    rep = drift_estimate(bundle, params.K, params.c, d_const)
+    rep = drift_estimate(*bundle, params.K, params.c, d_const)
     assert rep.ok
     assert rep.flagged == [] and rep.cap_violations == []
     # the initial envelope is deterministic: N_0^2 = (1+K) M0^2 exactly
@@ -316,12 +310,12 @@ def test_drift_holds_for_certified_params():
 def test_drift_requires_enough_traces():
     bundle, params = certified_bundle(trials=50, horizon=100)
     with pytest.raises(ValueError, match="at least 100"):
-        drift_estimate(bundle, params.K, params.c, 5.0)
+        drift_estimate(*bundle, params.K, params.c, 5.0)
 
 
 def test_drift_report_serialization(tmp_path):
     bundle, params = certified_bundle(trials=120, horizon=200)
-    rep = drift_estimate(bundle, params.K, params.c, 5.0)
+    rep = drift_estimate(*bundle, params.K, params.c, 5.0)
     rep.to_json(tmp_path / "drift.json")
     rep.to_csv(tmp_path / "drift.csv")
     import json
@@ -357,7 +351,7 @@ def test_envelope_moments_match_two_pass_over_any_split(data):
         batches = cuts(data, 0, data.draw(st.integers(1, h)), 5)
         for a, b in zip(batches[:-1], batches[1:]):
             flags = inside[g0:g1, a:b]
-            acc.add(nsq[g0:g1, a:b], flags if flags.any() else None)
+            acc.add(nsq[g0:g1, a:b], ~flags if flags.any() else None)
         groups.append(acc)
     r = min(g.resolved for g in groups)
     merged = functools.reduce(EnvelopeMoments.merge, groups)

@@ -536,6 +536,17 @@ REFERENCE_CFG = str(EMERGENCY_CFG.parent / "reference.cfg")
 
 
 MISSING = "[Errno 2] No such file or directory: 'no_such.cfg'"
+# emergency_rich with laws oracle_match's exact standard errors cannot take:
+# a skewed disturbance, and a gain with no finite fourth moment.  The cases
+# write them into their working directory.
+_EMERGENCY_TEXT = EMERGENCY_CFG.read_text()
+DERIVED_CFGS = {
+    "asymmetric_w.cfg": _EMERGENCY_TEXT.replace(
+        "W.kind = gaussian\nW.mean = 0.0\nW.stddev = 1.0", "W.kind = two_point\nW.v1 = 1\nW.p = 0.3\nW.v2 = -1"),
+    "student_t_gain.cfg": _EMERGENCY_TEXT.replace(
+        "A.kind = gaussian\nA.mean = 1.0\nA.stddev = 0.5", "A.kind = student_t\nA.dof = 3.5\nA.scale = 0.3\nA.shift = 1.0"),
+}
+SMALL = ["--set", "trials=100", "--set", "horizon=50"]
 UNKNOWN_KEY = "unknown key 'bogus' in --set"
 BOGUS = ["--set", "bogus=1"]
 SWEEP_ARGS = ["--dim", "P", "--values", "2"]
@@ -556,12 +567,30 @@ USER_ERRORS = {
     "simulate-negative-keep-traces": (["simulate", REFERENCE_CFG, "--keep-traces", "-2",
                                        "--set", "trials=10", "--set", "horizon=50"],
                                       "--keep-traces must be >= 0, got -2"),
+    "verify-asymmetric-w": (["verify", "asymmetric_w.cfg", *SMALL],
+                            "oracle_match: exact oracle stderr requires a symmetric disturbance law, "
+                            "got E[W_c^3]=0.672"),
+    "verify-student-t-gain": (["verify", "student_t_gain.cfg", *SMALL],
+                              "oracle_match: student_t central moment of order 4 requires dof > 4, got dof=3.5"),
+    "verify-unread-trace-file": (["verify", REFERENCE_CFG, "--checks", "containment",
+                                  "--trace-file", "no_such.csv"],
+                                 "--trace-file is read by the tracker_equality check only, which is not asked for"),
+    "verify-duplicate-check": (["verify", REFERENCE_CFG, "--checks", "containment,containment"],
+                               "check 'containment' is named more than once"),
 }
 
 
 @pytest.mark.parametrize("case", USER_ERRORS)
-def test_cli_user_errors_exit_1(tmp_path, capsys, case):
+def test_cli_user_errors_exit_1(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    for name, text in DERIVED_CFGS.items():
+        (tmp_path / name).write_text(text)
     argv, message = USER_ERRORS[case]
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the input was rejected")
+
+    monkeypatch.setattr("zoomctl.harness._run_chunk", no_ensemble)
     extra = ["--out", str(tmp_path / "o")] if argv[0] in ("simulate", "sweep") else []
     code = main(argv + extra)
     captured = capsys.readouterr()

@@ -372,7 +372,7 @@ def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
 @pytest.mark.parametrize("case", ["adaptive", "diverging", "never_exits", "never_returns"])
 def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     import zoomctl.harness as hz
-    from zoomctl.analysis import TraceBundle, envelope_squared
+    from zoomctl.analysis import envelope_squared
 
     # groups of 20: wide enough that a pairwise sum differs from a sequential one
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 20)
@@ -383,21 +383,26 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     if case == "diverging":
         # the envelope covers ensembles with no diverged trial only
         assert all(0 < np.count_nonzero(div[g:g + 20] >= 0) < 20 for g in (0, 20))
-        assert out.sum_nsq is None and out.count_nsq is None
+        assert out.envelopes is None
         return
-    count = np.zeros(cfg.horizon, dtype=np.int64)
-    for g in range(2):
+    assert len(out.envelopes) == 2
+    resolved, pairwise_differs = [], []
+    for g, acc in enumerate(out.envelopes):
         lanes = slice(20 * g, 20 * g + 20)
-        nsq, hr = envelope_squared(
-            TraceBundle(M=rec["M"][lanes], I=rec["I"][lanes], normal=rec["normal"][lanes]),
-            cfg.params.K,
-        )
-        # each column summed trial by trial; numpy sums a lone column pairwise
-        want = functools.reduce(np.add, nsq) if hr > 1 else nsq.sum(axis=0)
-        assert np.array_equal(out.sum_nsq[g][:hr], want)
-        assert not out.sum_nsq[g][hr:].any()
-        count[:hr] += 20
-    assert np.array_equal(out.count_nsq, count)
+        nsq, hr = envelope_squared(rec["M"][lanes], rec["I"][lanes], rec["normal"][lanes], cfg.params.K)
+        # each column summed lane by lane in trial order, a lone one too
+        want = functools.reduce(np.add, nsq)
+        assert (acc.c, acc.count, acc.first, acc.resolved) == (None, 20, 20 * g, hr)
+        assert np.array_equal(acc.sums[0, :hr].view(np.int64), want.view(np.int64))
+        assert not acc.sums[0, hr:].any()
+        resolved.append(hr)
+        pairwise_differs.append(bool((nsq.sum(axis=0) != want).any()))
+    if case == "never_returns":
+        # both groups resolve column 0 only, where numpy's pairwise sum of
+        # the lone column differs from the lane-by-lane one
+        assert resolved == [1, 1] and any(pairwise_differs)
+    else:
+        assert min(resolved) > 1
 
 
 # tracker values with generic mantissas, so that sums depend on their order:
@@ -414,39 +419,61 @@ LAYOUT_CASES = {
 @pytest.mark.parametrize("case", LAYOUT_CASES)
 def test_envelope_fold_does_not_depend_on_layout(case, drift):
     import zoomctl.harness as hz
-    from zoomctl.analysis import EnvelopeMoments, TraceBundle, envelope_squared
+    from zoomctl.analysis import EnvelopeMoments, envelope_squared
 
-    # one group of 20 trials (CHUNK_TRIALS = 20), wide enough that numpy's
-    # pairwise column sums differ from lane-by-lane ones
+    # one group of 20 trials, wide enough that numpy's pairwise column sums
+    # differ from lane-by-lane ones
     cfg = make_cfg(params=LAYOUT_CASES[case], trials=20, horizon=45, master_seed=3)
     rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
     assert not (div >= 0).any()
     cols = [np.ascontiguousarray(rec[f]) for f in ("M", "I", "normal")]
-    nsq, _ = envelope_squared(TraceBundle(*cols), cfg.params.K)
+    nsq, h = envelope_squared(*cols, cfg.params.K)
     assert (np.asfortranarray(nsq).sum(axis=0) != functools.reduce(np.add, nsq)).any()
 
     def transposed(a):  # an F-ordered view, as of step-major block rows
         return np.ascontiguousarray(a.T).T
 
-    folds = []
+    accs = []
     for layout in (np.ascontiguousarray, transposed):
-        fold = hz._EnvelopeFold(np.zeros(cfg.horizon), stats=EnvelopeMoments.sized(
-            20, cfg.horizon, cfg.params.c) if drift else None)
+        acc, pending = EnvelopeMoments.sized(20, cfg.horizon, cfg.params.c if drift else None), None
         for b0 in range(0, cfg.horizon, 7):
             blk = [layout(c[:, b0:b0 + 7]) for c in cols]
             assert all(b.flags.f_contiguous != (layout is np.ascontiguousarray) for b in blk)
-            hz._chunk_envelope(fold, *blk, cfg.params.K)
-        folds.append(fold)
-    c_fold, f_fold = folds
-    assert c_fold.start == f_fold.start > 0
-    assert np.array_equal(c_fold.sums.view(np.int64), f_fold.sums.view(np.int64))
-    assert np.array_equal(c_fold.first.view(np.int64), f_fold.first.view(np.int64))
+            pending = hz._chunk_envelope(acc, pending, *blk, cfg.params.K)
+        accs.append(acc)
+    a, b = accs
+    assert a.resolved == b.resolved == h
+    assert np.array_equal(a.sums[0, :h].view(np.int64), functools.reduce(np.add, nsq).view(np.int64))
+    assert (a.count, a.mismatches) == (b.count, b.mismatches)
+    assert np.array_equal(a.sums.view(np.int64), b.sums.view(np.int64))
+    assert np.array_equal(a.pairs, b.pairs)
     if drift:
-        a, b = c_fold.stats, f_fold.stats
-        assert (a.count, a.resolved, a.mismatches) == (b.count, b.resolved, b.mismatches)
-        assert np.array_equal(a.sums.view(np.int64), b.sums.view(np.int64))
-        assert np.array_equal(a.pairs, b.pairs)
         assert all(np.array_equal(x, y) for x, y in zip(a.last, b.last))
+    else:
+        assert a.sums.shape == (1, cfg.horizon) and a.last is b.last is None
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_sums_only_envelope_matches_drift_mode(monkeypatch, case):
+    import zoomctl.harness as hz
+
+    # two groups of 20 trials
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", 20)
+    cfg = make_cfg(params=LAYOUT_CASES[case], trials=40, horizon=45, master_seed=3)
+    first = None
+    for block in (1, 7, cfg.horizon):
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        sums, drift = (hz._run_chunk(cfg, range(cfg.trials), None, True, drift=d).envelopes for d in (False, True))
+        assert len(sums) == len(drift) == 2
+        got = []
+        for a, b in zip(sums, drift):
+            assert (a.c, b.c) == (None, cfg.params.c)
+            assert a.resolved == b.resolved > 1
+            assert np.array_equal(a.sums[0].view(np.int64), b.sums[0].view(np.int64))
+            got.append((a.resolved, a.sums[0].tobytes()))
+        # and the time blocks change no bit
+        first = first or got
+        assert got == first
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -482,7 +509,7 @@ def two_pass_drift(nsq, normal, c, D):
 @pytest.mark.parametrize("case", STREAM_CASES)
 def test_streamed_drift_matches_two_pass(monkeypatch, case):
     import zoomctl.harness as hz
-    from zoomctl.analysis import TraceBundle, envelope_squared
+    from zoomctl.analysis import envelope_squared
     from zoomctl.config import load_config
 
     name, overrides = STREAM_CASES[case]
@@ -506,7 +533,7 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case):
 
     rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
     assert not (div >= 0).any()
-    nsq, h = envelope_squared(TraceBundle(M=rec["M"], I=rec["I"], normal=rec["normal"]), cfg.params.K)
+    nsq, h = envelope_squared(rec["M"], rec["I"], rec["normal"], cfg.params.K)
     want = two_pass_drift(nsq, rec["normal"], cfg.params.c, D)
     if case == "open_rounds":
         assert 100 < h < cfg.horizon - 50 and want["pairs"] > 10_000
