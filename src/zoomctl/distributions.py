@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -136,6 +137,25 @@ def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None
     if spec.kind == "student_t":
         return p[2] + p[1] * rng.standard_t(p[0], n)
     raise AssertionError(spec.kind)
+
+
+def sample_rows(spec: DistributionSpec, rngs: Sequence[np.random.Generator], out: np.ndarray) -> None:
+    """Fill the (len(rngs), n) block ``out``: row j is ``sample_array(spec, rngs[j], n)``, bit for bit.
+
+    A gaussian block draws each row's standard normals in place, then
+    scales the whole block, ``stddev * z`` and ``+ mean`` in one pass each:
+    the same IEEE operations as ``mean + stddev * z``.  Other laws fill
+    the rows through ``sample_array``.
+    """
+    n = out.shape[1]
+    if spec.kind != "gaussian":
+        for row, rng in zip(out, rngs):
+            row[:] = sample_array(spec, rng, n)
+        return
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    out *= spec.params[1]
+    out += spec.params[0]
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float]:

@@ -30,12 +30,15 @@ parked outside the zoom-out multiply and the tracker update.
 
 Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
 the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
-drawn whole up front; its disturbances, the per-step sums and the N^2
-envelope are produced one block at a time, from step-major block buffers
-that each step writes a row of in place (see ``_run_chunk``), read through
+drawn whole up front, into one buffer that the unrecorded chunks of an
+ensemble share; its disturbances, the per-step sums and the N^2 envelope
+are produced one block at a time, from step-major block buffers that each
+step writes a row of in place (see ``_run_chunk``), read through
 transposed views.  An unrecorded chunk holds about
-lanes x (8 * horizon + 50 * block) bytes; a recorded chunk is one block as
-long as the horizon, whose rows are its records.  The N^2 envelope is one
+lanes x (8 * horizon + 50 * block) bytes: at 1024 lanes, 2000 steps and
+250-step blocks, 16 MB of gains and 13 MB of block.  A recorded chunk is
+one block as long as the horizon, whose rows are its records, with gains
+of its own.  The N^2 envelope is one
 ``analysis.EnvelopeMoments`` per trial group: its column sums, 8 * horizon
 bytes, and for ``verify``'s drift the drift and halving statistics,
 32 * horizon more.  Each lane's M, I and mode, about 17 bytes, wait for
@@ -62,11 +65,11 @@ from zoomctl import analysis
 from zoomctl.codec import (
     StrategyParams, cell_tracker, is_clamped, rate,
 )
-from zoomctl.distributions import DistributionSpec, moments, sample_array
+from zoomctl.distributions import DistributionSpec, moments, sample_array, sample_rows
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
-BLOCK_STEPS = 1000  # steps per time block of the engine
+BLOCK_STEPS = 250  # steps per time block of the engine
 
 POLICY_KINDS = (
     "adaptive_fixed_rate",
@@ -196,15 +199,17 @@ def trial_seed(master_seed: int, index: int) -> list[int]:
 
 
 def _predraw(
-    cfg: ExperimentConfig, indices: Sequence[int]
+    cfg: ExperimentConfig, indices: Sequence[int], out: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.random.Generator]]:
     """Each trial's gains, drawn whole, and its generator.
 
-    The generator is left at the start of the trial's disturbance stream,
-    which ``_run_chunk`` then draws one time block at a time.
+    The gains fill the first len(indices) rows of ``out`` when given, else a
+    new array.  The generator is left at the start of the trial's
+    disturbance stream, which ``_run_chunk`` then draws one time block at a
+    time.
     """
     h = cfg.horizon
-    a = np.empty((len(indices), h))
+    a = np.empty((len(indices), h)) if out is None else out[:len(indices)]
     rngs = []
     for j, t in enumerate(indices):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(trial_seed(cfg.master_seed, t))))
@@ -266,6 +271,7 @@ def _run_chunk(
     envelope: bool,
     *,
     drift: bool = False,
+    gains: np.ndarray | None = None,
 ) -> _ChunkOut:
     """Run trials ``indices`` in lockstep, one lane each, under any policy.
 
@@ -273,12 +279,14 @@ def _run_chunk(
     every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
     steps: disturbances are drawn, per-step sums taken and the N^2 envelope
     folded one block at a time, so only the gains span the whole horizon.
-    A recorded chunk runs the horizon as one block, whose rows are its
-    records.  The envelope is one ``analysis.EnvelopeMoments`` per group,
-    with the drift and halving statistics when ``drift`` is set, plus the
-    group's M, I and mode from the first column where some round is still
-    open.  It covers ensembles with no diverged trial only: the chunk drops
-    it once a lane diverges.
+    They are drawn into the first rows of ``gains`` when given (the
+    ensemble's buffer, see ``_run_chunks``), else into an array of the
+    chunk's own.  A recorded chunk runs the horizon as one block, whose rows
+    are its records, and its gains are its A record.  The envelope is one
+    ``analysis.EnvelopeMoments`` per group, with the drift and halving
+    statistics when ``drift`` is set, plus the group's M, I and mode from
+    the first column where some round is still open.  It covers ensembles
+    with no diverged trial only: the chunk drops it once a lane diverges.
 
     Every per-step field has a step-major buffer, one column per lane, and
     step n of a block writes its row n + 1 in place (``out=``), so a step
@@ -306,7 +314,7 @@ def _run_chunk(
     L = p.L
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
-    a_draws, rngs = _predraw(cfg, indices)
+    a_draws, rngs = _predraw(cfg, indices, gains)
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
     # a recorded chunk is one block, so its block rows are its records
     block = h if record_fields else min(BLOCK_STEPS, h)
@@ -360,8 +368,7 @@ def _run_chunk(
                 buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
         w_blk = w_draws[:, :nb]
-        for j, rng in enumerate(rngs):
-            w_blk[j] = sample_array(cfg.w_spec, rng, nb)
+        sample_rows(cfg.w_spec, rngs, w_blk)
 
         for i in range(nb):
             n = b0 + i
@@ -502,8 +509,13 @@ def _chunked(indices: Sequence[int]) -> list[list[int]]:
 
 
 def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False) -> list[_ChunkOut]:
-    """Every trial of ``cfg``, unrecorded, in engine chunks run one after another."""
-    return [_run_chunk(cfg, idx, None, envelope, drift=drift) for idx in _chunked(range(cfg.trials))]
+    """Every trial of ``cfg``, unrecorded, in engine chunks run one after another.
+
+    The chunks draw their gains into one buffer, allocated once for the
+    ensemble, so a chunk's gains reuse the memory of the one before.
+    """
+    gains = np.empty((min(2 * CHUNK_TRIALS, cfg.trials), cfg.horizon))
+    return [_run_chunk(cfg, idx, None, envelope, drift=drift, gains=gains) for idx in _chunked(range(cfg.trials))]
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
@@ -620,13 +632,16 @@ def run_recorded_bundle(
     stacked record dict plus each trial's divergence step (-1 where the
     trial ran to the horizon).  Memory scales with trials * horizon *
     fields; callers cap the horizon accordingly.
+
+    A single chunk's records, as in ``verify``'s exact pass, are returned
+    as they are, views of its step-major block rows (the gains as drawn),
+    with no copy; several chunks' records are joined.
     """
     outs = [_run_chunk(cfg, idx, fields, envelope=False) for idx in _chunked(range(cfg.trials))]
-    rec = {
-        f: np.concatenate([o.records[f] for o in outs], axis=0) for f in fields
-    }
-    diverged_at = np.concatenate([o.diverged_at for o in outs])
-    return rec, diverged_at
+    if len(outs) == 1:
+        return outs[0].records, outs[0].diverged_at
+    rec = {f: np.concatenate([o.records[f] for o in outs], axis=0) for f in fields}
+    return rec, np.concatenate([o.diverged_at for o in outs])
 
 
 def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:

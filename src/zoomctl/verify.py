@@ -37,7 +37,9 @@ two oracle-policy ensembles.
 each once, a trace file only with tracker_equality, the adaptive policy the
 tracker checks need (oracle_match swaps the policy itself), drift's minimum
 number of trials, and oracle_match's laws: a disturbance with third central
-moment 0, and finite fourth central moments of gain and disturbance.
+moment 0, and finite fourth central moments of gain and disturbance.  The
+trace file is read and parsed there too, so a missing or malformed one
+fails before the recorded ensemble runs.
 """
 
 from __future__ import annotations
@@ -107,14 +109,13 @@ def record_exact(cfg: ExperimentConfig) -> Recorded:
 
 
 def check_tracker_equality(
-    cfg: ExperimentConfig, trace_file=None, recorded: Recorded | None = None
+    cfg: ExperimentConfig, trace_cols: dict[str, np.ndarray] | None = None, recorded: Recorded | None = None
 ) -> CheckResult:
-    """Replay ``trace_file`` if given, else read the ``record_exact`` pass."""
-    if trace_file is not None:
-        cols = read_trace_csv(trace_file)
+    """Replay a trace file's columns (``loop.read_trace_csv``) if given, else read the ``record_exact`` pass."""
+    if trace_cols is not None:
         mu_a, _ = moments(cfg.a_spec)
         mu_w, _ = moments(cfg.w_spec)
-        result = validate_trace_columns(cols, cfg.params, mu_a, mu_w)
+        result = validate_trace_columns(trace_cols, cfg.params, mu_a, mu_w)
         if result.ok:
             return CheckResult(
                 "tracker_equality", True,
@@ -287,8 +288,9 @@ def run_checks(
             analysis.oracle_law_moments(cfg.a_spec, cfg.w_spec)
         except ValueError as exc:  # MomentError included
             raise ConfigError(f"oracle_match: {exc}") from None
+    trace_cols = None if trace_file is None else read_trace_csv(trace_file)
     checks = {
-        "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_file, rec),
+        "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_cols, rec),
         "containment": lambda rec: check_containment(cfg, rec),
         "domination": lambda rec: check_domination(cfg, rec),
         "drift": lambda rec: check_drift(cfg),

@@ -537,14 +537,16 @@ REFERENCE_CFG = str(EMERGENCY_CFG.parent / "reference.cfg")
 
 MISSING = "[Errno 2] No such file or directory: 'no_such.cfg'"
 # emergency_rich with laws oracle_match's exact standard errors cannot take:
-# a skewed disturbance, and a gain with no finite fourth moment.  The cases
-# write them into their working directory.
+# a skewed disturbance, and a gain with no finite fourth moment; and a trace
+# file with a wrong header.  The cases write them into their working
+# directory.
 _EMERGENCY_TEXT = EMERGENCY_CFG.read_text()
-DERIVED_CFGS = {
+DERIVED_FILES = {
     "asymmetric_w.cfg": _EMERGENCY_TEXT.replace(
         "W.kind = gaussian\nW.mean = 0.0\nW.stddev = 1.0", "W.kind = two_point\nW.v1 = 1\nW.p = 0.3\nW.v2 = -1"),
     "student_t_gain.cfg": _EMERGENCY_TEXT.replace(
         "A.kind = gaussian\nA.mean = 1.0\nA.stddev = 0.5", "A.kind = student_t\nA.dof = 3.5\nA.scale = 0.3\nA.shift = 1.0"),
+    "bad_trace.csv": "n,X\n0,0.0\n",
 }
 SMALL = ["--set", "trials=100", "--set", "horizon=50"]
 UNKNOWN_KEY = "unknown key 'bogus' in --set"
@@ -577,13 +579,20 @@ USER_ERRORS = {
                                  "--trace-file is read by the tracker_equality check only, which is not asked for"),
     "verify-duplicate-check": (["verify", REFERENCE_CFG, "--checks", "containment,containment"],
                                "check 'containment' is named more than once"),
+    # the trace file is read before the recorded ensemble the other exact checks share
+    "verify-missing-trace-file": (["verify", REFERENCE_CFG, "--checks", "containment,tracker_equality",
+                                   "--trace-file", "no_such.csv"],
+                                  "[Errno 2] No such file or directory: 'no_such.csv'"),
+    "verify-malformed-trace-file": (["verify", REFERENCE_CFG, "--checks", "containment,tracker_equality",
+                                     "--trace-file", "bad_trace.csv"],
+                                    "bad_trace.csv: unexpected trace header ['n', 'X']"),
 }
 
 
 @pytest.mark.parametrize("case", USER_ERRORS)
 def test_cli_user_errors_exit_1(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
-    for name, text in DERIVED_CFGS.items():
+    for name, text in DERIVED_FILES.items():
         (tmp_path / name).write_text(text)
     argv, message = USER_ERRORS[case]
 

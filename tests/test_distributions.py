@@ -14,6 +14,7 @@ from zoomctl.distributions import (
     moments,
     sample,
     sample_array,
+    sample_rows,
 )
 
 
@@ -295,3 +296,24 @@ def test_blocked_draws_equal_one_call(seed, kind, sizes):
     assert np.array_equal(np.concatenate([whole[:0]] + blocks), whole)
     # and leaves the generator where one call does
     assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "two_point", "student_t"])
+def test_sample_rows_equal_sample_array_per_row(kind):
+    spec = {
+        "gaussian": DistributionSpec.gaussian(0.3, 1.7),
+        "uniform": DistributionSpec.uniform(-1.0, 4.0),
+        "two_point": DistributionSpec.two_point(-1.0, 0.3, 2.0),
+        "student_t": DistributionSpec.student_t(2.5, 1.3, 0.2),
+    }[kind]
+    # the engine's disturbance block: the first columns of a wider buffer,
+    # as in a last, shorter time block; a second block continues each stream
+    buf = np.full((5, 40), np.nan)
+    rngs = [rng_from([3, j]) for j in range(5)]
+    refs = [rng_from([3, j]) for j in range(5)]
+    for n in (23, 40):
+        sample_rows(spec, rngs, buf[:, :n])
+        for j, ref in enumerate(refs):
+            assert np.array_equal(buf[j, :n].view(np.int64), sample_array(spec, ref, n).view(np.int64))
+            assert rngs[j].bit_generator.state == ref.bit_generator.state
+        assert np.isnan(buf[:, n:]).all()

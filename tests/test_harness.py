@@ -740,3 +740,66 @@ def test_recorded_bundle_matches_traces():
         assert np.array_equal(rec["X"][idx], tr.X)
         assert np.array_equal(rec["M"][idx], tr.M[: tr.steps])
         assert np.array_equal(rec["normal"][idx], tr.mode[: tr.steps] == 0)
+
+
+# --- engine memory ---------------------------------------------------------------
+
+
+def traced_peak(run):
+    """tracemalloc's peak over ``run()``, in bytes, and what ``run`` returned."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_peak_is_a_small_multiple_of_the_gains():
+    from zoomctl.config import load_config
+    from zoomctl.harness import envelope_moments
+
+    # one 1024-lane chunk over 2000 steps, a third of them in zoom-out: its
+    # gains take 16 MB, its time blocks and envelope folds a little more
+    cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1024", "horizon=2000"])
+    gains = cfg.trials * cfg.horizon * 8
+    for run in (lambda: run_experiment(cfg), lambda: envelope_moments(cfg)):
+        peak, _ = traced_peak(run)
+        assert peak <= 3.0 * gains
+
+
+def test_one_chunk_recording_holds_one_copy_of_its_records():
+    # 40 trials are one chunk, whose block rows are the records
+    cfg = make_cfg(trials=40, horizon=2000)
+    peak, (rec, div) = traced_peak(lambda: run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS))
+    held = sum(col.nbytes for col in rec.values()) + div.nbytes
+    # a second copy of the records would double them
+    assert peak <= 1.5 * held
+
+
+def test_narrow_last_chunk_reuses_the_gains_buffer(monkeypatch):
+    import zoomctl.harness as hz
+
+    # 1030 trials: a chunk of two 512-trial groups, then one of 6 lanes,
+    # whose gains take the first rows of the ensemble's buffer
+    cfg = make_cfg(trials=1030, horizon=600)
+    drawn = []
+    predraw = hz._predraw
+
+    def spy(cfg, indices, out=None):
+        a, rngs = predraw(cfg, indices, out)
+        drawn.append(a)
+        return a, rngs
+
+    monkeypatch.setattr(hz, "_predraw", spy)
+    outs = hz._run_chunks(cfg, False)
+    assert [len(a) for a in drawn] == [1024, 6]
+    assert np.shares_memory(drawn[0], drawn[1])
+    traces = [run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, t))
+              for t in range(1024, 1030)]
+    assert not any(tr.diverged for tr in traces)
+    # the last group's per-step sums are those of its trials' X^2, in trial order
+    want = functools.reduce(np.add, (tr.X * tr.X for tr in traces))
+    assert np.array_equal(outs[-1].sum_xsq[-1].view(np.int64), want.view(np.int64))
