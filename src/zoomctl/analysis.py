@@ -75,14 +75,15 @@ class DominatingSeqError(ValueError):
 
 
 def freeze_arrays(
-    x_abs: np.ndarray, M: np.ndarray, normal: np.ndarray, P: float
+    x_abs: np.ndarray, M: np.ndarray, normal: np.ndarray, P: float, I: np.ndarray, K: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(g, J): the tracker where each freeze point's round exits, and J = tau - n0.
 
-    The arrays hold |X_{n0}|, M_{n0} and the mode flag at each point.  A
-    normal point exits at itself: g = M_{n0}, J = 0.  At a zoom-out point g
+    The arrays hold |X_{n0}|, M_{n0}, the mode flag and I_{n0} at each point.
+    A normal point exits at itself: g = M_{n0}, J = 0.  At a zoom-out point g
     grows by P, the same float product as the engine's zoom-out update,
-    while it is below |X_{n0}|; J counts the multiplies.
+    while it is below |X_{n0}|; J counts the multiplies.  Growth stops once
+    N (``dominating_seq``) is inf, which more growth would leave inf.
     """
     g = np.array(M, dtype=float)
     J = np.zeros(g.shape, dtype=np.int64)
@@ -92,7 +93,7 @@ def freeze_arrays(
         while grow.any():
             np.multiply(g, P, out=g, where=grow)
             J += grow
-            grow &= g < x_abs
+            grow &= (g < x_abs) & (dominating_seq(g, I, J, K) < np.inf)
     return g, J
 
 
@@ -214,6 +215,7 @@ class DominationReport:
                 {"trace": t, "n0": n0, "abs_x": x, "N": n} for t, n0, x, n in self.rows(self.violations)
             ],
             "max_ratio": self.max_ratio,
+            "unbounded": self.unbounded,
             "ok": self.ok,
         }
 
@@ -232,9 +234,9 @@ def domination_report(
     rec: dict[str, np.ndarray], trace: np.ndarray, n0: np.ndarray, params: StrategyParams
 ) -> DominationReport:
     """|X_{n0}| <= N_{n0}, exactly, at the points (trace[i], n0[i]) of recorded X, M, I and mode flags."""
-    x_abs = np.abs(rec["X"][trace, n0])
-    g, J = freeze_arrays(x_abs, rec["M"][trace, n0], rec["normal"][trace, n0], params.P)
-    return DominationReport(trace, n0, x_abs, dominating_seq(g, rec["I"][trace, n0], J, params.K))
+    x_abs, I = np.abs(rec["X"][trace, n0]), rec["I"][trace, n0]
+    g, J = freeze_arrays(x_abs, rec["M"][trace, n0], rec["normal"][trace, n0], params.P, I, params.K)
+    return DominationReport(trace, n0, x_abs, dominating_seq(g, I, J, params.K))
 
 
 @dataclass

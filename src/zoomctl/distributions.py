@@ -9,10 +9,9 @@ on; student_t is included precisely because it has only finitely many
 moments (alpha < dof), which exercises that hypothesis.
 
 Closed forms are used for two_point and uniform.  gaussian and student_t
-absolute moments fall back to adaptive quadrature at a fixed relative
-tolerance of 1e-6 (not configurable).  scipy, which does that quadrature,
-is imported on the first quadrature moment only, so importing the package
-and simulating load no scipy.
+absolute moments use a tanh-sinh rule in the law's standardized variable,
+whose step halves until two sums agree to a relative 1e-6 (not
+configurable); a moment whose sums never agree raises MomentError.
 """
 
 from __future__ import annotations
@@ -201,31 +200,64 @@ def _uniform_abs_moment(lo: float, hi: float, alpha: float, shift: float) -> flo
 
 
 def _quad_abs_moment(spec: DistributionSpec, alpha: float, shift: float) -> float:
-    # imported here, its only use: scipy takes most of a cold start otherwise
-    from scipy import integrate, stats
-
+    # Tanh-sinh in theta = atan(z/c), z = (x - loc)/scale the standardized variable;
+    # c = sqrt(dof) makes the student_t density times dz cos(theta)^(dof-1) dtheta,
+    # and c = 1 for gaussian.  Terms are formed in logs of each node's distances to
+    # its piece's ends, so a narrow law far from 0 and the student_t's singularity
+    # at theta = +-pi/2 come out exact to rounding.
     if spec.kind == "gaussian":
-        mean, sd = spec.params
-        pdf = stats.norm(mean, sd).pdf
+        loc, scale = spec.params
+        c, power, beta, log_norm = 1.0, -2.0 - alpha, 1.0, -0.5 * math.log(2.0 * math.pi)
     else:
         dof, scale, loc = spec.params
-        pdf = stats.t(dof, loc=loc, scale=scale).pdf
+        c, power, beta = math.sqrt(dof), dof - 1.0 - alpha, min(1.0, dof - alpha)
+        log_norm = math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0) - 0.5 * math.log(math.pi)
+    # the kink of |x| at theta0 = atan(-loc / (c*scale)) splits (-pi/2, pi/2) into
+    # two pieces, one row each; |x| = hyp * |sin(theta - theta0)| / cos(theta)
+    w = np.array([[max(math.atan2(c * scale, sign * loc), math.ulp(0.0))] for sign in (-1.0, 1.0)])
+    log_hyp = math.log(math.hypot(c * scale, loc))
+    log_shift = math.log(shift) if shift > 0 else -math.inf
+    log_ref = np.logaddexp(log_hyp, log_shift)  # sums are relative to (hyp + shift)^alpha
+    t_max = math.asinh(40.0 / (math.pi * beta))  # terms fall like d^beta, d ~ exp(-pi sinh t)
 
-    def f(x):
-        return (abs(x) + shift) ** alpha * pdf(x)
+    def log_sine_over(log_d, d_far):  # (log(sin(m) / d), m), m = min(d, d_far), d + d_far = pi
+        m = np.minimum(np.exp(log_d), d_far)
+        return np.where(m < d_far, 0.0, np.log(d_far) - log_d) + np.log(np.sinc(m / math.pi)), m
 
-    # split at 0 (kink of |x|) and integrate each half-line separately
-    left, _ = integrate.quad(f, -np.inf, 0.0, epsrel=QUAD_REL_TOL, limit=300)
-    right, _ = integrate.quad(f, 0.0, np.inf, epsrel=QUAD_REL_TOL, limit=300)
-    return left + right
+    def node_sum(t, h):  # h times the terms at nodes t of both pieces, summed
+        two_u = math.pi * np.sinh(t)
+        log_dk = np.log(w) - np.logaddexp(0.0, two_u)  # node distance to the kink end
+        log_dp = np.log(w) - np.logaddexp(0.0, -two_u)  # and to the pole end
+        cos_rel, m = log_sine_over(log_dp, w[::-1] + np.exp(log_dk))  # log(cos(theta) / dp)
+        sin_rel, _ = log_sine_over(log_dk, w[::-1] + np.exp(log_dp))  # log(|sin(theta - theta0)| / dk)
+        log_xc = np.logaddexp(log_hyp + log_dk + sin_rel, log_shift + log_dp + cos_rel)
+        # cos^power dp, formed as dp^(power+1) (cos/dp)^power: nothing cancels at the pole
+        log_term = (alpha * (log_xc - log_ref) + (power + 1.0) * log_dp + power * cos_rel + log_dk
+                    + np.log(math.pi * h * np.cosh(t)) - np.log(w) + log_norm)
+        if spec.kind == "gaussian":  # exp(-z^2/2), z = tan(theta)
+            log_term -= 0.5 / np.tan(m) ** 2
+        return np.exp(log_term).sum()
+
+    # halve the step until two sums agree; a sum of 0 or nan never does
+    with np.errstate(all="ignore"):
+        h, n = 0.125, math.ceil(t_max / 0.125)
+        total = node_sum(h * np.arange(-n, n + 1), h)
+        for _ in range(8):
+            prev, h, n = total, h / 2, 2 * n
+            total = prev / 2 + node_sum(h * np.arange(1 - n, n, 2), h)
+            if 0 < total and abs(total - prev) <= QUAD_REL_TOL * total:
+                return float(np.exp(alpha * log_ref) * total)
+    raise MomentError(f"E[(|Z|+{shift})^{alpha}] under {spec.kind} {spec.params}: "
+                      f"tanh-sinh sums did not agree to {QUAD_REL_TOL} down to step {h}")
 
 
 def abs_moment(spec: DistributionSpec, alpha: float, shift: float = 0.0) -> float:
     """E[(|Z| + shift)^alpha] for Z distributed per ``spec``.
 
     ``alpha >= 1`` and ``shift >= 0``.  Closed form for two_point and
-    uniform; quadrature (relative tolerance 1e-6) for gaussian and
-    student_t.  Raises MomentError when the moment does not exist.
+    uniform; a tanh-sinh rule (relative tolerance 1e-6) for gaussian and
+    student_t.  Raises MomentError when the moment does not exist, or when
+    the rule's sums do not agree.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")

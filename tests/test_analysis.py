@@ -54,7 +54,7 @@ def recorded(tr):
 def point_n(x_abs, M, I, normal, params):
     """(N, J) at freeze points through freeze_arrays and dominating_seq."""
     x_abs, M, I, normal = (np.atleast_1d(np.asarray(v)) for v in (x_abs, M, I, normal))
-    g, J = freeze_arrays(x_abs, M, normal, params.P)
+    g, J = freeze_arrays(x_abs, M, normal, params.P, I, params.K)
     return dominating_seq(g, I, J, params.K), J
 
 
@@ -79,7 +79,7 @@ def frozen_n_by_definition(x_abs, m_prev, m, i, P, K):
 
 def test_freeze_grows_tracker_until_it_covers_the_state():
     g, J = freeze_arrays(np.array([10.0, 16.0, 16.5]), np.array([2.0, 2.0, 2.0]),
-                         np.zeros(3, dtype=bool), 2.0)
+                         np.zeros(3, dtype=bool), 2.0, np.ones(3), 8.0)
     assert g.tolist() == [16.0, 16.0, 32.0]
     assert J.tolist() == [3, 3, 4]
 
@@ -87,9 +87,30 @@ def test_freeze_grows_tracker_until_it_covers_the_state():
 def test_freeze_constant_when_state_already_covered():
     # a normal step passed its guard |X| <= P*M_{n0-1}: its round exits at
     # n0, whatever M_{n0} is
-    g, J = freeze_arrays(np.array([0.5, 3.0]), np.array([1.0, 1.0]), np.ones(2, dtype=bool), 2.0)
+    g, J = freeze_arrays(np.array([0.5, 3.0]), np.array([1.0, 1.0]), np.ones(2, dtype=bool), 2.0,
+                         np.ones(2), 8.0)
     assert g.tolist() == [1.0, 1.0]
     assert J.tolist() == [0, 0]
+
+
+def test_freeze_stops_once_n_is_inf_with_n_unchanged():
+    # N = 2^J sqrt(g^2 + K I^2) only grows with g and J, so a point stopped at
+    # N = inf has the N of its whole round, bit for bit.  The second point's
+    # g^2 underflows (M0 < 1e-154); the last exits with N finite.
+    P, K = 1.01, 2.0
+    x_abs = np.array([1e300, 1e10, 1e100, 1e300, 5.0])
+    M = np.array([1.0, 1e-160, 1e-200, 1e280, 1.0])
+    I = np.array([0.5, 1e-160, 3.0, 1e280, 0.25])
+    g, J = freeze_arrays(x_abs, M, np.zeros(5, dtype=bool), P, I, K)
+    N = dominating_seq(g, I, J, K)
+    g_full, J_full = M.copy(), np.zeros(5, dtype=np.int64)
+    for i in range(5):
+        while g_full[i] < x_abs[i]:  # the whole round, grown as the engine grows the tracker
+            g_full[i] *= P
+            J_full[i] += 1
+    assert N.tobytes() == dominating_seq(g_full, I, J_full, K).tobytes()
+    assert np.isinf(N[:4]).all() and (J[:4] < J_full[:4]).all() and J[:4].max() < 1600
+    assert (g[4], J[4]) == (g_full[4], J_full[4]) and np.isfinite(N[4])
 
 
 def test_freeze_at_origin_is_trivial():
@@ -173,7 +194,9 @@ def test_point_form_matches_frozen_trace(points):
         params = replace(UNIT_PARAMS, P=P)
         N, J = point_n(x, m, i, normal, params)
         expected = [frozen_n_by_definition(*pt[:4], P, params.K) for pt in pts]
-        assert J.tolist() == [j for _, j in expected]
+        # a round whose N overflows stops growing there, with N as it would end
+        j_round = np.array([j for _, j in expected])
+        assert np.array_equal(np.where(np.isinf(N), np.minimum(J, j_round), j_round), J)
         assert N.tobytes() == np.array([n for n, _ in expected]).tobytes()
         assert np.all(J[normal] == 0) and np.all(J[~normal] >= 1)
 

@@ -1,4 +1,6 @@
 import json
+import runpy
+import time
 import warnings
 from pathlib import Path
 
@@ -212,6 +214,32 @@ def test_cli_feasibility_prints_table_and_json(cfg_file, capsys):
     out = capsys.readouterr().out
     assert "margin_drift" in out
     assert '"ok": false' in out
+
+
+@pytest.mark.parametrize("sets, code, row", [
+    # E|W|^4.5 = 1397.5 for W ~ N(5, 0.01): epsilon is about 1.28, past c's room
+    (["W.mean=5", "W.stddev=0.01"], 2, "ell_alpha         1397.59"),
+    # E[(|A| + 1)^4.5] = 22.63 for A ~ N(1, 0.001): epsilon is about 0.035
+    (["A.stddev=0.001"], 0, "m_alpha           22.6275"),
+])
+def test_cli_feasibility_of_narrow_laws_far_from_0(capsys, sets, code, row):
+    argv = ["feasibility", REFERENCE_CFG]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == code
+    assert row in capsys.readouterr().out.splitlines()
+
+
+def test_find_reference_params_prints_the_shipped_blocks(monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "find_reference_params.py"
+    for system, cfg in (("gaussian", "reference.cfg"), ("student_t", "reference_student_t.cfg")):
+        monkeypatch.setattr("sys.argv", [str(script), "--system", system])
+        runpy.run_path(str(script), run_name="__main__")
+        block = capsys.readouterr().out.split("config block:\n")[1]
+        printed = {k: float(v) for k, v in (line.split(" = ") for line in block.splitlines())}
+        params = load_config(EMERGENCY_CFG.parent / cfg).params
+        assert printed == {k: getattr(params, k) for k in ("P", "L", "M0", "K", "c")}, system
+    assert (printed["P"], printed["L"]) == (2e13, 5e14)
 
 
 def test_cli_sweep(tmp_path, cfg_file, capsys):
@@ -730,3 +758,17 @@ def test_cli_verify_domination_counts_n_overflowed_to_inf(tmp_path, capsys):
     assert n_inf > 0
     assert captured.out.startswith("domination  PASS  |X_n0| <= N_n0 at all 1000 sampled freeze points")
     assert captured.out.endswith(f"; N overflowed to inf at {n_inf})\n")
+    assert json.loads((tmp_path / "domination_report.json").read_text())["unbounded"] == n_inf
+
+
+def test_cli_verify_domination_at_p_just_above_1_is_quick(tmp_path, capsys):
+    # a zoom-out round at P = 1 + 1e-7 would grow its tracker for millions of
+    # steps; each point stops once N is inf (after about 1100 multiplies)
+    start = time.perf_counter()
+    code = main(["verify", REFERENCE_CFG, "--checks", "domination", "--out", str(tmp_path),
+                 "--set", "trials=20", "--set", "horizon=300", "--set", "P=1.0000001"])
+    elapsed = time.perf_counter() - start
+    report = json.loads((tmp_path / "domination_report.json").read_text())
+    assert code == 0 and report["checked"] == 200 and report["unbounded"] > 100
+    assert capsys.readouterr().out.startswith("domination  PASS  ")
+    assert elapsed < 10.0

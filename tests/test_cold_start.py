@@ -1,7 +1,8 @@
-"""scipy stays off the import path: only the quadrature moments load it.
+"""The package needs numpy only: neither importing the CLI nor feasibility's
+tail moments load scipy.
 
-Each test runs a fresh interpreter, since this test process may already
-have imported scipy.
+Each test runs a fresh interpreter, since this test process may have
+imported scipy through some other package.
 """
 
 import hashlib
@@ -11,23 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from zoomctl.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-
-# a meta-path finder that fails every scipy import
-BLOCK_SCIPY = """
-import sys
-
-class NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"scipy is blocked: {name}")
-        return None
-
-sys.meta_path.insert(0, NoScipy())
-"""
 
 # run zoomctl.cli.main on each argv in ARGVS; print exit codes, stdout and
 # which scipy modules are loaded, before the first command and after each
@@ -48,81 +34,37 @@ print(json.dumps(report))
 """
 
 
-def _python(code: str, cwd: Path) -> dict:
+def _run_commands(argvs, cwd: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _run_commands(argvs, cwd: Path, prelude: str = "") -> dict:
-    return _python(prelude + f"ARGVS = {argvs!r}\n" + RUN_COMMANDS, cwd)
+    proc = subprocess.run([sys.executable, "-c", f"ARGVS = {argvs!r}\n" + RUN_COMMANDS], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     report = _run_commands([], tmp_path)
-    assert report["before"] == []
-
-
-SMALL = ["--set", "trials=100", "--set", "horizon=300"]
-COMMANDS = [
-    ["simulate", str(CONFIGS / "reference.cfg"), "--out", "sim", *SMALL],
-    ["verify", str(CONFIGS / "reference.cfg"), "--out", "ver", *SMALL],
-    ["sweep", str(CONFIGS / "reference.cfg"), "--dim", "L", "--values", "8,1e6", "--out", "swp", *SMALL],
-]
-
-
-def test_simulate_verify_and_sweep_run_with_scipy_blocked(tmp_path, monkeypatch, capsys):
-    blocked, open_ = tmp_path / "blocked", tmp_path / "open"
-    blocked.mkdir()
-    open_.mkdir()
-    report = _run_commands(COMMANDS, blocked, BLOCK_SCIPY)
-    assert report["before"] == [] and all(run["scipy"] == [] for run in report["runs"])
-
-    # the same commands in this process, where nothing is blocked
-    monkeypatch.chdir(open_)
-    for argv, run in zip(COMMANDS, report["runs"]):
-        code = main(argv)
-        assert (run["code"], run["stdout"]) == (code, capsys.readouterr().out), argv
-    # 300 steps are too few for simulate's stability verdict, hence its 3
-    assert [run["code"] for run in report["runs"]] == [3, 0, 0]
-    written = sorted(p.relative_to(open_) for p in open_.rglob("*") if p.is_file())
-    assert written and written == sorted(p.relative_to(blocked) for p in blocked.rglob("*") if p.is_file())
-    for rel in written:
-        assert (blocked / rel).read_bytes() == (open_ / rel).read_bytes(), rel
-
-
-def test_blocker_fails_a_quadrature_moment(tmp_path):
-    # the finder above does block: feasibility's moments need scipy
-    code = BLOCK_SCIPY + """
-from zoomctl.distributions import DistributionSpec, abs_moment
-try:
-    abs_moment(DistributionSpec.gaussian(1.0, 0.5), 4.5)
-    outcome = "computed"
-except ImportError:
-    outcome = "blocked"
-print(json.dumps(outcome))
-"""
-    assert _python("import json\n" + code, tmp_path) == "blocked"
+    assert report == {"before": [], "runs": []}
 
 
 # sha256 of feasibility's stdout on the shipped configs, with their exit
-# codes, as printed when scipy was still imported with the package
+# codes, as printed by the tanh-sinh tail moments
 FEASIBILITY_STDOUT = {
-    "emergency_rich.cfg": (2, "f428361637e7ad31b26e08f96103417313bdc55e50d36643e18e112b3f69a6a3"),
-    "reference.cfg": (0, "d3d851941b438fb4a2852728873190a2534455074879286ef1c5349ac5544e86"),
-    "reference_student_t.cfg": (0, "b7915dbf41929faeb92a0c41021d1a37bc0d7c7528787fb288264ab2f68320c9"),
-    "static_baseline.cfg": (2, "49bba62917c3fa1886d85bf1f40fe80a824e5445c6303bc6cae7786946057b90"),
+    "emergency_rich.cfg": (2, "ab77eae0b40a61c05b0da6e64515d523bb346786a4be828c37e9b302af612acd"),
+    "reference.cfg": (0, "8b242b1d6df6513e200578652246c9ade812490c314424734fa449c5a77f8490"),
+    "reference_student_t.cfg": (0, "164ac74e6c0be6fa9d133e4ca1a4368a660f53d8757260ac7f9bc1bc2084b5a5"),
+    "static_baseline.cfg": (2, "357b412d2e0d82edd5b9c5e8e419599d0a196157efe2f6cc98a10a8283ba7276"),
 }
 
 
 def test_feasibility_loads_scipy_on_demand_with_unchanged_output(tmp_path):
+    # The name dates from the scipy quadrature. The moments are numpy now, so
+    # "on demand" means never: no command loads a scipy module, and the
+    # output is pinned to the digests above.
     names = sorted(FEASIBILITY_STDOUT)
     report = _run_commands([["feasibility", str(CONFIGS / name)] for name in names], tmp_path)
     assert report["before"] == []
     for name, run in zip(names, report["runs"]):
-        assert "scipy.integrate" in run["scipy"] and "scipy.stats" in run["scipy"]
+        assert run["scipy"] == [], name
         digest = hashlib.sha256(run["stdout"].encode()).hexdigest()
         assert (run["code"], digest) == FEASIBILITY_STDOUT[name], name

@@ -127,13 +127,14 @@ def test_abs_moment_gaussian_shift_vs_monte_carlo():
 
 
 def test_abs_moment_uniform_closed_form_vs_quadrature():
-    from scipy import integrate
-
     spec = DistributionSpec.uniform(-0.7, 2.3)
     alpha, shift = 3.5, 0.25
     val = abs_moment(spec, alpha, shift)
-    num, _ = integrate.quad(
-        lambda x: (abs(x) + shift) ** alpha / 3.0, -0.7, 2.3, points=[0.0], limit=200
+    # 40-point Gauss-Legendre on each side of the kink at 0, where the integrand is smooth
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    num = sum(
+        (b - a) / 2 * weights @ ((np.abs((a + b) / 2 + (b - a) / 2 * nodes) + shift) ** alpha / 3.0)
+        for a, b in ((-0.7, 0.0), (0.0, 2.3))
     )
     assert val == pytest.approx(num, rel=1e-9)
 
@@ -182,6 +183,62 @@ def test_abs_moment_within_3se_of_empirical(spec, seed, alpha):
     assert abs(draws.mean() - abs_moment(spec, alpha)) < 3 * se
 
 
+# laws narrow against their distance from 0, and wide ones: the quadrature
+# runs in the standardized variable, so its accuracy does not depend on either
+NARROW_AND_FAR = [
+    DistributionSpec.gaussian(1.0, 1e-3),
+    DistributionSpec.gaussian(1000.0, 1e-3),
+    DistributionSpec.gaussian(0.0, 1e-6),
+    DistributionSpec.gaussian(5.0, 0.01),
+    DistributionSpec.gaussian(-3.0, 1e-12),
+    DistributionSpec.gaussian(1e-3, 1e4),
+    DistributionSpec.student_t(5.0, 1e-3, 1.0),
+    DistributionSpec.student_t(4.6, 1e-6, -1000.0),
+    DistributionSpec.student_t(30.0, 1e3, 2.0),
+]
+
+
+@pytest.mark.parametrize("spec", NARROW_AND_FAR)
+def test_abs_moment_alpha2_of_narrow_and_far_laws(spec):
+    mean, var = moments(spec)
+    assert abs_moment(spec, 2.0) == pytest.approx(mean**2 + var, rel=1e-12)
+
+
+def gaussian_centered_abs_moment(sd, alpha):
+    """E|sd Z|^alpha for Z standard normal."""
+    return sd**alpha * 2.0 ** (alpha / 2.0) * math.gamma((alpha + 1.0) / 2.0) / math.sqrt(math.pi)
+
+
+def student_t_centered_abs_moment(dof, scale, alpha):
+    """E|scale T|^alpha for T standard Student-t with dof > alpha degrees."""
+    return (scale**alpha * dof ** (alpha / 2.0) * math.gamma((alpha + 1.0) / 2.0)
+            * math.gamma((dof - alpha) / 2.0) / (math.sqrt(math.pi) * math.gamma(dof / 2.0)))
+
+
+@pytest.mark.parametrize("sd", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("alpha", [1.0, 2.5, 4.5, 7.0])
+def test_abs_moment_centered_gaussian_closed_form(sd, alpha):
+    want = gaussian_centered_abs_moment(sd, alpha)
+    assert abs_moment(DistributionSpec.gaussian(0.0, sd), alpha) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 4.5])
+@pytest.mark.parametrize("gap, rel", [(3.0, 1e-12), (0.5, 1e-12), (0.1, 1e-9), (0.01, 1e-6)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0])
+def test_abs_moment_centered_student_t_near_its_last_moment(alpha, gap, rel, scale):
+    # dof = alpha + gap: the integrand's singularity at the tails sharpens as gap -> 0
+    dof = alpha + gap
+    want = student_t_centered_abs_moment(dof, scale, alpha)
+    assert abs_moment(DistributionSpec.student_t(dof, scale), alpha) == pytest.approx(want, rel=rel)
+
+
+def test_abs_moment_raises_rather_than_return_unconverged_sums():
+    # cos(theta)^(dof-1) is a spike of width 1e-3 here, far from the kink:
+    # every step misses it, so the sums are 0 and must not be taken for converged
+    with pytest.raises(MomentError, match="did not agree"):
+        abs_moment(DistributionSpec.student_t(1e6, 1.0, 1000.0), 2.0)
+
+
 def test_abs_moment_rejects_bad_args():
     spec = DistributionSpec.gaussian(0.0, 1.0)
     with pytest.raises(ValueError):
@@ -215,9 +272,7 @@ def test_gain_tail_moment_floor():
 
 def test_noise_tail_moment_standard_normal():
     # E|Z|^4.5 for Z ~ N(0,1): 2^(4.5/2) * Gamma(2.75) / sqrt(pi)
-    from scipy.special import gamma
-
-    want = 2.0 ** (4.5 / 2.0) * gamma((4.5 + 1.0) / 2.0) / math.sqrt(math.pi)
+    want = 2.0 ** (4.5 / 2.0) * math.gamma((4.5 + 1.0) / 2.0) / math.sqrt(math.pi)
     assert moment_summary(DistributionSpec.gaussian(0.0, 1.0), 4.5).abs_moment_alpha == pytest.approx(
         want, rel=1e-6
     )
