@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -286,6 +287,30 @@ STATS_FIELDS = ("curve_mean", "curve_stderr", "curve_count", "diverged_count",
 
 def block_case_cfg(case, **over):
     return make_cfg(**{"trials": 30, "horizon": 45, "master_seed": 3, **BLOCK_CASES[case], **over})
+
+
+# sha256 of Trace.to_csv for one kept trace per policy the pinned benchmark
+# traces do not reach, and for an adaptive trial diverging at step 20 of 45
+KEPT_TRACE_DIGESTS = {
+    ("static", 0): "69b3a47c724814ff4aec200de6549025634401ca77eb1993e5e10b28b4e527d8",
+    ("perfect", 0): "e44d63b5d26f64820f59ba19c662ebb667c968f29a26d75e3b0fb5e7c82d8a70",
+    ("zero", 0): "963e3e57bca73b92eea91b5f241156d03fef56ac1e348f820b9e11968a9da226",
+    ("diverging", 2): "90baa84bbd84e461e12f8e3adf09ccb2a4b1b41aaff7ea415137351a260e2f19",
+}
+
+
+@pytest.mark.parametrize("case, trial", KEPT_TRACE_DIGESTS)
+def test_kept_trace_csv_bytes_are_pinned(tmp_path, case, trial):
+    cfg = block_case_cfg(case)
+    traces = [extract_trace(cfg, trial)]
+    if case == "diverging":
+        traces.append(run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
+                                trial_seed(cfg.master_seed, trial)))
+        assert traces[0].diverged_at == 20
+    for tr in traces:
+        tr.to_csv(tmp_path / "trace.csv")
+        digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        assert digest == KEPT_TRACE_DIGESTS[case, trial]
 
 
 def engine_outputs(cfg, kept):
