@@ -15,7 +15,7 @@ Layers:
 
 from zoomctl.distributions import DistributionSpec, MomentSummary, abs_moment, moments, sample
 from zoomctl.codec import Cell, StrategyParams, cell_of, encode_normal, rate, tracker_update_normal
-from zoomctl.loop import Trace, TraceRow, TrackerState, encoder_step, controller_step, plant_step, run_trial
+from zoomctl.loop import Trace, TrackerState, encoder_step, controller_step, plant_step, run_trial
 from zoomctl.harness import ExperimentConfig, Policy, SummaryStats, run_experiment, stability_verdict, sweep
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "rate",
     "tracker_update_normal",
     "Trace",
-    "TraceRow",
     "TrackerState",
     "encoder_step",
     "controller_step",

@@ -66,7 +66,7 @@ from zoomctl.codec import (
     StrategyParams, cell_tracker, is_clamped, rate,
 )
 from zoomctl.distributions import DistributionSpec, moments, sample_array, sample_rows
-from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
+from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, build_trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
 BLOCK_STEPS = 250  # steps per time block of the engine
@@ -659,43 +659,20 @@ def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
 
 
 def _trace_from_records(cfg: ExperimentConfig, out: _ChunkOut, j: int, index: int) -> Trace:
-    """Lane j of a fully recorded chunk, which ran trial ``index``, as a Trace."""
+    """Lane j of a fully recorded chunk, which ran trial ``index``, as a Trace.
+
+    The lane's records up to its divergence step (or the horizon) go to
+    ``build_trace``; the tracker and symbol records only for the quantized
+    policies, since the others keep none.
+    """
     div_at = int(out.diverged_at[j])
     steps = cfg.horizon if div_at < 0 else div_at
-
-    def column(values, fill, dtype=float, hold=False):
-        # the executed steps, then the state-only row: ``fill``, or with
-        # ``hold`` the last step's value
-        col = np.full(steps + 1, fill, dtype=dtype)
-        if values is not None:
-            col[:steps] = values[:steps]
-        if hold and steps:
-            col[steps] = col[steps - 1]
-        return col
-
-    rec = {f: col[j] for f, col in out.records.items()}
-    normal = rec["normal"][:steps]
     quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
-    trk = rec if quantized else dict.fromkeys(("symbol", "M", "I", "rho"))
-    return Trace(
-        n=np.arange(steps + 1, dtype=np.int64),
-        X=rec["X"][: steps + 1].copy(),
-        symbol=column(trk["symbol"], NO_SYMBOL, np.int64),
-        mode=column(~normal, 0, np.uint8, hold=True),
-        M=column(trk["M"], cfg.params.M0, hold=True),
-        I=column(trk["I"], cfg.params.M0, hold=True),
-        rho=column(trk["rho"], 1, np.int64, hold=True),
-        U=column(rec["U"], 0.0),
-        A=column(rec["A"], np.nan),
-        W=column(rec["W"], np.nan),
-        round_id=column(np.maximum(np.cumsum(normal, dtype=np.int64) - 1, 0), 0, np.int64, hold=True),
-        params=cfg.params,
-        a_spec=cfg.a_spec,
-        w_spec=cfg.w_spec,
-        seed=trial_seed(cfg.master_seed, index),
-        diverged=div_at >= 0,
-        diverged_at=None if div_at < 0 else div_at,
-        policy=cfg.policy.kind,
+    fields = ("normal", "U", "A", "W") + (("symbol", "M", "I", "rho") if quantized else ())
+    return build_trace(
+        out.records["X"][j, : steps + 1], {f: out.records[f][j] for f in fields},
+        cfg.params, cfg.a_spec, cfg.w_spec, trial_seed(cfg.master_seed, index),
+        None if div_at < 0 else div_at, cfg.policy.kind,
     )
 
 

@@ -132,26 +132,9 @@ def plant_step(x: float, u: float, a_draw: float, w_draw: float) -> float:
     return a_draw * x + w_draw - u
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One step of a recorded trial (view into a Trace)."""
-
-    n: int
-    X: float
-    symbol: int
-    mode: str
-    M: float
-    I: float
-    rho: int
-    U: float
-    A: float
-    W: float
-    round_id: int
-
-
 @dataclass
 class Trace:
-    """Column-oriented record of one closed-loop trial.
+    """Column-oriented record of one closed-loop trial, as ``build_trace`` lays it out.
 
     Arrays have one row per step plus a trailing state-only row: row n < steps
     carries X_n together with the step-n action (symbol, mode, post-update
@@ -190,13 +173,6 @@ class Trace:
             return "end"
         return EMERGENCY if self.mode[i] else NORMAL
 
-    def row(self, i: int) -> TraceRow:
-        return TraceRow(*(self.mode_str(i) if f == "mode" else getattr(self, f)[i].item()
-                          for f in TRACE_CSV_HEADER))
-
-    def rows(self):
-        return (self.row(i) for i in range(len(self.n)))
-
     def to_csv(self, path) -> None:
         # csv writes Python floats by repr, ints by str
         cols = [[self.mode_str(i) for i in range(len(self.n))] if f == "mode" else getattr(self, f).tolist()
@@ -206,26 +182,61 @@ class Trace:
             writer.writerow(TRACE_CSV_HEADER)
             writer.writerows(zip(*cols))
 
-    def summary(self) -> dict:
-        xs = self.X[: self.steps + 1]
-        half = xs[len(xs) // 2 :]
-        emergency_steps = int(np.sum(self.mode[: self.steps] == 1))
-        return {
-            "policy": self.policy,
-            "seed": self.seed,
-            "params": self.params.describe(),
-            "system": {"A": self.a_spec.describe(), "W": self.w_spec.describe()},
-            "steps": self.steps,
-            "diverged": self.diverged,
-            "diverged_at": self.diverged_at,
-            "final_x": float(xs[-1]) if math.isfinite(float(xs[-1])) else None,
-            "mean_xsq_last_half": float(np.mean(half**2)) if len(half) else None,
-            "emergency_steps": emergency_steps,
-            "rounds": int(self.round_id[self.steps - 1]) + 1 if self.steps else 0,
-        }
 
-    def to_json(self, path) -> None:
-        write_json(self.summary(), path)
+def build_trace(
+    X,
+    steps: dict,
+    params: StrategyParams,
+    a_spec: DistributionSpec,
+    w_spec: DistributionSpec,
+    seed,
+    diverged_at: int | None = None,
+    policy: str = "adaptive_fixed_rate",
+) -> Trace:
+    """The Trace of a trial that executed ``len(X) - 1`` steps.
+
+    ``X`` holds X_0..X_steps.  ``steps`` maps ``normal``, ``U``, ``A``, ``W``
+    and, for the quantized policies, ``symbol``, ``M``, ``I``, ``rho`` to
+    per-step values; entries past the executed steps are ignored, and a
+    missing tracker column holds the initial tracker.  The trailing row takes
+    NO_SYMBOL, U = 0 and NaN draws, and carries over the last step's mode,
+    tracker and ``round_id``.  ``round_id`` counts the normal steps from 0.
+    """
+    size = len(X)
+    normal = np.asarray(steps["normal"][: size - 1], dtype=bool)
+    derived = {"mode": ~normal, "round_id": np.maximum(np.cumsum(normal, dtype=np.int64) - 1, 0)}
+
+    def column(name, fill, dtype=float, hold=False):
+        # the executed steps, then the state-only row: ``fill``, or with
+        # ``hold`` the last step's value
+        col = np.full(size, fill, dtype=dtype)
+        values = steps.get(name, derived.get(name))
+        if values is not None:
+            col[:-1] = values[: size - 1]
+        if hold and size > 1:
+            col[-1] = col[-2]
+        return col
+
+    return Trace(
+        n=np.arange(size, dtype=np.int64),
+        X=np.array(X, dtype=float),
+        symbol=column("symbol", NO_SYMBOL, np.int64),
+        mode=column("mode", 0, np.uint8, hold=True),
+        M=column("M", params.M0, hold=True),
+        I=column("I", params.M0, hold=True),
+        rho=column("rho", 1, np.int64, hold=True),
+        U=column("U", 0.0),
+        A=column("A", np.nan),
+        W=column("W", np.nan),
+        round_id=column("round_id", 0, np.int64, hold=True),
+        params=params,
+        a_spec=a_spec,
+        w_spec=w_spec,
+        seed=seed,
+        diverged=diverged_at is not None,
+        diverged_at=diverged_at,
+        policy=policy,
+    )
 
 
 def json_safe(x):
@@ -286,6 +297,8 @@ def run_trial(
     Encoder-side and controller-side trackers are maintained separately;
     any disagreement is a bug and raises immediately.  The parameters are
     run as given, certified or not; ``analysis.feasibility`` certifies them.
+    The executed steps become a Trace through ``build_trace``, as the
+    engine's kept traces do.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -296,83 +309,33 @@ def run_trial(
     a_draws = np.atleast_1d(sample_array(a_spec, rng, horizon)) if horizon else np.empty(0)
     w_draws = np.atleast_1d(sample_array(w_spec, rng, horizon)) if horizon else np.empty(0)
 
-    size = horizon + 1
-    col_n = np.arange(size, dtype=np.int64)
-    col_x = np.zeros(size)
-    col_symbol = np.full(size, NO_SYMBOL, dtype=np.int64)
-    col_mode = np.zeros(size, dtype=np.uint8)
-    col_m = np.full(size, params.M0)
-    col_i = np.full(size, params.M0)
-    col_rho = np.ones(size, dtype=np.int64)
-    col_u = np.zeros(size)
-    col_a = np.full(size, np.nan)
-    col_w = np.full(size, np.nan)
-    col_round = np.zeros(size, dtype=np.int64)
-
+    # per executed step: X_n, then the step's symbol, mode, tracker (encoder
+    # side, equal to the controller's) and control; a float holds every
+    # symbol exactly, as L <= MAX_L = 2**50
+    rows = np.empty((horizon, 7))
     enc = initial_tracker(params)
     ctl = initial_tracker(params)
     x = 0.0
-    diverged = False
     diverged_at: int | None = None
-    executed = 0
-    round_id = -1
 
     for n in range(horizon):
         try:
             symbol, enc = encoder_step(x, enc, params)
         except TrialDiverged:
-            diverged, diverged_at = True, n
+            diverged_at = n
             break
         u, ctl = controller_step(symbol, ctl, mu_a, mu_w, params)
         if enc != ctl:  # pragma: no cover - protocol invariant
             raise ProtocolError(f"tracker mismatch at step {n}: {enc} vs {ctl}")
-        if enc.mode == NORMAL:
-            round_id += 1
-        a, w = float(a_draws[n]), float(w_draws[n])
-        col_x[n] = x
-        col_symbol[n] = symbol
-        col_mode[n] = 0 if enc.mode == NORMAL else 1
-        col_m[n] = enc.M
-        col_i[n] = enc.I
-        col_rho[n] = enc.rho
-        col_u[n] = u
-        col_a[n] = a
-        col_w[n] = w
-        col_round[n] = round_id
-        x = plant_step(x, u, a, w)
-        executed = n + 1
+        rows[n] = x, symbol, enc.mode == NORMAL, enc.M, enc.I, enc.rho, u
+        x = plant_step(x, u, float(a_draws[n]), float(w_draws[n]))
         if not math.isfinite(x) or abs(x) > DIVERGENCE_LIMIT:
-            diverged, diverged_at = True, n + 1
+            diverged_at = n + 1
             break
 
-    # trailing state-only row; tracker columns carry the last known values
-    size = executed + 1
-    col_x[executed] = x
-    col_m[executed] = enc.M
-    col_i[executed] = enc.I
-    col_rho[executed] = enc.rho
-    col_mode[executed] = 0 if enc.mode == NORMAL else 1
-    col_round[executed] = max(round_id, 0)
-
-    return Trace(
-        n=col_n[:size],
-        X=col_x[:size],
-        symbol=col_symbol[:size],
-        mode=col_mode[:size],
-        M=col_m[:size],
-        I=col_i[:size],
-        rho=col_rho[:size],
-        U=col_u[:size],
-        A=col_a[:size],
-        W=col_w[:size],
-        round_id=col_round[:size],
-        params=params,
-        a_spec=a_spec,
-        w_spec=w_spec,
-        seed=seed,
-        diverged=diverged,
-        diverged_at=diverged_at,
-    )
+    rows = rows[: horizon if diverged_at is None else diverged_at]
+    steps = dict(zip(("symbol", "normal", "M", "I", "rho", "U"), rows[:, 1:].T), A=a_draws, W=w_draws)
+    return build_trace(np.append(rows[:, 0], x), steps, params, a_spec, w_spec, seed, diverged_at)
 
 
 @dataclass(frozen=True)

@@ -200,8 +200,7 @@ def test_cli_simulate_config_error(tmp_path):
 def test_cli_feasibility_exit_codes(tmp_path, cfg_file):
     # coarse codebook: negative drift margin -> exit 2
     assert main(["feasibility", str(cfg_file)]) == 2
-    ref = Path("configs/reference.cfg")
-    assert main(["feasibility", str(ref)]) == 0
+    assert main(["feasibility", REFERENCE_CFG]) == 0
     # alpha at the boundary of the tail analysis -> exit 1
     assert main(["feasibility", str(cfg_file), "--set", "alpha=4.0"]) == 1
     bad = tmp_path / "bad.cfg"

@@ -204,32 +204,10 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(cols["X"], tr.X)
     assert np.array_equal(cols["M"], tr.M)
     assert np.array_equal(cols["symbol"], tr.symbol)
-    header = path.read_text().splitlines()[0]
-    assert header == "n,X,symbol,mode,M,I,rho,U,A,W,round_id"
-
-
-def test_trace_row_view():
-    tr = run_trial(A_REF, W_REF, PARAMS, 50, 37)
-    rows = list(tr.rows())
-    assert len(rows) == 51
-    assert rows[0].n == 0 and rows[0].X == 0.0 and rows[0].mode == NORMAL
-    assert rows[-1].mode == "end" and rows[-1].symbol == -1
-    r = rows[10]
-    assert r.X == tr.X[10] and r.M == tr.M[10] and r.round_id == tr.round_id[10]
-    assert 0 <= r.symbol <= PARAMS.emergency_symbol
-
-
-def test_trace_json_summary(tmp_path):
-    tr = run_trial(A_REF, W_REF, PARAMS, 200, 29)
-    path = tmp_path / "trace.json"
-    tr.to_json(path)
-    import json
-
-    payload = json.loads(path.read_text())
-    assert payload["diverged"] is False
-    assert payload["steps"] == 200
-    assert payload["params"]["L"] == PARAMS.L
-    assert payload["system"]["A"]["kind"] == "gaussian"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,X,symbol,mode,M,I,rho,U,A,W,round_id"
+    # the trailing state-only row
+    assert lines[-1].split(",")[2:4] == ["-1", "end"]
 
 
 def test_validate_trace_detects_corruption(tmp_path):
