@@ -63,7 +63,7 @@ def main() -> None:
 
     l_val = int(round_up_clean(p_clean / PdELTA))
     params = StrategyParams(L=l_val, P=p_clean, M0=M0, K=K, c=C)
-    report = feasibility(C, params, a_m, w_m, args.alpha)
+    report = feasibility(params, a_m, w_m, args.alpha)
     print(f"L = {l_val:g}  (P*delta = {p_clean / l_val:.4g})  R = {rate(params)} bits")
     print(
         f"margin_drift={report.margin_drift:.4g} margin_K={report.margin_K:.4g} "

@@ -539,13 +539,12 @@ class FeasibilityReport:
 
 
 def feasibility(
-    c: float,
     params: StrategyParams,
     A_moments: MomentSummary,
     W_moments: MomentSummary,
     alpha: float,
 ) -> FeasibilityReport:
-    """Certify a parameter set against the contraction requirements.
+    """Certify a parameter set against the contraction requirements, with c = ``params.c``.
 
     Clauses: (i) the normal-mode coefficient
     sigma_A^2 + (2|mu_A| + sigma_A)(2 P delta) + (2+K) P^2 delta^2 must stay
@@ -558,6 +557,7 @@ def feasibility(
         raise MomentOrderError(
             f"feasibility requires a tail moment order alpha > 4, got {alpha}"
         )
+    c = params.c
     mu_a, sig_a = A_moments.mean, A_moments.stddev
     sig_w = W_moments.stddev
     if sig_a**2 >= 1.0:

@@ -79,17 +79,16 @@ def cmd_verify(args, cfg) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for r in results:
-            if r.report is not None and hasattr(r.report, "to_json"):
+            if r.report is not None:
                 r.report.to_json(outdir / f"{r.name}_report.json")
-                if hasattr(r.report, "to_csv"):
-                    r.report.to_csv(outdir / f"{r.name}_report.csv")
+                r.report.to_csv(outdir / f"{r.name}_report.csv")
     return EXIT_OK if all(r.passed for r in results) else EXIT_NEGATIVE
 
 
 def cmd_feasibility(args, cfg) -> int:
     a_m = moment_summary(cfg.a_spec, cfg.alpha)
     w_m = moment_summary(cfg.w_spec, cfg.alpha)
-    report = analysis.feasibility(cfg.params.c, cfg.params, a_m, w_m, cfg.alpha)
+    report = analysis.feasibility(cfg.params, a_m, w_m, cfg.alpha)
     rows = [
         ("rate R (bits)", report.R),
         ("margin_drift", f"{report.margin_drift:.6g}"),

@@ -646,9 +646,12 @@ def run_recorded_bundle(
 
 def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
     """Full Traces of the given trials, simulated together in shared chunks."""
+    # a chunk records X and what a Trace keeps: a tracker and symbols under the quantized policies only
+    quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
+    fields = ("X", "normal", "U", "A", "W") + (("symbol", "M", "I", "rho") if quantized else ())
     traces = []
     for chunk in _chunked(indices):
-        out = _run_chunk(cfg, chunk, FULL_RECORD_FIELDS, envelope=False)
+        out = _run_chunk(cfg, chunk, fields, envelope=False)
         traces += [_trace_from_records(cfg, out, j, t) for j, t in enumerate(chunk)]
     return traces
 
@@ -659,21 +662,11 @@ def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
 
 
 def _trace_from_records(cfg: ExperimentConfig, out: _ChunkOut, j: int, index: int) -> Trace:
-    """Lane j of a fully recorded chunk, which ran trial ``index``, as a Trace.
-
-    The lane's records up to its divergence step (or the horizon) go to
-    ``build_trace``; the tracker and symbol records only for the quantized
-    policies, since the others keep none.
-    """
+    """Lane j of a ``_kept_traces`` chunk, which ran trial ``index``, up to its divergence step, as a Trace."""
     div_at = int(out.diverged_at[j])
     steps = cfg.horizon if div_at < 0 else div_at
-    quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
-    fields = ("normal", "U", "A", "W") + (("symbol", "M", "I", "rho") if quantized else ())
-    return build_trace(
-        out.records["X"][j, : steps + 1], {f: out.records[f][j] for f in fields},
-        cfg.params, cfg.a_spec, cfg.w_spec, trial_seed(cfg.master_seed, index),
-        None if div_at < 0 else div_at, cfg.policy.kind,
-    )
+    return build_trace(out.records["X"][j, : steps + 1], {f: c[j] for f, c in out.records.items() if f != "X"},
+                       cfg.params.M0, trial_seed(cfg.master_seed, index), None if div_at < 0 else div_at)
 
 
 @dataclass(frozen=True)

@@ -65,23 +65,24 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TrackerState:
-    """Common-knowledge quantities maintained identically on both sides."""
+    """Common-knowledge quantities after step ``n``, maintained identically on both sides.
 
-    mode: str
+    ``normal`` is True after a normal (zoom-in) step, False after an emergency (zoom-out) one.
+    """
+
+    normal: bool
     M: float
     I: float
     rho: int
     n: int
 
     def __post_init__(self):
-        if self.mode not in (NORMAL, EMERGENCY):
-            raise ValueError(f"bad mode {self.mode!r}")
         if self.rho not in (-1, 1):
             raise ValueError(f"rho must be +-1, got {self.rho}")
 
 
 def initial_tracker(params: StrategyParams) -> TrackerState:
-    return TrackerState(mode=NORMAL, M=params.M0, I=params.M0, rho=1, n=-1)
+    return TrackerState(normal=True, M=params.M0, I=params.M0, rho=1, n=-1)
 
 
 def encoder_step(
@@ -94,9 +95,9 @@ def encoder_step(
     if abs(x) <= params.P * m_prev:
         symbol = encode_normal(x, m_prev, params)
         m, i, rho = tracker_update_normal(symbol, m_prev, params)
-        return symbol, TrackerState(NORMAL, m, i, rho, tracker.n + 1)
+        return symbol, TrackerState(True, m, i, rho, tracker.n + 1)
     return params.emergency_symbol, TrackerState(
-        EMERGENCY, params.P * m_prev, tracker.I, tracker.rho, tracker.n + 1
+        False, params.P * m_prev, tracker.I, tracker.rho, tracker.n + 1
     )
 
 
@@ -114,17 +115,14 @@ def controller_step(
     sides in lockstep without any side channel.
     """
     if symbol == params.emergency_symbol:
-        new = TrackerState(
-            EMERGENCY, params.P * tracker.M, tracker.I, tracker.rho, tracker.n + 1
-        )
-        return mu_W, new
+        return mu_W, TrackerState(False, params.P * tracker.M, tracker.I, tracker.rho, tracker.n + 1)
     if not 0 <= symbol < params.emergency_symbol:
         raise ProtocolError(
             f"received symbol {symbol} outside codebook [0, {params.emergency_symbol}]"
         )
     m, i, rho = tracker_update_normal(symbol, tracker.M, params)
     u = rho * mu_A * (m - i) + mu_W
-    return u, TrackerState(NORMAL, m, i, rho, tracker.n + 1)
+    return u, TrackerState(True, m, i, rho, tracker.n + 1)
 
 
 def plant_step(x: float, u: float, a_draw: float, w_draw: float) -> float:
@@ -134,108 +132,84 @@ def plant_step(x: float, u: float, a_draw: float, w_draw: float) -> float:
 
 @dataclass
 class Trace:
-    """Column-oriented record of one closed-loop trial, as ``build_trace`` lays it out.
+    """One trial's record, as ``build_trace`` lays it out: a row per step, then a state-only row.
 
-    Arrays have one row per step plus a trailing state-only row: row n < steps
-    carries X_n together with the step-n action (symbol, mode, post-update
-    tracker, control, noise draws); the final row carries the terminal state
-    with symbol = NO_SYMBOL, mode "end" and NaN draws.  ``round_id``
-    increments at every normal step (a round is one normal step plus any
-    emergency steps that follow it).
+    Row n < steps carries X_n and the step-n action: symbol, ``normal`` (True
+    at a normal step, False at an emergency one), post-update tracker, control
+    and noise draws.  The final row carries the terminal state with symbol
+    NO_SYMBOL, ``normal`` False, the last step's tracker, U = 0 and NaN draws.
     """
 
-    n: np.ndarray
     X: np.ndarray
     symbol: np.ndarray
-    mode: np.ndarray  # uint8: 0 normal, 1 emergency
+    normal: np.ndarray  # bool
     M: np.ndarray
     I: np.ndarray
     rho: np.ndarray
     U: np.ndarray
     A: np.ndarray
     W: np.ndarray
-    round_id: np.ndarray
-    params: StrategyParams
-    a_spec: DistributionSpec
-    w_spec: DistributionSpec
     seed: object
-    diverged: bool = False
     diverged_at: int | None = None
-    policy: str = "adaptive_fixed_rate"
 
     @property
     def steps(self) -> int:
         """Number of executed steps (the trailing row is state-only)."""
-        return len(self.n) - 1
+        return len(self.X) - 1
 
-    def mode_str(self, i: int) -> str:
-        if i == self.steps:
-            return "end"
-        return EMERGENCY if self.mode[i] else NORMAL
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     def to_csv(self, path) -> None:
+        """Write the trace file, which adds the row index ``n``, the mode word
+        (``end`` on the state-only row) and ``round_id``, the normal steps
+        counted from 0 (a round is a normal step and the emergencies after it)."""
+        derived = {"n": range(len(self.X)),
+                   "mode": np.where(self.normal[:-1], NORMAL, EMERGENCY).tolist() + ["end"],
+                   "round_id": np.maximum(np.cumsum(self.normal) - 1, 0).tolist()}
         # csv writes Python floats by repr, ints by str
-        cols = [[self.mode_str(i) for i in range(len(self.n))] if f == "mode" else getattr(self, f).tolist()
-                for f in TRACE_CSV_HEADER]
+        cols = [derived[f] if f in derived else getattr(self, f).tolist() for f in TRACE_CSV_HEADER]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_CSV_HEADER)
             writer.writerows(zip(*cols))
 
 
-def build_trace(
-    X,
-    steps: dict,
-    params: StrategyParams,
-    a_spec: DistributionSpec,
-    w_spec: DistributionSpec,
-    seed,
-    diverged_at: int | None = None,
-    policy: str = "adaptive_fixed_rate",
-) -> Trace:
+def build_trace(X, steps: dict, M0: float, seed, diverged_at: int | None = None) -> Trace:
     """The Trace of a trial that executed ``len(X) - 1`` steps.
 
     ``X`` holds X_0..X_steps.  ``steps`` maps ``normal``, ``U``, ``A``, ``W``
     and, for the quantized policies, ``symbol``, ``M``, ``I``, ``rho`` to
     per-step values; entries past the executed steps are ignored, and a
-    missing tracker column holds the initial tracker.  The trailing row takes
-    NO_SYMBOL, U = 0 and NaN draws, and carries over the last step's mode,
-    tracker and ``round_id``.  ``round_id`` counts the normal steps from 0.
+    missing tracker column holds the initial tracker (``M0``, rho = 1).  The
+    trailing row takes NO_SYMBOL, ``normal`` False, U = 0 and NaN draws, and
+    carries over the last step's tracker.
     """
     size = len(X)
-    normal = np.asarray(steps["normal"][: size - 1], dtype=bool)
-    derived = {"mode": ~normal, "round_id": np.maximum(np.cumsum(normal, dtype=np.int64) - 1, 0)}
 
     def column(name, fill, dtype=float, hold=False):
         # the executed steps, then the state-only row: ``fill``, or with
         # ``hold`` the last step's value
         col = np.full(size, fill, dtype=dtype)
-        values = steps.get(name, derived.get(name))
-        if values is not None:
-            col[:-1] = values[: size - 1]
+        if name in steps:
+            col[:-1] = steps[name][: size - 1]
         if hold and size > 1:
             col[-1] = col[-2]
         return col
 
     return Trace(
-        n=np.arange(size, dtype=np.int64),
         X=np.array(X, dtype=float),
         symbol=column("symbol", NO_SYMBOL, np.int64),
-        mode=column("mode", 0, np.uint8, hold=True),
-        M=column("M", params.M0, hold=True),
-        I=column("I", params.M0, hold=True),
+        normal=column("normal", False, bool),
+        M=column("M", M0, hold=True),
+        I=column("I", M0, hold=True),
         rho=column("rho", 1, np.int64, hold=True),
         U=column("U", 0.0),
         A=column("A", np.nan),
         W=column("W", np.nan),
-        round_id=column("round_id", 0, np.int64, hold=True),
-        params=params,
-        a_spec=a_spec,
-        w_spec=w_spec,
         seed=seed,
-        diverged=diverged_at is not None,
         diverged_at=diverged_at,
-        policy=policy,
     )
 
 
@@ -252,7 +226,11 @@ def write_json(payload, path) -> None:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Columns of a trace CSV, as arrays keyed by header name; a malformed file raises TraceFormatError."""
+    """Columns of a trace CSV, as arrays keyed by header name but with ``normal`` (False at ``end``) for ``mode``.
+
+    A malformed file raises TraceFormatError, as does a mode word other than
+    normal or emergency, save ``end`` on a last row with symbol NO_SYMBOL.
+    """
     with open(path, newline="") as fh:
         try:
             header, *rows = list(csv.reader(fh)) or [None]  # an empty file has no header
@@ -271,8 +249,13 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
             if name in ("n", "symbol", "rho", "round_id"):
                 cols[name] = np.array([int(v) for v in vals], dtype=np.int64)
             elif name == "mode":
-                cols[name] = np.array([0 if v == NORMAL else (1 if v == EMERGENCY else 2) for v in vals],
-                                      dtype=np.uint8)
+                # header order puts symbol first, so the last row's is known
+                ok = [v in (NORMAL, EMERGENCY) for v in vals]
+                ok[-1] = ok[-1] or (vals[-1] == "end" and cols["symbol"][-1] == NO_SYMBOL)
+                if not all(ok):
+                    i = ok.index(False)
+                    raise ValueError(f"row {i + 1} has mode {vals[i]!r}")
+                cols["normal"] = np.array([v == NORMAL for v in vals])
             else:
                 cols[name] = np.array([float(v) for v in vals])
     except ValueError as exc:
@@ -319,15 +302,11 @@ def run_trial(
     diverged_at: int | None = None
 
     for n in range(horizon):
-        try:
-            symbol, enc = encoder_step(x, enc, params)
-        except TrialDiverged:
-            diverged_at = n
-            break
+        symbol, enc = encoder_step(x, enc, params)
         u, ctl = controller_step(symbol, ctl, mu_a, mu_w, params)
         if enc != ctl:  # pragma: no cover - protocol invariant
             raise ProtocolError(f"tracker mismatch at step {n}: {enc} vs {ctl}")
-        rows[n] = x, symbol, enc.mode == NORMAL, enc.M, enc.I, enc.rho, u
+        rows[n] = x, symbol, enc.normal, enc.M, enc.I, enc.rho, u
         x = plant_step(x, u, float(a_draws[n]), float(w_draws[n]))
         if not math.isfinite(x) or abs(x) > DIVERGENCE_LIMIT:
             diverged_at = n + 1
@@ -335,7 +314,7 @@ def run_trial(
 
     rows = rows[: horizon if diverged_at is None else diverged_at]
     steps = dict(zip(("symbol", "normal", "M", "I", "rho", "U"), rows[:, 1:].T), A=a_draws, W=w_draws)
-    return build_trace(np.append(rows[:, 0], x), steps, params, a_spec, w_spec, seed, diverged_at)
+    return build_trace(np.append(rows[:, 0], x), steps, params.M0, seed, diverged_at)
 
 
 @dataclass(frozen=True)
@@ -357,12 +336,15 @@ def validate_trace_columns(
 ) -> TraceValidation:
     """Replay the controller from the symbol stream and compare trackers.
 
-    Detects any corruption of the common-knowledge columns (M, I, rho, U,
-    mode): the replayed tracker is derived from the symbols alone, exactly
-    as ``controller_step`` would, through the codec's array forms.  Every
-    step replays at once from the tracker recorded at the step before; up to
-    the first mismatch that is the replayed tracker, so the first mismatch
-    (fields in the order symbol, mode, M, I, rho, U) is a stepwise replay's.
+    ``cols`` holds ``symbol``, ``normal``, ``M``, ``I``, ``rho`` and ``U``
+    per step, as ``read_trace_csv``, a Trace or the engine's records give
+    them; a last row with symbol NO_SYMBOL is state-only and not replayed.
+    Detects any corruption of the common-knowledge columns: the replayed
+    tracker is derived from the symbols alone, exactly as
+    ``controller_step`` would, through the codec's array forms.  Every step
+    replays at once from the tracker recorded at the step before; up to the
+    first mismatch that is the replayed tracker, so the first mismatch
+    (fields in the order symbol, normal, M, I, rho, U) is a stepwise replay's.
     """
     symbol = cols["symbol"]
     steps = len(symbol) - 1 if symbol[-1] == NO_SYMBOL else len(symbol)
@@ -370,8 +352,8 @@ def validate_trace_columns(
     zoom = sym == params.emergency_symbol
     # values past the first mismatch are never reported, and may overflow
     with np.errstate(all="ignore"):
-        got = {f: cols[f][:steps].astype(np.int64 if f in ("mode", "rho") else float)
-               for f in ("mode", "M", "I", "rho", "U")}
+        got = {f: cols[f][:steps].astype({"normal": bool, "rho": np.int64}.get(f, float))
+               for f in ("normal", "M", "I", "rho", "U")}
         # the tracker entering each step, then M <- P*M, the live range
         prev = np.empty((3, steps))
         prev[:, :1] = [[params.M0], [params.M0], [1.0]]
@@ -382,7 +364,7 @@ def validate_trace_columns(
                      (np.empty(steps), np.empty(steps), np.empty(steps, dtype=bool)))
         trk = np.where(zoom, prev, trk)
         u = np.where(zoom, mu_W, trk[2] * mu_A * (trk[0] - trk[1]) + mu_W)
-    want = {"mode": zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
+    want = {"normal": ~zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
     bad = {"symbol": (sym < 0) | (sym > params.emergency_symbol)}
     bad.update((name, want[name] != got[name]) for name in got)
     found = [(int(np.argmax(mask)), order) for order, mask in enumerate(bad.values()) if mask.any()]
@@ -393,7 +375,7 @@ def validate_trace_columns(
     if name == "symbol":
         return TraceValidation(False, i, name, (
             f"received symbol {int(sym[i])} outside codebook [0, {params.emergency_symbol}]"))
-    cast = int if name in ("mode", "rho") else float
+    cast = {"normal": bool, "rho": int}.get(name, float)
     return TraceValidation(
         False, i, name, f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
     )

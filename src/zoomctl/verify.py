@@ -23,7 +23,7 @@ ensembles:
 The three exact checks share one recorded ensemble (``record_exact``) of
 the first min(trials, EXACT_TRIALS) trials.  Each trial's recorded symbol
 stream is replayed, one trial at a time, through
-``loop.validate_trace_columns`` against the recorded mode, M, I, rho and U;
+``loop.validate_trace_columns`` against the recorded normal flag, M, I, rho and U;
 a mismatch fails every requested exact check.  tracker_equality also reruns
 the first SCALAR_REPLAYS trials through the scalar ``run_trial``, an
 independent encoder, and compares each with its recorded lane bit for bit.
@@ -98,9 +98,7 @@ def record_exact(cfg: ExperimentConfig) -> Recorded:
     mu_w, _ = moments(cfg.w_spec)
     for t, div in enumerate(diverged_at):
         steps = cfg.horizon if div < 0 else int(div)
-        cols = {f: rec[f][t, :steps] for f in ("symbol", "M", "I", "rho", "U")}
-        cols["mode"] = ~rec["normal"][t, :steps]
-        result = validate_trace_columns(cols, cfg.params, mu_a, mu_w)
+        result = validate_trace_columns({f: col[t, :steps] for f, col in rec.items()}, cfg.params, mu_a, mu_w)
         if not result.ok:
             raise ProtocolError(
                 f"replayed tracker differs at trial {t}, step {result.first_mismatch}: {result.detail}"
@@ -149,11 +147,9 @@ def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) ->
     at = -1 if tr.diverged_at is None else tr.diverged_at
     if at != div:
         return f"scalar run_trial of trial {t} diverges at step {at}, its recorded lane at {div} (-1: never)"
-    cols = {"X": tr.X, "symbol": tr.symbol, "normal": tr.mode == 0,
-            "M": tr.M, "I": tr.I, "rho": tr.rho, "U": tr.U}
     found = []  # (step, field order, field) of each field's first difference; X_n enters step n
-    for order, (f, col) in enumerate(cols.items()):
-        col = col[:tr.steps + (f == "X")].astype(float)
+    for order, f in enumerate(("X", "symbol", "normal", "M", "I", "rho", "U")):
+        col = getattr(tr, f)[:tr.steps + (f == "X")].astype(float)
         bad = col.view(np.int64) != rec[f][t, :len(col)].astype(float).view(np.int64)
         if bad.any():
             found.append((int(np.argmax(bad)), order, f))
@@ -161,7 +157,7 @@ def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) ->
         return ""
     n, _, f = min(found)
     return (f"scalar run_trial differs from recorded trial {t} at step {n}: "
-            f"{f}={cols[f][n].item()!r}, recorded {rec[f][t, n].item()!r}")
+            f"{f}={getattr(tr, f)[n].item()!r}, recorded {rec[f][t, n].item()!r}")
 
 
 def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:

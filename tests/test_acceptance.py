@@ -130,9 +130,7 @@ def _check_domination(rec, params, seed) -> tuple[int, int, float]:
 def test_criterion_01_reference_stability(reference_cfg, reference_run):
     a_m = moment_summary(reference_cfg.a_spec, reference_cfg.alpha)
     w_m = moment_summary(reference_cfg.w_spec, reference_cfg.alpha)
-    fr = analysis.feasibility(
-        reference_cfg.params.c, reference_cfg.params, a_m, w_m, reference_cfg.alpha
-    )
+    fr = analysis.feasibility(reference_cfg.params, a_m, w_m, reference_cfg.alpha)
     assert fr.ok, "reference parameters must certify"
     stats, elapsed = reference_run
     assert stats.trials == 2000 and stats.horizon == 10_000
@@ -304,7 +302,7 @@ def test_criterion_09_student_t(student_cfg, student_run, student_rec):
     assert (mu_a, var_a) == (1.0, pytest.approx(0.25))
     a_m = moment_summary(student_cfg.a_spec, student_cfg.alpha)
     w_m = moment_summary(student_cfg.w_spec, student_cfg.alpha)
-    fr = analysis.feasibility(student_cfg.params.c, student_cfg.params, a_m, w_m, student_cfg.alpha)
+    fr = analysis.feasibility(student_cfg.params, a_m, w_m, student_cfg.alpha)
     assert fr.ok
 
     stats = student_run

@@ -48,7 +48,7 @@ def recorded(tr):
     """A scalar trace's executed steps as a one-trial recorded bundle."""
     steps = tr.steps
     return {"X": tr.X[None, : steps + 1], "M": tr.M[None, :steps], "I": tr.I[None, :steps],
-            "normal": (tr.mode[:steps] == 0)[None]}
+            "normal": tr.normal[:steps][None]}
 
 
 def point_n(x_abs, M, I, normal, params):
@@ -115,7 +115,7 @@ def test_freeze_stops_once_n_is_inf_with_n_unchanged():
 
 def test_freeze_at_origin_is_trivial():
     tr = emergency_trial(200, 3)
-    N, J = point_n(abs(tr.X[0]), tr.M[0], tr.I[0], tr.mode[0] == 0, EMERGENCY_PARAMS)
+    N, J = point_n(abs(tr.X[0]), tr.M[0], tr.I[0], tr.normal[0], EMERGENCY_PARAMS)
     assert tr.X[0] == 0.0 and J.tolist() == [0]
     assert N[0] == math.sqrt(tr.M[0] ** 2 + EMERGENCY_PARAMS.K * tr.I[0] ** 2)
 
@@ -155,9 +155,9 @@ def test_emergency_span_tau_and_n():
 def test_tau_idempotent_on_simulated_traces(seed):
     tr = emergency_trial(400, seed)
     assert not tr.diverged
-    tau = _tau_backward(tr.mode[: tr.steps] == 0)
+    tau = _tau_backward(tr.normal[: tr.steps])
     resolved = tau >= 0
-    assert resolved.all() == (tr.mode[tr.steps - 1] == 0)
+    assert resolved.all() == tr.normal[tr.steps - 1]
     assert np.all(tau[resolved] >= np.flatnonzero(resolved))
     assert np.all(tau[tau[resolved]] == tau[resolved])
 
@@ -279,7 +279,7 @@ def test_domination_exact_on_simulated_traces():
     assert rep.checked == 300
     assert rep.max_ratio <= 1.0
     assert rep.unbounded == 0
-    zoom = tr.mode[n0] == 1
+    zoom = ~tr.normal[n0]
     assert 0 < zoom.sum() < 300
     # each point's N from a frozen trace built step by step
     expected = [frozen_n_by_definition(abs(tr.X[n]), tr.M[n - 1] if n else EMERGENCY_PARAMS.M0, tr.M[n],
@@ -408,7 +408,7 @@ def test_feasibility_margin_example():
     # sigma_A=0.5, mu_A=1, c=0.2, K=2, P=10, delta=1e-4
     params = StrategyParams(L=10_000, P=10.0, M0=1.0, K=2.0, c=0.2)
     a_m, w_m = summaries()
-    rep = feasibility(0.2, params, a_m, w_m, 4.5)
+    rep = feasibility(params, a_m, w_m, 4.5)
     assert rep.margin_drift == pytest.approx(0.545, abs=5e-4)
     assert rep.drift_ok
     assert rep.margin_K == pytest.approx(0.6)
@@ -418,7 +418,7 @@ def test_feasibility_constants_example():
     # sigma_W=1, K=2, M0=1, c=0.2 -> D = 5, C = 25
     params = StrategyParams(L=10_000, P=10.0, M0=1.0, K=2.0, c=0.2)
     a_m, w_m = summaries()
-    rep = feasibility(0.2, params, a_m, w_m, 4.5)
+    rep = feasibility(params, a_m, w_m, 4.5)
     assert rep.D == 5.0
     assert rep.C == 25.0
     assert rep.R == 15  # 20001 symbols
@@ -429,20 +429,20 @@ def test_feasibility_unstabilizable():
     a_m, w_m = summaries(a_spec=a_bad)
     params = StrategyParams(L=4, P=2.0, M0=1.0, K=2.0, c=0.2)
     with pytest.raises(UnstabilizableError, match="not second-moment stabilizable"):
-        feasibility(0.2, params, a_m, w_m, 4.5)
+        feasibility(params, a_m, w_m, 4.5)
 
 
 def test_feasibility_requires_alpha_above_four():
     a_m, w_m = summaries(alpha=4.0)
     params = StrategyParams(L=4, P=2.0, M0=1.0, K=2.0, c=0.2)
     with pytest.raises(MomentOrderError):
-        feasibility(0.2, params, a_m, w_m, 4.0)
+        feasibility(params, a_m, w_m, 4.0)
 
 
 def test_feasibility_negative_margin_for_coarse_codebook():
     params = StrategyParams(L=1, P=100.0, M0=1.0, K=2.0, c=0.2)
     a_m, w_m = summaries()
-    rep = feasibility(0.2, params, a_m, w_m, 4.5)
+    rep = feasibility(params, a_m, w_m, 4.5)
     assert rep.margin_drift < 0
     assert not rep.ok
 
@@ -450,7 +450,7 @@ def test_feasibility_negative_margin_for_coarse_codebook():
 def test_feasibility_certified_reference():
     params = StrategyParams(L=200_000_000_000_000, P=1e13, M0=1.0, K=2.0, c=0.2)
     a_m, w_m = summaries()
-    rep = feasibility(0.2, params, a_m, w_m, 4.5)
+    rep = feasibility(params, a_m, w_m, 4.5)
     assert rep.ok
     assert rep.R == 49
     assert rep.c + rep.epsilon_estimate < min(1.0 - rep.sigma_A**2, 0.75)
@@ -468,8 +468,8 @@ def test_margin_drift_monotone_in_codebook_size(l1, factor, p, k, c):
     a_m, w_m = summaries()
     p1 = StrategyParams(L=l1, P=p, M0=1.0, K=k, c=c)
     p2 = StrategyParams(L=l1 * factor, P=p, M0=1.0, K=k, c=c)
-    r1 = feasibility(c, p1, a_m, w_m, 4.5)
-    r2 = feasibility(c, p2, a_m, w_m, 4.5)
+    r1 = feasibility(p1, a_m, w_m, 4.5)
+    r2 = feasibility(p2, a_m, w_m, 4.5)
     assert r2.margin_drift >= r1.margin_drift
 
 

@@ -294,6 +294,26 @@ def test_cli_verify_corrupted_trace(tmp_path, cfg_file, capsys):
     assert "first divergent index 40" in outtxt
 
 
+def test_cli_verify_flipped_mode_word_fails_at_its_index(tmp_path, capsys):
+    # every executed row, normal or emergency, flipped to the other word
+    sim = tmp_path / "sim"
+    main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
+          "--set", "horizon=40", "--set", "trials=2"])
+    lines = (sim / "trace_0000.csv").read_text().splitlines()
+    words = [line.split(",")[3] for line in lines[1:-1]]
+    assert {"normal", "emergency"} <= set(words)
+    trace_path = tmp_path / "flipped.csv"
+    for i, word in enumerate(words):
+        flip = "emergency" if word == "normal" else "normal"
+        trace_path.write_text(_set_cells(lines, i + 1, {3: flip}))
+        capsys.readouterr()
+        code = main(["verify", str(EMERGENCY_CFG), "--checks", "tracker_equality", "--trace-file", str(trace_path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert (f"first divergent index {i} (normal): expected normal={word == 'normal'}, "
+                f"trace has {flip == 'normal'}") in out
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -304,12 +324,23 @@ def _x_cell(lines, value):
     return "\n".join([lines[0], ",".join(row)])
 
 
+def _set_cells(lines, row, cells):
+    """A trace CSV's text with the given cells (column index: text) of line ``row`` replaced."""
+    parts = lines[row].split(",")
+    for col, text in cells.items():
+        parts[col] = text
+    return "\n".join(lines[:row] + [",".join(parts)] + lines[row + 1:]) + "\n"
+
+
 # (malformed trace text from a good trace's lines, end of the stderr message)
 MALFORMED_TRACES = {
     "readme": (lambda lines: README.read_text(), "unexpected trace header ['# zoomctl']"),
     "bad-cell": (lambda lines: _x_cell(lines, "abc"), "column X: could not convert string to float: 'abc'"),
     "short-row": (lambda lines: "\n".join([lines[0], lines[1], "1,0.5,3"]), "row 2 has 3 cells, expected 11"),
     "header-only": (lambda lines: lines[0] + "\n", "no trace rows"),
+    "bogus-mode": (lambda lines: _set_cells(lines, 5, {3: "bogus"}), "column mode: row 5 has mode 'bogus'"),
+    "end-on-executed-row": (lambda lines: _set_cells(lines, 3, {3: "end"}), "column mode: row 3 has mode 'end'"),
+    "end-with-a-symbol": (lambda lines: _set_cells(lines, 21, {2: "0"}), "column mode: row 21 has mode 'end'"),
 }
 
 

@@ -265,7 +265,7 @@ def test_gain_tail_moment_floor():
     spec = DistributionSpec.two_point(0.0, 1.0, 1.0)
     assert moment_summary(spec, 4.5).shifted_abs_moment_alpha < 2.0
     params = StrategyParams(L=8, P=2.0, M0=1.0, K=2.0, c=0.2)
-    report = feasibility(0.2, params, moment_summary(spec, 4.5),
+    report = feasibility(params, moment_summary(spec, 4.5),
                          moment_summary(DistributionSpec.gaussian(0.0, 1.0), 4.5), 4.5)
     assert report.m_alpha == 2.0
 

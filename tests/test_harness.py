@@ -102,7 +102,7 @@ def test_engine_matches_scalar_reference_loop(params):
     for idx in range(cfg.trials):
         ref = run_trial(A_REF, W_REF, params, cfg.horizon, trial_seed(cfg.master_seed, idx))
         eng = extract_trace(cfg, idx)
-        for field in ("X", "symbol", "mode", "M", "I", "rho", "U", "A", "W", "round_id"):
+        for field in ("X", "symbol", "normal", "M", "I", "rho", "U", "A", "W"):
             ref_col = getattr(ref, field)
             eng_col = getattr(eng, field)
             same = np.array_equal(ref_col, eng_col) or (
@@ -135,7 +135,7 @@ def test_engine_equivalence_random_params(L, P, M0, seed, kind):
     ref = run_trial(a_spec, W_REF, params, 150, trial_seed(seed, 0))
     eng = extract_trace(cfg, 0)
     assert ref.diverged == eng.diverged and ref.steps == eng.steps
-    for field in ("X", "symbol", "mode", "M", "I", "rho", "U", "round_id"):
+    for field in ("X", "symbol", "normal", "M", "I", "rho", "U"):
         assert np.array_equal(getattr(ref, field), getattr(eng, field)), field
 
 
@@ -176,7 +176,7 @@ def test_trace_retention_does_not_change_stats():
 
 # rare huge gains: trials diverge at scattered steps, some never
 JUMPY_A = DistributionSpec.two_point(1e30, 0.01, 1.0)
-TRACE_FIELDS = ("n", "X", "symbol", "mode", "M", "I", "rho", "U", "A", "W", "round_id")
+TRACE_FIELDS = ("X", "symbol", "normal", "M", "I", "rho", "U", "A", "W")
 
 
 def jumpy_cfg():
@@ -258,7 +258,7 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     sums = np.array([row.sum() for row in xsq])
     mean = np.where(count > 0, sums / np.maximum(count, 1), np.nan)
     assert np.array_equal(mean, stats.curve_mean, equal_nan=True)
-    emergency = sum(int(np.sum(ref.mode[: ref.steps] == 1)) for ref in refs)
+    emergency = sum(int(np.sum(~ref.normal[: ref.steps])) for ref in refs)
     assert stats.emergency_fraction == emergency / sum(ref.steps for ref in refs)
     assert stats.diverged_count == sum(ref.diverged for ref in refs)
 
@@ -764,7 +764,7 @@ def test_recorded_bundle_matches_traces():
         tr = extract_trace(cfg, idx)
         assert np.array_equal(rec["X"][idx], tr.X)
         assert np.array_equal(rec["M"][idx], tr.M[: tr.steps])
-        assert np.array_equal(rec["normal"][idx], tr.mode[: tr.steps] == 0)
+        assert np.array_equal(rec["normal"][idx], tr.normal[: tr.steps])
 
 
 # --- engine memory ---------------------------------------------------------------

@@ -10,9 +10,7 @@ from zoomctl.codec import ProtocolError, StrategyParams
 from zoomctl.distributions import DistributionSpec, moments
 from zoomctl.loop import (
     DIVERGENCE_LIMIT,
-    EMERGENCY,
     NO_SYMBOL,
-    NORMAL,
     TraceValidation,
     TrackerState,
     TrialDiverged,
@@ -34,14 +32,14 @@ PARAMS = StrategyParams(L=8, P=2.0, M0=0.1, K=8.0, c=0.2)
 
 def test_encoder_step_examples():
     p = StrategyParams(L=2, P=2.0, M0=0.1, K=2.0, c=0.2)
-    t = TrackerState(NORMAL, 1.0, 0.1, 1, 0)
+    t = TrackerState(True, 1.0, 0.1, 1, 0)
     sym, t1 = encoder_step(1.3, t, p)
-    assert (sym, t1.M, t1.I, t1.rho, t1.mode) == (3, 2.0, 0.5, 1, NORMAL)
+    assert (sym, t1.M, t1.I, t1.rho, t1.normal) == (3, 2.0, 0.5, 1, True)
     sym, t2 = encoder_step(5.0, t, p)
-    assert (sym, t2.M, t2.I, t2.mode) == (4, 2.0, 0.1, EMERGENCY)
+    assert (sym, t2.M, t2.I, t2.normal) == (4, 2.0, 0.1, False)
     assert t2.rho == t.rho
     sym, t3 = encoder_step(-2.0, t, p)
-    assert sym == 0 and t3.mode == NORMAL
+    assert sym == 0 and t3.normal
 
 
 def test_encoder_step_nonfinite_raises():
@@ -52,13 +50,13 @@ def test_encoder_step_nonfinite_raises():
 
 def test_controller_step_examples():
     p = StrategyParams(L=2, P=2.0, M0=0.1, K=2.0, c=0.2)
-    t = TrackerState(NORMAL, 1.0, 0.1, 1, 0)
+    t = TrackerState(True, 1.0, 0.1, 1, 0)
     u, t1 = controller_step(3, t, 1.0, 0.0, p)
     assert u == 1.5
     u, t2 = controller_step(1, t, 0.8, 0.0, p)
     assert u == pytest.approx(-0.4)
     u, t3 = controller_step(p.emergency_symbol, t, 1.0, 0.0, p)
-    assert u == 0.0 and t3.M == 2.0 and t3.mode == EMERGENCY
+    assert u == 0.0 and t3.M == 2.0 and not t3.normal
 
 
 def test_controller_step_rejects_unused_codeword():
@@ -71,7 +69,7 @@ def test_controller_step_rejects_unused_codeword():
 
 def test_controller_recenters_by_noise_mean():
     p = StrategyParams(L=2, P=2.0, M0=0.1, K=2.0, c=0.2)
-    t = TrackerState(NORMAL, 1.0, 0.1, 1, 0)
+    t = TrackerState(True, 1.0, 0.1, 1, 0)
     u, _ = controller_step(p.emergency_symbol, t, 1.0, 0.7, p)
     assert u == 0.7
     u_n, _ = controller_step(3, t, 1.0, 0.7, p)
@@ -89,7 +87,7 @@ def test_plant_step_examples():
 def test_run_trial_horizon_zero():
     tr = run_trial(A_REF, W_REF, PARAMS, 0, 1)
     assert tr.steps == 0
-    assert len(tr.n) == 1
+    assert len(tr.X) == 1
     assert tr.X[0] == 0.0
     assert tr.M[0] == PARAMS.M0 and tr.I[0] == PARAMS.M0 and tr.rho[0] == 1
 
@@ -122,25 +120,27 @@ def test_run_trial_mean_below_theoretical_bound():
     assert not tr.diverged
 
 
-def test_trace_round_and_mode_semantics():
+def test_trace_round_and_mode_semantics(tmp_path):
     tr = run_trial(A_REF, W_REF, PARAMS, 2000, 9)
     steps = tr.steps
-    normal = tr.mode[:steps] == 0
+    normal = tr.normal[:steps]
     # every normal step opens a new round; emergencies continue the round
+    tr.to_csv(tmp_path / "trace.csv")
+    round_id = read_trace_csv(tmp_path / "trace.csv")["round_id"]
     expected_round = np.cumsum(normal.astype(int)) - 1
-    assert np.array_equal(tr.round_id[:steps], np.maximum(expected_round, 0))
+    assert np.array_equal(round_id[:steps], np.maximum(expected_round, 0))
     # step 0 is always normal (the state starts at zero)
     assert normal[0]
     # emergency exit: a step after an emergency with |X| <= P*M_prev is normal
     for n in range(1, steps):
-        if tr.mode[n - 1] == 1 and abs(tr.X[n]) <= PARAMS.P * tr.M[n - 1]:
-            assert tr.mode[n] == 0
+        if not tr.normal[n - 1] and abs(tr.X[n]) <= PARAMS.P * tr.M[n - 1]:
+            assert tr.normal[n]
 
 
 def test_emergency_semantics():
     tr = run_trial(A_REF, W_REF, PARAMS, 3000, 11)
     steps = tr.steps
-    em = np.nonzero(tr.mode[:steps] == 1)[0]
+    em = np.nonzero(~tr.normal[:steps])[0]
     assert len(em) > 0, "config should produce emergencies"
     for n in em:
         m_prev = tr.M[n - 1] if n > 0 else PARAMS.M0
@@ -158,7 +158,7 @@ def test_control_error_bound():
     w_shift = DistributionSpec.gaussian(0.4, 1.0)
     tr = run_trial(A_REF, w_shift, PARAMS, 2000, 13)
     steps = tr.steps
-    normal = tr.mode[:steps] == 0
+    normal = tr.normal[:steps]
     mu_a, mu_w = 1.0, 0.4
     err = np.abs(mu_a * tr.X[:steps] - (tr.U[:steps] - mu_w))
     assert np.all(err[normal] <= abs(mu_a) * tr.I[:steps][normal] + 1e-12)
@@ -200,10 +200,11 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     cols = read_trace_csv(path)
-    assert cols["n"].tolist() == tr.n.tolist()
+    assert cols["n"].tolist() == list(range(len(tr.X)))
     assert np.array_equal(cols["X"], tr.X)
     assert np.array_equal(cols["M"], tr.M)
     assert np.array_equal(cols["symbol"], tr.symbol)
+    assert np.array_equal(cols["normal"], tr.normal)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,X,symbol,mode,M,I,rho,U,A,W,round_id"
     # the trailing state-only row
@@ -236,7 +237,7 @@ def test_uncertified_warning_on_shipped_configs(name, uncertified):
     from zoomctl.distributions import moment_summary
 
     cfg = load_config(CONFIGS / f"{name}.cfg")
-    report = feasibility(cfg.params.c, cfg.params, moment_summary(cfg.a_spec, cfg.alpha),
+    report = feasibility(cfg.params, moment_summary(cfg.a_spec, cfg.alpha),
                          moment_summary(cfg.w_spec, cfg.alpha), cfg.alpha)
     assert (not (report.drift_ok and report.K_ok)) == uncertified
 
@@ -246,7 +247,7 @@ def test_uncertified_warning_on_shipped_configs(name, uncertified):
 def stepwise_validation(cols, params, mu_A, mu_W):
     """Reference replay: controller_step one step at a time."""
     tracker = initial_tracker(params)
-    steps = len(cols["n"]) - 1 if cols["symbol"][-1] == NO_SYMBOL else len(cols["n"])
+    steps = len(cols["symbol"]) - (cols["symbol"][-1] == NO_SYMBOL)
     for i in range(steps):
         symbol = int(cols["symbol"][i])
         try:
@@ -254,7 +255,7 @@ def stepwise_validation(cols, params, mu_A, mu_W):
         except ProtocolError as exc:
             return TraceValidation(False, i, "symbol", str(exc))
         checks = (
-            ("mode", 1 if symbol == params.emergency_symbol else 0, int(cols["mode"][i])),
+            ("normal", symbol != params.emergency_symbol, bool(cols["normal"][i])),
             ("M", tracker.M, float(cols["M"][i])),
             ("I", tracker.I, float(cols["I"][i])),
             ("rho", tracker.rho, int(cols["rho"][i])),
@@ -281,7 +282,7 @@ REPLAY_GAINS = [A_REF, DistributionSpec.uniform(0.5, 2.5), DistributionSpec.two_
     a_spec=st.sampled_from(REPLAY_GAINS),
     mu_w=st.sampled_from([0.0, 0.4]),
     seed=st.integers(0, 2**20),
-    field=st.sampled_from([None, "symbol", "mode", "M", "I", "rho", "U"]),
+    field=st.sampled_from([None, "symbol", "normal", "M", "I", "rho", "U"]),
     where=st.floats(0.0, 1.0, exclude_max=True),
     pick=st.integers(-3, 2**51),
     factor=st.sampled_from([0.5, 2.0, -1.0, 1.0 + 2.0**-52]),
@@ -292,14 +293,14 @@ def test_vectorized_replay_matches_stepwise(params, a_spec, mu_w, seed, field, w
     cfg = ExperimentConfig(a_spec=a_spec, w_spec=DistributionSpec.gaussian(mu_w, 1.0), params=params,
                            policy=Policy.adaptive(), horizon=120, trials=1, master_seed=seed, alpha=4.5)
     tr = extract_trace(cfg, 0)
-    cols = {f: getattr(tr, f).copy() for f in ("n", "symbol", "mode", "M", "I", "rho", "U")}
+    cols = {f: getattr(tr, f).copy() for f in ("symbol", "normal", "M", "I", "rho", "U")}
     if field is not None:
         # one cell of an executed step: any codeword or one outside the
-        # codebook, any mode code, any rho in {-1, 0, 1}, a scaled value
+        # codebook, either mode flag, any rho in {-1, 0, 1}, a scaled value
         i = int(where * tr.steps)
         cols[field][i] = {
             "symbol": pick % (2 * params.L + 4) - 2 if pick < 2**50 else pick,
-            "mode": pick % 3,
+            "normal": pick % 2,
             "rho": pick % 3 - 1,
         }.get(field, factor * cols[field][i])
     mu_a = moments(a_spec)[0]

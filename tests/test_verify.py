@@ -84,7 +84,7 @@ def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch):
         if field == "symbol":
             msg += "received symbol -7 outside codebook [0, 16]"
         else:
-            msg += f"expected {'mode' if field == 'normal' else field}="
+            msg += f"expected {field}="
         assert [line[:2] for line in lines] == [
             (name, "FAIL") for name in ("domination", "tracker_equality", "containment")
         ]
