@@ -1,14 +1,17 @@
 """The exact checks' shared recorded pass, through the CLI."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zoomctl.harness as hz
 from zoomctl import verify
 from zoomctl.cli import main
+from zoomctl.config import load_config
 
 EMERGENCY_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "emergency_rich.cfg")
 SMALL = ["--set", "trials=120", "--set", "horizon=300"]
@@ -148,3 +151,30 @@ def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
     assert [(v["trace"], v["n0"]) for v in report["violations"]] == [(37, int(row["n0"])) for row in bad]
     assert out.startswith(f"domination  FAIL  {len(bad)} violations / 1000; "
                           f"first at trial 37, |X_{bad[0]['n0']}|=1000000.0 > N=")
+
+
+# containment's detail line and the sha256 of the recorded pass's floor
+# flags (C-ordered bool bytes, trials x horizon); a change to where the
+# flags are formed must leave both as they are
+CONTAINMENT_PINS = [
+    ("emergency_rich.cfg", ["trials=150", "horizon=3000"],
+     "0 violations over 211230 normal steps (137892 unfloored, 73338 floored at M0; 100 trials)",
+     "5862e096a9693acc53ffb08f904a80a36ed4f11b7e91456e4630b1befca3e98e"),
+    ("reference.cfg", ["trials=150", "horizon=3000"],
+     "0 violations over 300000 normal steps (0 unfloored, 300000 floored at M0; 100 trials)",
+     "f0a1c470ca104347cd08ab760cb2db9d3f9c6ccc7497c21b5a713646d7ec3c41"),
+    ("emergency_rich.cfg", ["P=1.01", "horizon=300"],
+     "0 violations over 1313 normal steps (0 unfloored, 1313 floored at M0; 100 trials)",
+     "ffb26fe4ffc2393b2e68f0620670ce5b17eff257f0416415bded5f8853510071"),
+]
+
+
+@pytest.mark.parametrize("name, overrides, detail, digest", CONTAINMENT_PINS)
+def test_containment_floor_counts_are_pinned(name, overrides, detail, digest):
+    cfg = load_config(Path(EMERGENCY_CFG).parent / name, overrides)
+    recorded = verify.record_exact(cfg)
+    clamped = recorded[0]["clamped"]
+    assert clamped.dtype == bool and clamped.shape == (verify.EXACT_TRIALS, cfg.horizon)
+    assert hashlib.sha256(np.ascontiguousarray(clamped).tobytes()).hexdigest() == digest
+    result = verify.check_containment(cfg, recorded)
+    assert result.passed and result.detail == detail
