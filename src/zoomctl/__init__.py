@@ -13,7 +13,7 @@ Layers:
 * ``cli``           -- ``zoomctl`` command line front end.
 """
 
-from zoomctl.distributions import DistributionSpec, MomentSummary, abs_moment, moments, sample
+from zoomctl.distributions import DistributionSpec, MomentSummary, abs_moment, moments
 from zoomctl.codec import Cell, StrategyParams, cell_of, encode_normal, rate, tracker_update_normal
 from zoomctl.loop import Trace, TrackerState, encoder_step, controller_step, plant_step, run_trial
 from zoomctl.harness import ExperimentConfig, Policy, SummaryStats, run_experiment, stability_verdict, sweep
@@ -25,7 +25,6 @@ __all__ = [
     "MomentSummary",
     "abs_moment",
     "moments",
-    "sample",
     "Cell",
     "StrategyParams",
     "cell_of",

@@ -50,7 +50,7 @@ import numpy as np
 
 from zoomctl.codec import StrategyParams, rate
 from zoomctl.distributions import MomentSummary
-from zoomctl.loop import json_safe, write_json
+from zoomctl.loop import json_safe
 
 
 class UnstabilizableError(ValueError):
@@ -219,9 +219,6 @@ class DominationReport:
             "ok": self.ok,
         }
 
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -302,9 +299,6 @@ class DriftReport:
             "max_mean_nsq": float(self.mean_nsq.max()) if len(self.mean_nsq) else None,
             "ok": self.ok,
         }
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

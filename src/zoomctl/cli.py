@@ -27,7 +27,7 @@ from zoomctl.harness import (
     write_summary_json,
     write_sweep_csv,
 )
-from zoomctl.loop import TraceFormatError
+from zoomctl.loop import TraceFormatError, write_json
 from zoomctl.verify import CHECK_NAMES, InsufficientTrials, run_checks
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def cmd_verify(args, cfg) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for r in results:
             if r.report is not None:
-                r.report.to_json(outdir / f"{r.name}_report.json")
+                write_json(r.report.to_dict(), outdir / f"{r.name}_report.json")
                 r.report.to_csv(outdir / f"{r.name}_report.csv")
     return EXIT_OK if all(r.passed for r in results) else EXIT_NEGATIVE
 

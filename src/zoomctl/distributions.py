@@ -2,7 +2,7 @@
 
 Four parametric families are supported: gaussian, uniform, two_point and
 student_t.  Everything the control strategy and its analysis consume lives
-here: sampling (scalar and batched), exact first/second moments, and
+here: sampling (arrays, and blocks in place), exact first/second moments, and
 absolute moments with an additive shift, E[(|Z| + shift)^alpha].  The
 shifted absolute moment at alpha > 4 is what the zoom-out tail bound runs
 on; student_t is included precisely because it has only finitely many
@@ -112,19 +112,14 @@ class MomentSummary:
     shifted_abs_moment_alpha: float
 
 
-def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
-    """One draw from the law.  Deterministic given the generator state."""
-    return float(sample_array(spec, rng, None))
-
-
-def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int | None):
-    """``n`` i.i.d. draws (``n=None`` gives a scalar).
+def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """An array of ``n`` i.i.d. draws.
 
     Consecutive calls on one generator continue a single stream: draws of
     sizes n1, n2, ... equal one draw of n1 + n2 + ... .  A trial's noise is
-    all its gains (one call), then all its disturbances (drawn one engine
-    time block at a time), so the bit stream consumed per trial is a
-    documented function of (spec, seed, horizon).
+    all its gains, then all its disturbances (the engine draws both through
+    ``sample_rows``, the disturbances one time block at a time), so the bit
+    stream consumed per trial is a documented function of (spec, seed, horizon).
     """
     p = spec.params
     if spec.kind == "gaussian":

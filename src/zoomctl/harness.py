@@ -62,10 +62,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from zoomctl import analysis
-from zoomctl.codec import (
-    StrategyParams, cell_tracker, is_clamped, rate,
-)
-from zoomctl.distributions import DistributionSpec, moments, sample_array, sample_rows
+from zoomctl.codec import StrategyParams, cell_tracker, rate
+from zoomctl.distributions import DistributionSpec, moments, sample_rows
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, build_trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
@@ -78,7 +76,7 @@ POLICY_KINDS = (
     "zero_control",
 )
 
-FULL_RECORD_FIELDS = ("X", "M", "I", "normal", "rho", "clamped", "symbol", "U", "A", "W")
+FULL_RECORD_FIELDS = ("X", "M", "I", "normal", "rho", "symbol", "U", "A", "W")
 
 
 @dataclass(frozen=True)
@@ -203,18 +201,15 @@ def _predraw(
 ) -> tuple[np.ndarray, list[np.random.Generator]]:
     """Each trial's gains, drawn whole, and its generator.
 
-    The gains fill the first len(indices) rows of ``out`` when given, else a
-    new array.  The generator is left at the start of the trial's
-    disturbance stream, which ``_run_chunk`` then draws one time block at a
-    time.
+    One ``sample_rows`` call draws the gains in place, into the first
+    len(indices) rows of ``out`` when given, else a new array.  Each
+    generator is left at the start of its trial's disturbance stream, which
+    ``_run_chunk`` then draws one time block at a time.
     """
-    h = cfg.horizon
-    a = np.empty((len(indices), h)) if out is None else out[:len(indices)]
-    rngs = []
-    for j, t in enumerate(indices):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(trial_seed(cfg.master_seed, t))))
-        a[j] = sample_array(cfg.a_spec, rng, h)
-        rngs.append(rng)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(trial_seed(cfg.master_seed, t))))
+            for t in indices]
+    a = np.empty((len(indices), cfg.horizon)) if out is None else out[:len(indices)]
+    sample_rows(cfg.a_spec, rngs, a)
     return a, rngs
 
 
@@ -236,8 +231,7 @@ class _ChunkOut:
 # Per-step record columns, with the value a lane holds from its divergence
 # step on.  X (the state history) and A, W (the noise draws) are kept apart
 # and hold 0 there.
-_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "clamped": False,
-              "symbol": NO_SYMBOL, "U": 0.0}
+_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "symbol": NO_SYMBOL, "U": 0.0}
 
 
 def _chunk_envelope(
@@ -296,8 +290,9 @@ def _run_chunk(
     reuses one.
 
     The adaptive step keeps the encoder's tracker only, updated by
-    ``codec.cell_tracker``, and computes symbols and clamp flags only when
-    recorded.  A step where every lane is normal runs with no mask.
+    ``codec.cell_tracker``, and computes symbols only when recorded (the
+    exact checks' floor flags come from ``verify``'s replay).  A step where
+    every lane is normal runs with no mask.
     Otherwise lanes in zoom-out keep their tracker through masked selects,
     and so do diverged lanes, which are parked: X held at 0, and the
     zoom-out multiply skips them.  The cell arithmetic sees X = 0 on lanes
@@ -329,8 +324,8 @@ def _run_chunk(
     carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
     rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
             for f, fill in _STEP_FILL.items()}
-    m_rows, i_rows, mode_rows, rho_rows, u_rows, sym_rows, clamp_rows = (
-        rows[f] for f in ("M", "I", "normal", "rho", "U", "symbol", "clamped"))
+    m_rows, i_rows, mode_rows, rho_rows, u_rows, sym_rows = (
+        rows[f] for f in ("M", "I", "normal", "rho", "U", "symbol"))
     envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
                                            indices[lanes.start]) for lanes in groups] if need_env else []
     pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns
@@ -416,8 +411,6 @@ def _run_chunk(
                     np.add(k, L, out=sym_rows[i + 1], casting="unsafe")
                     if zooming:
                         np.putmask(sym_rows[i + 1], zoom, 2 * L)
-                if len(clamp_rows) > 1:
-                    np.logical_and(is_clamped(*work[:2], p.M0), normal, out=clamp_rows[i + 1])
             elif kind == "static_quantizer":
                 a_cell, b_cell, above = work
                 np.floor(np.divide(np.add(x, srange, out=k), w_cell_s, out=k), out=k)

@@ -31,17 +31,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from zoomctl.codec import (
-    ProtocolError,
-    StrategyParams,
-    cell_tracker,
-    encode_normal,
-    tracker_update_normal,
-)
+from zoomctl.codec import (ProtocolError, StrategyParams, cell_tracker, encode_normal, is_clamped,
+                           tracker_update_normal)
 from zoomctl.distributions import DistributionSpec, moments, sample_array
 
 NORMAL = "normal"
@@ -229,7 +224,8 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Columns of a trace CSV, as arrays keyed by header name but with ``normal`` (False at ``end``) for ``mode``.
 
     A malformed file raises TraceFormatError, as does a mode word other than
-    normal or emergency, save ``end`` on a last row with symbol NO_SYMBOL.
+    normal or emergency, save ``end`` on a last row with symbol NO_SYMBOL, and
+    an ``n`` or ``round_id`` other than ``Trace.to_csv`` derives from the rows.
     """
     with open(path, newline="") as fh:
         try:
@@ -260,6 +256,10 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
                 cols[name] = np.array([float(v) for v in vals])
     except ValueError as exc:
         raise TraceFormatError(f"{path}: column {name}: {exc}") from None
+    for name, want in (("n", np.arange(len(rows))), ("round_id", np.maximum(np.cumsum(cols["normal"]) - 1, 0))):
+        i = int(np.argmax(cols[name] != want))
+        if cols[name][i] != want[i]:
+            raise TraceFormatError(f"{path}: column {name}: row {i + 1} has {cols[name][i]}, expected {want[i]}")
     return cols
 
 
@@ -289,8 +289,8 @@ def run_trial(
     mu_w, _ = moments(w_spec)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    a_draws = np.atleast_1d(sample_array(a_spec, rng, horizon)) if horizon else np.empty(0)
-    w_draws = np.atleast_1d(sample_array(w_spec, rng, horizon)) if horizon else np.empty(0)
+    a_draws = sample_array(a_spec, rng, horizon)
+    w_draws = sample_array(w_spec, rng, horizon)
 
     # per executed step: X_n, then the step's symbol, mode, tracker (encoder
     # side, equal to the controller's) and control; a float holds every
@@ -319,13 +319,14 @@ def run_trial(
 
 @dataclass(frozen=True)
 class TraceValidation:
-    """Outcome of replaying a recorded trace against the protocol rules."""
+    """Outcome of replaying a recorded trace; when ok, ``clamped`` flags the steps a floor at M0 set."""
 
     ok: bool
     first_mismatch: int | None = None
     field: str | None = None
     detail: str = ""
     steps: int = 0  # replayed, when ok
+    clamped: np.ndarray | None = dc_field(default=None, compare=False)  # verdicts compare, flags do not
 
 
 def validate_trace_columns(
@@ -345,6 +346,7 @@ def validate_trace_columns(
     replays at once from the tracker recorded at the step before; up to the
     first mismatch that is the replayed tracker, so the first mismatch
     (fields in the order symbol, normal, M, I, rho, U) is a stepwise replay's.
+    A clean replay also flags the steps a floor at M0 set (``codec.is_clamped``).
     """
     symbol = cols["symbol"]
     steps = len(symbol) - 1 if symbol[-1] == NO_SYMBOL else len(symbol)
@@ -359,17 +361,18 @@ def validate_trace_columns(
         prev[:, :1] = [[params.M0], [params.M0], [1.0]]
         prev[:, 1:] = [got["M"][:-1], got["I"][:-1], got["rho"][:-1]]
         prev[0] *= params.P
-        trk = np.empty((3, steps))
+        trk, (a, b) = np.empty((3, steps)), np.empty((2, steps))
         cell_tracker(None, prev[0], params.L, params.M0, sym - float(params.L), trk,
-                     (np.empty(steps), np.empty(steps), np.empty(steps, dtype=bool)))
+                     (a, b, np.empty(steps, dtype=bool)))
         trk = np.where(zoom, prev, trk)
+        floored = is_clamped(a, b, params.M0) & ~zoom
         u = np.where(zoom, mu_W, trk[2] * mu_A * (trk[0] - trk[1]) + mu_W)
     want = {"normal": ~zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
     bad = {"symbol": (sym < 0) | (sym > params.emergency_symbol)}
     bad.update((name, want[name] != got[name]) for name in got)
     found = [(int(np.argmax(mask)), order) for order, mask in enumerate(bad.values()) if mask.any()]
     if not found:
-        return TraceValidation(True, steps=steps)
+        return TraceValidation(True, steps=steps, clamped=floored)
     i, order = min(found)
     name = list(bad)[order]
     if name == "symbol":

@@ -8,7 +8,8 @@ ensembles:
   With ``--trace-file`` the check instead replays a recorded trace from
   its symbols and reports the first corrupted index.
 * containment      -- at every normal step, rho*X_n lies in
-  [M_n - 2 I_n, M_n], exactly; steps floored at M0 are counted apart.
+  [M_n - 2 I_n, M_n], exactly; steps floored at M0, flagged by the symbol
+  replay, are counted apart.
 * domination       -- |X_{n0}| <= N_{n0} for sampled freeze points, exactly.
   N_{n0} comes from the recorded M, I and mode flag at each point
   (``analysis.domination_report``), in one pass over all of them; points
@@ -64,7 +65,7 @@ TRACKER_CHECKS = EXACT_CHECKS + ("drift",)  # need the adaptive policy
 # the exact checks' recording and drift's horizon are capped; documented in output
 DRIFT_HORIZON_CAP = 2000
 EXACT_TRIALS = 100  # trials in the exact checks' shared recorded pass
-EXACT_FIELDS = ("X", "symbol", "M", "I", "normal", "rho", "U", "clamped")
+EXACT_FIELDS = ("X", "symbol", "M", "I", "normal", "rho", "U")
 SCALAR_REPLAYS = 3  # trials tracker_equality repeats through run_trial
 DOMINATION_N0_PER_TRACE = 10
 ORACLE_STEPS = 20
@@ -90,12 +91,15 @@ class CheckResult:
 def record_exact(cfg: ExperimentConfig) -> Recorded:
     """The first min(trials, EXACT_TRIALS) trials, recorded and replayed.
 
-    A replay mismatch raises ProtocolError naming the trial and step.
+    A replay mismatch raises ProtocolError naming the trial and step.  The
+    replay's floor flags become the ``clamped`` record (False from a trial's
+    divergence step on), which containment counts apart.
     """
     sub = replace(cfg, trials=min(cfg.trials, EXACT_TRIALS))
     rec, diverged_at = run_recorded_bundle(sub, fields=EXACT_FIELDS)
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
+    clamped = np.zeros(rec["normal"].shape, dtype=bool)
     for t, div in enumerate(diverged_at):
         steps = cfg.horizon if div < 0 else int(div)
         result = validate_trace_columns({f: col[t, :steps] for f, col in rec.items()}, cfg.params, mu_a, mu_w)
@@ -103,6 +107,8 @@ def record_exact(cfg: ExperimentConfig) -> Recorded:
             raise ProtocolError(
                 f"replayed tracker differs at trial {t}, step {result.first_mismatch}: {result.detail}"
             )
+        clamped[t, :steps] = result.clamped
+    rec["clamped"] = clamped
     return rec, diverged_at
 
 

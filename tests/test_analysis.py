@@ -32,7 +32,7 @@ from zoomctl.codec import StrategyParams
 from zoomctl.config import load_config
 from zoomctl.distributions import DistributionSpec, moment_summary, moments
 from zoomctl.harness import ExperimentConfig, Policy, run_recorded_bundle
-from zoomctl.loop import run_trial
+from zoomctl.loop import run_trial, write_json
 
 A_REF = DistributionSpec.gaussian(1.0, 0.5)
 W_REF = DistributionSpec.gaussian(0.0, 1.0)
@@ -339,7 +339,7 @@ def test_drift_requires_enough_traces():
 def test_drift_report_serialization(tmp_path):
     bundle, params = certified_bundle(trials=120, horizon=200)
     rep = drift_estimate(*bundle, params.K, params.c, 5.0)
-    rep.to_json(tmp_path / "drift.json")
+    write_json(rep.to_dict(), tmp_path / "drift.json")
     rep.to_csv(tmp_path / "drift.csv")
     import json
 

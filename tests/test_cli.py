@@ -4,6 +4,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zoomctl.cli import main
@@ -295,7 +296,8 @@ def test_cli_verify_corrupted_trace(tmp_path, cfg_file, capsys):
 
 
 def test_cli_verify_flipped_mode_word_fails_at_its_index(tmp_path, capsys):
-    # every executed row, normal or emergency, flipped to the other word
+    # every executed row, normal or emergency, flipped to the other word, with
+    # the round_id cells the reader checks rewritten to follow the words
     sim = tmp_path / "sim"
     main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
           "--set", "horizon=40", "--set", "trials=2"])
@@ -305,7 +307,7 @@ def test_cli_verify_flipped_mode_word_fails_at_its_index(tmp_path, capsys):
     trace_path = tmp_path / "flipped.csv"
     for i, word in enumerate(words):
         flip = "emergency" if word == "normal" else "normal"
-        trace_path.write_text(_set_cells(lines, i + 1, {3: flip}))
+        trace_path.write_text(_with_modes(lines, words[:i] + [flip] + words[i + 1:]))
         capsys.readouterr()
         code = main(["verify", str(EMERGENCY_CFG), "--checks", "tracker_equality", "--trace-file", str(trace_path)])
         out = capsys.readouterr().out
@@ -332,6 +334,15 @@ def _set_cells(lines, row, cells):
     return "\n".join(lines[:row] + [",".join(parts)] + lines[row + 1:]) + "\n"
 
 
+def _with_modes(lines, modes):
+    """A trace CSV's text with its executed rows' mode words set to ``modes``, and round_id as they give it."""
+    rows = [line.split(",") for line in lines[1:]]
+    round_id = np.maximum(np.cumsum([m == "normal" for m in modes] + [False]) - 1, 0)
+    for row, mode, r in zip(rows, modes + ["end"], round_id):
+        row[3], row[10] = mode, str(r)
+    return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+
+
 # (malformed trace text from a good trace's lines, end of the stderr message)
 MALFORMED_TRACES = {
     "readme": (lambda lines: README.read_text(), "unexpected trace header ['# zoomctl']"),
@@ -341,6 +352,8 @@ MALFORMED_TRACES = {
     "bogus-mode": (lambda lines: _set_cells(lines, 5, {3: "bogus"}), "column mode: row 5 has mode 'bogus'"),
     "end-on-executed-row": (lambda lines: _set_cells(lines, 3, {3: "end"}), "column mode: row 3 has mode 'end'"),
     "end-with-a-symbol": (lambda lines: _set_cells(lines, 21, {2: "0"}), "column mode: row 21 has mode 'end'"),
+    "n-cell": (lambda lines: _set_cells(lines, 5, {0: "999"}), "column n: row 5 has 999, expected 4"),
+    "round_id-cell": (lambda lines: _set_cells(lines, 5, {10: "77"}), "column round_id: row 5 has 77, expected 1"),
 }
 
 

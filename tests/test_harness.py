@@ -27,6 +27,7 @@ from zoomctl.harness import (
     write_sweep_csv,
 )
 from zoomctl.loop import NO_SYMBOL, run_trial, validate_trace_columns
+from zoomctl.verify import record_exact
 
 A_REF = DistributionSpec.gaussian(1.0, 0.5)
 W_REF = DistributionSpec.gaussian(0.0, 1.0)
@@ -235,8 +236,9 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     ]
     for ref, eng in zip(refs, traces):
         assert_same_trace(eng, ref)
-    # recorded columns stop where each trial diverged
+    # recorded columns stop where each trial diverged, and so do the replay's floor flags
     rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    floored = record_exact(cfg)[0]["clamped"]
     for t, ref in enumerate(refs):
         steps = ref.steps
         assert div[t] == (steps if ref.diverged else -1)
@@ -245,8 +247,9 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
         assert np.array_equal(rec["symbol"][t, :steps], ref.symbol[:steps])
         assert np.all(rec["symbol"][t, steps:] == NO_SYMBOL)
         assert np.all(rec["rho"][t, steps:] == 1)
-        for f in ("M", "I", "U", "A", "W", "normal", "clamped"):
+        for f in ("M", "I", "U", "A", "W", "normal"):
             assert not rec[f][t, steps:].any(), f
+        assert not floored[t, steps:].any()
     # per-step sums run over the full chunk width, 0 at diverged lanes
     xsq = np.zeros((cfg.horizon + 1, cfg.trials))
     count = np.zeros(cfg.horizon + 1, dtype=np.int64)
