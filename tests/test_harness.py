@@ -372,6 +372,34 @@ def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
         assert_same_outputs(engine_outputs(cfg, 3), want)
 
 
+# sha256 of diverged_at and of each lane's records up to its extent (X through
+# its divergence step, every other field before it) on two 1100-trial
+# recordings: the diverging block case, with lanes diverging from step 20 on,
+# and emergency_rich.cfg at P=1.01, whose rounds stay open for long stretches
+RECORDING_DIGESTS = {
+    "diverging": "0ac58082cfda8bbd5a1db01aae71890a17d8b7f208efbb81678598cc158fb61c",
+    "emergency_rich_open": "0b669e5a073bade5261ae95cf0d0e20d2450cfb470e22c8e57454111a24e35d9",
+}
+
+
+@pytest.mark.parametrize("case", RECORDING_DIGESTS)
+def test_recorded_lanes_are_pinned_up_to_their_extent(case):
+    from zoomctl.config import load_config
+
+    if case == "diverging":
+        cfg = block_case_cfg(case, trials=1100)
+    else:
+        cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1100", "P=1.01", "horizon=300"])
+    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    assert (case == "diverging") == (div >= 0).any()
+    digest = hashlib.sha256(div.tobytes())
+    for t, d in enumerate(div):
+        steps = cfg.horizon if d < 0 else int(d)
+        for f in FULL_RECORD_FIELDS:
+            digest.update(rec[f][t, :steps + (f == "X")].tobytes())
+    assert digest.hexdigest() == RECORDING_DIGESTS[case]
+
+
 @pytest.mark.parametrize("fields", [("M", "I", "normal"), ("W", "U"), ("X", "A")])
 def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
     import zoomctl.harness as hz
