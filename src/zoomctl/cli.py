@@ -114,13 +114,8 @@ def cmd_feasibility(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
-    if args.dim not in SWEEP_DIMENSIONS:
-        return _fail(f"--dim must be one of {', '.join(SWEEP_DIMENSIONS)}; got {args.dim!r}")
-    raw = [v for v in (args.values or "").split(",") if v.strip()]
-    if not raw:
-        return _fail("--values must list at least one value")
     try:
-        values = [float(v) for v in raw]
+        values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         return _fail(f"--values must be numeric, got {args.values!r}")
     try:

@@ -36,18 +36,18 @@ are produced one block at a time, from step-major block buffers that each
 step writes a row of in place (see ``_run_chunk``), read through
 transposed views.  An unrecorded chunk holds about
 lanes x (8 * horizon + 50 * block) bytes: at 1024 lanes, 2000 steps and
-250-step blocks, 16 MB of gains and 13 MB of block.  A recorded chunk is
-one block as long as the horizon, whose rows are its records, with gains
-of its own.  The N^2 envelope is one
-``analysis.EnvelopeMoments`` per trial group: its column sums, 8 * horizon
-bytes, and for ``verify``'s drift the drift and halving statistics,
-32 * horizon more.  Each lane's M, I and mode, about 17 bytes, wait for
-each column from the first one some lane of its group has not resolved
-yet: a round that stays open over the whole horizon holds another
-17 * horizon per lane.  It covers ensembles with no diverged trial only; a
-chunk drops it at its first diverged lane.  Chunks run one after another
-on the calling thread, and neither the block length nor the chunking
-changes a result.
+250-step blocks, 16 MB of gains and 13 MB of block.  A recording is one
+chunk over all its trials (kept traces: 1024 at a time) and one block as
+long as the horizon, whose rows are its records, with gains of its own.
+The N^2 envelope is one ``analysis.EnvelopeMoments`` per trial group: its
+column sums, 8 * horizon bytes, and for ``verify``'s drift the drift and
+halving statistics, 32 * horizon more.  Each lane's M, I and mode, about
+17 bytes, wait for each column from the first one some lane of its group
+has not resolved yet: a round that stays open over the whole horizon
+holds another 17 * horizon per lane.  It covers ensembles with no
+diverged trial only; a chunk drops it at its first diverged lane.  Chunks
+run one after another on the calling thread, and neither the block length
+nor the chunking changes a result.
 """
 
 from __future__ import annotations
@@ -228,9 +228,8 @@ class _ChunkOut:
     envelopes: list[analysis.EnvelopeMoments] | None  # per group; None once a lane diverged
 
 
-# Per-step record columns, with the value a lane holds from its divergence
-# step on.  X (the state history) and A, W (the noise draws) are kept apart
-# and hold 0 there.
+# Per-step record columns, with the value each row starts from.  X (the
+# state history) and A, W (the noise draws) are kept apart.
 _STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "symbol": NO_SYMBOL, "U": 0.0}
 
 
@@ -298,8 +297,9 @@ def _run_chunk(
     zoom-out multiply skips them.  The cell arithmetic sees X = 0 on lanes
     in zoom-out and parked lanes, always within their range, and the
     control's product is kept to live normal lanes, so neither overflows.
-    A parked lane adds 0 to the per-step sums, counts as a normal step, and
-    its record tail is reset after the loop.  Cell indices are float64,
+    A parked lane adds 0 to the per-step sums and counts as a normal step;
+    its records end at its divergence step, where X is the diverged value,
+    and what it holds after that means nothing.  Cell indices are float64,
     exact since |k| <= L <= 2^50.
     """
     kind = cfg.policy.kind
@@ -470,16 +470,11 @@ def _run_chunk(
 
     records = None
     if record_fields:
+        # the freshly diverged value is recorded too (flagged, excluded from the sums above)
+        dead = np.flatnonzero(diverged_at >= 0)
+        xs[diverged_at[dead], dead] = x_diverged[dead]
         cols = {**{f: buf[1:].T for f, buf in rows.items()}, "X": xs.T, "A": a_draws, "W": w_draws}
         records = {f: cols[f] for f in record_fields}
-        for j in np.flatnonzero(diverged_at >= 0):
-            d = diverged_at[j]
-            for f, col in records.items():
-                col[j, d:] = _STEP_FILL.get(f, 0.0)
-            if "X" in records:
-                # the freshly diverged value is recorded too (flagged,
-                # excluded from the aggregates above)
-                records["X"][j, d] = x_diverged[j]
 
     return _ChunkOut(
         sum_xsq=sum_xsq,
@@ -619,26 +614,22 @@ def run_experiment(
 def run_recorded_bundle(
     cfg: ExperimentConfig, fields: Sequence[str] = ("X", "M", "I", "normal")
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Record per-step columns for every trial.
+    """Record per-step columns for every trial, in one engine chunk.
 
     ``fields`` picks the columns, any of FULL_RECORD_FIELDS.  Returns the
-    stacked record dict plus each trial's divergence step (-1 where the
-    trial ran to the horizon).  Memory scales with trials * horizon *
-    fields; callers cap the horizon accordingly.
-
-    A single chunk's records, as in ``verify``'s exact pass, are returned
-    as they are, views of its step-major block rows (the gains as drawn),
-    with no copy; several chunks' records are joined.
+    record dict plus each trial's divergence step (-1 where the trial ran to
+    the horizon).  The records are the chunk's step-major block rows (the
+    gains as drawn), handed out uncopied, so memory scales with trials *
+    horizon * fields; callers cap the horizon accordingly.  A trial's
+    records end at its divergence step: X through it, every other field
+    before it.
     """
-    outs = [_run_chunk(cfg, idx, fields, envelope=False) for idx in _chunked(range(cfg.trials))]
-    if len(outs) == 1:
-        return outs[0].records, outs[0].diverged_at
-    rec = {f: np.concatenate([o.records[f] for o in outs], axis=0) for f in fields}
-    return rec, np.concatenate([o.diverged_at for o in outs])
+    out = _run_chunk(cfg, range(cfg.trials), fields, envelope=False)
+    return out.records, out.diverged_at
 
 
 def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
-    """Full Traces of the given trials, simulated together in shared chunks."""
+    """Full Traces of the given trials, recorded 1024 lanes at a time, one chunk's records held at once."""
     # a chunk records X and what a Trace keeps: a tracker and symbols under the quantized policies only
     quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
     fields = ("X", "normal", "U", "A", "W") + (("symbol", "M", "I", "rho") if quantized else ())
@@ -646,6 +637,7 @@ def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
     for chunk in _chunked(indices):
         out = _run_chunk(cfg, chunk, fields, envelope=False)
         traces += [_trace_from_records(cfg, out, j, t) for j, t in enumerate(chunk)]
+        del out  # freed before the next chunk records
     return traces
 
 

@@ -35,12 +35,12 @@ gathers its statistics and the halving check (``harness.envelope_moments``).  or
 two oracle-policy ensembles.
 
 ``run_checks`` checks its inputs before any ensemble runs: the check names,
-each once, a trace file only with tracker_equality, the adaptive policy the
-tracker checks need (oracle_match swaps the policy itself), drift's minimum
-number of trials, and oracle_match's laws: a disturbance with third central
-moment 0, and finite fourth central moments of gain and disturbance.  The
-trace file is read and parsed there too, so a missing or malformed one
-fails before the recorded ensemble runs.
+each once, a trace file only with tracker_equality, the adaptive policy
+every tracker check needs, trace replay included (oracle_match swaps the
+policy itself), drift's minimum number of trials, and oracle_match's laws:
+a disturbance with third central moment 0, and finite fourth central
+moments of gain and disturbance.  The trace file is read there too, so a
+missing or malformed one, or one with no executed step, fails first.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
 from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, run_experiment,
                              run_recorded_bundle, trial_seed)
-from zoomctl.loop import Trace, read_trace_csv, run_trial, validate_trace_columns
+from zoomctl.loop import NO_SYMBOL, Trace, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
 EXACT_CHECKS = ("tracker_equality", "containment", "domination")
@@ -88,6 +88,11 @@ class CheckResult:
     report: object | None = None
 
 
+def _executed_steps(cfg: ExperimentConfig, diverged_at: np.ndarray) -> np.ndarray:
+    """Each recorded trial's executed steps: its divergence step, else the horizon; its records end there."""
+    return np.where(diverged_at < 0, cfg.horizon, diverged_at)
+
+
 def record_exact(cfg: ExperimentConfig) -> Recorded:
     """The first min(trials, EXACT_TRIALS) trials, recorded and replayed.
 
@@ -100,8 +105,7 @@ def record_exact(cfg: ExperimentConfig) -> Recorded:
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
     clamped = np.zeros(rec["normal"].shape, dtype=bool)
-    for t, div in enumerate(diverged_at):
-        steps = cfg.horizon if div < 0 else int(div)
+    for t, steps in enumerate(_executed_steps(cfg, diverged_at)):
         result = validate_trace_columns({f: col[t, :steps] for f, col in rec.items()}, cfg.params, mu_a, mu_w)
         if not result.ok:
             raise ProtocolError(
@@ -167,10 +171,10 @@ def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) ->
 
 
 def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
+    """rho*X_n in [M_n - 2 I_n, M_n] at every normal step a trial executed."""
     rec, diverged_at = recorded
     trials = len(diverged_at)
-    # recorded steps from a trial's divergence on are not normal
-    eligible = rec["normal"]
+    eligible = rec["normal"] & (np.arange(cfg.horizon) < _executed_steps(cfg, diverged_at)[:, None])
     x = rec["X"][:, :cfg.horizon]
     lo = rec["M"] - 2.0 * rec["I"]
     rx = rec["rho"] * x
@@ -198,7 +202,7 @@ def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     )
     # each trial's freeze points, drawn in trial order from its executed steps
     # (a trial diverges at step 1 at the earliest, as X_0 = 0)
-    steps = np.where(diverged_at < 0, cfg.horizon, diverged_at)
+    steps = _executed_steps(cfg, diverged_at)
     n0 = np.concatenate([rng.integers(0, s, size=DOMINATION_N0_PER_TRACE) for s in steps])
     trace = np.repeat(np.arange(len(steps)), DOMINATION_N0_PER_TRACE)
     report = analysis.domination_report(rec, trace, n0, cfg.params)
@@ -269,7 +273,10 @@ def check_oracle_match(cfg: ExperimentConfig) -> CheckResult:
 def run_checks(
     cfg: ExperimentConfig, names: list[str], trace_file=None
 ) -> list[CheckResult]:
-    """Results of the named checks, in the order asked for; input errors raise before any ensemble runs."""
+    """Results of the named checks, in the order asked for; input errors raise before any ensemble runs.
+
+    Every tracker check needs the adaptive policy; tracker_equality replays a given trace file, not the recorded pass.
+    """
     for name in names:
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
@@ -277,8 +284,7 @@ def run_checks(
             raise ConfigError(f"check {name!r} is named more than once")
     if trace_file is not None and "tracker_equality" not in names:
         raise ConfigError("--trace-file is read by the tracker_equality check only, which is not asked for")
-    # the checks that read the adaptive tracker, in CHECK_NAMES order
-    tracked = [n for n in TRACKER_CHECKS if n in names and (n != "tracker_equality" or trace_file is None)]
+    tracked = [n for n in TRACKER_CHECKS if n in names]  # in CHECK_NAMES order
     if tracked and cfg.policy.kind != "adaptive_fixed_rate":
         raise ConfigError(f"check {tracked[0]!r} requires policy=adaptive_fixed_rate")
     if "drift" in names and cfg.trials < analysis.MIN_DRIFT_TRACES:
@@ -291,6 +297,8 @@ def run_checks(
         except ValueError as exc:  # MomentError included
             raise ConfigError(f"oracle_match: {exc}") from None
     trace_cols = None if trace_file is None else read_trace_csv(trace_file)
+    if trace_cols is not None and trace_cols["symbol"].tolist() == [NO_SYMBOL]:  # a state-only row
+        raise ConfigError(f"{trace_file}: no executed step to replay")
     checks = {
         "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_cols, rec),
         "containment": lambda rec: check_containment(cfg, rec),
@@ -298,7 +306,7 @@ def run_checks(
         "drift": lambda rec: check_drift(cfg),
         "oracle_match": lambda rec: check_oracle_match(cfg),
     }
-    shared = [n for n in tracked if n in EXACT_CHECKS]
+    shared = [n for n in tracked if n in EXACT_CHECKS and (n != "tracker_equality" or trace_cols is None)]
     done = {}
     if shared:
         try:

@@ -261,6 +261,24 @@ def test_cli_sweep_bad_inputs(tmp_path, cfg_file):
     assert main(["sweep", str(cfg_file), "--dim", "P", "--values", "a,b", "--out", str(tmp_path)]) == 1
 
 
+# (sweep arguments, the message of the one error line), both from harness.sweep
+SWEEP_INPUT_ERRORS = {
+    "dim-X": (["--dim", "X", "--values", "1"], "dimension must be one of ('P', 'L', 'K', 'M0', 'R'), got 'X'"),
+    "no-values": (["--dim", "P", "--values", ","], "sweep needs at least one value"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_INPUT_ERRORS)
+def test_cli_sweep_input_errors_are_one_line(tmp_path, cfg_file, capsys, case):
+    argv, message = SWEEP_INPUT_ERRORS[case]
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg_file), *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cli_verify_structural_checks(cfg_file, capsys):
     code = main(
         ["verify", str(cfg_file), "--checks",
@@ -354,6 +372,8 @@ MALFORMED_TRACES = {
     "end-with-a-symbol": (lambda lines: _set_cells(lines, 21, {2: "0"}), "column mode: row 21 has mode 'end'"),
     "n-cell": (lambda lines: _set_cells(lines, 5, {0: "999"}), "column n: row 5 has 999, expected 4"),
     "round_id-cell": (lambda lines: _set_cells(lines, 5, {10: "77"}), "column round_id: row 5 has 77, expected 1"),
+    "no-executed-step": (lambda lines: lines[0] + "\n0,123.0,-1,end,0.1,0.1,1,0.0,nan,nan,0\n",
+                         "no executed step to replay"),
 }
 
 

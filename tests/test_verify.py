@@ -94,9 +94,17 @@ def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch):
         assert all(line[2].startswith(msg) for line in lines), lines
 
 
-@pytest.mark.parametrize("checks", ["containment", "drift,domination"])
-def test_exact_checks_need_adaptive_policy(capsys, checks):
-    code = main(["verify", EMERGENCY_CFG, "--set", "policy=zero_control", "--checks", checks])
+@pytest.mark.parametrize("checks", ["containment", "drift,domination", "trace-file-replay"])
+def test_exact_checks_need_adaptive_policy(capsys, tmp_path, checks):
+    argv = ["verify", EMERGENCY_CFG, "--set", "policy=zero_control", "--checks", checks]
+    if checks == "trace-file-replay":
+        # an adaptive trace replayed under static_baseline.cfg, which sets no P, K or c
+        main(["simulate", EMERGENCY_CFG, "--out", str(tmp_path), "--keep-traces", "1",
+              "--set", "horizon=20", "--set", "trials=2"])
+        capsys.readouterr()
+        argv = ["verify", str(Path(EMERGENCY_CFG).parent / "static_baseline.cfg"), "--checks", "tracker_equality",
+                "--trace-file", str(tmp_path / "trace_0000.csv")]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert "requires policy=adaptive_fixed_rate" in captured.err
