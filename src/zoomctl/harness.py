@@ -64,7 +64,7 @@ import numpy as np
 from zoomctl import analysis
 from zoomctl.codec import StrategyParams, cell_tracker, rate
 from zoomctl.distributions import DistributionSpec, moments, sample_rows
-from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, build_trace, json_safe, write_json
+from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
 BLOCK_STEPS = 250  # steps per time block of the engine
@@ -228,9 +228,10 @@ class _ChunkOut:
     envelopes: list[analysis.EnvelopeMoments] | None  # per group; None once a lane diverged
 
 
-# Per-step record columns, with the value each row starts from.  X (the
-# state history) and A, W (the noise draws) are kept apart.
-_STEP_FILL = {"M": 0.0, "I": 0.0, "normal": False, "rho": 1, "symbol": NO_SYMBOL, "U": 0.0}
+# Per-step record columns besides M and I (which start at M0), with the value
+# each row starts from: the initial tracker and NO_SYMBOL, which a policy with
+# no tracker records as is.  X (the states) and A, W (the draws) are kept apart.
+_STEP_FILL = {"normal": False, "rho": 1, "symbol": NO_SYMBOL, "U": 0.0}
 
 
 def _chunk_envelope(
@@ -323,7 +324,7 @@ def _run_chunk(
     blocked = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
     carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
     rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
-            for f, fill in _STEP_FILL.items()}
+            for f, fill in {"M": p.M0, "I": p.M0, **_STEP_FILL}.items()}
     m_rows, i_rows, mode_rows, rho_rows, u_rows, sym_rows = (
         rows[f] for f in ("M", "I", "normal", "rho", "U", "symbol"))
     envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
@@ -344,9 +345,7 @@ def _run_chunk(
     k, lim, xz, rho = np.empty((4, n_t))
     work = (np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=bool))
     zoom, keep = np.empty((2, n_t), dtype=bool)
-    if kind == "adaptive_fixed_rate":
-        m_rows[0] = i_rows[0] = p.M0
-    else:
+    if kind != "adaptive_fixed_rate":
         mode_rows[:] = True
     if kind == "static_quantizer":
         srange = cfg.static_range()
@@ -629,13 +628,12 @@ def run_recorded_bundle(
 
 
 def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
-    """Full Traces of the given trials, recorded 1024 lanes at a time, one chunk's records held at once."""
-    # a chunk records X and what a Trace keeps: a tracker and symbols under the quantized policies only
-    quantized = cfg.policy.kind in ("adaptive_fixed_rate", "static_quantizer")
-    fields = ("X", "normal", "U", "A", "W") + (("symbol", "M", "I", "rho") if quantized else ())
+    """Full Traces of the given trials, recorded 1024 lanes at a time, one chunk's records held at once.
+
+    Every policy records all of FULL_RECORD_FIELDS, a policy with no tracker the initial one and NO_SYMBOL."""
     traces = []
     for chunk in _chunked(indices):
-        out = _run_chunk(cfg, chunk, fields, envelope=False)
+        out = _run_chunk(cfg, chunk, FULL_RECORD_FIELDS, envelope=False)
         traces += [_trace_from_records(cfg, out, j, t) for j, t in enumerate(chunk)]
         del out  # freed before the next chunk records
     return traces
@@ -647,11 +645,11 @@ def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
 
 
 def _trace_from_records(cfg: ExperimentConfig, out: _ChunkOut, j: int, index: int) -> Trace:
-    """Lane j of a ``_kept_traces`` chunk, which ran trial ``index``, up to its divergence step, as a Trace."""
+    """Lane j of a ``_kept_traces`` chunk, which ran trial ``index``, up to its divergence step, copied into a Trace."""
     div_at = int(out.diverged_at[j])
     steps = cfg.horizon if div_at < 0 else div_at
-    return build_trace(out.records["X"][j, : steps + 1], {f: c[j] for f, c in out.records.items() if f != "X"},
-                       cfg.params.M0, trial_seed(cfg.master_seed, index), None if div_at < 0 else div_at)
+    return Trace(**{f: c[j, :steps + (f == "X")].copy() for f, c in out.records.items()},
+                 seed=trial_seed(cfg.master_seed, index), diverged_at=None if div_at < 0 else div_at)
 
 
 @dataclass(frozen=True)

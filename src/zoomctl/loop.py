@@ -46,7 +46,7 @@ DIVERGENCE_LIMIT = 1e150
 
 TRACE_CSV_HEADER = ["n", "X", "symbol", "mode", "M", "I", "rho", "U", "A", "W", "round_id"]
 
-# sentinel symbol for the trailing row of a trace (state only, no action)
+# sentinel symbol: the trace file's trailing state-only row, and every step of a policy that sends none
 NO_SYMBOL = -1
 
 
@@ -127,12 +127,13 @@ def plant_step(x: float, u: float, a_draw: float, w_draw: float) -> float:
 
 @dataclass
 class Trace:
-    """One trial's record, as ``build_trace`` lays it out: a row per step, then a state-only row.
+    """One trial's record: X_0..X_steps, and per executed step n its action.
 
-    Row n < steps carries X_n and the step-n action: symbol, ``normal`` (True
-    at a normal step, False at an emergency one), post-update tracker, control
-    and noise draws.  The final row carries the terminal state with symbol
-    NO_SYMBOL, ``normal`` False, the last step's tracker, U = 0 and NaN draws.
+    Step n carries the symbol, ``normal`` (True at a normal step, False at an
+    emergency one), the post-update tracker, the control and the noise draws,
+    so every field but X has ``steps`` entries.  This is lane j of an engine
+    recording up to its divergence step.  Only the trace file adds a
+    state-only row, which ``to_csv`` writes and ``read_trace_csv`` strips.
     """
 
     X: np.ndarray
@@ -149,63 +150,30 @@ class Trace:
 
     @property
     def steps(self) -> int:
-        """Number of executed steps (the trailing row is state-only)."""
-        return len(self.X) - 1
+        """Number of executed steps."""
+        return len(self.symbol)
 
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
     def to_csv(self, path) -> None:
-        """Write the trace file, which adds the row index ``n``, the mode word
-        (``end`` on the state-only row) and ``round_id``, the normal steps
-        counted from 0 (a round is a normal step and the emergencies after it)."""
-        derived = {"n": range(len(self.X)),
-                   "mode": np.where(self.normal[:-1], NORMAL, EMERGENCY).tolist() + ["end"],
-                   "round_id": np.maximum(np.cumsum(self.normal) - 1, 0).tolist()}
-        # csv writes Python floats by repr, ints by str
-        cols = [derived[f] if f in derived else getattr(self, f).tolist() for f in TRACE_CSV_HEADER]
+        """Write the trace file: a row per step, then a state-only row of X_steps, symbol NO_SYMBOL,
+        mode ``end``, the last step's tracker, U = 0 and NaN draws.  The file adds the row index ``n``, the
+        mode words and ``round_id``, the normal steps counted from 0 (a round is a normal step and the
+        emergencies after it)."""
+        end = {"symbol": NO_SYMBOL, "normal": False, "U": 0.0, "A": math.nan, "W": math.nan}
+        # Python values, as csv writes floats by repr and ints by str
+        cols = {f: getattr(self, f).tolist() for f in ("symbol", "normal", "M", "I", "rho", "U", "A", "W")}
+        for f, col in cols.items():
+            col.append(end.get(f, col[-1]))  # the tracker stays the last step's
+        cols.update(n=range(len(self.X)), X=self.X.tolist(),
+                    mode=np.where(self.normal, NORMAL, EMERGENCY).tolist() + ["end"],
+                    round_id=np.maximum(np.cumsum(cols["normal"]) - 1, 0).tolist())
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_CSV_HEADER)
-            writer.writerows(zip(*cols))
-
-
-def build_trace(X, steps: dict, M0: float, seed, diverged_at: int | None = None) -> Trace:
-    """The Trace of a trial that executed ``len(X) - 1`` steps.
-
-    ``X`` holds X_0..X_steps.  ``steps`` maps ``normal``, ``U``, ``A``, ``W``
-    and, for the quantized policies, ``symbol``, ``M``, ``I``, ``rho`` to
-    per-step values; entries past the executed steps are ignored, and a
-    missing tracker column holds the initial tracker (``M0``, rho = 1).  The
-    trailing row takes NO_SYMBOL, ``normal`` False, U = 0 and NaN draws, and
-    carries over the last step's tracker.
-    """
-    size = len(X)
-
-    def column(name, fill, dtype=float, hold=False):
-        # the executed steps, then the state-only row: ``fill``, or with
-        # ``hold`` the last step's value
-        col = np.full(size, fill, dtype=dtype)
-        if name in steps:
-            col[:-1] = steps[name][: size - 1]
-        if hold and size > 1:
-            col[-1] = col[-2]
-        return col
-
-    return Trace(
-        X=np.array(X, dtype=float),
-        symbol=column("symbol", NO_SYMBOL, np.int64),
-        normal=column("normal", False, bool),
-        M=column("M", M0, hold=True),
-        I=column("I", M0, hold=True),
-        rho=column("rho", 1, np.int64, hold=True),
-        U=column("U", 0.0),
-        A=column("A", np.nan),
-        W=column("W", np.nan),
-        seed=seed,
-        diverged_at=diverged_at,
-    )
+            writer.writerows(zip(*(cols[f] for f in TRACE_CSV_HEADER)))
 
 
 def json_safe(x):
@@ -221,11 +189,13 @@ def write_json(payload, path) -> None:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Columns of a trace CSV, as arrays keyed by header name but with ``normal`` (False at ``end``) for ``mode``.
+    """A trace CSV's columns as a Trace's array fields: X, symbol, ``normal`` (from the mode words), M, I, rho, U, A, W.
 
-    A malformed file raises TraceFormatError, as does a mode word other than
-    normal or emergency, save ``end`` on a last row with symbol NO_SYMBOL, and
-    an ``n`` or ``round_id`` other than ``Trace.to_csv`` derives from the rows.
+    A last row with mode ``end`` is state-only: X keeps it, the per-step
+    columns do not.  A malformed file raises TraceFormatError, as does a
+    mode word other than normal or emergency, save ``end`` on a last row
+    with symbol NO_SYMBOL, and an ``n`` or ``round_id`` other than
+    ``Trace.to_csv`` derives from the rows; neither is returned.
     """
     with open(path, newline="") as fh:
         try:
@@ -260,7 +230,8 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
         i = int(np.argmax(cols[name] != want))
         if cols[name][i] != want[i]:
             raise TraceFormatError(f"{path}: column {name}: row {i + 1} has {cols[name][i]}, expected {want[i]}")
-    return cols
+    steps = len(rows) - (rows[-1][TRACE_CSV_HEADER.index("mode")] == "end")
+    return {f: c if f == "X" else c[:steps] for f, c in cols.items() if f not in ("n", "round_id")}
 
 
 def run_trial(
@@ -270,7 +241,7 @@ def run_trial(
     horizon: int,
     seed,
 ) -> Trace:
-    """Simulate one closed-loop trial of the two-mode strategy.
+    """Simulate one closed-loop trial of the two-mode strategy, over ``horizon`` >= 1 steps.
 
     ``seed`` may be an int or a sequence of ints; it feeds a PCG64 stream
     from which the gain draws (one batch) and then the disturbance draws
@@ -280,11 +251,10 @@ def run_trial(
     Encoder-side and controller-side trackers are maintained separately;
     any disagreement is a bug and raises immediately.  The parameters are
     run as given, certified or not; ``analysis.feasibility`` certifies them.
-    The executed steps become a Trace through ``build_trace``, as the
-    engine's kept traces do.
+    The Trace holds the executed steps, as an engine lane's records do.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     mu_a, _ = moments(a_spec)
     mu_w, _ = moments(w_spec)
 
@@ -312,9 +282,11 @@ def run_trial(
             diverged_at = n + 1
             break
 
-    rows = rows[: horizon if diverged_at is None else diverged_at]
-    steps = dict(zip(("symbol", "normal", "M", "I", "rho", "U"), rows[:, 1:].T), A=a_draws, W=w_draws)
-    return build_trace(np.append(rows[:, 0], x), steps, params.M0, seed, diverged_at)
+    steps = horizon if diverged_at is None else diverged_at
+    xs, symbol, normal, m, i, rho, u = rows[:steps].T.copy()
+    return Trace(X=np.append(xs, x), symbol=symbol.astype(np.int64), normal=normal.astype(bool), M=m, I=i,
+                 rho=rho.astype(np.int64), U=u, A=a_draws[:steps], W=w_draws[:steps], seed=seed,
+                 diverged_at=diverged_at)
 
 
 @dataclass(frozen=True)
@@ -337,10 +309,10 @@ def validate_trace_columns(
 ) -> TraceValidation:
     """Replay the controller from the symbol stream and compare trackers.
 
-    ``cols`` holds ``symbol``, ``normal``, ``M``, ``I``, ``rho`` and ``U``
-    per step, as ``read_trace_csv``, a Trace or the engine's records give
-    them; a last row with symbol NO_SYMBOL is state-only and not replayed.
-    Detects any corruption of the common-knowledge columns: the replayed
+    ``cols`` holds ``symbol``, ``normal``, ``M``, ``I``, ``rho`` and ``U``,
+    one entry per executed step, as ``read_trace_csv``, a Trace or a lane
+    of the engine's records up to its divergence step give them.  Detects
+    any corruption of the common-knowledge columns: the replayed
     tracker is derived from the symbols alone, exactly as
     ``controller_step`` would, through the codec's array forms.  Every step
     replays at once from the tracker recorded at the step before; up to the
@@ -348,13 +320,12 @@ def validate_trace_columns(
     (fields in the order symbol, normal, M, I, rho, U) is a stepwise replay's.
     A clean replay also flags the steps a floor at M0 set (``codec.is_clamped``).
     """
-    symbol = cols["symbol"]
-    steps = len(symbol) - 1 if symbol[-1] == NO_SYMBOL else len(symbol)
-    sym = symbol[:steps]
+    sym = cols["symbol"]
+    steps = len(sym)
     zoom = sym == params.emergency_symbol
     # values past the first mismatch are never reported, and may overflow
     with np.errstate(all="ignore"):
-        got = {f: cols[f][:steps].astype({"normal": bool, "rho": np.int64}.get(f, float))
+        got = {f: cols[f].astype({"normal": bool, "rho": np.int64}.get(f, float))
                for f in ("normal", "M", "I", "rho", "U")}
         # the tracker entering each step, then M <- P*M, the live range
         prev = np.empty((3, steps))
@@ -383,3 +354,21 @@ def validate_trace_columns(
         False, i, name, f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
     )
 
+
+def audit_plant(cols: dict[str, np.ndarray]) -> TraceValidation:
+    """Check a trace file's X_0 = 0 and X_{n+1} = A_n X_n + W_n - U_n, bit for bit (NaN equals NaN).
+
+    The next state is formed in ``plant_step``'s operation order, from the
+    X, A, W and U that ``read_trace_csv`` gives.  Only a trace file is
+    audited: the engine's records for ``verify`` hold no A or W.  The first
+    bad step fails (step 0 for X_0 or X_1).
+    """
+    x = cols["X"]
+    with np.errstate(all="ignore"):
+        want = np.append(0.0, plant_step(x[:-1], *(cols[f][:len(x) - 1] for f in ("U", "A", "W"))))
+    bad = (want.view(np.int64) != x.view(np.int64)) & ~(np.isnan(want) & np.isnan(x))
+    if not bad.any():
+        return TraceValidation(True, steps=len(x) - 1)
+    i = int(np.argmax(bad))
+    detail = f"expected X_{i}={want[i].item()!r}, trace has {x[i].item()!r}"
+    return TraceValidation(False, max(i - 1, 0), "plant", detail)

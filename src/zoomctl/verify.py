@@ -6,7 +6,8 @@ ensembles:
 * tracker_equality -- the controller's tracker, rebuilt from the symbol
   stream alone, equals the recorded (encoder-side) tracker at every step.
   With ``--trace-file`` the check instead replays a recorded trace from
-  its symbols and reports the first corrupted index.
+  its symbols, audits its plant X' = A*X + W - U, and reports the first
+  corrupted index.
 * containment      -- at every normal step, rho*X_n lies in
   [M_n - 2 I_n, M_n], exactly; steps floored at M0, flagged by the symbol
   replay, are counted apart.
@@ -56,7 +57,7 @@ from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
 from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, run_experiment,
                              run_recorded_bundle, trial_seed)
-from zoomctl.loop import NO_SYMBOL, Trace, read_trace_csv, run_trial, validate_trace_columns
+from zoomctl.loop import Trace, audit_plant, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
 EXACT_CHECKS = ("tracker_equality", "containment", "domination")
@@ -119,16 +120,19 @@ def record_exact(cfg: ExperimentConfig) -> Recorded:
 def check_tracker_equality(
     cfg: ExperimentConfig, trace_cols: dict[str, np.ndarray] | None = None, recorded: Recorded | None = None
 ) -> CheckResult:
-    """Replay a trace file's columns (``loop.read_trace_csv``) if given, else read the ``record_exact`` pass."""
+    """Replay and audit the plant of a trace file's columns (``loop.read_trace_csv``) if given, else read the
+    ``record_exact`` pass.  The first bad step of replay or audit fails, the replay's on a tie."""
     if trace_cols is not None:
         mu_a, _ = moments(cfg.a_spec)
         mu_w, _ = moments(cfg.w_spec)
-        result = validate_trace_columns(trace_cols, cfg.params, mu_a, mu_w)
-        if result.ok:
+        replay = validate_trace_columns(trace_cols, cfg.params, mu_a, mu_w)
+        bad = [r for r in (replay, audit_plant(trace_cols)) if not r.ok]
+        if not bad:
             return CheckResult(
                 "tracker_equality", True,
-                f"trace file replays cleanly over {result.steps} steps",
+                f"trace file replays cleanly over {replay.steps} steps",
             )
+        result = min(bad, key=lambda r: r.first_mismatch)
         return CheckResult(
             "tracker_equality", False,
             f"first divergent index {result.first_mismatch} ({result.field}): {result.detail}",
@@ -159,7 +163,7 @@ def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) ->
         return f"scalar run_trial of trial {t} diverges at step {at}, its recorded lane at {div} (-1: never)"
     found = []  # (step, field order, field) of each field's first difference; X_n enters step n
     for order, f in enumerate(("X", "symbol", "normal", "M", "I", "rho", "U")):
-        col = getattr(tr, f)[:tr.steps + (f == "X")].astype(float)
+        col = getattr(tr, f).astype(float)
         bad = col.view(np.int64) != rec[f][t, :len(col)].astype(float).view(np.int64)
         if bad.any():
             found.append((int(np.argmax(bad)), order, f))
@@ -297,7 +301,7 @@ def run_checks(
         except ValueError as exc:  # MomentError included
             raise ConfigError(f"oracle_match: {exc}") from None
     trace_cols = None if trace_file is None else read_trace_csv(trace_file)
-    if trace_cols is not None and trace_cols["symbol"].tolist() == [NO_SYMBOL]:  # a state-only row
+    if trace_cols is not None and not len(trace_cols["symbol"]):
         raise ConfigError(f"{trace_file}: no executed step to replay")
     checks = {
         "tracker_equality": lambda rec: check_tracker_equality(cfg, trace_cols, rec),

@@ -377,6 +377,64 @@ MALFORMED_TRACES = {
 }
 
 
+# (cells changed, as {row: {column index: text}}, the FAIL the plant audit
+# prints); the symbols and trackers stay as recorded, so the controller
+# replay alone passes each of these
+PLANT_MUTATIONS = {
+    "X-cell": ({5: {1: "12345.678"}}, "first divergent index 4 (plant): expected X_5="),
+    "A-cell": ({7: {8: "-3.5"}}, "first divergent index 7 (plant): expected X_8="),
+    "X-and-A-cells": ({5: {1: "12345.678"}, 7: {8: "-3.5"}}, "first divergent index 4 (plant): expected X_5="),
+    "X_0": ({0: {1: "0.5"}}, "first divergent index 0 (plant): expected X_0=0.0, trace has 0.5"),
+}
+
+
+@pytest.mark.parametrize("case", PLANT_MUTATIONS)
+def test_cli_verify_trace_file_audits_the_plant(tmp_path, capsys, case):
+    cells, message = PLANT_MUTATIONS[case]
+    sim = tmp_path / "sim"
+    main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
+          "--set", "horizon=30", "--set", "trials=2"])
+    lines = (sim / "trace_0000.csv").read_text().splitlines()
+    for row, changed in cells.items():
+        lines = _set_cells(lines, row + 1, changed).splitlines()
+    trace_path = tmp_path / "bad.csv"
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "tracker_equality", "--trace-file", str(trace_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith(f"tracker_equality  FAIL  {message}")
+    assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+def test_cli_verify_trace_reader_strips_only_an_end_row(tmp_path, capsys, monkeypatch):
+    sim = tmp_path / "sim"
+    main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
+          "--set", "horizon=20", "--set", "trials=2"])
+    lines = (sim / "trace_0000.csv").read_text().splitlines()
+    # the last row as an executed normal step, with the round_id that gives: its
+    # symbol -1 is replayed, not skipped as a state-only row's
+    last = lines[-1].split(",")
+    assert last[2:4] == ["-1", "end"]
+    last[3], last[10] = "normal", str(int(lines[-2].split(",")[10]) + 1)
+    trace_path = tmp_path / "not_end.csv"
+    trace_path.write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
+    capsys.readouterr()
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "tracker_equality", "--trace-file", str(trace_path)])
+    assert code == 2
+    assert capsys.readouterr().out.startswith(
+        "tracker_equality  FAIL  first divergent index 20 (symbol): received symbol -1 outside codebook [0, ")
+    # a file of only an end row has no step to replay, and is refused before
+    # the recorded ensemble the other exact checks share
+    trace_path.write_text(lines[0] + "\n" + ",".join(["0"] + lines[-1].split(",")[1:-1] + ["0"]) + "\n")
+    monkeypatch.setattr("zoomctl.verify.record_exact", lambda cfg: pytest.fail("an ensemble ran"))
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "containment,tracker_equality",
+                 "--trace-file", str(trace_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {trace_path}: no executed step to replay\n"
+
+
 @pytest.mark.parametrize("case", MALFORMED_TRACES)
 def test_cli_verify_malformed_trace_file_exits_1(tmp_path, capsys, case):
     make, message = MALFORMED_TRACES[case]

@@ -313,6 +313,29 @@ def test_kept_trace_csv_bytes_are_pinned(tmp_path, case, trial):
         assert digest == KEPT_TRACE_DIGESTS[case, trial]
 
 
+@pytest.mark.parametrize("case", ["adaptive", "static", "perfect", "zero", "diverging"])
+def test_trace_is_its_recorded_lane(case):
+    # a Trace holds X_0..X_steps and steps entries of every other field: its
+    # lane of a FULL_RECORD_FIELDS recording up to the divergence step, under
+    # every policy; in "diverging" about half of one chunk's lanes diverge
+    cfg = block_case_cfg(case)
+    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    _, kept = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
+    traces = [("kept", t, tr) for t, tr in enumerate(kept)]
+    if cfg.policy.kind == "adaptive_fixed_rate":
+        traces += [("run_trial", t, run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
+                                              trial_seed(cfg.master_seed, t))) for t in range(cfg.trials)]
+    assert case != "diverging" or 0 < (div >= 0).sum() < cfg.trials
+    for how, t, tr in traces:
+        steps = cfg.horizon if div[t] < 0 else int(div[t])
+        assert tr.steps == steps and tr.diverged_at == (None if div[t] < 0 else steps), (how, t)
+        for f in FULL_RECORD_FIELDS:
+            col = getattr(tr, f)
+            assert len(col) == steps + (f == "X"), (how, t, f)
+            assert col.dtype == rec[f].dtype, (how, t, f)
+            assert np.array_equal(col, rec[f][t, :len(col)]), (how, t, f)
+
+
 def engine_outputs(cfg, kept):
     stats, traces = run_experiment(cfg, keep_traces=kept)
     rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)

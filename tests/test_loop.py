@@ -10,10 +10,10 @@ from zoomctl.codec import ProtocolError, StrategyParams
 from zoomctl.distributions import DistributionSpec, moments
 from zoomctl.loop import (
     DIVERGENCE_LIMIT,
-    NO_SYMBOL,
     TraceValidation,
     TrackerState,
     TrialDiverged,
+    audit_plant,
     controller_step,
     encoder_step,
     initial_tracker,
@@ -85,11 +85,9 @@ def test_plant_step_examples():
 # --- full trials -------------------------------------------------------------
 
 def test_run_trial_horizon_zero():
-    tr = run_trial(A_REF, W_REF, PARAMS, 0, 1)
-    assert tr.steps == 0
-    assert len(tr.X) == 1
-    assert tr.X[0] == 0.0
-    assert tr.M[0] == PARAMS.M0 and tr.I[0] == PARAMS.M0 and tr.rho[0] == 1
+    # as ExperimentConfig does; a zero-step trace has no last tracker for its file's end row
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        run_trial(A_REF, W_REF, PARAMS, 0, 1)
 
 
 def test_run_trial_zero_dynamics():
@@ -126,9 +124,12 @@ def test_trace_round_and_mode_semantics(tmp_path):
     normal = tr.normal[:steps]
     # every normal step opens a new round; emergencies continue the round
     tr.to_csv(tmp_path / "trace.csv")
-    round_id = read_trace_csv(tmp_path / "trace.csv")["round_id"]
+    lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    round_id = np.array([int(line.split(",")[10]) for line in lines])
     expected_round = np.cumsum(normal.astype(int)) - 1
     assert np.array_equal(round_id[:steps], np.maximum(expected_round, 0))
+    # the reader checks round_id and gives the mode back as the normal flag
+    assert np.array_equal(read_trace_csv(tmp_path / "trace.csv")["normal"], normal)
     # step 0 is always normal (the state starts at zero)
     assert normal[0]
     # emergency exit: a step after an emergency with |X| <= P*M_prev is normal
@@ -200,15 +201,19 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     cols = read_trace_csv(path)
-    assert cols["n"].tolist() == list(range(len(tr.X)))
-    assert np.array_equal(cols["X"], tr.X)
-    assert np.array_equal(cols["M"], tr.M)
-    assert np.array_equal(cols["symbol"], tr.symbol)
-    assert np.array_equal(cols["normal"], tr.normal)
+    # a Trace's array fields: X_0..X_steps, and steps entries of the rest
+    assert cols.keys() == {"X", "symbol", "normal", "M", "I", "rho", "U", "A", "W"}
+    for f, col in cols.items():
+        assert np.array_equal(col, getattr(tr, f)), f
+        assert col.dtype == getattr(tr, f).dtype, f
+    assert len(cols["X"]) == tr.steps + 1 and len(cols["symbol"]) == tr.steps
     lines = path.read_text().splitlines()
     assert lines[0] == "n,X,symbol,mode,M,I,rho,U,A,W,round_id"
-    # the trailing state-only row
-    assert lines[-1].split(",")[2:4] == ["-1", "end"]
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(tr.steps + 1)]
+    # the trailing state-only row: the last step's tracker, U = 0, NaN draws
+    assert lines[-1].split(",")[1:] == [repr(float(tr.X[-1])), "-1", "end", repr(float(tr.M[-1])),
+                                        repr(float(tr.I[-1])), str(tr.rho[-1]), "0.0", "nan", "nan",
+                                        lines[-2].split(",")[10]]
 
 
 def test_validate_trace_detects_corruption(tmp_path):
@@ -221,6 +226,21 @@ def test_validate_trace_detects_corruption(tmp_path):
     assert not result.ok
     assert result.first_mismatch == 50
     assert result.field == "M"
+
+
+def test_audit_plant_is_bit_for_bit(tmp_path):
+    tr = run_trial(A_REF, W_REF, PARAMS, 200, 31)
+    tr.to_csv(tmp_path / "trace.csv")
+    cols = read_trace_csv(tmp_path / "trace.csv")
+    assert audit_plant(cols) == TraceValidation(True, steps=200)
+    # one ulp off at X_120 fails at step 119, the step that forms it
+    cols["X"][120] = np.nextafter(cols["X"][120], math.inf)
+    got = audit_plant(cols)
+    assert (got.ok, got.first_mismatch, got.field) == (False, 119, "plant")
+    # NaN equals NaN whatever its sign bit, and a file without an end row
+    # holds the next state of all but its last step
+    nan = {"X": np.array([0.0, -math.nan]), "U": np.zeros(2), "A": np.array([math.nan, 1.0]), "W": np.ones(2)}
+    assert audit_plant(nan) == TraceValidation(True, steps=1)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -247,7 +267,7 @@ def test_uncertified_warning_on_shipped_configs(name, uncertified):
 def stepwise_validation(cols, params, mu_A, mu_W):
     """Reference replay: controller_step one step at a time."""
     tracker = initial_tracker(params)
-    steps = len(cols["symbol"]) - (cols["symbol"][-1] == NO_SYMBOL)
+    steps = len(cols["symbol"])
     for i in range(steps):
         symbol = int(cols["symbol"][i])
         try:
