@@ -261,7 +261,7 @@ def _chunk_envelope(
 def _run_chunk(
     cfg: ExperimentConfig,
     indices: Sequence[int],
-    record_fields: tuple[str, ...] | None,
+    record_fields: bool,
     envelope: bool,
     *,
     drift: bool = False,
@@ -275,12 +275,14 @@ def _run_chunk(
     folded one block at a time, so only the gains span the whole horizon.
     They are drawn into the first rows of ``gains`` when given (the
     ensemble's buffer, see ``_run_chunks``), else into an array of the
-    chunk's own.  A recorded chunk runs the horizon as one block, whose rows
-    are its records, and its gains are its A record.  The envelope is one
-    ``analysis.EnvelopeMoments`` per group, with the drift and halving
-    statistics when ``drift`` is set, plus the group's M, I and mode from
-    the first column where some round is still open.  It covers ensembles
-    with no diverged trial only: the chunk drops it once a lane diverges.
+    chunk's own.  A chunk with ``record_fields`` set records all of
+    FULL_RECORD_FIELDS: it runs the horizon as one block, whose rows are
+    its records, and its own gains and disturbance block are its A and W.
+    The envelope is one ``analysis.EnvelopeMoments`` per group, with the
+    drift and halving statistics when ``drift`` is set, plus the group's M,
+    I and mode from the first column where some round is still open.  It
+    covers ensembles with no diverged trial only: the chunk drops it once a
+    lane diverges.
 
     Every per-step field has a step-major buffer, one column per lane, and
     step n of a block writes its row n + 1 in place (``out=``), so a step
@@ -291,7 +293,7 @@ def _run_chunk(
 
     The adaptive step keeps the encoder's tracker only, updated by
     ``codec.cell_tracker``, and computes symbols only when recorded (the
-    exact checks' floor flags come from ``verify``'s replay).  A step where
+    exact checks' floor flags come from ``verify``'s lane audit).  A step where
     every lane is normal runs with no mask.
     Otherwise lanes in zoom-out keep their tracker through masked selects,
     and so do diverged lanes, which are parked: X held at 0, and the
@@ -321,7 +323,7 @@ def _run_chunk(
     xs = np.zeros((block + 1, n_t))
     # a row per block step for the fields a recording or the envelope folds
     # (M, I and mode) read; the adaptive tracker alternates two rows otherwise
-    blocked = set(record_fields or ()) | ({"M", "I", "normal"} if need_env else set())
+    blocked = set(FULL_RECORD_FIELDS) if record_fields else {"M", "I", "normal"} if need_env else set()
     carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
     rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
             for f, fill in {"M": p.M0, "I": p.M0, **_STEP_FILL}.items()}
@@ -473,7 +475,7 @@ def _run_chunk(
         dead = np.flatnonzero(diverged_at >= 0)
         xs[diverged_at[dead], dead] = x_diverged[dead]
         cols = {**{f: buf[1:].T for f, buf in rows.items()}, "X": xs.T, "A": a_draws, "W": w_draws}
-        records = {f: cols[f] for f in record_fields}
+        records = {f: cols[f] for f in FULL_RECORD_FIELDS}
 
     return _ChunkOut(
         sum_xsq=sum_xsq,
@@ -502,7 +504,7 @@ def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False) -> l
     ensemble, so a chunk's gains reuse the memory of the one before.
     """
     gains = np.empty((min(2 * CHUNK_TRIALS, cfg.trials), cfg.horizon))
-    return [_run_chunk(cfg, idx, None, envelope, drift=drift, gains=gains) for idx in _chunked(range(cfg.trials))]
+    return [_run_chunk(cfg, idx, False, envelope, drift=drift, gains=gains) for idx in _chunked(range(cfg.trials))]
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
@@ -571,7 +573,9 @@ def run_experiment(
         # group sums in trial order
         return functools.reduce(np.add, (s for out in outs for s in getattr(out, f)), np.zeros(width))
 
-    sum_xsq, sum_x4 = group_total("sum_xsq", h + 1), group_total("sum_x4", h + 1)
+    sum_xsq = group_total("sum_xsq", h + 1)
+    with np.errstate(over="ignore"):  # x^4 sums near the float limit saturate to inf, as in a group
+        sum_x4 = group_total("sum_x4", h + 1)
     count = sum(out.count for out in outs)
     steps_alive = sum(out.steps_alive for out in outs)
     emergency_steps = sum(out.emergency_steps for out in outs)
@@ -610,21 +614,27 @@ def run_experiment(
     return stats, traces
 
 
-def run_recorded_bundle(
-    cfg: ExperimentConfig, fields: Sequence[str] = ("X", "M", "I", "normal")
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Record per-step columns for every trial, in one engine chunk.
+def run_recorded_bundle(cfg: ExperimentConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Record every trial's FULL_RECORD_FIELDS, in one engine chunk.
 
-    ``fields`` picks the columns, any of FULL_RECORD_FIELDS.  Returns the
-    record dict plus each trial's divergence step (-1 where the trial ran to
-    the horizon).  The records are the chunk's step-major block rows (the
-    gains as drawn), handed out uncopied, so memory scales with trials *
-    horizon * fields; callers cap the horizon accordingly.  A trial's
-    records end at its divergence step: X through it, every other field
-    before it.
+    Returns the record dict plus each trial's divergence step (-1 where the
+    trial ran to the horizon).  The records are the chunk's step-major
+    block rows, gains and disturbances (as drawn), handed out uncopied, so
+    memory scales with trials * horizon * 9 fields; callers cap the horizon
+    accordingly.  A trial's records end at its divergence step
+    (``recorded_lanes``).
     """
-    out = _run_chunk(cfg, range(cfg.trials), fields, envelope=False)
+    out = _run_chunk(cfg, range(cfg.trials), True, envelope=False)
     return out.records, out.diverged_at
+
+
+def recorded_lanes(records: dict[str, np.ndarray], diverged_at: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+    """Each lane's executed steps (its divergence step, else the horizon) and its records cut there, as views.
+
+    A lane's cut is a Trace's layout: X_0..X_steps, and ``steps`` entries of every other field.
+    """
+    steps = np.where(diverged_at < 0, records["symbol"].shape[1], diverged_at)
+    return steps, [{f: c[j, :s + (f == "X")] for f, c in records.items()} for j, s in enumerate(steps.tolist())]
 
 
 def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
@@ -633,23 +643,17 @@ def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
     Every policy records all of FULL_RECORD_FIELDS, a policy with no tracker the initial one and NO_SYMBOL."""
     traces = []
     for chunk in _chunked(indices):
-        out = _run_chunk(cfg, chunk, FULL_RECORD_FIELDS, envelope=False)
-        traces += [_trace_from_records(cfg, out, j, t) for j, t in enumerate(chunk)]
-        del out  # freed before the next chunk records
+        out = _run_chunk(cfg, chunk, True, envelope=False)
+        _, lanes = recorded_lanes(out.records, out.diverged_at)
+        traces += [Trace(**{f: c.copy() for f, c in lane.items()}, seed=trial_seed(cfg.master_seed, t),
+                         diverged_at=None if d < 0 else int(d)) for lane, d, t in zip(lanes, out.diverged_at, chunk)]
+        del out, lanes  # freed before the next chunk records
     return traces
 
 
 def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
     """Materialize one ensemble member as a full Trace."""
     return _kept_traces(cfg, [index])[0]
-
-
-def _trace_from_records(cfg: ExperimentConfig, out: _ChunkOut, j: int, index: int) -> Trace:
-    """Lane j of a ``_kept_traces`` chunk, which ran trial ``index``, up to its divergence step, copied into a Trace."""
-    div_at = int(out.diverged_at[j])
-    steps = cfg.horizon if div_at < 0 else div_at
-    return Trace(**{f: c[j, :steps + (f == "X")].copy() for f, c in out.records.items()},
-                 seed=trial_seed(cfg.master_seed, index), diverged_at=None if div_at < 0 else div_at)
 
 
 @dataclass(frozen=True)

@@ -291,13 +291,13 @@ def run_trial(
 
 @dataclass(frozen=True)
 class TraceValidation:
-    """Outcome of replaying a recorded trace; when ok, ``clamped`` flags the steps a floor at M0 set."""
+    """Outcome of a lane audit (``validate_trace_columns``); when ok, ``clamped`` flags the steps a floor at M0 set."""
 
     ok: bool
     first_mismatch: int | None = None
     field: str | None = None
     detail: str = ""
-    steps: int = 0  # replayed, when ok
+    steps: int = 0  # audited, when ok
     clamped: np.ndarray | None = dc_field(default=None, compare=False)  # verdicts compare, flags do not
 
 
@@ -307,68 +307,70 @@ def validate_trace_columns(
     mu_A: float,
     mu_W: float,
 ) -> TraceValidation:
-    """Replay the controller from the symbol stream and compare trackers.
+    """Audit one lane: replay its controller from the symbols, then check its plant and its encoder.
 
-    ``cols`` holds ``symbol``, ``normal``, ``M``, ``I``, ``rho`` and ``U``,
-    one entry per executed step, as ``read_trace_csv``, a Trace or a lane
-    of the engine's records up to its divergence step give them.  Detects
-    any corruption of the common-knowledge columns: the replayed
-    tracker is derived from the symbols alone, exactly as
-    ``controller_step`` would, through the codec's array forms.  Every step
-    replays at once from the tracker recorded at the step before; up to the
-    first mismatch that is the replayed tracker, so the first mismatch
-    (fields in the order symbol, normal, M, I, rho, U) is a stepwise replay's.
-    A clean replay also flags the steps a floor at M0 set (``codec.is_clamped``).
+    ``cols`` holds a Trace's nine array fields, as ``read_trace_csv``, a
+    Trace or ``harness.recorded_lanes`` give them: one entry per executed
+    step, and X_0..X_steps (a trace file with no ``end`` row holds one
+    fewer next state).  Three checks, on every step at once:
+
+    * the controller: the tracker is rebuilt from the symbols alone, exactly
+      as ``controller_step`` would, through the codec's array forms, each
+      step from the tracker recorded at the step before; up to the first
+      mismatch that is the replayed tracker, so the first mismatch is a
+      stepwise replay's;
+    * the plant: X_0 = 0 and X_{n+1} = A_n X_n + W_n - U_n, formed in
+      ``plant_step``'s order, bit for bit, NaN equal to NaN;
+    * the encoder: symbol n is the cell of X_n in the live range P*M_{n-1}
+      (``codec.cell_tracker`` with x), or the zoom-out codeword beyond it.
+
+    The first bad (step, field) fails, fields at one step in the order
+    symbol, normal, M, I, rho, U, plant (a bad X_{n+1} at step n, a bad X_0
+    at step 0), encoder.  A clean audit also flags the steps a floor at M0
+    set (``codec.is_clamped``).
     """
-    sym = cols["symbol"]
+    sym, x = cols["symbol"], cols["X"]
     steps = len(sym)
     zoom = sym == params.emergency_symbol
     # values past the first mismatch are never reported, and may overflow
     with np.errstate(all="ignore"):
-        got = {f: cols[f].astype({"normal": bool, "rho": np.int64}.get(f, float))
+        got = {f: cols[f].astype({"normal": bool, "rho": np.int64}.get(f, float), copy=False)
                for f in ("normal", "M", "I", "rho", "U")}
         # the tracker entering each step, then M <- P*M, the live range
         prev = np.empty((3, steps))
         prev[:, :1] = [[params.M0], [params.M0], [1.0]]
         prev[:, 1:] = [got["M"][:-1], got["I"][:-1], got["rho"][:-1]]
         prev[0] *= params.P
-        trk, (a, b) = np.empty((3, steps)), np.empty((2, steps))
-        cell_tracker(None, prev[0], params.L, params.M0, sym - float(params.L), trk,
-                     (a, b, np.empty(steps, dtype=bool)))
+        trk, (a, b), flag = np.empty((3, steps)), np.empty((2, steps)), np.empty(steps, dtype=bool)
+        cell_tracker(None, prev[0], params.L, params.M0, sym - float(params.L), trk, (a, b, flag))
         trk = np.where(zoom, prev, trk)
         floored = is_clamped(a, b, params.M0) & ~zoom
         u = np.where(zoom, mu_W, trk[2] * mu_A * (trk[0] - trk[1]) + mu_W)
+        x_next = np.append(0.0, plant_step(x[:-1], *(cols[f][:len(x) - 1] for f in ("U", "A", "W"))))
+        xn, k = x[:steps], np.empty(steps)
+        cell_tracker(xn, prev[0], params.L, params.M0, k, np.empty((3, steps)), (a, b, flag))
+        enc = np.where(np.abs(xn) <= prev[0], k + params.L, params.emergency_symbol)
     want = {"normal": ~zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
     bad = {"symbol": (sym < 0) | (sym > params.emergency_symbol)}
     bad.update((name, want[name] != got[name]) for name in got)
+    x_bad = (x_next.view(np.int64) != x.view(np.int64)) & ~(np.isnan(x_next) & np.isnan(x))
+    bad["plant"] = np.zeros(steps, dtype=bool)
+    bad["plant"][:len(x) - 1] = x_bad[1:]
+    bad["plant"][0] |= x_bad[0]
+    bad["encoder"] = enc != sym
     found = [(int(np.argmax(mask)), order) for order, mask in enumerate(bad.values()) if mask.any()]
     if not found:
         return TraceValidation(True, steps=steps, clamped=floored)
     i, order = min(found)
     name = list(bad)[order]
     if name == "symbol":
-        return TraceValidation(False, i, name, (
-            f"received symbol {int(sym[i])} outside codebook [0, {params.emergency_symbol}]"))
-    cast = {"normal": bool, "rho": int}.get(name, float)
-    return TraceValidation(
-        False, i, name, f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
-    )
-
-
-def audit_plant(cols: dict[str, np.ndarray]) -> TraceValidation:
-    """Check a trace file's X_0 = 0 and X_{n+1} = A_n X_n + W_n - U_n, bit for bit (NaN equals NaN).
-
-    The next state is formed in ``plant_step``'s operation order, from the
-    X, A, W and U that ``read_trace_csv`` gives.  Only a trace file is
-    audited: the engine's records for ``verify`` hold no A or W.  The first
-    bad step fails (step 0 for X_0 or X_1).
-    """
-    x = cols["X"]
-    with np.errstate(all="ignore"):
-        want = np.append(0.0, plant_step(x[:-1], *(cols[f][:len(x) - 1] for f in ("U", "A", "W"))))
-    bad = (want.view(np.int64) != x.view(np.int64)) & ~(np.isnan(want) & np.isnan(x))
-    if not bad.any():
-        return TraceValidation(True, steps=len(x) - 1)
-    i = int(np.argmax(bad))
-    detail = f"expected X_{i}={want[i].item()!r}, trace has {x[i].item()!r}"
-    return TraceValidation(False, max(i - 1, 0), "plant", detail)
+        detail = f"received symbol {int(sym[i])} outside codebook [0, {params.emergency_symbol}]"
+    elif name == "plant":
+        j = 0 if x_bad[0] else i + 1
+        detail = f"expected X_{j}={x_next[j].item()!r}, trace has {x[j].item()!r}"
+    elif name == "encoder":
+        detail = f"X_{i}={xn[i].item()!r} encodes to symbol {int(enc[i])}, trace has {int(sym[i])}"
+    else:
+        cast = {"normal": bool, "rho": int}.get(name, float)
+        detail = f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
+    return TraceValidation(False, i, name, detail)

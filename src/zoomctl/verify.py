@@ -3,11 +3,10 @@
 Each check replays part of the strategy's correctness argument on seeded
 ensembles:
 
-* tracker_equality -- the controller's tracker, rebuilt from the symbol
-  stream alone, equals the recorded (encoder-side) tracker at every step.
-  With ``--trace-file`` the check instead replays a recorded trace from
-  its symbols, audits its plant X' = A*X + W - U, and reports the first
-  corrupted index.
+* tracker_equality -- every recorded lane passes the lane audit below, and
+  the scalar loop reruns a few lanes bit for bit.  With ``--trace-file``
+  the check instead audits the trace file as one lane and reports the
+  first corrupted index.
 * containment      -- at every normal step, rho*X_n lies in
   [M_n - 2 I_n, M_n], exactly; steps floored at M0, flagged by the symbol
   replay, are counted apart.
@@ -23,12 +22,15 @@ ensembles:
   errors.
 
 The three exact checks share one recorded ensemble (``record_exact``) of
-the first min(trials, EXACT_TRIALS) trials.  Each trial's recorded symbol
-stream is replayed, one trial at a time, through
-``loop.validate_trace_columns`` against the recorded normal flag, M, I, rho and U;
-a mismatch fails every requested exact check.  tracker_equality also reruns
-the first SCALAR_REPLAYS trials through the scalar ``run_trial``, an
-independent encoder, and compares each with its recorded lane bit for bit.
+the first min(trials, EXACT_TRIALS) trials, with all nine lane fields.
+Each trial's lane, like a trace file, goes through the one lane audit,
+``loop.validate_trace_columns``: the controller replayed from the symbols
+against the recorded normal flag, M, I, rho and U, the plant
+X' = A*X + W - U, and the encoder's symbol for each X_n.  A failed audit
+fails every requested exact check.  tracker_equality also reruns the
+first SCALAR_REPLAYS trials through the scalar ``run_trial``, an
+independent encoder, and compares each with its recorded lane bit for
+bit, all nine fields.
 The recording is freed before drift, which records nothing: it runs
 trials x min(horizon, DRIFT_HORIZON_CAP) through the engine once, and the
 engine's one N^2 accumulator per trial group (``analysis.EnvelopeMoments``)
@@ -55,9 +57,9 @@ from zoomctl import analysis
 from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
-from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, run_experiment,
+from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, recorded_lanes, run_experiment,
                              run_recorded_bundle, trial_seed)
-from zoomctl.loop import Trace, audit_plant, read_trace_csv, run_trial, validate_trace_columns
+from zoomctl.loop import Trace, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
 EXACT_CHECKS = ("tracker_equality", "containment", "domination")
@@ -66,7 +68,6 @@ TRACKER_CHECKS = EXACT_CHECKS + ("drift",)  # need the adaptive policy
 # the exact checks' recording and drift's horizon are capped; documented in output
 DRIFT_HORIZON_CAP = 2000
 EXACT_TRIALS = 100  # trials in the exact checks' shared recorded pass
-EXACT_FIELDS = ("X", "symbol", "M", "I", "normal", "rho", "U")
 SCALAR_REPLAYS = 3  # trials tracker_equality repeats through run_trial
 DOMINATION_N0_PER_TRACE = 10
 ORACLE_STEPS = 20
@@ -89,28 +90,23 @@ class CheckResult:
     report: object | None = None
 
 
-def _executed_steps(cfg: ExperimentConfig, diverged_at: np.ndarray) -> np.ndarray:
-    """Each recorded trial's executed steps: its divergence step, else the horizon; its records end there."""
-    return np.where(diverged_at < 0, cfg.horizon, diverged_at)
-
-
 def record_exact(cfg: ExperimentConfig) -> Recorded:
-    """The first min(trials, EXACT_TRIALS) trials, recorded and replayed.
+    """The first min(trials, EXACT_TRIALS) trials, recorded and each lane audited (``loop.validate_trace_columns``).
 
-    A replay mismatch raises ProtocolError naming the trial and step.  The
-    replay's floor flags become the ``clamped`` record (False from a trial's
-    divergence step on), which containment counts apart.
+    A failed audit raises ProtocolError naming the trial, the step and the
+    field.  The replay's floor flags become the ``clamped`` record (False
+    from a trial's divergence step on), which containment counts apart.
     """
     sub = replace(cfg, trials=min(cfg.trials, EXACT_TRIALS))
-    rec, diverged_at = run_recorded_bundle(sub, fields=EXACT_FIELDS)
+    rec, diverged_at = run_recorded_bundle(sub)
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
     clamped = np.zeros(rec["normal"].shape, dtype=bool)
-    for t, steps in enumerate(_executed_steps(cfg, diverged_at)):
-        result = validate_trace_columns({f: col[t, :steps] for f, col in rec.items()}, cfg.params, mu_a, mu_w)
+    for t, (steps, lane) in enumerate(zip(*recorded_lanes(rec, diverged_at))):
+        result = validate_trace_columns(lane, cfg.params, mu_a, mu_w)
         if not result.ok:
             raise ProtocolError(
-                f"replayed tracker differs at trial {t}, step {result.first_mismatch}: {result.detail}"
+                f"recorded trial {t} differs at step {result.first_mismatch} ({result.field}): {result.detail}"
             )
         clamped[t, :steps] = result.clamped
     rec["clamped"] = clamped
@@ -120,25 +116,21 @@ def record_exact(cfg: ExperimentConfig) -> Recorded:
 def check_tracker_equality(
     cfg: ExperimentConfig, trace_cols: dict[str, np.ndarray] | None = None, recorded: Recorded | None = None
 ) -> CheckResult:
-    """Replay and audit the plant of a trace file's columns (``loop.read_trace_csv``) if given, else read the
-    ``record_exact`` pass.  The first bad step of replay or audit fails, the replay's on a tie."""
+    """Audit a trace file's columns (``loop.read_trace_csv``) as one lane if given, else read the
+    ``record_exact`` pass, which audited every recorded lane the same way."""
     if trace_cols is not None:
-        mu_a, _ = moments(cfg.a_spec)
-        mu_w, _ = moments(cfg.w_spec)
-        replay = validate_trace_columns(trace_cols, cfg.params, mu_a, mu_w)
-        bad = [r for r in (replay, audit_plant(trace_cols)) if not r.ok]
-        if not bad:
+        result = validate_trace_columns(trace_cols, cfg.params, moments(cfg.a_spec)[0], moments(cfg.w_spec)[0])
+        if result.ok:
             return CheckResult(
                 "tracker_equality", True,
-                f"trace file replays cleanly over {replay.steps} steps",
+                f"trace file replays cleanly over {result.steps} steps",
             )
-        result = min(bad, key=lambda r: r.first_mismatch)
         return CheckResult(
             "tracker_equality", False,
             f"first divergent index {result.first_mismatch} ({result.field}): {result.detail}",
         )
 
-    # record_exact replayed every trial of the recorded pass from its symbols
+    # record_exact audited every trial of the recorded pass
     rec, diverged_at = recorded
     trials = len(diverged_at)
     try:
@@ -162,7 +154,7 @@ def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) ->
     if at != div:
         return f"scalar run_trial of trial {t} diverges at step {at}, its recorded lane at {div} (-1: never)"
     found = []  # (step, field order, field) of each field's first difference; X_n enters step n
-    for order, f in enumerate(("X", "symbol", "normal", "M", "I", "rho", "U")):
+    for order, f in enumerate(("X", "symbol", "normal", "M", "I", "rho", "U", "A", "W")):
         col = getattr(tr, f).astype(float)
         bad = col.view(np.int64) != rec[f][t, :len(col)].astype(float).view(np.int64)
         if bad.any():
@@ -178,7 +170,8 @@ def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     """rho*X_n in [M_n - 2 I_n, M_n] at every normal step a trial executed."""
     rec, diverged_at = recorded
     trials = len(diverged_at)
-    eligible = rec["normal"] & (np.arange(cfg.horizon) < _executed_steps(cfg, diverged_at)[:, None])
+    steps, _ = recorded_lanes(rec, diverged_at)
+    eligible = rec["normal"] & (np.arange(cfg.horizon) < steps[:, None])
     x = rec["X"][:, :cfg.horizon]
     lo = rec["M"] - 2.0 * rec["I"]
     rx = rec["rho"] * x
@@ -206,7 +199,7 @@ def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
     )
     # each trial's freeze points, drawn in trial order from its executed steps
     # (a trial diverges at step 1 at the earliest, as X_0 = 0)
-    steps = _executed_steps(cfg, diverged_at)
+    steps, _ = recorded_lanes(rec, diverged_at)
     n0 = np.concatenate([rng.integers(0, s, size=DOMINATION_N0_PER_TRACE) for s in steps])
     trace = np.repeat(np.arange(len(steps)), DOMINATION_N0_PER_TRACE)
     report = analysis.domination_report(rec, trace, n0, cfg.params)

@@ -27,7 +27,6 @@ from zoomctl.codec import StrategyParams, rate
 from zoomctl.config import load_config
 from zoomctl.distributions import moment_summary, moments
 from zoomctl.harness import (
-    FULL_RECORD_FIELDS,
     ExperimentConfig,
     Policy,
     run_experiment,
@@ -286,7 +285,7 @@ def test_criterion_08_rate_contract(emergency_cfg):
         assert rate(params) == want
         assert params.num_symbols == 2 * L + 1
         cfg = replace(emergency_cfg, params=params, trials=20, horizon=500)
-        rec, _ = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+        rec, _ = run_recorded_bundle(cfg)
         syms = rec["symbol"]
         assert np.all(syms >= 0)
         assert np.all(syms <= 2 * L)

@@ -9,6 +9,7 @@ import pytest
 
 from zoomctl.cli import main
 from zoomctl.config import ConfigError, build_experiment, load_config, parse_config_text
+from zoomctl.loop import TRACE_CSV_HEADER
 
 GOOD_CFG = """
 # comment line
@@ -407,6 +408,56 @@ def test_cli_verify_trace_file_audits_the_plant(tmp_path, capsys, case):
     assert captured.out.count("\n") == 1 and captured.err == ""
 
 
+def _changed_cell(lines, row, column):
+    """An emergency_rich trace CSV's text with one cell of executed row ``row`` changed: numbers v -> 2v + 1,
+    the symbol to the next of the 17 codewords, rho negated, the mode word swapped (round_id following it),
+    n and round_id + 1."""
+    parts = lines[row + 1].split(",")
+    name, text = TRACE_CSV_HEADER[column], parts[column]
+    if name == "mode":
+        words = [line.split(",")[3] for line in lines[1:-1]]
+        words[row] = "emergency" if text == "normal" else "normal"
+        return _with_modes(lines, words)
+    if name in ("n", "symbol", "rho", "round_id"):
+        value = int(text)
+        text = str({"symbol": (value + 1) % 17, "rho": -value}.get(name, value + 1))
+    else:
+        text = repr(2 * float(text) + 1)
+    return _set_cells(lines, row + 1, {column: text})
+
+
+def test_cli_verify_trace_file_fails_on_every_cell_change(tmp_path, capsys):
+    # each cell of each executed row of a 30-step trace, changed one at a
+    # time: the step that uses it fails (X_n at step n - 1, which forms it),
+    # and n and round_id are format errors.  Only A_0 passes: X_0 = 0
+    # makes it unobservable
+    sim = tmp_path / "sim"
+    main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
+          "--set", "horizon=30", "--set", "trials=2"])
+    lines = (sim / "trace_0000.csv").read_text().splitlines()
+    assert len(lines) == 32
+    trace_path = tmp_path / "bad.csv"
+    wrong = []
+    for row in range(30):
+        for column, name in enumerate(TRACE_CSV_HEADER):
+            trace_path.write_text(_changed_cell(lines, row, column))
+            capsys.readouterr()
+            code = main(["verify", str(EMERGENCY_CFG), "--checks", "tracker_equality",
+                         "--trace-file", str(trace_path)])
+            captured = capsys.readouterr()
+            if name in ("n", "round_id"):
+                ok = code == 1 and captured.err.startswith(f"error: {trace_path}: column {name}: ")
+            elif (row, name) == (0, "A"):
+                ok = code == 0
+            else:
+                step = max(row - 1, 0) if name == "X" else row
+                ok = (code == 2 and captured.err == "" and captured.out.count("\n") == 1
+                      and captured.out.startswith(f"tracker_equality  FAIL  first divergent index {step} ("))
+            if not ok:
+                wrong.append((row, name, code, captured.out + captured.err))
+    assert wrong == []
+
+
 def test_cli_verify_trace_reader_strips_only_an_end_row(tmp_path, capsys, monkeypatch):
     sim = tmp_path / "sim"
     main(["simulate", str(EMERGENCY_CFG), "--out", str(sim), "--keep-traces", "1",
@@ -492,9 +543,9 @@ def test_cli_verify_engine_tracker_desync_fails(cfg_file, monkeypatch, capsys):
 
     record = verify.run_recorded_bundle
 
-    def desynced(cfg, **kwargs):
+    def desynced(cfg):
         # the engine's recorded tracker leaves the symbol stream at one step
-        rec, diverged_at = record(cfg, **kwargs)
+        rec, diverged_at = record(cfg)
         rec["I"][4, 9] *= 2.0
         return rec, diverged_at
 
@@ -503,7 +554,7 @@ def test_cli_verify_engine_tracker_desync_fails(cfg_file, monkeypatch, capsys):
                  "--set", "trials=20", "--set", "horizon=50"])
     out = capsys.readouterr().out
     assert code == 2
-    assert out.startswith("tracker_equality  FAIL  replayed tracker differs at trial 4, step 9: expected I=")
+    assert out.startswith("tracker_equality  FAIL  recorded trial 4 differs at step 9 (I): expected I=")
 
 
 def test_cli_verify_scalar_tracker_desync_fails(cfg_file, monkeypatch, capsys):
@@ -662,6 +713,29 @@ def test_cli_simulate_parked_lanes_do_not_overflow(tmp_path, capsys):
     assert digests == {
         "summary.json": "cf20a6c196c162b0adf46802e5b822fa71ff0aa089e6a06ee951369cac4af0a8",
         "curve.csv": "e2b6460ebca4b433c4b12e6892d63ccfd5fb9de910bf46c3ee7a46bf092b100d",
+    }
+
+
+def test_cli_simulate_x4_sums_across_groups_do_not_warn(tmp_path, capsys):
+    import hashlib
+
+    # 1025 trials are three trial groups, all diverging by step 168: their
+    # X^4 sums near the float limit saturate to inf when the groups are
+    # added, as they do inside a group, with no warning
+    out = tmp_path / "o"
+    sets = ["trials=1025", "horizon=300", "A.stddev=0.99", "P=64"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(EMERGENCY_CFG), "--out", str(out)]
+                    + [arg for item in sets for arg in ("--set", item)])
+    assert code == 3
+    assert "diverged=1025/1025" in capsys.readouterr().out
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.json", "curve.csv")}
+    # the bytes written with the overflow warning left a warning
+    assert digests == {
+        "summary.json": "28e29de3a99fd77fbcad5f8246d113b0fa3f9a1d04491edf810b479e5cc6e1fd",
+        "curve.csv": "6a468eda8bfaec5cce809b43a81185dcbead2a4b8cbf44abfa6a55caa2edd3ca",
     }
 
 
@@ -834,18 +908,21 @@ def test_cli_verify_scalar_replays_catch_an_engine_cell_shift(monkeypatch, capsy
     import numpy as np
 
     import zoomctl.harness as hz
+    import zoomctl.loop as loop
 
-    # the engine's encoder picks the cell above the right one; the recorded
-    # trackers still follow the recorded symbols, so only the independent
-    # scalar encoder can tell
+    # the engine's encoder, and the lane audit's, pick the cell above the
+    # right one; the recorded trackers still follow the recorded symbols, so
+    # only the independent scalar encoder can tell
     cell_tracker = hz.cell_tracker
 
     def shifted(x, live_range, L, M0, k, out, work):
         cell_tracker(x, live_range, L, M0, k, out, work)
-        np.fmin(k + 1.0, L - 1, out=k)
-        cell_tracker(None, live_range, L, M0, k, out, work)
+        if x is not None:
+            np.fmin(k + 1.0, L - 1, out=k)
+            cell_tracker(None, live_range, L, M0, k, out, work)
 
     monkeypatch.setattr(hz, "cell_tracker", shifted)
+    monkeypatch.setattr(loop, "cell_tracker", shifted)
     code = main(["verify", REFERENCE_CFG, "--checks", "tracker_equality",
                  "--set", "trials=20", "--set", "horizon=50"])
     out = capsys.readouterr().out

@@ -238,7 +238,7 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
         assert_same_trace(eng, ref)
     # recorded columns match run_trial up to each trial's divergence step, X
     # through it; the replay's floor flags stop there
-    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    rec, div = run_recorded_bundle(cfg)
     floored = record_exact(cfg)[0]["clamped"]
     for t, ref in enumerate(refs):
         steps = ref.steps
@@ -319,7 +319,7 @@ def test_trace_is_its_recorded_lane(case):
     # lane of a FULL_RECORD_FIELDS recording up to the divergence step, under
     # every policy; in "diverging" about half of one chunk's lanes diverge
     cfg = block_case_cfg(case)
-    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    rec, div = run_recorded_bundle(cfg)
     _, kept = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
     traces = [("kept", t, tr) for t, tr in enumerate(kept)]
     if cfg.policy.kind == "adaptive_fixed_rate":
@@ -338,7 +338,7 @@ def test_trace_is_its_recorded_lane(case):
 
 def engine_outputs(cfg, kept):
     stats, traces = run_experiment(cfg, keep_traces=kept)
-    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    rec, div = run_recorded_bundle(cfg)
     return stats, traces, rec, div
 
 
@@ -410,7 +410,7 @@ def test_recorded_lanes_are_pinned_up_to_their_extent(case):
         cfg = block_case_cfg(case, trials=1100)
     else:
         cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1100", "P=1.01", "horizon=300"])
-    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    rec, div = run_recorded_bundle(cfg)
     assert (case == "diverging") == (div >= 0).any()
     digest = hashlib.sha256(div.tobytes())
     for t, d in enumerate(div):
@@ -420,24 +420,18 @@ def test_recorded_lanes_are_pinned_up_to_their_extent(case):
     assert digest.hexdigest() == RECORDING_DIGESTS[case]
 
 
-@pytest.mark.parametrize("fields", [("M", "I", "normal"), ("W", "U"), ("X", "A")])
-def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
+def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch):
     import zoomctl.harness as hz
 
     monkeypatch.setattr(hz, "BLOCK_STEPS", 7)
     cfg = block_case_cfg("diverging")
-    full, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    _, div = run_recorded_bundle(cfg)
     assert np.count_nonzero(div > 8) > 3  # past the first block's state rows
-    part, part_div = run_recorded_bundle(cfg, fields=fields)
-    assert np.array_equal(part_div, div)
-    assert part.keys() == set(fields)
-    for f in fields:
-        assert np.array_equal(part[f], full[f]), f
     # a recorded chunk is one block; the unrecorded one walks 7-step blocks,
     # with those lanes diverging after the first, and sums as one block does
-    blocked = hz._run_chunk(cfg, range(cfg.trials), None, True)
+    blocked = hz._run_chunk(cfg, range(cfg.trials), False, True)
     monkeypatch.setattr(hz, "BLOCK_STEPS", cfg.horizon)
-    whole = hz._run_chunk(cfg, range(cfg.trials), None, True)
+    whole = hz._run_chunk(cfg, range(cfg.trials), False, True)
     assert np.array_equal(blocked.diverged_at, div)
     for f in ("sum_xsq", "sum_x4", "count", "diverged_at"):
         assert np.array_equal(getattr(blocked, f).view(np.int64), getattr(whole, f).view(np.int64)), f
@@ -454,8 +448,8 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 20)
     monkeypatch.setattr(hz, "BLOCK_STEPS", block)
     cfg = block_case_cfg(case, trials=40)
-    out = hz._run_chunk(cfg, range(cfg.trials), None, True)
-    rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    out = hz._run_chunk(cfg, range(cfg.trials), False, True)
+    rec, div = run_recorded_bundle(cfg)
     if case == "diverging":
         # the envelope covers ensembles with no diverged trial only
         assert all(0 < np.count_nonzero(div[g:g + 20] >= 0) < 20 for g in (0, 20))
@@ -500,7 +494,7 @@ def test_envelope_fold_does_not_depend_on_layout(case, drift):
     # one group of 20 trials, wide enough that numpy's pairwise column sums
     # differ from lane-by-lane ones
     cfg = make_cfg(params=LAYOUT_CASES[case], trials=20, horizon=45, master_seed=3)
-    rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    rec, div = run_recorded_bundle(cfg)
     assert not (div >= 0).any()
     cols = [np.ascontiguousarray(rec[f]) for f in ("M", "I", "normal")]
     nsq, h = envelope_squared(*cols, cfg.params.K)
@@ -539,7 +533,7 @@ def test_sums_only_envelope_matches_drift_mode(monkeypatch, case):
     first = None
     for block in (1, 7, cfg.horizon):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
-        sums, drift = (hz._run_chunk(cfg, range(cfg.trials), None, True, drift=d).envelopes for d in (False, True))
+        sums, drift = (hz._run_chunk(cfg, range(cfg.trials), False, True, drift=d).envelopes for d in (False, True))
         assert len(sums) == len(drift) == 2
         got = []
         for a, b in zip(sums, drift):
@@ -607,7 +601,7 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case):
         for field in ("mean_nsq", "stderr_nsq", "step_excess", "step_stderr"):
             assert np.array_equal(getattr(rep, field), getattr(got, field)), field
 
-    rec, div = run_recorded_bundle(cfg, fields=("M", "I", "normal"))
+    rec, div = run_recorded_bundle(cfg)
     assert not (div >= 0).any()
     nsq, h = envelope_squared(rec["M"], rec["I"], rec["normal"], cfg.params.K)
     want = two_pass_drift(nsq, rec["normal"], cfg.params.c, D)
@@ -809,7 +803,7 @@ def test_written_files_deterministic(tmp_path):
 
 def test_recorded_bundle_matches_traces():
     cfg = make_cfg(trials=5, horizon=200)
-    rec, div = run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS)
+    rec, div = run_recorded_bundle(cfg)
     assert not np.any(div >= 0)
     for idx in range(cfg.trials):
         tr = extract_trace(cfg, idx)
@@ -851,7 +845,7 @@ def test_one_chunk_recording_holds_one_copy_of_its_records():
     # trials and at 1030, more than two trial groups
     for trials in (40, 1030):
         cfg = make_cfg(trials=trials, horizon=2000)
-        peak, (rec, div) = traced_peak(lambda: run_recorded_bundle(cfg, fields=FULL_RECORD_FIELDS))
+        peak, (rec, div) = traced_peak(lambda: run_recorded_bundle(cfg))
         held = sum(col.nbytes for col in rec.values()) + div.nbytes
         # a second copy of the records would double them
         assert peak <= 1.5 * held, trials

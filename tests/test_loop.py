@@ -1,4 +1,5 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from zoomctl.loop import (
     TraceValidation,
     TrackerState,
     TrialDiverged,
-    audit_plant,
     controller_step,
     encoder_step,
     initial_tracker,
@@ -229,18 +229,22 @@ def test_validate_trace_detects_corruption(tmp_path):
 
 
 def test_audit_plant_is_bit_for_bit(tmp_path):
+    # the lane audit's plant check
     tr = run_trial(A_REF, W_REF, PARAMS, 200, 31)
     tr.to_csv(tmp_path / "trace.csv")
     cols = read_trace_csv(tmp_path / "trace.csv")
-    assert audit_plant(cols) == TraceValidation(True, steps=200)
+    assert validate_trace_columns(cols, PARAMS, 1.0, 0.0) == TraceValidation(True, steps=200)
     # one ulp off at X_120 fails at step 119, the step that forms it
     cols["X"][120] = np.nextafter(cols["X"][120], math.inf)
-    got = audit_plant(cols)
+    got = validate_trace_columns(cols, PARAMS, 1.0, 0.0)
     assert (got.ok, got.first_mismatch, got.field) == (False, 119, "plant")
     # NaN equals NaN whatever its sign bit, and a file without an end row
-    # holds the next state of all but its last step
-    nan = {"X": np.array([0.0, -math.nan]), "U": np.zeros(2), "A": np.array([math.nan, 1.0]), "W": np.ones(2)}
-    assert audit_plant(nan) == TraceValidation(True, steps=1)
+    # holds the next state of all but its last step: a normal step from
+    # X_0 = 0, then a zoom-out from X_1 = NaN
+    nan = {"X": [0.0, -math.nan], "symbol": [8, 16], "normal": [True, False], "M": [0.1, 0.2], "I": [0.1, 0.1],
+           "rho": [1, 1], "U": [0.0, 0.0], "A": [math.nan, 1.0], "W": [1.0, 1.0]}
+    assert validate_trace_columns({f: np.array(v) for f, v in nan.items()}, PARAMS, 1.0, 0.0) == TraceValidation(
+        True, steps=2)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -264,12 +268,19 @@ def test_uncertified_warning_on_shipped_configs(name, uncertified):
 
 # --- the vectorized replay against a step-by-step one ------------------------
 
+def _bits(v):
+    """A float's bits, one pattern for every NaN."""
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
 def stepwise_validation(cols, params, mu_A, mu_W):
-    """Reference replay: controller_step one step at a time."""
+    """Reference audit, one step at a time: controller_step, then plant_step, then encoder_step."""
     tracker = initial_tracker(params)
     steps = len(cols["symbol"])
+    x = [float(v) for v in cols["X"]]
     for i in range(steps):
         symbol = int(cols["symbol"][i])
+        entering = tracker
         try:
             u, tracker = controller_step(symbol, tracker, mu_A, mu_W, params)
         except ProtocolError as exc:
@@ -284,6 +295,15 @@ def stepwise_validation(cols, params, mu_A, mu_W):
         for name, want, got in checks:
             if want != got:
                 return TraceValidation(False, i, name, f"expected {name}={want!r}, trace has {got!r}")
+        if i == 0 and _bits(x[0]) != _bits(0.0):
+            return TraceValidation(False, 0, "plant", f"expected X_0=0.0, trace has {x[0]!r}")
+        if i + 1 < len(x):
+            want = plant_step(x[i], u, float(cols["A"][i]), float(cols["W"][i]))
+            if _bits(want) != _bits(x[i + 1]):
+                return TraceValidation(False, i, "plant", f"expected X_{i + 1}={want!r}, trace has {x[i + 1]!r}")
+        sent, _ = encoder_step(x[i], entering, params)
+        if sent != symbol:
+            return TraceValidation(False, i, "encoder", f"X_{i}={x[i]!r} encodes to symbol {sent}, trace has {symbol}")
     return TraceValidation(True, steps=steps)
 
 
@@ -302,7 +322,7 @@ REPLAY_GAINS = [A_REF, DistributionSpec.uniform(0.5, 2.5), DistributionSpec.two_
     a_spec=st.sampled_from(REPLAY_GAINS),
     mu_w=st.sampled_from([0.0, 0.4]),
     seed=st.integers(0, 2**20),
-    field=st.sampled_from([None, "symbol", "normal", "M", "I", "rho", "U"]),
+    field=st.sampled_from([None, "symbol", "normal", "M", "I", "rho", "U", "X", "A", "W"]),
     where=st.floats(0.0, 1.0, exclude_max=True),
     pick=st.integers(-3, 2**51),
     factor=st.sampled_from([0.5, 2.0, -1.0, 1.0 + 2.0**-52]),
@@ -313,11 +333,12 @@ def test_vectorized_replay_matches_stepwise(params, a_spec, mu_w, seed, field, w
     cfg = ExperimentConfig(a_spec=a_spec, w_spec=DistributionSpec.gaussian(mu_w, 1.0), params=params,
                            policy=Policy.adaptive(), horizon=120, trials=1, master_seed=seed, alpha=4.5)
     tr = extract_trace(cfg, 0)
-    cols = {f: getattr(tr, f).copy() for f in ("symbol", "normal", "M", "I", "rho", "U")}
+    cols = {f: getattr(tr, f).copy() for f in ("X", "symbol", "normal", "M", "I", "rho", "U", "A", "W")}
     if field is not None:
-        # one cell of an executed step: any codeword or one outside the
-        # codebook, either mode flag, any rho in {-1, 0, 1}, a scaled value
-        i = int(where * tr.steps)
+        # one cell of an executed step, or X_0..X_steps: any codeword or one
+        # outside the codebook, either mode flag, any rho in {-1, 0, 1}, a
+        # scaled value
+        i = int(where * len(cols[field]))
         cols[field][i] = {
             "symbol": pick % (2 * params.L + 4) - 2 if pick < 2**50 else pick,
             "normal": pick % 2,

@@ -58,7 +58,7 @@ def test_exact_checks_share_one_recorded_pass(capsys, monkeypatch):
     code, lines = run_verify(capsys, "tracker_equality,containment,domination")
     assert code == 0
     assert [line[1] for line in lines] == ["PASS"] * 3
-    assert calls == [(verify.EXACT_TRIALS, 300, verify.EXACT_FIELDS)]
+    assert calls == [(verify.EXACT_TRIALS, 300, True)]
 
 
 # (field, trial, step, corruption) of one recorded value in the shared pass
@@ -75,15 +75,15 @@ CORRUPTIONS = [
 def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch):
     record = verify.run_recorded_bundle
     for field, trial, step, corrupt in CORRUPTIONS:
-        def corrupted(cfg, **kwargs):
-            rec, diverged_at = record(cfg, **kwargs)
+        def corrupted(cfg):
+            rec, diverged_at = record(cfg)
             rec[field][trial, step] = corrupt(rec[field][trial, step])
             return rec, diverged_at
 
         monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
         code, lines = run_verify(capsys, "domination,tracker_equality,containment")
         assert code == 2
-        msg = f"replayed tracker differs at trial {trial}, step {step}: "
+        msg = f"recorded trial {trial} differs at step {step} ({field}): "
         if field == "symbol":
             msg += "received symbol -7 outside codebook [0, 16]"
         else:
@@ -111,8 +111,44 @@ def test_exact_checks_need_adaptive_policy(capsys, tmp_path, checks):
     assert captured.out == ""
 
 
-# the symbol replay reads neither X nor the divergence steps; the scalar
-# reruns of trials 0-2 compare both with the recorded pass
+# (field, trial, index, the step whose plant forms the changed value)
+PLANT_CORRUPTIONS = [("X", 12, 40, 39), ("A", 55, 7, 7), ("W", 99, 299, 299)]
+
+
+@pytest.mark.parametrize("field, trial, index, step", PLANT_CORRUPTIONS, ids=[c[0] for c in PLANT_CORRUPTIONS])
+def test_recorded_plant_change_fails_every_exact_check(capsys, monkeypatch, field, trial, index, step):
+    record = verify.run_recorded_bundle
+
+    def corrupted(cfg):
+        rec, diverged_at = record(cfg)
+        rec[field][trial, index] = 2.0 * rec[field][trial, index] + 1.0
+        return rec, diverged_at
+
+    monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
+    code, lines = run_verify(capsys, "containment,domination,tracker_equality")
+    assert code == 2
+    assert [line[:2] for line in lines] == [
+        (name, "FAIL") for name in ("containment", "domination", "tracker_equality")
+    ]
+    msg = f"recorded trial {trial} differs at step {step} (plant): expected X_{step + 1}="
+    assert all(line[2].startswith(msg) for line in lines), lines
+
+
+def _changed_after_audit(monkeypatch, change):
+    """``verify.record_exact`` with ``change`` applied to its audited records."""
+    record = verify.record_exact
+
+    def changed(cfg):
+        rec, diverged_at = record(cfg)
+        change(rec, diverged_at)
+        return rec, diverged_at
+
+    monkeypatch.setattr(verify, "record_exact", changed)
+
+
+# changed after record_exact's audit, which would catch the X change; the
+# scalar reruns of trials 0-2 compare X and the divergence steps with the
+# recorded pass
 SCALAR_DETAILS = {
     "X": "scalar run_trial differs from recorded trial 1 at step 10: X=",
     "diverged_at": "scalar run_trial of trial 2 diverges at step -1, its recorded lane at 250 (-1: never)",
@@ -121,17 +157,13 @@ SCALAR_DETAILS = {
 
 @pytest.mark.parametrize("column", SCALAR_DETAILS)
 def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, column):
-    record = verify.run_recorded_bundle
-
-    def corrupted(cfg, **kwargs):
-        rec, diverged_at = record(cfg, **kwargs)
+    def corrupt(rec, diverged_at):
         if column == "X":
             rec["X"][1, 10] *= 2.0
         else:
             diverged_at[2] = 250
-        return rec, diverged_at
 
-    monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
+    _changed_after_audit(monkeypatch, corrupt)
     code, lines = run_verify(capsys, "tracker_equality")
     assert code == 2
     assert lines[0][:2] == ("tracker_equality", "FAIL")
@@ -139,15 +171,10 @@ def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, colum
 
 
 def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
-    record = verify.run_recorded_bundle
+    def inflate(rec, diverged_at):
+        rec["X"][37] = 1e6  # after record_exact's audit, which would catch it
 
-    def inflated(cfg, **kwargs):
-        # the symbol replay reads no X, so only domination sees the change
-        rec, diverged_at = record(cfg, **kwargs)
-        rec["X"][37] = 1e6
-        return rec, diverged_at
-
-    monkeypatch.setattr(verify, "run_recorded_bundle", inflated)
+    _changed_after_audit(monkeypatch, inflate)
     code = main(["verify", EMERGENCY_CFG, "--checks", "domination", "--out", str(tmp_path)] + SMALL)
     out = capsys.readouterr().out
     with open(tmp_path / "domination_report.csv", newline="") as fh:
