@@ -420,13 +420,25 @@ def test_recorded_lanes_are_pinned_up_to_their_extent(case):
     assert digest.hexdigest() == RECORDING_DIGESTS[case]
 
 
-def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch):
+@pytest.mark.parametrize("fields", [("M", "I", "normal"), ("W", "U"), ("X", "A")])
+def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
     import zoomctl.harness as hz
+    from zoomctl.harness import recorded_lanes
 
     monkeypatch.setattr(hz, "BLOCK_STEPS", 7)
     cfg = block_case_cfg("diverging")
-    _, div = run_recorded_bundle(cfg)
-    assert np.count_nonzero(div > 8) > 3  # past the first block's state rows
+    full, div = run_recorded_bundle(cfg)
+    late = np.flatnonzero(div > 8)
+    assert len(late) > 3  # past the first block's state rows
+    # those lanes recorded as a chunk of their own keep each field up to
+    # their extent, as in the recording of every trial
+    part = hz._run_chunk(cfg, late.tolist(), True, False)
+    assert np.array_equal(part.diverged_at, div[late])
+    _, part_lanes = recorded_lanes(part.records, part.diverged_at)
+    _, full_lanes = recorded_lanes(full, div)
+    for j, t in enumerate(late):
+        for f in fields:
+            assert np.array_equal(part_lanes[j][f], full_lanes[t][f]), (t, f)
     # a recorded chunk is one block; the unrecorded one walks 7-step blocks,
     # with those lanes diverging after the first, and sums as one block does
     blocked = hz._run_chunk(cfg, range(cfg.trials), False, True)
