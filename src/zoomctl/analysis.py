@@ -654,6 +654,7 @@ def oracle_mean_stderr(policy: str, a_spec, w_spec, n: int, trials: int) -> np.n
     (symmetric disturbances) or E[G_c] = 0.  An exact variance makes the
     oracle comparison a proper z-test; the empirical standard error of a
     heavy-tailed X^2 shrinks together with its mean and would understate.
+    Where the fourth moment outgrows the float range the result is inf or NaN.
     """
     from zoomctl.distributions import moments as law_moments
 
@@ -671,8 +672,9 @@ def oracle_mean_stderr(policy: str, a_spec, w_spec, n: int, trials: int) -> np.n
     e2 = np.empty(n + 1)
     e4 = np.empty(n + 1)
     e2[0] = e4[0] = 0.0
-    for k in range(n):
-        e2[k + 1] = g2 * e2[k] + var_w
-        e4[k + 1] = g4 * e4[k] + 6.0 * g2 * e2[k] * var_w + w_c4
-    var_xsq = np.maximum(e4 - e2**2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a growing recursion saturates to inf or nan
+        for k in range(n):
+            e2[k + 1] = g2 * e2[k] + var_w
+            e4[k + 1] = g4 * e4[k] + 6.0 * g2 * e2[k] * var_w + w_c4
+        var_xsq = np.maximum(e4 - e2**2, 0.0)
     return np.sqrt(var_xsq / trials)

@@ -30,16 +30,16 @@ parked outside the zoom-out multiply and the tracker update.
 
 Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
 the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
-drawn whole up front, into one buffer that the unrecorded chunks of an
-ensemble share; its disturbances, the per-step sums and the N^2 envelope
-are produced one block at a time, from step-major block buffers that each
+drawn whole up front, into one buffer that the chunks of an ensemble
+share; its disturbances, the per-step sums and the N^2 envelope are
+produced one block at a time, from step-major block buffers that each
 step writes a row of in place (see ``_run_chunk``), read through
-transposed views.  An unrecorded chunk holds about
-lanes x (8 * horizon + 50 * block) bytes: at 1024 lanes, 2000 steps and
-250-step blocks, 16 MB of gains and 13 MB of block.  A recording is one
-chunk over all its trials (kept traces: 1024 at a time) and one block as
-long as the horizon, whose rows are its records, with gains of its own.
-The N^2 envelope is one ``analysis.EnvelopeMoments`` per trial group: its
+transposed views.  A chunk holds about lanes x (8 * horizon + 50 * block)
+bytes: at 1024 lanes, 2000 steps and 250-step blocks, 16 MB of gains and
+13 MB of block.  A chunk records its leading lanes (a recording: all its
+trials, in one chunk; an ensemble: the kept traces' lanes of each chunk)
+by copying their rows out after each block into lane-major records,
+65 bytes per recorded lane and step.  The N^2 envelope is one ``analysis.EnvelopeMoments`` per trial group: its
 column sums, 8 * horizon bytes, and for ``verify``'s drift the drift and
 halving statistics, 32 * horizon more.  Each lane's M, I and mode, about
 17 bytes, wait for each column from the first one some lane of its group
@@ -224,14 +224,8 @@ class _ChunkOut:
     emergency_steps: int
     diverged: int
     diverged_at: np.ndarray
-    records: dict[str, np.ndarray] | None
+    records: dict[str, np.ndarray]  # the first r lanes' FULL_RECORD_FIELDS
     envelopes: list[analysis.EnvelopeMoments] | None  # per group; None once a lane diverged
-
-
-# Per-step record columns besides M and I (which start at M0), with the value
-# each row starts from: the initial tracker and NO_SYMBOL, which a policy with
-# no tracker records as is.  X (the states) and A, W (the draws) are kept apart.
-_STEP_FILL = {"normal": False, "rho": 1, "symbol": NO_SYMBOL, "U": 0.0}
 
 
 def _chunk_envelope(
@@ -261,7 +255,7 @@ def _chunk_envelope(
 def _run_chunk(
     cfg: ExperimentConfig,
     indices: Sequence[int],
-    record_fields: bool,
+    record_fields: int,
     envelope: bool,
     *,
     drift: bool = False,
@@ -275,10 +269,12 @@ def _run_chunk(
     folded one block at a time, so only the gains span the whole horizon.
     They are drawn into the first rows of ``gains`` when given (the
     ensemble's buffer, see ``_run_chunks``), else into an array of the
-    chunk's own.  A chunk with ``record_fields`` set records all of
-    FULL_RECORD_FIELDS: it runs the horizon as one block, whose rows are
-    its records, and its own gains and disturbance block are its A and W.
-    The envelope is one ``analysis.EnvelopeMoments`` per group, with the
+    chunk's own.  ``record_fields`` is r, the number of leading lanes whose
+    FULL_RECORD_FIELDS are recorded (0: none).  After each block their rows
+    are copied out into lane-major records allocated once, X (r, h + 1) and
+    every other field (r, h), with A copied from the gains when they sit in
+    the ensemble's buffer, which the next chunk overwrites.  The
+    envelope is one ``analysis.EnvelopeMoments`` per group, with the
     drift and halving statistics when ``drift`` is set, plus the group's M,
     I and mode from the first column where some round is still open.  It
     covers ensembles with no diverged trial only: the chunk drops it once a
@@ -287,9 +283,11 @@ def _run_chunk(
     Every per-step field has a step-major buffer, one column per lane, and
     step n of a block writes its row n + 1 in place (``out=``), so a step
     neither copies nor allocates.  A field gets a row per block step only
-    when a recording or the envelope (M, I and mode) reads it; otherwise the
-    adaptive tracker alternates between two rows and every other field
-    reuses one.
+    when the envelope (M, I and mode) or a recording of every lane reads
+    it; otherwise the adaptive tracker alternates between two rows and
+    every other field reuses one, and the r recorded lanes of such a field
+    get block rows of their own, r lanes wide, copied each step.  rho and
+    the symbol are formed for the recorded lanes only.
 
     The adaptive step keeps the encoder's tracker only, updated by
     ``codec.cell_tracker``, and computes symbols only when recorded (the
@@ -314,21 +312,29 @@ def _run_chunk(
     mu_w, _ = moments(cfg.w_spec)
     a_draws, rngs = _predraw(cfg, indices, gains)
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
-    # a recorded chunk is one block, so its block rows are its records
-    block = h if record_fields else min(BLOCK_STEPS, h)
+    block = min(BLOCK_STEPS, h)
+    r = record_fields
 
     need_env = envelope and kind == "adaptive_fixed_rate"
     w_draws = np.empty((n_t, block))
     # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
     xs = np.zeros((block + 1, n_t))
-    # a row per block step for the fields a recording or the envelope folds
-    # (M, I and mode) read; the adaptive tracker alternates two rows otherwise
-    blocked = set(FULL_RECORD_FIELDS) if record_fields else {"M", "I", "normal"} if need_env else set()
+    # the step's rows, from the initial tracker and control, which a policy
+    # with no tracker keeps (zero_control's control is mu_W)
+    blocked = {"M", "I", "normal", "U"} if r == n_t else {"M", "I", "normal"} if need_env else set()
     carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
+    fills = {"M": p.M0, "I": p.M0, "normal": kind != "adaptive_fixed_rate",
+             "U": mu_w if kind == "zero_control" else 0.0}
     rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
-            for f, fill in {"M": p.M0, "I": p.M0, **_STEP_FILL}.items()}
-    m_rows, i_rows, mode_rows, rho_rows, u_rows, sym_rows = (
-        rows[f] for f in ("M", "I", "normal", "rho", "U", "symbol"))
+            for f, fill in fills.items()}
+    m_rows, i_rows, mode_rows, u_rows = rows.values()
+    # the recorded lanes' block rows: the step's own where blocked, else r lanes wide
+    recs = {f: buf if f in blocked else np.repeat(buf[:1, :r], block + 1, axis=0) for f, buf in rows.items()}
+    copied = [(rows[f], recs[f]) for f in rows if f not in blocked] if r else []
+    rho_rec = recs["rho"] = np.ones((block + 1, r), dtype=np.int64)
+    sym_rec = recs["symbol"] = np.full((block + 1, r), NO_SYMBOL)
+    records = {"X": np.zeros((r, h + 1)), **{f: np.empty((r, h), buf.dtype) for f, buf in recs.items()},
+               "A": a_draws[:r] if gains is None else a_draws[:r].copy(), "W": np.empty((r, h))}
     envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
                                            indices[lanes.start]) for lanes in groups] if need_env else []
     pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns
@@ -347,20 +353,16 @@ def _run_chunk(
     k, lim, xz, rho = np.empty((4, n_t))
     work = (np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=bool))
     zoom, keep = np.empty((2, n_t), dtype=bool)
-    if kind != "adaptive_fixed_rate":
-        mode_rows[:] = True
     if kind == "static_quantizer":
         srange = cfg.static_range()
         w_cell_s = 2.0 * srange / (2 * L + 1)
         sign, below = np.empty(n_t), np.empty(n_t, dtype=bool)
-    elif kind == "zero_control":
-        u_rows[:] = mu_w
 
     for b0 in range(0, h, block):
         nb = min(block, h - b0)
         if b0:  # carry the last rows of the previous block, which had ``block`` steps
             xs[0] = x
-            for buf in (m_rows, i_rows):
+            for buf in (m_rows, i_rows, rho_rec):
                 buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
         w_blk = w_draws[:, :nb]
@@ -404,14 +406,13 @@ def _run_chunk(
                     np.putmask(u, held, mu_w)
                     np.putmask(m, held, lim)
                     np.putmask(i_new, held, i_rows[i % len(i_rows)])
-                    if len(rho_rows) > 1:
-                        np.putmask(rho, held, rho_rows[i % len(rho_rows)])
-                if len(rho_rows) > 1:
-                    np.copyto(rho_rows[i + 1], rho, casting="unsafe")
-                if len(sym_rows) > 1:
-                    np.add(k, L, out=sym_rows[i + 1], casting="unsafe")
+                    if r:
+                        np.putmask(rho[:r], held[:r], rho_rec[i])
+                if r:
+                    np.copyto(rho_rec[i + 1], rho[:r], casting="unsafe")
+                    np.add(k[:r], L, out=sym_rec[i + 1], casting="unsafe")
                     if zooming:
-                        np.putmask(sym_rows[i + 1], zoom, 2 * L)
+                        np.putmask(sym_rec[i + 1], zoom[:r], 2 * L)
             elif kind == "static_quantizer":
                 a_cell, b_cell, above = work
                 np.floor(np.divide(np.add(x, srange, out=k), w_cell_s, out=k), out=k)
@@ -428,13 +429,14 @@ def _run_chunk(
                 np.multiply(np.subtract(m, i_new, out=u), sign, out=u)
                 u *= mu_a
                 u += mu_w
-                if len(sym_rows) > 1:
-                    np.copyto(sym_rows[i + 1], k, casting="unsafe")
-                if len(rho_rows) > 1:
-                    np.subtract(np.multiply(above, 2, out=rho_rows[i + 1]), 1, out=rho_rows[i + 1])
+                if r:
+                    np.copyto(sym_rec[i + 1], k[:r], casting="unsafe")
+                    np.subtract(np.multiply(above[:r], 2, out=rho_rec[i + 1]), 1, out=rho_rec[i + 1])
             elif kind == "perfect_observation":
                 np.multiply(x, mu_a, out=u)
                 u += mu_w
+            for buf, rec in copied:
+                np.copyto(rec[i + 1], buf[(i + 1) % len(buf), :r])
 
             x_next = xv[i + 1]
             np.multiply(a_draws[:, n], x, out=x_next)
@@ -468,14 +470,14 @@ def _run_chunk(
         for g, (lanes, acc) in enumerate(zip(groups, envs)):
             cols = (buf[1:nb + 1, lanes].T for buf in (m_rows, i_rows, mode_rows))
             pending[g] = _chunk_envelope(acc, pending[g], *cols, p.K)
+        for f, buf in recs.items():  # the recorded lanes' rows of the block, copied out
+            records[f][:, b0:b0 + nb] = buf[1:nb + 1, :r].T
+        records["X"][:, b0 + 1:b0 + nb + 1] = xv[1:, :r].T
+        records["W"][:, b0:b0 + nb] = w_blk[:r]
 
-    records = None
-    if record_fields:
-        # the freshly diverged value is recorded too (flagged, excluded from the sums above)
-        dead = np.flatnonzero(diverged_at >= 0)
-        xs[diverged_at[dead], dead] = x_diverged[dead]
-        cols = {**{f: buf[1:].T for f, buf in rows.items()}, "X": xs.T, "A": a_draws, "W": w_draws}
-        records = {f: cols[f] for f in FULL_RECORD_FIELDS}
+    # the freshly diverged value is recorded too (flagged, excluded from the sums above)
+    dead = np.flatnonzero(diverged_at[:r] >= 0)
+    records["X"][dead, diverged_at[dead]] = x_diverged[dead]
 
     return _ChunkOut(
         sum_xsq=sum_xsq,
@@ -497,14 +499,15 @@ def _chunked(indices: Sequence[int]) -> list[list[int]]:
     return [indices[i:i + lanes] for i in range(0, len(indices), lanes)]
 
 
-def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False) -> list[_ChunkOut]:
-    """Every trial of ``cfg``, unrecorded, in engine chunks run one after another.
+def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False, keep: int = 0) -> list[_ChunkOut]:
+    """Every trial of ``cfg`` in engine chunks run one after another; trials below ``keep`` are recorded.
 
     The chunks draw their gains into one buffer, allocated once for the
     ensemble, so a chunk's gains reuse the memory of the one before.
     """
     gains = np.empty((min(2 * CHUNK_TRIALS, cfg.trials), cfg.horizon))
-    return [_run_chunk(cfg, idx, False, envelope, drift=drift, gains=gains) for idx in _chunked(range(cfg.trials))]
+    return [_run_chunk(cfg, idx, min(max(keep - idx[0], 0), len(idx)), envelope, drift=drift, gains=gains)
+            for idx in _chunked(range(cfg.trials))]
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
@@ -560,13 +563,13 @@ def run_experiment(
 ) -> tuple[SummaryStats, list[Trace]]:
     """Run the configured ensemble and aggregate second-moment statistics.
 
-    ``keep_traces`` retains the first k trials as full Trace objects
-    (re-simulated together through the recording path; bit-identical to
-    their ensemble counterparts).  ``envelope`` controls whether the dominating
+    ``keep_traces`` retains the first k trials as full Trace objects: each
+    ensemble chunk records its lanes below k, so the traces come from the
+    one ensemble pass, as views of its records.  ``envelope`` controls whether the dominating
     envelope statistic max_mean_nsq is computed (adaptive policy only); it
     is None when any trial diverged.
     """
-    outs = _run_chunks(cfg, envelope)
+    outs = _run_chunks(cfg, envelope, keep=keep_traces)
     h = cfg.horizon
 
     def group_total(f, width):
@@ -610,50 +613,46 @@ def run_experiment(
         stability_verdict(stats) if h >= 1000 else "inconclusive"
     )
 
-    traces = _kept_traces(cfg, range(min(max(keep_traces, 0), cfg.trials)))
+    traces = [tr for out, idx in zip(outs, _chunked(range(cfg.trials))) for tr in _chunk_traces(cfg, out, idx)]
     return stats, traces
 
 
 def run_recorded_bundle(cfg: ExperimentConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Record every trial's FULL_RECORD_FIELDS, in one engine chunk.
+    """Record every trial's FULL_RECORD_FIELDS, in one engine chunk whose lanes are all recorded.
 
     Returns the record dict plus each trial's divergence step (-1 where the
-    trial ran to the horizon).  The records are the chunk's step-major
-    block rows, gains and disturbances (as drawn), handed out uncopied, so
-    memory scales with trials * horizon * 9 fields; callers cap the horizon
-    accordingly.  A trial's records end at its divergence step
-    (``recorded_lanes``).
+    trial ran to the horizon).  The records are lane-major, copied out of
+    the chunk's time blocks, with its own gains as A, so memory scales with
+    trials * horizon * 65 bytes; callers cap the horizon accordingly.  A
+    trial's records end at its divergence step (``recorded_lanes``).
     """
-    out = _run_chunk(cfg, range(cfg.trials), True, envelope=False)
+    out = _run_chunk(cfg, range(cfg.trials), cfg.trials, envelope=False)
     return out.records, out.diverged_at
 
 
 def recorded_lanes(records: dict[str, np.ndarray], diverged_at: np.ndarray) -> tuple[np.ndarray, list[dict]]:
     """Each lane's executed steps (its divergence step, else the horizon) and its records cut there, as views.
 
-    A lane's cut is a Trace's layout: X_0..X_steps, and ``steps`` entries of every other field.
+    A lane's cut is a Trace's layout: X_0..X_steps, and ``steps`` entries of every other field,
+    each contiguous, as the records are lane-major.
     """
     steps = np.where(diverged_at < 0, records["symbol"].shape[1], diverged_at)
     return steps, [{f: c[j, :s + (f == "X")] for f, c in records.items()} for j, s in enumerate(steps.tolist())]
 
 
-def _kept_traces(cfg: ExperimentConfig, indices: Sequence[int]) -> list[Trace]:
-    """Full Traces of the given trials, recorded 1024 lanes at a time, one chunk's records held at once.
+def _chunk_traces(cfg: ExperimentConfig, out: _ChunkOut, indices: Sequence[int]) -> list[Trace]:
+    """The recorded lanes of a chunk over trials ``indices`` as Traces, views of its lane-major records.
 
     Every policy records all of FULL_RECORD_FIELDS, a policy with no tracker the initial one and NO_SYMBOL."""
-    traces = []
-    for chunk in _chunked(indices):
-        out = _run_chunk(cfg, chunk, True, envelope=False)
-        _, lanes = recorded_lanes(out.records, out.diverged_at)
-        traces += [Trace(**{f: c.copy() for f, c in lane.items()}, seed=trial_seed(cfg.master_seed, t),
-                         diverged_at=None if d < 0 else int(d)) for lane, d, t in zip(lanes, out.diverged_at, chunk)]
-        del out, lanes  # freed before the next chunk records
-    return traces
+    diverged_at = out.diverged_at[:len(out.records["X"])]
+    _, lanes = recorded_lanes(out.records, diverged_at)
+    return [Trace(**lane, seed=trial_seed(cfg.master_seed, t), diverged_at=None if d < 0 else int(d))
+            for lane, d, t in zip(lanes, diverged_at.tolist(), indices)]
 
 
 def extract_trace(cfg: ExperimentConfig, index: int) -> Trace:
-    """Materialize one ensemble member as a full Trace."""
-    return _kept_traces(cfg, [index])[0]
+    """Materialize one ensemble member as a full Trace, recorded as a one-lane chunk."""
+    return _chunk_traces(cfg, _run_chunk(cfg, [index], 1, envelope=False), [index])[0]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ ensembles:
   exact halving of N during zoom-out.
 * oracle_match     -- simulated curves for the idealized policies match
   the closed-form second-moment recursions, within three exact standard
-  errors.
+  errors; an index whose standard error is not finite fails.
 
 The three exact checks share one recorded ensemble (``record_exact``) of
 the first min(trials, EXACT_TRIALS) trials, with all nine lane fields.
@@ -253,7 +253,9 @@ def check_oracle_match(cfg: ExperimentConfig) -> CheckResult:
         oracle = analysis.moment_recursion_curve(policy.kind, a_m, w_m, horizon)
         se = analysis.oracle_mean_stderr(policy.kind, cfg.a_spec, cfg.w_spec, horizon, cfg.trials)
         for n in indices:
-            if abs(stats.curve_mean[n] - oracle[n]) > 3.0 * se[n]:
+            if not math.isfinite(3.0 * se[n]):  # tests nothing; it fails, as a drift stderr does
+                problems.append(f"{policy.kind} n={n}: exact standard error not finite (3se={3.0 * se[n]:.3g})")
+            elif abs(stats.curve_mean[n] - oracle[n]) > 3.0 * se[n]:
                 problems.append(
                     f"{policy.kind} n={n}: mean {stats.curve_mean[n]:.4g} vs oracle "
                     f"{oracle[n]:.4g} (3se={3.0 * se[n]:.3g})"

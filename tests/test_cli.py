@@ -904,6 +904,20 @@ def test_cli_verify_drift_flags_columns_whose_spread_overflows(tmp_path, capsys)
     assert "flagged=[446, 447, 448, 449, 450]" in capsys.readouterr().out
 
 
+def test_cli_verify_oracle_match_fails_where_its_stderr_is_not_finite(capsys):
+    # at A.stddev = 0.99 perfect_observation's E[X^4] grows about 2.9-fold a
+    # step (3 sigma_A^4), so its exact standard error at step 3000 is inf: a
+    # test of nothing, which fails as drift's does, with no overflow warning
+    sets = ["A.stddev=0.99", "P=64", "horizon=3000"]
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "oracle_match"]
+                + [arg for item in sets for arg in ("--set", item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == [
+        "oracle_match  FAIL  perfect_observation n=3000: exact standard error not finite (3se=inf)"]
+    assert captured.err == ""
+
+
 def test_cli_verify_scalar_replays_catch_an_engine_cell_shift(monkeypatch, capsys):
     import numpy as np
 

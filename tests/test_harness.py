@@ -175,6 +175,26 @@ def test_trace_retention_does_not_change_stats():
     assert [t.seed for t in traces] == [trial_seed(cfg.master_seed, i) for i in range(3)]
 
 
+def test_kept_traces_are_recorded_in_the_ensemble_pass(monkeypatch):
+    import zoomctl.harness as hz
+
+    # 30 trials in 14-lane chunks, the first 20 kept: each chunk runs once,
+    # recording its lanes below 20
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", 7)
+    calls = []
+    run_chunk = hz._run_chunk
+
+    def counting(cfg, indices, record_fields, envelope, **kwargs):
+        calls.append((len(indices), record_fields))
+        return run_chunk(cfg, indices, record_fields, envelope, **kwargs)
+
+    monkeypatch.setattr(hz, "_run_chunk", counting)
+    cfg = make_cfg(trials=30, horizon=50)
+    _, traces = run_experiment(cfg, keep_traces=20)
+    assert calls == [(14, 14), (14, 6), (2, 0)]
+    assert [t.seed for t in traces] == [trial_seed(cfg.master_seed, t) for t in range(20)]
+
+
 # rare huge gains: trials diverge at scattered steps, some never
 JUMPY_A = DistributionSpec.two_point(1e30, 0.01, 1.0)
 TRACE_FIELDS = ("X", "symbol", "normal", "M", "I", "rho", "U", "A", "W")
@@ -212,18 +232,27 @@ def test_engine_matches_scalar_reference_loop_at_extremes(name, a_spec):
         assert validate_trace_columns(vars(eng), cfg.params, moments(a_spec)[0], moments(W_REF)[0]).ok
 
 
-@pytest.mark.parametrize("chunk_trials, kept", [(512, 12), (7, 17)])
-def test_kept_traces_match_extract_trace(monkeypatch, chunk_trials, kept):
+# the last case keeps 20 of 24 trials in 14-lane chunks, in 7-step blocks:
+# all of the first chunk's lanes, whose gains the second chunk overwrites in
+# the ensemble's buffer, and 6 of the second's 10
+@pytest.mark.parametrize("chunk_trials, block_steps, trials, kept", [
+    (512, 250, 12, 12), (7, 250, 12, 17), (7, 7, 24, 20)], ids=["512-12", "7-17", "7-7-24-20"])
+def test_kept_traces_match_extract_trace(monkeypatch, chunk_trials, block_steps, trials, kept):
     import zoomctl.harness as hz
 
     monkeypatch.setattr(hz, "CHUNK_TRIALS", chunk_trials)
-    cfg = jumpy_cfg()
-    _, traces = run_experiment(cfg, keep_traces=kept, envelope=False)
-    assert len(traces) == cfg.trials
-    steps = [t.diverged_at for t in traces]
-    assert None in steps and len(set(steps) - {None}) > 3
-    for t, trace in enumerate(traces):
-        assert_same_trace(trace, extract_trace(cfg, t))
+    monkeypatch.setattr(hz, "BLOCK_STEPS", block_steps)
+    cfg = make_cfg(a_spec=JUMPY_A, trials=trials, horizon=400, master_seed=1)
+    for envelope in (False, True):
+        _, traces = run_experiment(cfg, keep_traces=kept, envelope=envelope)
+        assert len(traces) == min(kept, trials)
+        steps = [t.diverged_at for t in traces]
+        assert None in steps and len(set(steps) - {None}) > 3
+        for t, trace in enumerate(traces):
+            assert_same_trace(trace, extract_trace(cfg, t))
+    if kept < trials:  # kept lanes diverge in both chunks, and in several blocks
+        assert {t // (2 * chunk_trials) for t, s in enumerate(steps) if s is not None} == {0, 1}
+        assert len({s // block_steps for s in steps if s is not None}) > 3
 
 
 def test_lanes_diverging_mid_chunk_match_run_trial():
@@ -432,18 +461,18 @@ def test_partial_records_of_lanes_diverging_after_a_block(monkeypatch, fields):
     assert len(late) > 3  # past the first block's state rows
     # those lanes recorded as a chunk of their own keep each field up to
     # their extent, as in the recording of every trial
-    part = hz._run_chunk(cfg, late.tolist(), True, False)
+    part = hz._run_chunk(cfg, late.tolist(), len(late), False)
     assert np.array_equal(part.diverged_at, div[late])
     _, part_lanes = recorded_lanes(part.records, part.diverged_at)
     _, full_lanes = recorded_lanes(full, div)
     for j, t in enumerate(late):
         for f in fields:
             assert np.array_equal(part_lanes[j][f], full_lanes[t][f]), (t, f)
-    # a recorded chunk is one block; the unrecorded one walks 7-step blocks,
-    # with those lanes diverging after the first, and sums as one block does
-    blocked = hz._run_chunk(cfg, range(cfg.trials), False, True)
+    # the unrecorded chunk walks 7-step blocks too, with those lanes
+    # diverging after the first, and sums as one block does
+    blocked = hz._run_chunk(cfg, range(cfg.trials), 0, True)
     monkeypatch.setattr(hz, "BLOCK_STEPS", cfg.horizon)
-    whole = hz._run_chunk(cfg, range(cfg.trials), False, True)
+    whole = hz._run_chunk(cfg, range(cfg.trials), 0, True)
     assert np.array_equal(blocked.diverged_at, div)
     for f in ("sum_xsq", "sum_x4", "count", "diverged_at"):
         assert np.array_equal(getattr(blocked, f).view(np.int64), getattr(whole, f).view(np.int64)), f
@@ -460,7 +489,7 @@ def test_streamed_envelope_matches_envelope_squared(monkeypatch, case, block):
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 20)
     monkeypatch.setattr(hz, "BLOCK_STEPS", block)
     cfg = block_case_cfg(case, trials=40)
-    out = hz._run_chunk(cfg, range(cfg.trials), False, True)
+    out = hz._run_chunk(cfg, range(cfg.trials), 0, True)
     rec, div = run_recorded_bundle(cfg)
     if case == "diverging":
         # the envelope covers ensembles with no diverged trial only
@@ -545,7 +574,7 @@ def test_sums_only_envelope_matches_drift_mode(monkeypatch, case):
     first = None
     for block in (1, 7, cfg.horizon):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
-        sums, drift = (hz._run_chunk(cfg, range(cfg.trials), False, True, drift=d).envelopes for d in (False, True))
+        sums, drift = (hz._run_chunk(cfg, range(cfg.trials), 0, True, drift=d).envelopes for d in (False, True))
         assert len(sums) == len(drift) == 2
         got = []
         for a, b in zip(sums, drift):

@@ -58,7 +58,7 @@ def test_exact_checks_share_one_recorded_pass(capsys, monkeypatch):
     code, lines = run_verify(capsys, "tracker_equality,containment,domination")
     assert code == 0
     assert [line[1] for line in lines] == ["PASS"] * 3
-    assert calls == [(verify.EXACT_TRIALS, 300, True)]
+    assert calls == [(verify.EXACT_TRIALS, 300, verify.EXACT_TRIALS)]
 
 
 # (field, trial, step, corruption) of one recorded value in the shared pass
