@@ -142,10 +142,12 @@ def check_tracker_equality(
                 return CheckResult("tracker_equality", False, mismatch)
     except ProtocolError as exc:
         return CheckResult("tracker_equality", False, str(exc))
-    return CheckResult(
-        "tracker_equality", True,
-        f"{trials} trials x {cfg.horizon} steps replayed from their symbols, trackers bit-identical",
-    )
+    examined = f"{trials} trials x {cfg.horizon} steps"
+    n_div = int((diverged_at >= 0).sum())
+    if n_div:  # a diverged trial's records end at its divergence step
+        steps, _ = recorded_lanes(rec, diverged_at)
+        examined = f"{trials} trials ({n_div} diverged), {int(steps.sum())} executed steps"
+    return CheckResult("tracker_equality", True, f"{examined} replayed from their symbols, trackers bit-identical")
 
 
 def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) -> str:

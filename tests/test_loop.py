@@ -245,6 +245,16 @@ def test_audit_plant_is_bit_for_bit(tmp_path):
            "rho": [1, 1], "U": [0.0, 0.0], "A": [math.nan, 1.0], "W": [1.0, 1.0]}
     assert validate_trace_columns({f: np.array(v) for f, v in nan.items()}, PARAMS, 1.0, 0.0) == TraceValidation(
         True, steps=2)
+    # X_1 = 0.2 sits exactly on its live range P*M_0, which still encodes
+    # to a cell (15), not to the zoom-out codeword
+    edge = {"X": [0.0, 0.2, 0.1], "symbol": [8, 15], "normal": [True, True], "M": [0.1, 0.2], "I": [0.1, 0.1],
+            "rho": [1, 1], "U": [0.0, 0.1], "A": [1.0, 1.0], "W": [0.2, 0.0]}
+    cols = {f: np.array(v) for f, v in edge.items()}
+    assert validate_trace_columns(cols, PARAMS, 1.0, 0.0) == TraceValidation(True, steps=2)
+    # a NaN draw forms X_1 = NaN, which no number in the trace matches
+    cols["W"][0] = math.nan
+    assert validate_trace_columns(cols, PARAMS, 1.0, 0.0) == TraceValidation(
+        False, 0, "plant", "expected X_1=nan, trace has 0.2")
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -178,8 +178,14 @@ def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
     code = main(["verify", EMERGENCY_CFG, "--checks", "domination", "--out", str(tmp_path)] + SMALL)
     out = capsys.readouterr().out
     with open(tmp_path / "domination_report.csv", newline="") as fh:
-        bad = [row for row in csv.DictReader(fh) if row["ok"] == "0"]
+        rows = list(csv.DictReader(fh))
+    bad = [row for row in rows if row["ok"] == "0"]
     assert code == 2
+    # the sampled freeze points, each trial's 10 drawn from [0, its executed
+    # steps) in trial order, pinned by the sha256 of the (trace, n0) rows
+    points = "".join(f"{row['trace']},{row['n0']}\n" for row in rows)
+    assert hashlib.sha256(points.encode()).hexdigest() == (
+        "b4714416c2057863d8c831305bde8d04a8f24a72a22317744245732ee55c1d3a")
     assert 0 < len(bad) < verify.DOMINATION_N0_PER_TRACE  # the zoom-out points still pass
     assert {row["trace"] for row in bad} == {"37"}
     report = json.loads((tmp_path / "domination_report.json").read_text())
@@ -201,7 +207,16 @@ CONTAINMENT_PINS = [
     ("emergency_rich.cfg", ["P=1.01", "horizon=300"],
      "0 violations over 1313 normal steps (0 unfloored, 1313 floored at M0; 100 trials)",
      "ffb26fe4ffc2393b2e68f0620670ce5b17eff257f0416415bded5f8853510071"),
+    # every recorded trial diverges at step 168: only its executed steps count
+    ("emergency_rich.cfg", ["A.stddev=0.99", "P=64", "horizon=3000"],
+     "0 violations over 16800 normal steps (16800 unfloored, 0 floored at M0; 100 trials)",
+     "886715e4051e827f4fe215df3053af3f85ad0d352db2c829c7487af6d78efe30"),
 ]
+# what tracker_equality's PASS line says it replayed where a recorded trial
+# diverged; else it is 100 trials x the horizon
+TRACKER_DIVERGED = {
+    ("A.stddev=0.99", "P=64", "horizon=3000"): "100 trials (100 diverged), 16800 executed steps",
+}
 
 
 @pytest.mark.parametrize("name, overrides, detail, digest", CONTAINMENT_PINS)
@@ -213,3 +228,6 @@ def test_containment_floor_counts_are_pinned(name, overrides, detail, digest):
     assert hashlib.sha256(np.ascontiguousarray(clamped).tobytes()).hexdigest() == digest
     result = verify.check_containment(cfg, recorded)
     assert result.passed and result.detail == detail
+    examined = TRACKER_DIVERGED.get(tuple(overrides), f"100 trials x {cfg.horizon} steps")
+    tracker = verify.check_tracker_equality(cfg, recorded=recorded)
+    assert tracker.passed and tracker.detail == f"{examined} replayed from their symbols, trackers bit-identical"
