@@ -31,12 +31,14 @@ parked outside the zoom-out multiply and the tracker update.
 Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
 the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
 drawn whole up front, into one buffer that the chunks of an ensemble
-share; its disturbances, the per-step sums and the N^2 envelope are
-produced one block at a time, from step-major block buffers that each
-step writes a row of in place (see ``_run_chunk``), read through
-transposed views.  A chunk holds about lanes x (8 * horizon + 50 * block)
-bytes: at 1024 lanes, 2000 steps and 250-step blocks, 16 MB of gains and
-13 MB of block.  A chunk records its leading lanes (a recording: all its
+share; its disturbances are drawn DRAW_STEPS steps at a time (whole
+blocks), into a batch buffer each block reads at its offset.  The per-step
+sums and the N^2 envelope are produced one block at a time, from
+step-major block buffers that each step writes a row of in place (see
+``_run_chunk``), read through transposed views.  A chunk holds about
+lanes x (8 * horizon + 8 * draw + 42 * block) bytes: at 1024 lanes, 2000
+steps, 250-step draws and 50-step blocks, 16 MB of gains, 2 MB of draws
+and 2 MB of block.  A chunk records its leading lanes (a recording: all its
 trials, in one chunk; an ensemble: the kept traces' lanes of each chunk)
 by copying their rows out after each block into lane-major records,
 65 bytes per recorded lane and step.  The N^2 envelope is one ``analysis.EnvelopeMoments`` per trial group: its
@@ -67,7 +69,8 @@ from zoomctl.distributions import DistributionSpec, moments, sample_rows
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
-BLOCK_STEPS = 250  # steps per time block of the engine
+BLOCK_STEPS = 50  # steps per time block of the engine
+DRAW_STEPS = 250  # steps per disturbance draw, rounded down to whole blocks (at least one)
 
 POLICY_KINDS = (
     "adaptive_fixed_rate",
@@ -265,20 +268,25 @@ def _run_chunk(
 
     The lanes split, in order, into groups of CHUNK_TRIALS trials, the unit
     every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
-    steps: disturbances are drawn, per-step sums taken and the N^2 envelope
-    folded one block at a time, so only the gains span the whole horizon.
-    They are drawn into the first rows of ``gains`` when given (the
-    ensemble's buffer, see ``_run_chunks``), else into an array of the
-    chunk's own.  ``record_fields`` is r, the number of leading lanes whose
+    steps: per-step sums are taken and the N^2 envelope folded one block at
+    a time, so a block sizes the step-major X rows, the envelope's M, I and
+    mode rows, the sums' temporary, the recorded lanes' block rows and the
+    envelope's fold window, about 42 bytes per lane and block step with the
+    envelope.  The disturbances are drawn apart, one ``sample_rows`` call
+    per DRAW_STEPS steps rounded down to whole blocks (at least one), into a
+    (lanes, batch) buffer of 8 bytes per lane and batch step that each block
+    reads at its offset.  Only the gains span the whole horizon.  They are
+    drawn into the first rows of ``gains`` when given (the ensemble's
+    buffer, see ``_run_chunks``), else into an array of the chunk's own.
+    ``record_fields`` is r, the number of leading lanes whose
     FULL_RECORD_FIELDS are recorded (0: none).  After each block their rows
     are copied out into lane-major records allocated once, X (r, h + 1) and
     every other field (r, h), with A copied from the gains when they sit in
-    the ensemble's buffer, which the next chunk overwrites.  The
-    envelope is one ``analysis.EnvelopeMoments`` per group, with the
-    drift and halving statistics when ``drift`` is set, plus the group's M,
-    I and mode from the first column where some round is still open.  It
-    covers ensembles with no diverged trial only: the chunk drops it once a
-    lane diverges.
+    the ensemble's buffer, which the next chunk overwrites.  The envelope is
+    one ``analysis.EnvelopeMoments`` per group, with the drift and halving
+    statistics when ``drift`` is set, plus the group's M, I and mode from
+    the first column where some round is still open.  It covers ensembles
+    with no diverged trial only: the chunk drops it once a lane diverges.
 
     Every per-step field has a step-major buffer, one column per lane, and
     step n of a block writes its row n + 1 in place (``out=``), so a step
@@ -313,10 +321,11 @@ def _run_chunk(
     a_draws, rngs = _predraw(cfg, indices, gains)
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
     block = min(BLOCK_STEPS, h)
+    draw = max(DRAW_STEPS // block, 1) * block
     r = record_fields
 
     need_env = envelope and kind == "adaptive_fixed_rate"
-    w_draws = np.empty((n_t, block))
+    w_draws = np.empty((n_t, min(draw, h)))
     # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
     xs = np.zeros((block + 1, n_t))
     # the step's rows, from the initial tracker and control, which a policy
@@ -365,8 +374,9 @@ def _run_chunk(
             for buf in (m_rows, i_rows, rho_rec):
                 buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
-        w_blk = w_draws[:, :nb]
-        sample_rows(cfg.w_spec, rngs, w_blk)
+        if not b0 % draw:
+            sample_rows(cfg.w_spec, rngs, w_draws[:, :min(draw, h - b0)])
+        w_blk = w_draws[:, b0 % draw:b0 % draw + nb]
 
         for i in range(nb):
             n = b0 + i

@@ -944,6 +944,33 @@ def test_cli_verify_scalar_replays_catch_an_engine_cell_shift(monkeypatch, capsy
     assert out.startswith("tracker_equality  FAIL  scalar run_trial differs from recorded trial 0 at step 0: ")
 
 
+def test_cli_verify_containment_catches_an_engine_cell_geometry_change(monkeypatch, capsys):
+    import numpy as np
+
+    import zoomctl.harness as hz
+    import zoomctl.loop as loop
+
+    # the engine's tracker, and the lane audit's, halve every unfloored I:
+    # the recorded lanes still replay, but M - 2I now sits inside the cell,
+    # and only containment can tell
+    cell_tracker = hz.cell_tracker
+
+    def halved(x, live_range, L, M0, k, out, work):
+        cell_tracker(x, live_range, L, M0, k, out, work)
+        np.copyto(out[1], out[1] / 2.0, where=out[1] > M0)
+
+    monkeypatch.setattr(hz, "cell_tracker", halved)
+    monkeypatch.setattr(loop, "cell_tracker", halved)
+    code = main(["verify", str(EMERGENCY_CFG), "--checks", "containment",
+                 "--set", "trials=20", "--set", "horizon=200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == [
+        "containment  FAIL  907 violations / 2777 normal steps (1729 unfloored, 1048 floored at M0); "
+        "first at trial 0, step 12"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("config", ["reference.cfg", "reference_student_t.cfg"])
 def test_cli_oracle_match_passes_at_seed_11(capsys, config):
     # the perfect_observation mean at the horizon is 5.8% (reference) and

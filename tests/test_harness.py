@@ -365,6 +365,13 @@ def test_trace_is_its_recorded_lane(case):
             assert np.array_equal(col, rec[f][t, :len(col)]), (how, t, f)
 
 
+def block_draw_pairs(horizon):
+    """(BLOCK_STEPS, DRAW_STEPS) pairs: a draw batch of one block, batches of
+    two 7-step blocks with a partial last one (14, 14, 14 and 3 steps at
+    horizon 45), and one block over the horizon, longer than its batch."""
+    return (1, 1), (7, 20), (horizon, 7)
+
+
 def engine_outputs(cfg, kept):
     stats, traces = run_experiment(cfg, keep_traces=kept)
     rec, div = run_recorded_bundle(cfg)
@@ -404,8 +411,9 @@ def test_results_independent_of_time_blocks_and_threads(monkeypatch, case):
         # each group's envelope resolves column 0 only
         stuck = ~rec["normal"][:, 1:].any(axis=1)
         assert all(stuck[g:g + 9].any() for g in range(0, cfg.trials, 9))
-    for block in (1, 7, cfg.horizon):
+    for block, draw in block_draw_pairs(cfg.horizon):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
         assert_same_outputs(engine_outputs(cfg, cfg.trials), want)
 
 
@@ -416,8 +424,10 @@ def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
     cfg = make_cfg(trials=1030, horizon=30, a_spec=BURSTY_A)
     want = engine_outputs(cfg, 3)
     assert want[0].diverged_count > 0
-    for block in (1, 7):
+    # one-step blocks in batches of 7; 7-step blocks in batches of 14 and a last of 2
+    for block, draw in ((1, 7), (7, 20)):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
         assert_same_outputs(engine_outputs(cfg, 3), want)
 
 
@@ -629,8 +639,9 @@ def test_streamed_drift_matches_two_pass(monkeypatch, case):
     # groups of 16, chunks of 32 lanes: group statistics merge across chunks
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 16)
     streamed = []
-    for block in (1, 7, cfg.horizon):
+    for block, draw in block_draw_pairs(cfg.horizon):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
         stats, diverged = hz.envelope_moments(cfg)
         assert diverged == 0
         streamed.append((stats.drift_report(D), stats.halving_report()))
@@ -873,12 +884,13 @@ def test_engine_peak_is_a_small_multiple_of_the_gains():
     from zoomctl.harness import envelope_moments
 
     # one 1024-lane chunk over 2000 steps, a third of them in zoom-out: its
-    # gains take 16 MB, its time blocks and envelope folds a little more
+    # gains take 16 MB; its 50-step blocks, 250-step disturbance draws and
+    # envelope folds take less than half that again
     cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1024", "horizon=2000"])
     gains = cfg.trials * cfg.horizon * 8
     for run in (lambda: run_experiment(cfg), lambda: envelope_moments(cfg)):
         peak, _ = traced_peak(run)
-        assert peak <= 3.0 * gains
+        assert peak <= 1.6 * gains
 
 
 def test_one_chunk_recording_holds_one_copy_of_its_records():

@@ -211,6 +211,10 @@ CONTAINMENT_PINS = [
     ("emergency_rich.cfg", ["A.stddev=0.99", "P=64", "horizon=3000"],
      "0 violations over 16800 normal steps (16800 unfloored, 0 floored at M0; 100 trials)",
      "886715e4051e827f4fe215df3053af3f85ad0d352db2c829c7487af6d78efe30"),
+    # P/L >= 2 leaves step 0 unfloored, with X_0 = 0 exactly at M - 2I
+    ("emergency_rich.cfg", ["L=1", "P=4", "horizon=200"],
+     "0 violations over 19993 normal steps (19993 unfloored, 0 floored at M0; 100 trials)",
+     "28b4f41a7f3ee6d8cc87272db6e09c6d3566551fd4d18702b041a21658272a85"),
 ]
 # what tracker_equality's PASS line says it replayed where a recorded trial
 # diverged; else it is 100 trials x the horizon
@@ -231,3 +235,22 @@ def test_containment_floor_counts_are_pinned(name, overrides, detail, digest):
     examined = TRACKER_DIVERGED.get(tuple(overrides), f"100 trials x {cfg.horizon} steps")
     tracker = verify.check_tracker_equality(cfg, recorded=recorded)
     assert tracker.passed and tracker.detail == f"{examined} replayed from their symbols, trackers bit-identical"
+
+
+def test_containment_admits_a_state_exactly_at_its_live_range():
+    from dataclasses import replace
+
+    from zoomctl.distributions import DistributionSpec
+
+    # L = 1, P = 4, M0 = 1/8: X_0 = 0 falls in the cell [0, 1/2], so U_0 = 1/4
+    # (mu_A = 1, mu_W = 0), and W_0 = 2.25 puts X_1 = 2 exactly on the live
+    # range P*M_0, the top of its cell, where rho*X_1 = M_1
+    cfg = replace(load_config(EMERGENCY_CFG, ["L=1", "P=4", "M0=0.125", "horizon=20"]),
+                  w_spec=DistributionSpec.two_point(2.25, 0.5, -2.25))
+    recorded = verify.record_exact(cfg)
+    rec = recorded[0]
+    at_top = rec["normal"] & (rec["rho"] * rec["X"][:, :cfg.horizon] == rec["M"])
+    assert np.count_nonzero(at_top[:, 1]) == np.count_nonzero(at_top) == 54
+    result = verify.check_containment(cfg, recorded)
+    assert result.passed
+    assert result.detail == "0 violations over 1953 normal steps (1953 unfloored, 0 floored at M0; 100 trials)"
