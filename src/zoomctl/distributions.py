@@ -118,8 +118,9 @@ def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np
     Consecutive calls on one generator continue a single stream: draws of
     sizes n1, n2, ... equal one draw of n1 + n2 + ... .  A trial's noise is
     all its gains, then all its disturbances (the engine draws both through
-    ``sample_rows``, the disturbances one time block at a time), so the bit
-    stream consumed per trial is a documented function of (spec, seed, horizon).
+    ``sample_rows``, a batch of steps at a time, the quantizer policies'
+    gains from a second generator), so the bit stream consumed per trial is
+    a documented function of (spec, seed, horizon).
     """
     p = spec.params
     if spec.kind == "gaussian":
@@ -195,22 +196,27 @@ def _uniform_abs_moment(lo: float, hi: float, alpha: float, shift: float) -> flo
 
 
 def _quad_abs_moment(spec: DistributionSpec, alpha: float, shift: float) -> float:
-    # Tanh-sinh in theta = atan(z/c), z = (x - loc)/scale the standardized variable;
-    # c = sqrt(dof) makes the student_t density times dz cos(theta)^(dof-1) dtheta,
-    # and c = 1 for gaussian.  Terms are formed in logs of each node's distances to
-    # its piece's ends, so a narrow law far from 0 and the student_t's singularity
-    # at theta = +-pi/2 come out exact to rounding.
+    # Tanh-sinh in theta = atan(z), z = (x - loc)/scale the standardized variable:
+    # the density times dz is cos(theta)^-2 times exp(-z^2/2) for gaussian, times
+    # (1 + z^2/dof)^(-(dof+1)/2) = cos^(dof+1) (cos^2 + sin^2/dof)^(-(dof+1)/2) for
+    # student_t, with no spike at large dof.  Terms are formed in logs of each node's
+    # distances to its piece's ends, so a narrow law far from 0 and the student_t's
+    # singularity at theta = +-pi/2 come out exact to rounding.
     if spec.kind == "gaussian":
         loc, scale = spec.params
-        c, power, beta, log_norm = 1.0, -2.0 - alpha, 1.0, -0.5 * math.log(2.0 * math.pi)
+        beta, log_norm = 1.0, -0.5 * math.log(2.0 * math.pi)
     else:
         dof, scale, loc = spec.params
-        c, power, beta = math.sqrt(dof), dof - 1.0 - alpha, min(1.0, dof - alpha)
-        log_norm = math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0) - 0.5 * math.log(math.pi)
-    # the kink of |x| at theta0 = atan(-loc / (c*scale)) splits (-pi/2, pi/2) into
+        beta, x = min(1.0, dof - alpha), dof / 2.0
+        # log of the density at 0: lgamma(x + 1/2) - lgamma(x) - log(2 pi x)/2, the
+        # difference taken by its series in 1/x where lgamma's would cancel
+        log_ratio = math.lgamma(x + 0.5) - math.lgamma(x) - 0.5 * math.log(x) if x < 100.0 else (
+            (1.0 / (192.0 * x * x) - 0.125) / x)
+        log_norm = log_ratio - 0.5 * math.log(2.0 * math.pi)
+    # the kink of |x| at theta0 = atan(-loc / scale) splits (-pi/2, pi/2) into
     # two pieces, one row each; |x| = hyp * |sin(theta - theta0)| / cos(theta)
-    w = np.array([[max(math.atan2(c * scale, sign * loc), math.ulp(0.0))] for sign in (-1.0, 1.0)])
-    log_hyp = math.log(math.hypot(c * scale, loc))
+    w = np.array([[max(math.atan2(scale, sign * loc), math.ulp(0.0))] for sign in (-1.0, 1.0)])
+    log_hyp = math.log(math.hypot(scale, loc))
     log_shift = math.log(shift) if shift > 0 else -math.inf
     log_ref = np.logaddexp(log_hyp, log_shift)  # sums are relative to (hyp + shift)^alpha
     t_max = math.asinh(40.0 / (math.pi * beta))  # terms fall like d^beta, d ~ exp(-pi sinh t)
@@ -226,11 +232,20 @@ def _quad_abs_moment(spec: DistributionSpec, alpha: float, shift: float) -> floa
         cos_rel, m = log_sine_over(log_dp, w[::-1] + np.exp(log_dk))  # log(cos(theta) / dp)
         sin_rel, _ = log_sine_over(log_dk, w[::-1] + np.exp(log_dp))  # log(|sin(theta - theta0)| / dk)
         log_xc = np.logaddexp(log_hyp + log_dk + sin_rel, log_shift + log_dp + cos_rel)
+        if spec.kind == "gaussian":  # exp(-z^2/2), z = tan(theta)
+            power, log_law = -2.0 - alpha, -0.5 / np.tan(m) ** 2
+        else:  # u = log(z^2 / dof), from |sin(theta)| = cos(dp)
+            log_sin = np.log(np.abs(np.cos(np.exp(log_dp))))
+            u = 2.0 * (log_sin - log_dp - cos_rel) - math.log(dof)
+            # where z^2 > dof, cos^(dof+1) joins cos's power, so its exponent
+            # near the pole is dof - 1 - alpha whole; log1p(z^2/dof) elsewhere
+            tail = u > 0.0
+            power = np.where(tail, dof - 1.0 - alpha, -2.0 - alpha)
+            log_law = -(dof + 1.0) / 2.0 * np.where(
+                tail, 2.0 * log_sin - math.log(dof) + np.logaddexp(0.0, -u), np.logaddexp(0.0, u))
         # cos^power dp, formed as dp^(power+1) (cos/dp)^power: nothing cancels at the pole
         log_term = (alpha * (log_xc - log_ref) + (power + 1.0) * log_dp + power * cos_rel + log_dk
-                    + np.log(math.pi * h * np.cosh(t)) - np.log(w) + log_norm)
-        if spec.kind == "gaussian":  # exp(-z^2/2), z = tan(theta)
-            log_term -= 0.5 / np.tan(m) ** 2
+                    + np.log(math.pi * h * np.cosh(t)) - np.log(w) + log_norm + log_law)
         return np.exp(log_term).sum()
 
     # halve the step until two sums agree; a sum of 0 or nan never does

@@ -28,20 +28,26 @@ The adaptive step carries the encoder's tracker only; ``verify`` checks the
 controller's by replaying recorded symbol streams.  Diverged lanes are
 parked outside the zoom-out multiply and the tracker update.
 
-Layout: an engine chunk runs two groups side by side, 1024 lanes, and walks
-the horizon in time blocks of BLOCK_STEPS steps.  Each trial's gains are
-drawn whole up front, into one buffer that the chunks of an ensemble
-share; its disturbances are drawn DRAW_STEPS steps at a time (whole
-blocks), into a batch buffer each block reads at its offset.  The per-step
-sums and the N^2 envelope are produced one block at a time, from
-step-major block buffers that each step writes a row of in place (see
-``_run_chunk``), read through transposed views.  A chunk holds about
-lanes x (8 * horizon + 8 * draw + 42 * block) bytes: at 1024 lanes, 2000
-steps, 250-step draws and 50-step blocks, 16 MB of gains, 2 MB of draws
-and 2 MB of block.  A chunk records its leading lanes (a recording: all its
-trials, in one chunk; an ensemble: the kept traces' lanes of each chunk)
-by copying their rows out after each block into lane-major records,
-65 bytes per recorded lane and step.  The N^2 envelope is one ``analysis.EnvelopeMoments`` per trial group: its
+Layout: an engine chunk walks the horizon in time blocks of BLOCK_STEPS
+steps and draws its noise DRAW_STEPS steps at a time (whole blocks), into
+batch buffers each block reads at its offset.  A trial's stream holds its
+horizon's gains, then its disturbances.  Under the quantizer policies
+(STREAMED_KINDS) a chunk runs four groups side by side, 2048 lanes, and
+redraws the gains a batch at a time from a second generator per trial,
+the first having drawn and dropped them to reach the disturbances.  It
+holds about lanes x (16 * draw + 42 * block) bytes whatever the horizon:
+at 2048 lanes, 250-step draws and 50-step blocks, 4 MB of gains, 4 MB of
+disturbances and 4 MB of block.  The oracle policies' chunks run two
+groups, 1024 lanes, and draw the gains whole up front, into one buffer
+that the chunks of an ensemble share: lanes x (8 * horizon + 8 * draw +
+42 * block) bytes, 16 MB of gains at 2000 steps.  The per-step sums and
+the N^2 envelope are produced one block at a time, from step-major block
+buffers that each step writes a row of in place (see ``_run_chunk``),
+read through transposed views.  A chunk records its leading lanes (a
+recording: all its trials, in one chunk; an ensemble: the kept traces'
+lanes of each chunk) by copying their rows out after each block into
+lane-major records, 65 bytes per recorded lane and step.  The N^2
+envelope is one ``analysis.EnvelopeMoments`` per trial group: its
 column sums, 8 * horizon bytes, and for ``verify``'s drift the drift and
 halving statistics, 32 * horizon more.  Each lane's M, I and mode, about
 17 bytes, wait for each column from the first one some lane of its group
@@ -68,9 +74,9 @@ from zoomctl.codec import StrategyParams, cell_tracker, rate
 from zoomctl.distributions import DistributionSpec, moments, sample_rows
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
-CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs two
+CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs four (streamed gains) or two
 BLOCK_STEPS = 50  # steps per time block of the engine
-DRAW_STEPS = 250  # steps per disturbance draw, rounded down to whole blocks (at least one)
+DRAW_STEPS = 250  # steps per noise draw, rounded down to whole blocks (at least one)
 
 POLICY_KINDS = (
     "adaptive_fixed_rate",
@@ -78,6 +84,10 @@ POLICY_KINDS = (
     "perfect_observation",
     "zero_control",
 )
+
+# the quantizer policies, whose chunks redraw their gains a draw batch at a
+# time; the oracles' few calls per step could not pay for the second draw
+STREAMED_KINDS = ("adaptive_fixed_rate", "static_quantizer")
 
 FULL_RECORD_FIELDS = ("X", "M", "I", "normal", "rho", "symbol", "U", "A", "W")
 
@@ -200,20 +210,30 @@ def trial_seed(master_seed: int, index: int) -> list[int]:
 
 
 def _predraw(
-    cfg: ExperimentConfig, indices: Sequence[int], out: np.ndarray | None = None
-) -> tuple[np.ndarray, list[np.random.Generator]]:
-    """Each trial's gains, drawn whole, and its generator.
+    cfg: ExperimentConfig, indices: Sequence[int], out: np.ndarray | None = None, batch: int | None = None,
+) -> tuple[np.ndarray, list[np.random.Generator], list[np.random.Generator] | None]:
+    """Each trial's gains, or a buffer for them, and its generators.
 
-    One ``sample_rows`` call draws the gains in place, into the first
-    len(indices) rows of ``out`` when given, else a new array.  Each
-    generator is left at the start of its trial's disturbance stream, which
-    ``_run_chunk`` then draws one time block at a time.
+    Each trial's stream holds its horizon's gains, then its disturbances;
+    the first generator returned is left at the start of the disturbances.
+    With no ``batch``, one ``sample_rows`` call draws the gains whole, into
+    the first len(indices) rows of ``out`` when given, else a new array,
+    and there is no second generator.  With a ``batch``, the first generator
+    draws the gains into a scratch row, as the whole draw would, and drops
+    them; a second generator, from the same seed, is left at the start of
+    the gains for ``_run_chunk`` to redraw ``batch`` steps at a time into
+    the (len(indices), batch) buffer returned.
     """
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(trial_seed(cfg.master_seed, t))))
-            for t in indices]
-    a = np.empty((len(indices), cfg.horizon)) if out is None else out[:len(indices)]
-    sample_rows(cfg.a_spec, rngs, a)
-    return a, rngs
+    seeds = [np.random.SeedSequence(trial_seed(cfg.master_seed, t)) for t in indices]
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    if batch is None:
+        a = np.empty((len(indices), cfg.horizon)) if out is None else out[:len(indices)]
+        sample_rows(cfg.a_spec, rngs, a)
+        return a, rngs, None
+    scratch = np.empty((1, cfg.horizon))
+    for rng in rngs:
+        sample_rows(cfg.a_spec, [rng], scratch)
+    return np.empty((len(indices), batch)), rngs, [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
 
 @dataclass
@@ -275,14 +295,17 @@ def _run_chunk(
     envelope.  The disturbances are drawn apart, one ``sample_rows`` call
     per DRAW_STEPS steps rounded down to whole blocks (at least one), into a
     (lanes, batch) buffer of 8 bytes per lane and batch step that each block
-    reads at its offset.  Only the gains span the whole horizon.  They are
-    drawn into the first rows of ``gains`` when given (the ensemble's
-    buffer, see ``_run_chunks``), else into an array of the chunk's own.
+    reads at its offset.  Under STREAMED_KINDS, when the horizon is longer
+    than one batch, the gains are redrawn the same way into a buffer of
+    their own, from each trial's second generator (see ``_predraw``), so
+    nothing spans the horizon but the per-step sums and envelope
+    statistics.  Otherwise the gains are drawn whole, into the first rows
+    of ``gains`` when given (an oracle ensemble's buffer, see
+    ``_run_chunks``), else into an array of the chunk's own.
     ``record_fields`` is r, the number of leading lanes whose
     FULL_RECORD_FIELDS are recorded (0: none).  After each block their rows
     are copied out into lane-major records allocated once, X (r, h + 1) and
-    every other field (r, h), with A copied from the gains when they sit in
-    the ensemble's buffer, which the next chunk overwrites.  The envelope is
+    every other field (r, h), A and W from the block's noise.  The envelope is
     one ``analysis.EnvelopeMoments`` per group, with the drift and halving
     statistics when ``drift`` is set, plus the group's M, I and mode from
     the first column where some round is still open.  It covers ensembles
@@ -318,10 +341,11 @@ def _run_chunk(
     L = p.L
     mu_a, _ = moments(cfg.a_spec)
     mu_w, _ = moments(cfg.w_spec)
-    a_draws, rngs = _predraw(cfg, indices, gains)
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
     block = min(BLOCK_STEPS, h)
     draw = max(DRAW_STEPS // block, 1) * block
+    streamed = kind in STREAMED_KINDS and draw < h
+    a_draws, rngs, a_rngs = _predraw(cfg, indices, gains, draw if streamed else None)
     r = record_fields
 
     need_env = envelope and kind == "adaptive_fixed_rate"
@@ -343,7 +367,7 @@ def _run_chunk(
     rho_rec = recs["rho"] = np.ones((block + 1, r), dtype=np.int64)
     sym_rec = recs["symbol"] = np.full((block + 1, r), NO_SYMBOL)
     records = {"X": np.zeros((r, h + 1)), **{f: np.empty((r, h), buf.dtype) for f, buf in recs.items()},
-               "A": a_draws[:r] if gains is None else a_draws[:r].copy(), "W": np.empty((r, h))}
+               "A": np.empty((r, h)), "W": np.empty((r, h))}
     envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
                                            indices[lanes.start]) for lanes in groups] if need_env else []
     pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns
@@ -375,7 +399,10 @@ def _run_chunk(
                 buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
         if not b0 % draw:
+            if streamed:
+                sample_rows(cfg.a_spec, a_rngs, a_draws[:, :min(draw, h - b0)])
             sample_rows(cfg.w_spec, rngs, w_draws[:, :min(draw, h - b0)])
+        a_blk = a_draws[:, b0 % draw:b0 % draw + nb] if streamed else a_draws[:, b0:b0 + nb]
         w_blk = w_draws[:, b0 % draw:b0 % draw + nb]
 
         for i in range(nb):
@@ -449,7 +476,7 @@ def _run_chunk(
                 np.copyto(rec[i + 1], buf[(i + 1) % len(buf), :r])
 
             x_next = xv[i + 1]
-            np.multiply(a_draws[:, n], x, out=x_next)
+            np.multiply(a_blk[:, i], x, out=x_next)
             x_next += w_blk[:, i]
             x_next -= u
             if parked is not None:
@@ -483,6 +510,7 @@ def _run_chunk(
         for f, buf in recs.items():  # the recorded lanes' rows of the block, copied out
             records[f][:, b0:b0 + nb] = buf[1:nb + 1, :r].T
         records["X"][:, b0 + 1:b0 + nb + 1] = xv[1:, :r].T
+        records["A"][:, b0:b0 + nb] = a_blk[:r]
         records["W"][:, b0:b0 + nb] = w_blk[:r]
 
     # the freshly diverged value is recorded too (flagged, excluded from the sums above)
@@ -502,22 +530,24 @@ def _run_chunk(
     )
 
 
-def _chunked(indices: Sequence[int]) -> list[list[int]]:
-    """Trial indices split, in order, into engine chunks of two trial groups."""
-    indices = list(indices)
-    lanes = 2 * CHUNK_TRIALS
-    return [indices[i:i + lanes] for i in range(0, len(indices), lanes)]
+def _chunked(cfg: ExperimentConfig) -> list[range]:
+    """The trials of ``cfg`` split, in order, into engine chunks: four trial
+    groups where the gains stream (STREAMED_KINDS), two where they are drawn whole."""
+    lanes = (4 if cfg.policy.kind in STREAMED_KINDS else 2) * CHUNK_TRIALS
+    return [range(i, min(i + lanes, cfg.trials)) for i in range(0, cfg.trials, lanes)]
 
 
 def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False, keep: int = 0) -> list[_ChunkOut]:
     """Every trial of ``cfg`` in engine chunks run one after another; trials below ``keep`` are recorded.
 
-    The chunks draw their gains into one buffer, allocated once for the
-    ensemble, so a chunk's gains reuse the memory of the one before.
+    The oracle policies' chunks draw their gains whole, into one buffer
+    allocated once for the ensemble, so a chunk's gains reuse the memory of
+    the one before; the quantizer policies' chunks draw theirs a batch at a time.
     """
-    gains = np.empty((min(2 * CHUNK_TRIALS, cfg.trials), cfg.horizon))
+    chunks = _chunked(cfg)
+    gains = None if cfg.policy.kind in STREAMED_KINDS else np.empty((len(chunks[0]), cfg.horizon))
     return [_run_chunk(cfg, idx, min(max(keep - idx[0], 0), len(idx)), envelope, drift=drift, gains=gains)
-            for idx in _chunked(range(cfg.trials))]
+            for idx in chunks]
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
@@ -623,7 +653,7 @@ def run_experiment(
         stability_verdict(stats) if h >= 1000 else "inconclusive"
     )
 
-    traces = [tr for out, idx in zip(outs, _chunked(range(cfg.trials))) for tr in _chunk_traces(cfg, out, idx)]
+    traces = [tr for out, idx in zip(outs, _chunked(cfg)) for tr in _chunk_traces(cfg, out, idx)]
     return stats, traces
 
 

@@ -52,7 +52,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 FEASIBILITY_STDOUT = {
     "emergency_rich.cfg": (2, "ab77eae0b40a61c05b0da6e64515d523bb346786a4be828c37e9b302af612acd"),
     "reference.cfg": (0, "8b242b1d6df6513e200578652246c9ade812490c314424734fa449c5a77f8490"),
-    "reference_student_t.cfg": (0, "164ac74e6c0be6fa9d133e4ca1a4368a660f53d8757260ac7f9bc1bc2084b5a5"),
+    "reference_student_t.cfg": (0, "fb3a5f02d96a866bbaced6d44a15dfe9f6fad3a32c3ee00c16d11dd3ee3ef8ba"),
     "static_baseline.cfg": (2, "357b412d2e0d82edd5b9c5e8e419599d0a196157efe2f6cc98a10a8283ba7276"),
 }
 

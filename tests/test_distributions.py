@@ -231,11 +231,19 @@ def test_abs_moment_centered_student_t_near_its_last_moment(alpha, gap, rel, sca
     assert abs_moment(DistributionSpec.student_t(dof, scale), alpha) == pytest.approx(want, rel=rel)
 
 
+@pytest.mark.parametrize("dof", [5e5, 1e6, 1e15])
+def test_abs_moment_student_t_at_large_dof(dof):
+    # far from 0 and nearly gaussian: in theta = atan(z) the density has no
+    # spike for the rule's steps to miss, and its normalizer does not cancel
+    spec = DistributionSpec.student_t(dof, 1.0, 1000.0)
+    assert abs_moment(spec, 2.0) == pytest.approx(1000.0**2 + dof / (dof - 2.0), rel=1e-12)
+
+
 def test_abs_moment_raises_rather_than_return_unconverged_sums():
-    # cos(theta)^(dof-1) is a spike of width 1e-3 here, far from the kink:
-    # every step misses it, so the sums are 0 and must not be taken for converged
+    # E|Z|^2000 is about 1e2870, past float range: every sum overflows, and
+    # sums that are inf (or nan, or 0) never agree, so none is returned
     with pytest.raises(MomentError, match="did not agree"):
-        abs_moment(DistributionSpec.student_t(1e6, 1.0, 1000.0), 2.0)
+        abs_moment(DistributionSpec.gaussian(0.0, 1.0), 2000.0)
 
 
 def test_abs_moment_rejects_bad_args():

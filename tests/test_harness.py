@@ -178,8 +178,9 @@ def test_trace_retention_does_not_change_stats():
 def test_kept_traces_are_recorded_in_the_ensemble_pass(monkeypatch):
     import zoomctl.harness as hz
 
-    # 30 trials in 14-lane chunks, the first 20 kept: each chunk runs once,
-    # recording its lanes below 20
+    # an oracle's 30 trials in 14-lane chunks (two 7-trial groups), the first
+    # 20 kept, and a quantizer's 58 in 28-lane chunks (four groups), the first
+    # 48 kept: each chunk runs once, recording its kept lanes
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 7)
     calls = []
     run_chunk = hz._run_chunk
@@ -189,10 +190,13 @@ def test_kept_traces_are_recorded_in_the_ensemble_pass(monkeypatch):
         return run_chunk(cfg, indices, record_fields, envelope, **kwargs)
 
     monkeypatch.setattr(hz, "_run_chunk", counting)
-    cfg = make_cfg(trials=30, horizon=50)
-    _, traces = run_experiment(cfg, keep_traces=20)
-    assert calls == [(14, 14), (14, 6), (2, 0)]
-    assert [t.seed for t in traces] == [trial_seed(cfg.master_seed, t) for t in range(20)]
+    for policy, trials, kept, want in ((Policy.perfect(), 30, 20, [(14, 14), (14, 6), (2, 0)]),
+                                       (Policy.adaptive(), 58, 48, [(28, 28), (28, 20), (2, 0)])):
+        calls.clear()
+        cfg = make_cfg(trials=trials, horizon=50, policy=policy)
+        _, traces = run_experiment(cfg, keep_traces=kept)
+        assert calls == want
+        assert [t.seed for t in traces] == [trial_seed(cfg.master_seed, t) for t in range(kept)]
 
 
 # rare huge gains: trials diverge at scattered steps, some never
@@ -395,9 +399,10 @@ def assert_same_outputs(got, want):
 def test_results_independent_of_time_blocks_and_threads(monkeypatch, case):
     import zoomctl.harness as hz
 
-    # groups of 9 trials, chunks of 18: 30 trials fill 18 + 12 lanes
+    # groups of 9 trials: 50 trials fill chunks of 36 + 14 lanes under a
+    # quantizer policy, of 18 + 18 + 14 under an oracle
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 9)
-    cfg = block_case_cfg(case)
+    cfg = block_case_cfg(case, trials=50)
     want = engine_outputs(cfg, cfg.trials)  # one block: the horizon
     _, _, rec, div = want
     if case == "diverging":
@@ -420,8 +425,8 @@ def test_results_independent_of_time_blocks_and_threads(monkeypatch, case):
 def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
     import zoomctl.harness as hz
 
-    # 1030 trials: one chunk of two 512-trial groups, then 6 lanes
-    cfg = make_cfg(trials=1030, horizon=30, a_spec=BURSTY_A)
+    # 2054 trials: one chunk of four 512-trial groups, then 6 lanes
+    cfg = make_cfg(trials=2054, horizon=30, a_spec=BURSTY_A)
     want = engine_outputs(cfg, 3)
     assert want[0].diverged_count > 0
     # one-step blocks in batches of 7; 7-step blocks in batches of 14 and a last of 2
@@ -429,6 +434,43 @@ def test_full_width_chunks_independent_of_time_blocks(monkeypatch):
         monkeypatch.setattr(hz, "BLOCK_STEPS", block)
         monkeypatch.setattr(hz, "DRAW_STEPS", draw)
         assert_same_outputs(engine_outputs(cfg, 3), want)
+
+
+# every gain law, and rare huge gains under which most trials diverge
+STREAM_LAWS = {
+    "gaussian": A_REF,
+    "uniform": DistributionSpec.uniform(0.2, 1.8),
+    "two_point": DistributionSpec.two_point(0.5, 0.5, 1.4),
+    "student_t": DistributionSpec.student_t(5.0, 0.3872983346207417, 1.0),
+    "diverging": JUMPY_A,
+}
+
+
+@pytest.mark.parametrize("law", STREAM_LAWS)
+@pytest.mark.parametrize("policy", [Policy.adaptive(), Policy.static()], ids=["adaptive", "static"])
+def test_streamed_gains_are_the_whole_draw(monkeypatch, policy, law):
+    import zoomctl.harness as hz
+
+    # a quantizer chunk redraws its gains a batch at a time from a second
+    # generator, its first one having drawn and dropped them; over 263 steps
+    # that is 50-step blocks in a 250-step batch and one of 13, and 1-step
+    # blocks in 1-step batches and in 7-step ones with a last of 4.  A batch
+    # over the horizon draws the gains whole, from one generator
+    cfg = make_cfg(a_spec=STREAM_LAWS[law], policy=policy, trials=8, horizon=263, master_seed=5)
+    runs = [engine_outputs(cfg, 5)]
+    monkeypatch.setattr(hz, "BLOCK_STEPS", 1)
+    for draw in (1, 7, cfg.horizon):
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
+        runs.append(engine_outputs(cfg, 5))
+    for got in runs[:-1]:
+        assert_same_outputs(got, runs[-1])
+    if law == "diverging":
+        assert 0 < runs[-1][0].diverged_count < cfg.trials
+    if policy.kind == "adaptive_fixed_rate":
+        for _, traces, _, _ in runs:
+            for t, trace in enumerate(traces):
+                assert_same_trace(trace, run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
+                                                   trial_seed(cfg.master_seed, t)))
 
 
 # sha256 of diverged_at and of each lane's records up to its extent (X through
@@ -879,18 +921,35 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def test_streamed_chunk_peak_is_flat_in_the_horizon():
+    import zoomctl.harness as hz
+    from zoomctl.config import load_config
+
+    # one unrecorded 1024-lane chunk per quantizer policy, at 1000 and 4000
+    # steps: an adaptive one with drift statistics, a third of its steps in
+    # zoom-out, and a static one.  Their noise is drawn a batch at a time, so
+    # only the per-step sums and envelope statistics, tens of bytes per step
+    # and group, grow with the horizon: nothing holds 8 bytes per lane and step
+    for name in ("emergency_rich", "static_baseline"):
+        peaks = []
+        for horizon in (1000, 4000):
+            cfg = load_config(CONFIGS / f"{name}.cfg", ["trials=1024", f"horizon={horizon}"])
+            peak, out = traced_peak(lambda: hz._run_chunk(cfg, range(cfg.trials), 0, True, drift=True))
+            assert len(out.sum_xsq) == 2
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 3000 * 100 * 2, name
+
+
 def test_engine_peak_is_a_small_multiple_of_the_gains():
     from zoomctl.config import load_config
-    from zoomctl.harness import envelope_moments
 
-    # one 1024-lane chunk over 2000 steps, a third of them in zoom-out: its
-    # gains take 16 MB; its 50-step blocks, 250-step disturbance draws and
-    # envelope folds take less than half that again
-    cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1024", "horizon=2000"])
+    # an oracle's chunk draws its gains whole: 16 MB at 1024 lanes and 2000
+    # steps, beside which its blocks and disturbance draws are small
+    cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1024", "horizon=2000",
+                                                        "policy=perfect_observation"])
     gains = cfg.trials * cfg.horizon * 8
-    for run in (lambda: run_experiment(cfg), lambda: envelope_moments(cfg)):
-        peak, _ = traced_peak(run)
-        assert peak <= 1.6 * gains
+    peak, _ = traced_peak(lambda: run_experiment(cfg))
+    assert gains <= peak <= 1.6 * gains
 
 
 def test_one_chunk_recording_holds_one_copy_of_its_records():
@@ -907,23 +966,23 @@ def test_one_chunk_recording_holds_one_copy_of_its_records():
 def test_narrow_last_chunk_reuses_the_gains_buffer(monkeypatch):
     import zoomctl.harness as hz
 
-    # 1030 trials: a chunk of two 512-trial groups, then one of 6 lanes,
-    # whose gains take the first rows of the ensemble's buffer
-    cfg = make_cfg(trials=1030, horizon=600)
+    # an oracle's chunks draw their gains whole: at 1030 trials a chunk of
+    # two 512-trial groups, then one of 6 lanes, whose gains take the first
+    # rows of the ensemble's buffer
+    cfg = make_cfg(trials=1030, horizon=600, policy=Policy.perfect())
     drawn = []
     predraw = hz._predraw
 
-    def spy(cfg, indices, out=None):
-        a, rngs = predraw(cfg, indices, out)
+    def spy(cfg, indices, out=None, batch=None):
+        a, rngs, a_rngs = predraw(cfg, indices, out, batch)
         drawn.append(a)
-        return a, rngs
+        return a, rngs, a_rngs
 
     monkeypatch.setattr(hz, "_predraw", spy)
     outs = hz._run_chunks(cfg, False)
-    assert [len(a) for a in drawn] == [1024, 6]
+    assert [a.shape for a in drawn] == [(1024, 600), (6, 600)]
     assert np.shares_memory(drawn[0], drawn[1])
-    traces = [run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, t))
-              for t in range(1024, 1030)]
+    traces = [extract_trace(cfg, t) for t in range(1024, 1030)]
     assert not any(tr.diverged for tr in traces)
     # the last group's per-step sums are those of its trials' X^2, in trial order
     want = functools.reduce(np.add, (tr.X * tr.X for tr in traces))
