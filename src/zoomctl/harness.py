@@ -31,22 +31,19 @@ parked outside the zoom-out multiply and the tracker update.
 Layout: an engine chunk walks the horizon in time blocks of BLOCK_STEPS
 steps and draws its noise DRAW_STEPS steps at a time (whole blocks), into
 batch buffers each block reads at its offset.  A trial's stream holds its
-horizon's gains, then its disturbances.  Under the quantizer policies
-(STREAMED_KINDS) a chunk runs four groups side by side, 2048 lanes, and
-redraws the gains a batch at a time from a second generator per trial,
-the first having drawn and dropped them to reach the disturbances.  It
-holds about lanes x (16 * draw + 42 * block) bytes whatever the horizon:
-at 2048 lanes, 250-step draws and 50-step blocks, 4 MB of gains, 4 MB of
-disturbances and 4 MB of block.  The oracle policies' chunks run two
-groups, 1024 lanes, and draw the gains whole up front, into one buffer
-that the chunks of an ensemble share: lanes x (8 * horizon + 8 * draw +
-42 * block) bytes, 16 MB of gains at 2000 steps.  The per-step sums and
-the N^2 envelope are produced one block at a time, from step-major block
-buffers that each step writes a row of in place (see ``_run_chunk``),
-read through transposed views.  A chunk records its leading lanes (a
-recording: all its trials, in one chunk; an ensemble: the kept traces'
-lanes of each chunk) by copying their rows out after each block into
-lane-major records, 65 bytes per recorded lane and step.  The N^2
+horizon's gains, then its disturbances.  Under every policy a chunk runs
+four groups side by side, 2048 lanes, and draws the gains a batch at a
+time from a second generator per trial, the first having dropped them to
+reach the disturbances.  It holds about lanes x (16 * draw + 42 * block)
+bytes whatever the horizon: at 2048 lanes, 250-step draws and 50-step
+blocks, 4 MB of gains, 4 MB of disturbances and 4 MB of block.  The
+per-step sums and the N^2 envelope are produced one block at a time, from
+step-major block buffers that each step writes a row of in place (see
+``_run_chunk``), read through transposed views.  After each block a chunk
+hands its leading lanes' rows to a consumer (a recording: all its trials,
+in one chunk; an ensemble: the kept traces' lanes of each chunk), by
+default copied into lane-major records, 65 bytes per lane and step; the
+exact checks of ``verify`` audit and tally them as they come.  The N^2
 envelope is one ``analysis.EnvelopeMoments`` per trial group: its
 column sums, 8 * horizon bytes, and for ``verify``'s drift the drift and
 halving statistics, 32 * horizon more.  Each lane's M, I and mode, about
@@ -65,16 +62,16 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from zoomctl import analysis
 from zoomctl.codec import StrategyParams, cell_tracker, rate
-from zoomctl.distributions import DistributionSpec, moments, sample_rows
+from zoomctl.distributions import DistributionSpec, drop_draws, moments, sample_rows
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
-CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs four (streamed gains) or two
+CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs four
 BLOCK_STEPS = 50  # steps per time block of the engine
 DRAW_STEPS = 250  # steps per noise draw, rounded down to whole blocks (at least one)
 
@@ -84,10 +81,6 @@ POLICY_KINDS = (
     "perfect_observation",
     "zero_control",
 )
-
-# the quantizer policies, whose chunks redraw their gains a draw batch at a
-# time; the oracles' few calls per step could not pay for the second draw
-STREAMED_KINDS = ("adaptive_fixed_rate", "static_quantizer")
 
 FULL_RECORD_FIELDS = ("X", "M", "I", "normal", "rho", "symbol", "U", "A", "W")
 
@@ -209,30 +202,24 @@ def trial_seed(master_seed: int, index: int) -> list[int]:
     return [master_seed, index]
 
 
-def _predraw(
-    cfg: ExperimentConfig, indices: Sequence[int], out: np.ndarray | None = None, batch: int | None = None,
-) -> tuple[np.ndarray, list[np.random.Generator], list[np.random.Generator] | None]:
-    """Each trial's gains, or a buffer for them, and its generators.
+def _predraw(cfg: ExperimentConfig, indices: Sequence[int],
+             batch: int) -> tuple[np.ndarray, list[np.random.Generator], list[np.random.Generator]]:
+    """A (len(indices), batch) buffer for the trials' gains, and their generators.
 
-    Each trial's stream holds its horizon's gains, then its disturbances;
-    the first generator returned is left at the start of the disturbances.
-    With no ``batch``, one ``sample_rows`` call draws the gains whole, into
-    the first len(indices) rows of ``out`` when given, else a new array,
-    and there is no second generator.  With a ``batch``, the first generator
-    draws the gains into a scratch row, as the whole draw would, and drops
-    them; a second generator, from the same seed, is left at the start of
-    the gains for ``_run_chunk`` to redraw ``batch`` steps at a time into
-    the (len(indices), batch) buffer returned.
+    Each trial's stream holds its horizon's gains, then its disturbances.
+    The first generator returned is left at the start of the disturbances
+    and the second at the start of the gains, for ``_run_chunk`` to draw
+    them ``batch`` steps at a time: the first drops the gains
+    (``distributions.drop_draws``) and the second is new, from the same
+    seed.  When one batch covers the horizon, the two are one generator.
     """
     seeds = [np.random.SeedSequence(trial_seed(cfg.master_seed, t)) for t in indices]
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-    if batch is None:
-        a = np.empty((len(indices), cfg.horizon)) if out is None else out[:len(indices)]
-        sample_rows(cfg.a_spec, rngs, a)
-        return a, rngs, None
-    scratch = np.empty((1, cfg.horizon))
+    if batch >= cfg.horizon:
+        return np.empty((len(indices), cfg.horizon)), rngs, rngs
+    scratch = np.empty(cfg.horizon)
     for rng in rngs:
-        sample_rows(cfg.a_spec, [rng], scratch)
+        drop_draws(cfg.a_spec, rng, scratch)
     return np.empty((len(indices), batch)), rngs, [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
 
@@ -247,7 +234,7 @@ class _ChunkOut:
     emergency_steps: int
     diverged: int
     diverged_at: np.ndarray
-    records: dict[str, np.ndarray]  # the first r lanes' FULL_RECORD_FIELDS
+    records: dict[str, np.ndarray]  # the first r lanes' FULL_RECORD_FIELDS; empty under a caller's consumer
     envelopes: list[analysis.EnvelopeMoments] | None  # per group; None once a lane diverged
 
 
@@ -275,6 +262,17 @@ def _chunk_envelope(
     return tuple(c[:, done:].copy() for c in cols) if done < cols[0].shape[1] else None
 
 
+def recorder(lanes: dict[str, int], horizon: int, records: dict[str, np.ndarray]) -> Callable:
+    """A consumer of ``_run_chunk``'s block rows that copies the first ``lanes[f]`` lanes of each field f
+    into ``records[f]``, lane-major and horizon-long (X has one more column), allocated at the first block."""
+    def consume(b0: int, rows: dict[str, np.ndarray], diverged_at: np.ndarray) -> None:
+        for f, n in lanes.items():
+            if f not in records:
+                records[f] = np.empty((min(n, len(rows[f])), horizon + (f == "X")), rows[f].dtype)
+            records[f][:, b0:b0 + rows[f].shape[1]] = rows[f][:n]
+    return consume
+
+
 def _run_chunk(
     cfg: ExperimentConfig,
     indices: Sequence[int],
@@ -282,7 +280,7 @@ def _run_chunk(
     envelope: bool,
     *,
     drift: bool = False,
-    gains: np.ndarray | None = None,
+    consume: Callable[[int, dict[str, np.ndarray], np.ndarray], None] | None = None,
 ) -> _ChunkOut:
     """Run trials ``indices`` in lockstep, one lane each, under any policy.
 
@@ -292,20 +290,18 @@ def _run_chunk(
     a time, so a block sizes the step-major X rows, the envelope's M, I and
     mode rows, the sums' temporary, the recorded lanes' block rows and the
     envelope's fold window, about 42 bytes per lane and block step with the
-    envelope.  The disturbances are drawn apart, one ``sample_rows`` call
-    per DRAW_STEPS steps rounded down to whole blocks (at least one), into a
-    (lanes, batch) buffer of 8 bytes per lane and batch step that each block
-    reads at its offset.  Under STREAMED_KINDS, when the horizon is longer
-    than one batch, the gains are redrawn the same way into a buffer of
-    their own, from each trial's second generator (see ``_predraw``), so
-    nothing spans the horizon but the per-step sums and envelope
-    statistics.  Otherwise the gains are drawn whole, into the first rows
-    of ``gains`` when given (an oracle ensemble's buffer, see
-    ``_run_chunks``), else into an array of the chunk's own.
-    ``record_fields`` is r, the number of leading lanes whose
-    FULL_RECORD_FIELDS are recorded (0: none).  After each block their rows
-    are copied out into lane-major records allocated once, X (r, h + 1) and
-    every other field (r, h), A and W from the block's noise.  The envelope is
+    envelope.  The noise is drawn apart, one ``sample_rows`` call for the
+    gains and one for the disturbances per DRAW_STEPS steps rounded down to
+    whole blocks (at least one), each into a (lanes, batch) buffer of 8
+    bytes per lane and batch step that each block reads at its offset (see
+    ``_predraw``), so nothing spans the horizon but the per-step sums and
+    envelope statistics.  ``record_fields`` is r, the number of leading
+    lanes whose FULL_RECORD_FIELDS are recorded (0: none).  After each block
+    ``consume(b0, rows, diverged_at)`` gets their lane-major rows: X
+    (r, nb + 1) from X_b0, a lane's diverged value at its divergence step,
+    every other field (r, nb), and each lane's divergence step so far.  By
+    default (``recorder``) they are copied into records allocated once,
+    X (r, h + 1) and every other field (r, h).  The envelope is
     one ``analysis.EnvelopeMoments`` per group, with the drift and halving
     statistics when ``drift`` is set, plus the group's M, I and mode from
     the first column where some round is still open.  It covers ensembles
@@ -344,8 +340,7 @@ def _run_chunk(
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
     block = min(BLOCK_STEPS, h)
     draw = max(DRAW_STEPS // block, 1) * block
-    streamed = kind in STREAMED_KINDS and draw < h
-    a_draws, rngs, a_rngs = _predraw(cfg, indices, gains, draw if streamed else None)
+    a_draws, rngs, a_rngs = _predraw(cfg, indices, min(draw, h))
     r = record_fields
 
     need_env = envelope and kind == "adaptive_fixed_rate"
@@ -366,8 +361,8 @@ def _run_chunk(
     copied = [(rows[f], recs[f]) for f in rows if f not in blocked] if r else []
     rho_rec = recs["rho"] = np.ones((block + 1, r), dtype=np.int64)
     sym_rec = recs["symbol"] = np.full((block + 1, r), NO_SYMBOL)
-    records = {"X": np.zeros((r, h + 1)), **{f: np.empty((r, h), buf.dtype) for f, buf in recs.items()},
-               "A": np.empty((r, h)), "W": np.empty((r, h))}
+    records = {}
+    consume = consume or recorder(dict.fromkeys(FULL_RECORD_FIELDS, r), h, records)
     envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
                                            indices[lanes.start]) for lanes in groups] if need_env else []
     pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns
@@ -399,10 +394,9 @@ def _run_chunk(
                 buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
         if not b0 % draw:
-            if streamed:
-                sample_rows(cfg.a_spec, a_rngs, a_draws[:, :min(draw, h - b0)])
+            sample_rows(cfg.a_spec, a_rngs, a_draws[:, :min(draw, h - b0)])  # first: a_rngs may be rngs
             sample_rows(cfg.w_spec, rngs, w_draws[:, :min(draw, h - b0)])
-        a_blk = a_draws[:, b0 % draw:b0 % draw + nb] if streamed else a_draws[:, b0:b0 + nb]
+        a_blk = a_draws[:, b0 % draw:b0 % draw + nb]
         w_blk = w_draws[:, b0 % draw:b0 % draw + nb]
 
         for i in range(nb):
@@ -507,15 +501,12 @@ def _run_chunk(
         for g, (lanes, acc) in enumerate(zip(groups, envs)):
             cols = (buf[1:nb + 1, lanes].T for buf in (m_rows, i_rows, mode_rows))
             pending[g] = _chunk_envelope(acc, pending[g], *cols, p.K)
-        for f, buf in recs.items():  # the recorded lanes' rows of the block, copied out
-            records[f][:, b0:b0 + nb] = buf[1:nb + 1, :r].T
-        records["X"][:, b0 + 1:b0 + nb + 1] = xv[1:, :r].T
-        records["A"][:, b0:b0 + nb] = a_blk[:r]
-        records["W"][:, b0:b0 + nb] = w_blk[:r]
-
-    # the freshly diverged value is recorded too (flagged, excluded from the sums above)
-    dead = np.flatnonzero(diverged_at[:r] >= 0)
-    records["X"][dead, diverged_at[dead]] = x_diverged[dead]
+        # the recorded lanes' rows of the block, with a lane's diverged value at its divergence step
+        x_rec = xv[:, :r].T.copy()
+        dead = np.flatnonzero((diverged_at[:r] >= b0) & (diverged_at[:r] <= b0 + nb))
+        x_rec[dead, diverged_at[dead] - b0] = x_diverged[dead]
+        consume(b0, {"X": x_rec, **{f: buf[1:nb + 1, :r].T for f, buf in recs.items()},
+                     "A": a_blk[:r], "W": w_blk[:r]}, diverged_at[:r])
 
     return _ChunkOut(
         sum_xsq=sum_xsq,
@@ -531,23 +522,15 @@ def _run_chunk(
 
 
 def _chunked(cfg: ExperimentConfig) -> list[range]:
-    """The trials of ``cfg`` split, in order, into engine chunks: four trial
-    groups where the gains stream (STREAMED_KINDS), two where they are drawn whole."""
-    lanes = (4 if cfg.policy.kind in STREAMED_KINDS else 2) * CHUNK_TRIALS
+    """The trials of ``cfg`` split, in order, into engine chunks of four trial groups."""
+    lanes = 4 * CHUNK_TRIALS
     return [range(i, min(i + lanes, cfg.trials)) for i in range(0, cfg.trials, lanes)]
 
 
 def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False, keep: int = 0) -> list[_ChunkOut]:
-    """Every trial of ``cfg`` in engine chunks run one after another; trials below ``keep`` are recorded.
-
-    The oracle policies' chunks draw their gains whole, into one buffer
-    allocated once for the ensemble, so a chunk's gains reuse the memory of
-    the one before; the quantizer policies' chunks draw theirs a batch at a time.
-    """
-    chunks = _chunked(cfg)
-    gains = None if cfg.policy.kind in STREAMED_KINDS else np.empty((len(chunks[0]), cfg.horizon))
-    return [_run_chunk(cfg, idx, min(max(keep - idx[0], 0), len(idx)), envelope, drift=drift, gains=gains)
-            for idx in chunks]
+    """Every trial of ``cfg`` in engine chunks run one after another; trials below ``keep`` are recorded."""
+    return [_run_chunk(cfg, idx, min(max(keep - idx[0], 0), len(idx)), envelope, drift=drift)
+            for idx in _chunked(cfg)]
 
 
 def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
@@ -657,16 +640,17 @@ def run_experiment(
     return stats, traces
 
 
-def run_recorded_bundle(cfg: ExperimentConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def run_recorded_bundle(cfg: ExperimentConfig, consume: Callable | None = None) -> tuple[dict, np.ndarray]:
     """Record every trial's FULL_RECORD_FIELDS, in one engine chunk whose lanes are all recorded.
 
     Returns the record dict plus each trial's divergence step (-1 where the
     trial ran to the horizon).  The records are lane-major, copied out of
-    the chunk's time blocks, with its own gains as A, so memory scales with
-    trials * horizon * 65 bytes; callers cap the horizon accordingly.  A
-    trial's records end at its divergence step (``recorded_lanes``).
+    the chunk's time blocks, so memory scales with trials * horizon * 65
+    bytes.  A trial's records end at its divergence step (``recorded_lanes``).
+    With ``consume``, each block's rows go to it instead (see ``_run_chunk``)
+    and the record dict is empty.
     """
-    out = _run_chunk(cfg, range(cfg.trials), cfg.trials, envelope=False)
+    out = _run_chunk(cfg, range(cfg.trials), cfg.trials, envelope=False, consume=consume)
     return out.records, out.diverged_at
 
 

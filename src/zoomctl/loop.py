@@ -291,7 +291,8 @@ def run_trial(
 
 @dataclass(frozen=True)
 class TraceValidation:
-    """Outcome of a lane audit (``validate_trace_columns``); when ok, ``clamped`` flags the steps a floor at M0 set."""
+    """Outcome of a lane audit (``validate_trace_columns``): the first failure, of ``lane``, or the steps
+    audited; ``clamped`` flags the executed steps a floor at M0 set."""
 
     ok: bool
     first_mismatch: int | None = None
@@ -299,6 +300,7 @@ class TraceValidation:
     detail: str = ""
     steps: int = 0  # audited, when ok
     clamped: np.ndarray | None = dc_field(default=None, compare=False)  # verdicts compare, flags do not
+    lane: int = dc_field(default=0, compare=False)
 
 
 def validate_trace_columns(
@@ -306,13 +308,19 @@ def validate_trace_columns(
     params: StrategyParams,
     mu_A: float,
     mu_W: float,
+    start: int = 0,
+    entering: np.ndarray | None = None,
+    steps: np.ndarray | None = None,
 ) -> TraceValidation:
-    """Audit one lane: replay its controller from the symbols, then check its plant and its encoder.
+    """Audit a block of lanes: replay their controller from the symbols, then check their plant and encoder.
 
-    ``cols`` holds a Trace's nine array fields, as ``read_trace_csv``, a
-    Trace or ``harness.recorded_lanes`` give them: one entry per executed
-    step, and X_0..X_steps (a trace file with no ``end`` row holds one
-    fewer next state).  Three checks, on every step at once:
+    ``cols`` holds a Trace's nine array fields for steps ``start`` on: the
+    (lanes, width) block rows of ``harness._run_chunk``, X (lanes, width + 1)
+    from X_start, or one lane's columns from a Trace or ``read_trace_csv``
+    (a trace file with no ``end`` row holds one fewer next state).
+    ``entering`` is each lane's (M, I, rho) entering step ``start`` (by
+    default the initial tracker), ``steps`` each lane's executed steps in
+    the block (by default all).  Three checks, on every step at once:
 
     * the controller: the tracker is rebuilt from the symbols alone, exactly
       as ``controller_step`` would, through the codec's array forms, each
@@ -324,53 +332,57 @@ def validate_trace_columns(
     * the encoder: symbol n is the cell of X_n in the live range P*M_{n-1}
       (``codec.cell_tracker`` with x), or the zoom-out codeword beyond it.
 
-    The first bad (step, field) fails, fields at one step in the order
-    symbol, normal, M, I, rho, U, plant (a bad X_{n+1} at step n, a bad X_0
-    at step 0), encoder.  A clean audit also flags the steps a floor at M0
-    set (``codec.is_clamped``).
+    The lowest lane with a bad (step, field) fails, at its first one, fields
+    at one step in the order symbol, normal, M, I, rho, U, plant (a bad
+    X_{n+1} at step n, a bad X_0 at step 0), encoder.
     """
+    cols = {f: np.atleast_2d(c) for f, c in cols.items()}
     sym, x = cols["symbol"], cols["X"]
-    steps = len(sym)
+    lanes, width = sym.shape
+    valid = np.arange(width) < (width if steps is None else steps[:, None])
     zoom = sym == params.emergency_symbol
     # values past the first mismatch are never reported, and may overflow
     with np.errstate(all="ignore"):
         got = {f: cols[f].astype({"normal": bool, "rho": np.int64}.get(f, float), copy=False)
                for f in ("normal", "M", "I", "rho", "U")}
         # the tracker entering each step, then M <- P*M, the live range
-        prev = np.empty((3, steps))
-        prev[:, :1] = [[params.M0], [params.M0], [1.0]]
-        prev[:, 1:] = [got["M"][:-1], got["I"][:-1], got["rho"][:-1]]
+        prev = np.empty((3, lanes, width))
+        prev[:, :, 0] = [[params.M0], [params.M0], [1.0]] if entering is None else entering
+        prev[:, :, 1:] = [got["M"][:, :-1], got["I"][:, :-1], got["rho"][:, :-1]]
         prev[0] *= params.P
-        trk, (a, b), flag = np.empty((3, steps)), np.empty((2, steps)), np.empty(steps, dtype=bool)
+        trk, (a, b), flag = np.empty((3, lanes, width)), np.empty((2, lanes, width)), np.empty(sym.shape, bool)
         cell_tracker(None, prev[0], params.L, params.M0, sym - float(params.L), trk, (a, b, flag))
         trk = np.where(zoom, prev, trk)
-        floored = is_clamped(a, b, params.M0) & ~zoom
+        floored = is_clamped(a, b, params.M0) & ~zoom & valid
         u = np.where(zoom, mu_W, trk[2] * mu_A * (trk[0] - trk[1]) + mu_W)
-        x_next = np.append(0.0, plant_step(x[:-1], *(cols[f][:len(x) - 1] for f in ("U", "A", "W"))))
-        xn, k = x[:steps], np.empty(steps)
-        cell_tracker(xn, prev[0], params.L, params.M0, k, np.empty((3, steps)), (a, b, flag))
+        nx = x.shape[1] - 1  # next states held
+        x_next = np.concatenate([np.zeros((lanes, 1)), plant_step(x[:, :-1], *(cols[f][:, :nx] for f in "UAW"))], 1)
+        xn, k = x[:, :width], np.empty(sym.shape)
+        cell_tracker(xn, prev[0], params.L, params.M0, k, np.empty((3, lanes, width)), (a, b, flag))
         enc = np.where(np.abs(xn) <= prev[0], k + params.L, params.emergency_symbol)
     want = {"normal": ~zoom, "M": trk[0], "I": trk[1], "rho": trk[2], "U": u}
     bad = {"symbol": (sym < 0) | (sym > params.emergency_symbol)}
     bad.update((name, want[name] != got[name]) for name in got)
     x_bad = (x_next.view(np.int64) != x.view(np.int64)) & ~(np.isnan(x_next) & np.isnan(x))
-    bad["plant"] = np.zeros(steps, dtype=bool)
-    bad["plant"][:len(x) - 1] = x_bad[1:]
-    bad["plant"][0] |= x_bad[0]
+    x_bad[:, 0] &= start == 0  # X_start is the step before's next state
+    bad["plant"] = np.zeros(sym.shape, dtype=bool)
+    bad["plant"][:, :nx] = x_bad[:, 1:]
+    bad["plant"][:, 0] |= x_bad[:, 0]
     bad["encoder"] = enc != sym
-    found = [(int(np.argmax(mask)), order) for order, mask in enumerate(bad.values()) if mask.any()]
-    if not found:
-        return TraceValidation(True, steps=steps, clamped=floored)
-    i, order = min(found)
-    name = list(bad)[order]
+    masks = np.array(list(bad.values())) & valid
+    if not masks.any():
+        return TraceValidation(True, steps=int(np.count_nonzero(valid)), clamped=floored)
+    j = int(np.argmax(masks.any(axis=(0, 2))))
+    i = int(np.argmax(masks[:, j].any(axis=0)))
+    name = list(bad)[int(np.argmax(masks[:, j, i]))]
     if name == "symbol":
-        detail = f"received symbol {int(sym[i])} outside codebook [0, {params.emergency_symbol}]"
+        detail = f"received symbol {int(sym[j, i])} outside codebook [0, {params.emergency_symbol}]"
     elif name == "plant":
-        j = 0 if x_bad[0] else i + 1
-        detail = f"expected X_{j}={x_next[j].item()!r}, trace has {x[j].item()!r}"
+        n = 0 if x_bad[j, 0] else i + 1
+        detail = f"expected X_{start + n}={x_next[j, n].item()!r}, trace has {x[j, n].item()!r}"
     elif name == "encoder":
-        detail = f"X_{i}={xn[i].item()!r} encodes to symbol {int(enc[i])}, trace has {int(sym[i])}"
+        detail = f"X_{start + i}={xn[j, i].item()!r} encodes to symbol {int(enc[j, i])}, trace has {int(sym[j, i])}"
     else:
         cast = {"normal": bool, "rho": int}.get(name, float)
-        detail = f"expected {name}={cast(want[name][i])!r}, trace has {cast(got[name][i])!r}"
-    return TraceValidation(False, i, name, detail)
+        detail = f"expected {name}={cast(want[name][j, i])!r}, trace has {cast(got[name][j, i])!r}"
+    return TraceValidation(False, start + i, name, detail, clamped=floored, lane=j)

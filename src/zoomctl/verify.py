@@ -8,8 +8,8 @@ ensembles:
   the check instead audits the trace file as one lane and reports the
   first corrupted index.
 * containment      -- at every normal step, rho*X_n lies in
-  [M_n - 2 I_n, M_n], exactly; steps floored at M0, flagged by the symbol
-  replay, are counted apart.
+  [M_n - 2 I_n, M_n], exactly; steps floored at M0, flagged by the lane
+  audit's symbol replay, are counted apart.
 * domination       -- |X_{n0}| <= N_{n0} for sampled freeze points, exactly.
   N_{n0} comes from the recorded M, I and mode flag at each point
   (``analysis.domination_report``), in one pass over all of them; points
@@ -21,21 +21,23 @@ ensembles:
   the closed-form second-moment recursions, within three exact standard
   errors; an index whose standard error is not finite fails.
 
-The three exact checks share one recorded ensemble (``record_exact``) of
-the first min(trials, EXACT_TRIALS) trials, with all nine lane fields.
-Each trial's lane, like a trace file, goes through the one lane audit,
-``loop.validate_trace_columns``: the controller replayed from the symbols
-against the recorded normal flag, M, I, rho and U, the plant
-X' = A*X + W - U, and the encoder's symbol for each X_n.  A failed audit
-fails every requested exact check.  tracker_equality also reruns the
-first SCALAR_REPLAYS trials through the scalar ``run_trial``, an
-independent encoder, and compares each with its recorded lane bit for
-bit, all nine fields.
-The recording is freed before drift, which records nothing: it runs
-trials x min(horizon, DRIFT_HORIZON_CAP) through the engine once, and the
-engine's one N^2 accumulator per trial group (``analysis.EnvelopeMoments``)
-gathers its statistics and the halving check (``harness.envelope_moments``).  oracle_match runs its own
-two oracle-policy ensembles.
+The three exact checks share one pass (``record_exact``) over the first
+min(trials, EXACT_TRIALS) trials, streamed through the engine block by
+block (``ExactPass``).  Each block's lanes, like a trace file, go through
+the one lane audit, ``loop.validate_trace_columns``: the controller
+replayed from the symbols against the recorded normal flag, M, I, rho and
+U, the plant X' = A*X + W - U, and the encoder's symbol for each X_n.  A
+failed audit fails every requested exact check.  tracker_equality also
+reruns the first SCALAR_REPLAYS trials through the scalar ``run_trial``,
+an independent encoder, and compares each with its recorded lane bit for
+bit, all nine fields.  The pass keeps only those lanes and domination's
+X, M, I and mode flag whole: 25 bytes per trial and step, 25 MB of
+``reference.cfg``'s 100 x 10 000.  Drift then runs trials x
+min(horizon, DRIFT_HORIZON_CAP) through the engine once, and the engine's
+one N^2 accumulator per trial group (``analysis.EnvelopeMoments``) gathers
+its statistics and the halving check (``harness.envelope_moments``).
+oracle_match runs its own two oracle-policy ensembles; like every engine
+chunk, they draw their noise a batch at a time.
 
 ``run_checks`` checks its inputs before any ensemble runs: the check names,
 each once, a trace file only with tracker_equality, the adaptive policy
@@ -57,8 +59,8 @@ from zoomctl import analysis
 from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
-from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, recorded_lanes, run_experiment,
-                             run_recorded_bundle, trial_seed)
+from zoomctl.harness import (FULL_RECORD_FIELDS, ExperimentConfig, Policy, envelope_moments, recorder,
+                             run_experiment, run_recorded_bundle, trial_seed)
 from zoomctl.loop import Trace, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
@@ -75,8 +77,6 @@ ORACLE_STEPS = 20
 # fixed stream tags so check-level sampling never collides with trial streams
 _N0_STREAM_TAG = 0x5EEDF00D
 
-Recorded = tuple[dict[str, np.ndarray], np.ndarray]  # (records, diverged_at)
-
 
 class InsufficientTrials(ValueError):
     """The config does not provide enough trials for a statistical check."""
@@ -90,31 +90,62 @@ class CheckResult:
     report: object | None = None
 
 
-def record_exact(cfg: ExperimentConfig) -> Recorded:
-    """The first min(trials, EXACT_TRIALS) trials, recorded and each lane audited (``loop.validate_trace_columns``).
+class ExactPass:
+    """The exact checks' consumer of their pass's block rows (``harness._run_chunk``'s ``consume``).
 
-    A failed audit raises ProtocolError naming the trial, the step and the
-    field.  The replay's floor flags become the ``clamped`` record (False
-    from a trial's divergence step on), which containment counts apart.
+    It audits each block's lanes, keeping the lowest trial's first failure,
+    and tallies containment at their executed normal steps: those steps,
+    the floored ones, the violations and the first (trial, step) of them.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, self.mu = cfg, (moments(cfg.a_spec)[0], moments(cfg.w_spec)[0])
+        self.records: dict[str, np.ndarray] = {}  # domination's fields of every trial, all of the scalar reruns'
+        self.keep = recorder({f: cfg.trials if f in ("X", "M", "I", "normal") else SCALAR_REPLAYS
+                              for f in FULL_RECORD_FIELDS}, cfg.horizon, self.records)
+        self.entering = None  # the tracker entering the next block
+        self.failure: tuple[int, str] | None = None  # (trial, message)
+        self.normal = self.floored = self.violations = 0
+        self.first: tuple[int, int] | None = None
+        self.diverged_at = self.steps = None  # each trial's, once the pass is done
+
+    def __call__(self, b0: int, rows: dict[str, np.ndarray], diverged_at: np.ndarray) -> None:
+        self.keep(b0, rows, diverged_at)
+        nb = rows["symbol"].shape[1]
+        steps = np.clip(np.where(diverged_at < 0, b0 + nb, diverged_at) - b0, 0, nb)
+        result = validate_trace_columns(rows, self.cfg.params, *self.mu, b0, self.entering, steps)
+        self.entering = np.array([rows["M"][:, -1], rows["I"][:, -1], rows["rho"][:, -1]], dtype=float)
+        if not result.ok and (self.failure is None or result.lane < self.failure[0]):
+            self.failure = (result.lane, f"recorded trial {result.lane} differs at step {result.first_mismatch} "
+                                         f"({result.field}): {result.detail}")
+        eligible = rows["normal"] & (np.arange(nb) < steps[:, None])
+        rx = rows["rho"] * rows["X"][:, :nb]
+        bad = eligible & ((rx < rows["M"] - 2.0 * rows["I"]) | (rx > rows["M"]))
+        self.normal += int(eligible.sum())
+        self.floored += int((eligible & result.clamped).sum())
+        self.violations += int(bad.sum())
+        if bad.any():
+            t, n = map(int, next(zip(*np.nonzero(bad))))
+            self.first = min(self.first or (t, b0 + n), (t, b0 + n))
+
+
+def record_exact(cfg: ExperimentConfig) -> ExactPass:
+    """The exact checks' pass over the first min(trials, EXACT_TRIALS) trials, streamed through the engine.
+
+    A failed lane audit raises ProtocolError naming the lowest such trial,
+    its first bad step and the field.
     """
     sub = replace(cfg, trials=min(cfg.trials, EXACT_TRIALS))
-    rec, diverged_at = run_recorded_bundle(sub)
-    mu_a, _ = moments(cfg.a_spec)
-    mu_w, _ = moments(cfg.w_spec)
-    clamped = np.zeros(rec["normal"].shape, dtype=bool)
-    for t, (steps, lane) in enumerate(zip(*recorded_lanes(rec, diverged_at))):
-        result = validate_trace_columns(lane, cfg.params, mu_a, mu_w)
-        if not result.ok:
-            raise ProtocolError(
-                f"recorded trial {t} differs at step {result.first_mismatch} ({result.field}): {result.detail}"
-            )
-        clamped[t, :steps] = result.clamped
-    rec["clamped"] = clamped
-    return rec, diverged_at
+    tally = ExactPass(sub)
+    _, tally.diverged_at = run_recorded_bundle(sub, tally)
+    if tally.failure:
+        raise ProtocolError(tally.failure[1])
+    tally.steps = np.where(tally.diverged_at < 0, cfg.horizon, tally.diverged_at)
+    return tally
 
 
 def check_tracker_equality(
-    cfg: ExperimentConfig, trace_cols: dict[str, np.ndarray] | None = None, recorded: Recorded | None = None
+    cfg: ExperimentConfig, trace_cols: dict[str, np.ndarray] | None = None, recorded: ExactPass | None = None
 ) -> CheckResult:
     """Audit a trace file's columns (``loop.read_trace_csv``) as one lane if given, else read the
     ``record_exact`` pass, which audited every recorded lane the same way."""
@@ -131,7 +162,7 @@ def check_tracker_equality(
         )
 
     # record_exact audited every trial of the recorded pass
-    rec, diverged_at = recorded
+    rec, diverged_at = recorded.records, recorded.diverged_at
     trials = len(diverged_at)
     try:
         # the scalar reference loop reruns a few trials; each must equal its recorded lane
@@ -145,8 +176,7 @@ def check_tracker_equality(
     examined = f"{trials} trials x {cfg.horizon} steps"
     n_div = int((diverged_at >= 0).sum())
     if n_div:  # a diverged trial's records end at its divergence step
-        steps, _ = recorded_lanes(rec, diverged_at)
-        examined = f"{trials} trials ({n_div} diverged), {int(steps.sum())} executed steps"
+        examined = f"{trials} trials ({n_div} diverged), {int(recorded.steps.sum())} executed steps"
     return CheckResult("tracker_equality", True, f"{examined} replayed from their symbols, trackers bit-identical")
 
 
@@ -168,43 +198,27 @@ def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) ->
             f"{f}={getattr(tr, f)[n].item()!r}, recorded {rec[f][t, n].item()!r}")
 
 
-def check_containment(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
-    """rho*X_n in [M_n - 2 I_n, M_n] at every normal step a trial executed."""
-    rec, diverged_at = recorded
-    trials = len(diverged_at)
-    steps, _ = recorded_lanes(rec, diverged_at)
-    eligible = rec["normal"] & (np.arange(cfg.horizon) < steps[:, None])
-    x = rec["X"][:, :cfg.horizon]
-    lo = rec["M"] - 2.0 * rec["I"]
-    rx = rec["rho"] * x
-    bad = eligible & ((rx < lo) | (rx > rec["M"]))
-    n_bad = int(bad.sum())
-    n_checked = int(eligible.sum())
-    n_floored = int((eligible & rec["clamped"]).sum())
-    counts = f"{n_checked - n_floored} unfloored, {n_floored} floored at M0"
-    if n_bad:
-        t, n = map(int, next(zip(*np.nonzero(bad))))
-        return CheckResult(
-            "containment", False,
-            f"{n_bad} violations / {n_checked} normal steps ({counts}); first at trial {t}, step {n}",
-        )
+def check_containment(cfg: ExperimentConfig, recorded: ExactPass) -> CheckResult:
+    """rho*X_n in [M_n - 2 I_n, M_n] at every normal step a trial executed, tallied by the streamed pass."""
+    counts = f"{recorded.normal - recorded.floored} unfloored, {recorded.floored} floored at M0"
+    if recorded.violations:
+        return CheckResult("containment", False, f"{recorded.violations} violations / {recorded.normal} normal "
+                           "steps ({}); first at trial {}, step {}".format(counts, *recorded.first))
     return CheckResult(
         "containment", True,
-        f"0 violations over {n_checked} normal steps ({counts}; {trials} trials)",
+        f"0 violations over {recorded.normal} normal steps ({counts}; {len(recorded.steps)} trials)",
     )
 
 
-def check_domination(cfg: ExperimentConfig, recorded: Recorded) -> CheckResult:
-    rec, diverged_at = recorded
+def check_domination(cfg: ExperimentConfig, recorded: ExactPass) -> CheckResult:
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([cfg.master_seed, _N0_STREAM_TAG]))
     )
     # each trial's freeze points, drawn in trial order from its executed steps
     # (a trial diverges at step 1 at the earliest, as X_0 = 0)
-    steps, _ = recorded_lanes(rec, diverged_at)
-    n0 = np.concatenate([rng.integers(0, s, size=DOMINATION_N0_PER_TRACE) for s in steps])
-    trace = np.repeat(np.arange(len(steps)), DOMINATION_N0_PER_TRACE)
-    report = analysis.domination_report(rec, trace, n0, cfg.params)
+    n0 = np.concatenate([rng.integers(0, s, size=DOMINATION_N0_PER_TRACE) for s in recorded.steps])
+    trace = np.repeat(np.arange(len(recorded.steps)), DOMINATION_N0_PER_TRACE)
+    report = analysis.domination_report(recorded.records, trace, n0, cfg.params)
     unbounded = f"; N overflowed to inf at {report.unbounded}" if report.unbounded else ""
     if not report.ok:
         (t, n, x_abs, n_val), = report.rows(report.violations[:1])
@@ -316,7 +330,7 @@ def run_checks(
             done = {name: CheckResult(name, False, str(exc)) for name in shared}
         else:
             done = {name: checks[name](recorded) for name in shared}
-            del recorded  # freed before drift records its own ensemble
+            del recorded  # its kept records go before drift runs its own ensemble
     results = []
     for name in names:
         if name not in done:

@@ -334,14 +334,11 @@ def test_criterion_09_student_t(student_cfg, student_run, student_rec):
 # --------------------------------------------------------------------------
 
 def _containment_violations(cfg, trials, horizon):
-    # the exact checks' recorded pass, whose symbol replay flags the floored steps
-    rec, diverged_at = record_exact(replace(cfg, trials=trials, horizon=horizon))
-    assert not np.any(diverged_at >= 0)
-    eligible = rec["normal"] & ~rec["clamped"]
-    x = rec["X"][:, :horizon]
-    rx = rec["rho"] * x
-    bad = eligible & ((rx < rec["M"] - 2.0 * rec["I"]) | (rx > rec["M"]))
-    return int(bad.sum()), int(eligible.sum())
+    # the exact checks' streamed pass, which tallies containment at every
+    # normal step, and apart those whose symbol replay flags a floor at M0
+    recorded = record_exact(replace(cfg, trials=trials, horizon=horizon))
+    assert not np.any(recorded.diverged_at >= 0)
+    return recorded.violations, recorded.normal - recorded.floored
 
 
 def test_criterion_10_containment(reference_cfg, emergency_cfg):

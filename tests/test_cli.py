@@ -539,15 +539,18 @@ def test_cli_simulate_ignores_a_thread_count_variable(tmp_path, cfg_file, monkey
 
 
 def test_cli_verify_engine_tracker_desync_fails(cfg_file, monkeypatch, capsys):
+    import zoomctl.harness as hz
     import zoomctl.verify as verify
 
-    record = verify.run_recorded_bundle
-
-    def desynced(cfg):
-        # the engine's recorded tracker leaves the symbol stream at one step
-        rec, diverged_at = record(cfg)
-        rec["I"][4, 9] *= 2.0
-        return rec, diverged_at
+    def desynced(cfg, consume):
+        # the engine's recorded tracker leaves the symbol stream at one step,
+        # in a copy of the block rows the exact checks' pass reads
+        def changed(b0, rows, diverged_at):
+            if b0 == 0:
+                rows = dict(rows, I=rows["I"].copy())
+                rows["I"][4, 9] *= 2.0
+            consume(b0, rows, diverged_at)
+        return hz.run_recorded_bundle(cfg, changed)
 
     monkeypatch.setattr(verify, "run_recorded_bundle", desynced)
     code = main(["verify", str(cfg_file), "--checks", "tracker_equality",
@@ -952,7 +955,8 @@ def test_cli_verify_containment_catches_an_engine_cell_geometry_change(monkeypat
 
     # the engine's tracker, and the lane audit's, halve every unfloored I:
     # the recorded lanes still replay, but M - 2I now sits inside the cell,
-    # and only containment can tell
+    # and only containment can tell.  The first violation is the lowest
+    # trial's first, also when the pass streams it a step at a time
     cell_tracker = hz.cell_tracker
 
     def halved(x, live_range, L, M0, k, out, work):
@@ -961,14 +965,16 @@ def test_cli_verify_containment_catches_an_engine_cell_geometry_change(monkeypat
 
     monkeypatch.setattr(hz, "cell_tracker", halved)
     monkeypatch.setattr(loop, "cell_tracker", halved)
-    code = main(["verify", str(EMERGENCY_CFG), "--checks", "containment",
-                 "--set", "trials=20", "--set", "horizon=200"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out.splitlines() == [
-        "containment  FAIL  907 violations / 2777 normal steps (1729 unfloored, 1048 floored at M0); "
-        "first at trial 0, step 12"]
-    assert captured.err == ""
+    for block in (hz.BLOCK_STEPS, 1):
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        code = main(["verify", str(EMERGENCY_CFG), "--checks", "containment",
+                     "--set", "trials=20", "--set", "horizon=200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == [
+            "containment  FAIL  907 violations / 2777 normal steps (1729 unfloored, 1048 floored at M0); "
+            "first at trial 0, step 12"]
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("config", ["reference.cfg", "reference_student_t.cfg"])

@@ -10,6 +10,7 @@ from zoomctl.distributions import (
     MomentError,
     abs_moment,
     central_moment,
+    drop_draws,
     moment_summary,
     moments,
     sample_array,
@@ -379,3 +380,21 @@ def test_sample_rows_equal_sample_array_per_row(kind):
             assert np.array_equal(buf[j, :n].view(np.int64), sample_array(spec, ref, n).view(np.int64))
             assert rngs[j].bit_generator.state == ref.bit_generator.state
         assert np.isnan(buf[:, n:]).all()
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec.gaussian(0.3, 1.7),
+    DistributionSpec.uniform(-1.0, 4.0),
+    DistributionSpec.two_point(-1.0, 0.3, 2.0),
+    DistributionSpec.student_t(2.5, 1.3, 0.2),
+    DistributionSpec.two_point(1e30, 0.01, 1.0),
+], ids=["gaussian", "uniform", "two_point", "student_t", "two_point_diverging"])
+def test_drop_draws_leaves_the_generator_where_a_whole_draw_does(spec):
+    # the engine drops a trial's gains to reach its disturbances: the next
+    # words must be the ones after a whole draw of the horizon's gains
+    for n in (1, 263, 10_000):
+        whole, dropped = rng_from([5, n]), rng_from([5, n])
+        sample_array(spec, whole, n)
+        drop_draws(spec, dropped, np.empty(n))
+        assert dropped.bit_generator.state == whole.bit_generator.state
+        assert np.array_equal(dropped.random(3), whole.random(3))

@@ -27,7 +27,6 @@ from zoomctl.harness import (
     write_sweep_csv,
 )
 from zoomctl.loop import run_trial, validate_trace_columns
-from zoomctl.verify import record_exact
 
 A_REF = DistributionSpec.gaussian(1.0, 0.5)
 W_REF = DistributionSpec.gaussian(0.0, 1.0)
@@ -178,9 +177,9 @@ def test_trace_retention_does_not_change_stats():
 def test_kept_traces_are_recorded_in_the_ensemble_pass(monkeypatch):
     import zoomctl.harness as hz
 
-    # an oracle's 30 trials in 14-lane chunks (two 7-trial groups), the first
-    # 20 kept, and a quantizer's 58 in 28-lane chunks (four groups), the first
-    # 48 kept: each chunk runs once, recording its kept lanes
+    # 58 trials in 28-lane chunks (four 7-trial groups), the first 48 kept,
+    # under an oracle and a quantizer policy: each chunk runs once, recording
+    # its kept lanes
     monkeypatch.setattr(hz, "CHUNK_TRIALS", 7)
     calls = []
     run_chunk = hz._run_chunk
@@ -190,7 +189,7 @@ def test_kept_traces_are_recorded_in_the_ensemble_pass(monkeypatch):
         return run_chunk(cfg, indices, record_fields, envelope, **kwargs)
 
     monkeypatch.setattr(hz, "_run_chunk", counting)
-    for policy, trials, kept, want in ((Policy.perfect(), 30, 20, [(14, 14), (14, 6), (2, 0)]),
+    for policy, trials, kept, want in ((Policy.perfect(), 58, 48, [(28, 28), (28, 20), (2, 0)]),
                                        (Policy.adaptive(), 58, 48, [(28, 28), (28, 20), (2, 0)])):
         calls.clear()
         cfg = make_cfg(trials=trials, horizon=50, policy=policy)
@@ -259,7 +258,7 @@ def test_kept_traces_match_extract_trace(monkeypatch, chunk_trials, block_steps,
         assert len({s // block_steps for s in steps if s is not None}) > 3
 
 
-def test_lanes_diverging_mid_chunk_match_run_trial():
+def test_lanes_diverging_mid_chunk_match_run_trial(exact_pass):
     # one 12-lane chunk leaves its all-alive path at the first divergence
     cfg = jumpy_cfg()
     stats, traces = run_experiment(cfg, keep_traces=cfg.trials, envelope=False)
@@ -272,7 +271,7 @@ def test_lanes_diverging_mid_chunk_match_run_trial():
     # recorded columns match run_trial up to each trial's divergence step, X
     # through it; the replay's floor flags stop there
     rec, div = run_recorded_bundle(cfg)
-    floored = record_exact(cfg)[0]["clamped"]
+    _, floored = exact_pass(cfg)
     for t, ref in enumerate(refs):
         steps = ref.steps
         assert div[t] == (steps if ref.diverged else -1)
@@ -925,31 +924,54 @@ def test_streamed_chunk_peak_is_flat_in_the_horizon():
     import zoomctl.harness as hz
     from zoomctl.config import load_config
 
-    # one unrecorded 1024-lane chunk per quantizer policy, at 1000 and 4000
-    # steps: an adaptive one with drift statistics, a third of its steps in
-    # zoom-out, and a static one.  Their noise is drawn a batch at a time, so
-    # only the per-step sums and envelope statistics, tens of bytes per step
-    # and group, grow with the horizon: nothing holds 8 bytes per lane and step
-    for name in ("emergency_rich", "static_baseline"):
+    # one unrecorded 1024-lane chunk per policy, at 1000 and 4000 steps: an
+    # adaptive one with drift statistics, a third of its steps in zoom-out,
+    # a static one and the two oracles.  Their noise is drawn a batch at a
+    # time, so only the per-step sums and envelope statistics, tens of bytes
+    # per step and group, grow with the horizon: nothing holds 8 bytes per
+    # lane and step
+    for name, policy in (("emergency_rich", None), ("static_baseline", None),
+                         ("emergency_rich", "perfect_observation"), ("emergency_rich", "zero_control")):
         peaks = []
         for horizon in (1000, 4000):
-            cfg = load_config(CONFIGS / f"{name}.cfg", ["trials=1024", f"horizon={horizon}"])
+            sets = ["trials=1024", f"horizon={horizon}"] + ([f"policy={policy}"] if policy else [])
+            cfg = load_config(CONFIGS / f"{name}.cfg", sets)
             peak, out = traced_peak(lambda: hz._run_chunk(cfg, range(cfg.trials), 0, True, drift=True))
             assert len(out.sum_xsq) == 2
             peaks.append(peak)
-        assert peaks[1] - peaks[0] <= 3000 * 100 * 2, name
+        assert peaks[1] - peaks[0] <= 3000 * 100 * 2, (name, policy)
+
+
+def test_exact_checks_peak_grows_only_by_domination_records():
+    from zoomctl import verify
+    from zoomctl.config import load_config
+
+    # the exact checks stream their 100 lanes through the engine block by
+    # block; only domination's X, M, I and mode flags (25 bytes per lane and
+    # step), the three scalar reruns' other fields (120 bytes per step) and
+    # the engine's per-step sums span the horizon
+    for name in ("reference", "emergency_rich"):
+        peaks = []
+        for horizon in (1000, 4000):
+            cfg = load_config(CONFIGS / f"{name}.cfg", [f"horizon={horizon}"])
+            peak, results = traced_peak(lambda: verify.run_checks(cfg, list(verify.EXACT_CHECKS)))
+            assert [r.passed for r in results] == [True] * 3
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 27 * verify.EXACT_TRIALS * 3000, name
 
 
 def test_engine_peak_is_a_small_multiple_of_the_gains():
+    import zoomctl.harness as hz
     from zoomctl.config import load_config
 
-    # an oracle's chunk draws its gains whole: 16 MB at 1024 lanes and 2000
-    # steps, beside which its blocks and disturbance draws are small
-    cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=1024", "horizon=2000",
+    # an oracle's chunk of 2048 lanes redraws its gains 250 steps at a time:
+    # at 2000 steps its peak is a few of those 4 MB batches (the disturbance
+    # batch and the 50-step block), well below the 33 MB of the whole gains
+    cfg = load_config(CONFIGS / "emergency_rich.cfg", ["trials=2048", "horizon=2000",
                                                         "policy=perfect_observation"])
-    gains = cfg.trials * cfg.horizon * 8
+    batch = cfg.trials * hz.DRAW_STEPS * 8
     peak, _ = traced_peak(lambda: run_experiment(cfg))
-    assert gains <= peak <= 1.6 * gains
+    assert peak <= 3.5 * batch < cfg.trials * cfg.horizon * 8
 
 
 def test_one_chunk_recording_holds_one_copy_of_its_records():
@@ -966,23 +988,30 @@ def test_one_chunk_recording_holds_one_copy_of_its_records():
 def test_narrow_last_chunk_reuses_the_gains_buffer(monkeypatch):
     import zoomctl.harness as hz
 
-    # an oracle's chunks draw their gains whole: at 1030 trials a chunk of
-    # two 512-trial groups, then one of 6 lanes, whose gains take the first
-    # rows of the ensemble's buffer
-    cfg = make_cfg(trials=1030, horizon=600, policy=Policy.perfect())
-    drawn = []
-    predraw = hz._predraw
+    # an oracle's 2054 trials run as a chunk of four 512-trial groups, then
+    # one of 6 lanes.  Over 600 steps each chunk redraws its gains in batches
+    # of 250, 250 and 100 steps, every one into the first columns of its own
+    # (lanes, 250) buffer
+    cfg = make_cfg(trials=2054, horizon=600, policy=Policy.perfect())
+    buffers, draws = [], []
+    predraw, sample = hz._predraw, hz.sample_rows
 
-    def spy(cfg, indices, out=None, batch=None):
-        a, rngs, a_rngs = predraw(cfg, indices, out, batch)
-        drawn.append(a)
+    def spy(cfg, indices, batch):
+        a, rngs, a_rngs = predraw(cfg, indices, batch)
+        buffers.append(a)
         return a, rngs, a_rngs
 
+    def drawn(spec, rngs, out):
+        draws.append(out)
+        return sample(spec, rngs, out)
+
     monkeypatch.setattr(hz, "_predraw", spy)
+    monkeypatch.setattr(hz, "sample_rows", drawn)
     outs = hz._run_chunks(cfg, False)
-    assert [a.shape for a in drawn] == [(1024, 600), (6, 600)]
-    assert np.shares_memory(drawn[0], drawn[1])
-    traces = [extract_trace(cfg, t) for t in range(1024, 1030)]
+    assert [a.shape for a in buffers] == [(2048, 250), (6, 250)]
+    for a in buffers:
+        assert [d.shape[1] for d in draws if np.shares_memory(d, a)] == [250, 250, 100]
+    traces = [extract_trace(cfg, t) for t in range(2048, 2054)]
     assert not any(tr.diverged for tr in traces)
     # the last group's per-step sums are those of its trials' X^2, in trial order
     want = functools.reduce(np.add, (tr.X * tr.X for tr in traces))

@@ -50,15 +50,30 @@ def test_exact_checks_share_one_recorded_pass(capsys, monkeypatch):
     calls = []
     run_chunk = hz._run_chunk
 
-    def counting(cfg, indices, record_fields, envelope):
+    def counting(cfg, indices, record_fields, envelope, **kwargs):
         calls.append((len(indices), cfg.horizon, record_fields))
-        return run_chunk(cfg, indices, record_fields, envelope)
+        return run_chunk(cfg, indices, record_fields, envelope, **kwargs)
 
     monkeypatch.setattr(hz, "_run_chunk", counting)
     code, lines = run_verify(capsys, "tracker_equality,containment,domination")
     assert code == 0
     assert [line[1] for line in lines] == ["PASS"] * 3
     assert calls == [(verify.EXACT_TRIALS, 300, verify.EXACT_TRIALS)]
+
+
+def corrupt_streamed_pass(monkeypatch, *cells):
+    """``verify.run_recorded_bundle`` with each (field, trial, index, corrupt) cell corrupted in copies of the
+    block rows that hold it, before the exact checks' pass reads them."""
+    def corrupted(cfg, consume):
+        def changed(b0, rows, diverged_at):
+            rows = {f: c.copy() for f, c in rows.items()}
+            for field, trial, index, corrupt in cells:
+                if 0 <= index - b0 < rows[field].shape[1]:
+                    rows[field][trial, index - b0] = corrupt(rows[field][trial, index - b0])
+            consume(b0, rows, diverged_at)
+        return hz.run_recorded_bundle(cfg, changed)
+
+    monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
 
 
 # (field, trial, step, corruption) of one recorded value in the shared pass
@@ -73,14 +88,8 @@ CORRUPTIONS = [
 
 
 def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch):
-    record = verify.run_recorded_bundle
     for field, trial, step, corrupt in CORRUPTIONS:
-        def corrupted(cfg):
-            rec, diverged_at = record(cfg)
-            rec[field][trial, step] = corrupt(rec[field][trial, step])
-            return rec, diverged_at
-
-        monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
+        corrupt_streamed_pass(monkeypatch, (field, trial, step, corrupt))
         code, lines = run_verify(capsys, "domination,tracker_equality,containment")
         assert code == 2
         msg = f"recorded trial {trial} differs at step {step} ({field}): "
@@ -92,6 +101,42 @@ def test_tracker_desync_fails_every_exact_check(capsys, monkeypatch):
             (name, "FAIL") for name in ("domination", "tracker_equality", "containment")
         ]
         assert all(line[2].startswith(msg) for line in lines), lines
+
+
+def test_lowest_corrupted_trial_fails_though_its_bad_cell_is_in_a_later_block(capsys, monkeypatch):
+    # 50-step blocks: trial 40 goes bad in the first, trial 7 only in the
+    # sixth, at two steps; the lowest trial is reported, at its first bad step
+    corrupt_streamed_pass(monkeypatch, ("M", 40, 20, lambda v: 2.0 * v), ("U", 7, 280, lambda v: v + 1.0),
+                          ("I", 7, 260, lambda v: 0.5 * v))
+    code, lines = run_verify(capsys, "tracker_equality,containment,domination")
+    assert code == 2
+    assert [line[:2] for line in lines] == [(name, "FAIL") for name in verify.EXACT_CHECKS]
+    assert all(line[2].startswith("recorded trial 7 differs at step 260 (I): expected I=") for line in lines), lines
+
+
+# (config, overrides) whose verify output must not depend on the time blocks;
+# in the last, every recorded trial diverges inside the horizon
+BLOCK_CASES = {
+    "reference": ("reference.cfg", ["trials=120", "horizon=300"]),
+    "emergency_rich": ("emergency_rich.cfg", SMALL[1::2]),
+    "diverging": ("emergency_rich.cfg", ["trials=120", "horizon=400", "A.stddev=0.99", "P=64"]),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_verify_is_independent_of_time_blocks(capsys, monkeypatch, tmp_path, case):
+    name, sets = BLOCK_CASES[case]
+    runs = []
+    for block, draw in ((1, 1), (7, 7), (hz.BLOCK_STEPS, hz.DRAW_STEPS), (400, 400)):
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
+        out = tmp_path / f"{block}-{draw}"
+        code = main(["verify", str(Path(EMERGENCY_CFG).parent / name), "--out", str(out)]
+                    + [arg for item in sets for arg in ("--set", item)])
+        runs.append((code, capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert all(run == runs[0] for run in runs[1:])
+    if case == "diverging":
+        assert "100 trials (100 diverged)" in runs[0][1]
 
 
 @pytest.mark.parametrize("checks", ["containment", "drift,domination", "trace-file-replay"])
@@ -117,14 +162,7 @@ PLANT_CORRUPTIONS = [("X", 12, 40, 39), ("A", 55, 7, 7), ("W", 99, 299, 299)]
 
 @pytest.mark.parametrize("field, trial, index, step", PLANT_CORRUPTIONS, ids=[c[0] for c in PLANT_CORRUPTIONS])
 def test_recorded_plant_change_fails_every_exact_check(capsys, monkeypatch, field, trial, index, step):
-    record = verify.run_recorded_bundle
-
-    def corrupted(cfg):
-        rec, diverged_at = record(cfg)
-        rec[field][trial, index] = 2.0 * rec[field][trial, index] + 1.0
-        return rec, diverged_at
-
-    monkeypatch.setattr(verify, "run_recorded_bundle", corrupted)
+    corrupt_streamed_pass(monkeypatch, (field, trial, index, lambda v: 2.0 * v + 1.0))
     code, lines = run_verify(capsys, "containment,domination,tracker_equality")
     assert code == 2
     assert [line[:2] for line in lines] == [
@@ -135,13 +173,13 @@ def test_recorded_plant_change_fails_every_exact_check(capsys, monkeypatch, fiel
 
 
 def _changed_after_audit(monkeypatch, change):
-    """``verify.record_exact`` with ``change`` applied to its audited records."""
+    """``verify.record_exact`` with ``change`` applied to the records its pass keeps, after the audit."""
     record = verify.record_exact
 
     def changed(cfg):
-        rec, diverged_at = record(cfg)
-        change(rec, diverged_at)
-        return rec, diverged_at
+        recorded = record(cfg)
+        change(recorded.records, recorded.diverged_at)
+        return recorded
 
     monkeypatch.setattr(verify, "record_exact", changed)
 
@@ -195,8 +233,9 @@ def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
 
 
 # containment's detail line and the sha256 of the recorded pass's floor
-# flags (C-ordered bool bytes, trials x horizon); a change to where the
-# flags are formed must leave both as they are
+# flags (C-ordered bool bytes, trials x horizon, gathered from the lane
+# audit of each block); a change to where the flags are formed must leave
+# both as they are
 CONTAINMENT_PINS = [
     ("emergency_rich.cfg", ["trials=150", "horizon=3000"],
      "0 violations over 211230 normal steps (137892 unfloored, 73338 floored at M0; 100 trials)",
@@ -224,10 +263,9 @@ TRACKER_DIVERGED = {
 
 
 @pytest.mark.parametrize("name, overrides, detail, digest", CONTAINMENT_PINS)
-def test_containment_floor_counts_are_pinned(name, overrides, detail, digest):
+def test_containment_floor_counts_are_pinned(exact_pass, name, overrides, detail, digest):
     cfg = load_config(Path(EMERGENCY_CFG).parent / name, overrides)
-    recorded = verify.record_exact(cfg)
-    clamped = recorded[0]["clamped"]
+    recorded, clamped = exact_pass(cfg)
     assert clamped.dtype == bool and clamped.shape == (verify.EXACT_TRIALS, cfg.horizon)
     assert hashlib.sha256(np.ascontiguousarray(clamped).tobytes()).hexdigest() == digest
     result = verify.check_containment(cfg, recorded)
@@ -247,10 +285,9 @@ def test_containment_admits_a_state_exactly_at_its_live_range():
     # range P*M_0, the top of its cell, where rho*X_1 = M_1
     cfg = replace(load_config(EMERGENCY_CFG, ["L=1", "P=4", "M0=0.125", "horizon=20"]),
                   w_spec=DistributionSpec.two_point(2.25, 0.5, -2.25))
-    recorded = verify.record_exact(cfg)
-    rec = recorded[0]
+    rec, _ = hz.run_recorded_bundle(replace(cfg, trials=min(cfg.trials, verify.EXACT_TRIALS)))
     at_top = rec["normal"] & (rec["rho"] * rec["X"][:, :cfg.horizon] == rec["M"])
     assert np.count_nonzero(at_top[:, 1]) == np.count_nonzero(at_top) == 54
-    result = verify.check_containment(cfg, recorded)
+    result = verify.check_containment(cfg, verify.record_exact(cfg))
     assert result.passed
     assert result.detail == "0 violations over 1953 normal steps (1953 unfloored, 0 floored at M0; 100 trials)"
