@@ -119,8 +119,8 @@ def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np
     sizes n1, n2, ... equal one draw of n1 + n2 + ... .  A trial's noise is
     all its gains, then all its disturbances (the engine draws both through
     ``sample_rows``, a batch of steps at a time, the gains from a second
-    generator past one batch), so the bit stream consumed per trial is a
-    documented function of (spec, seed, horizon).
+    generator, the first having skipped them the same way), so the bit
+    stream consumed per trial is a documented function of (spec, seed, horizon).
     """
     p = spec.params
     if spec.kind == "gaussian":
@@ -151,15 +151,6 @@ def sample_rows(spec: DistributionSpec, rngs: Sequence[np.random.Generator], out
         rng.standard_normal(out=row)
     out *= spec.params[1]
     out += spec.params[0]
-
-
-def drop_draws(spec: DistributionSpec, rng: np.random.Generator, scratch: np.ndarray) -> None:
-    """Advance ``rng`` as ``sample_array(spec, rng, len(scratch))`` does, drawing only the law's
-    standard variates (into ``scratch`` where it can), with no affine pass: the same words."""
-    if spec.kind == "student_t":
-        rng.standard_t(spec.params[0], len(scratch))
-    else:  # uniform and two_point draw one double per variate
-        (rng.standard_normal if spec.kind == "gaussian" else rng.random)(out=scratch)
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float]:

@@ -33,26 +33,26 @@ steps and draws its noise DRAW_STEPS steps at a time (whole blocks), into
 batch buffers each block reads at its offset.  A trial's stream holds its
 horizon's gains, then its disturbances.  Under every policy a chunk runs
 four groups side by side, 2048 lanes, and draws the gains a batch at a
-time from a second generator per trial, the first having dropped them to
-reach the disturbances.  It holds about lanes x (16 * draw + 42 * block)
-bytes whatever the horizon: at 2048 lanes, 250-step draws and 50-step
-blocks, 4 MB of gains, 4 MB of disturbances and 4 MB of block.  The
-per-step sums and the N^2 envelope are produced one block at a time, from
-step-major block buffers that each step writes a row of in place (see
+time from a second generator per trial, the first having drawn and dropped
+them to reach the disturbances.  It holds about lanes x (16 * draw + 42 *
+block) bytes whatever the horizon: at 2048 lanes, 250-step draws and
+50-step blocks, 4 MB of gains, 4 MB of disturbances and 4 MB of block.
+The per-step sums and the N^2 envelope are produced one block at a time,
+from step-major block buffers that each step writes a row of in place (see
 ``_run_chunk``), read through transposed views.  After each block a chunk
 hands its leading lanes' rows to a consumer (a recording: all its trials,
 in one chunk; an ensemble: the kept traces' lanes of each chunk), by
 default copied into lane-major records, 65 bytes per lane and step; the
 exact checks of ``verify`` audit and tally them as they come.  The N^2
-envelope is one ``analysis.EnvelopeMoments`` per trial group: its
-column sums, 8 * horizon bytes, and for ``verify``'s drift the drift and
-halving statistics, 32 * horizon more.  Each lane's M, I and mode, about
-17 bytes, wait for each column from the first one some lane of its group
-has not resolved yet: a round that stays open over the whole horizon
-holds another 17 * horizon per lane.  It covers ensembles with no
-diverged trial only; a chunk drops it at its first diverged lane.  Chunks
-run one after another on the calling thread, and neither the block length
-nor the chunking changes a result.
+envelope is one ``analysis.EnvelopeMoments`` per trial group: its column
+sums, 8 * horizon bytes, and for ``verify``'s drift the drift and halving
+statistics, 32 * horizon more.  Each lane's M, I and mode, about 17 bytes,
+wait for each column from the first one some lane of its group has not
+resolved yet: a round that stays open over the whole horizon holds another
+17 * horizon per lane.  It covers ensembles with no diverged trial only; a
+chunk drops it at its first diverged lane.  Chunks run one after another
+on the calling thread, and neither the block length nor the chunking
+changes a result.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import csv
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from zoomctl import analysis
 from zoomctl.codec import StrategyParams, cell_tracker, rate
-from zoomctl.distributions import DistributionSpec, drop_draws, moments, sample_rows
+from zoomctl.distributions import DistributionSpec, moments, sample_rows
 from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs four
@@ -147,11 +148,19 @@ class ExperimentConfig:
                     f"|mu_A|*P*M0, the bound on the first control, is not finite: "
                     f"mu_A={mu_a:.4g}, P={self.params.P:.4g}, M0={self.params.M0:.4g}"
                 )
+        # as for the adaptive cells, the static cell width must be a normal float
+        width = self.static_cell_width()
+        if self.policy.kind == "static_quantizer" and not sys.float_info.min <= width <= sys.float_info.max:
+            raise ValueError(f"static cell width 2*range/(2L+1) = {width!r} is not a finite normal float: "
+                             f"range={self.static_range()!r}, L={self.params.L}")
 
     def static_range(self) -> float:
         if self.policy.range is not None:
             return self.policy.range
         return 10.0 * self.params.M0
+
+    def static_cell_width(self) -> float:
+        return 2.0 * self.static_range() / (2 * self.params.L + 1)
 
     def describe(self) -> dict:
         d = {
@@ -202,25 +211,17 @@ def trial_seed(master_seed: int, index: int) -> list[int]:
     return [master_seed, index]
 
 
-def _predraw(cfg: ExperimentConfig, indices: Sequence[int],
-             batch: int) -> tuple[np.ndarray, list[np.random.Generator], list[np.random.Generator]]:
-    """A (len(indices), batch) buffer for the trials' gains, and their generators.
-
-    Each trial's stream holds its horizon's gains, then its disturbances.
-    The first generator returned is left at the start of the disturbances
-    and the second at the start of the gains, for ``_run_chunk`` to draw
-    them ``batch`` steps at a time: the first drops the gains
-    (``distributions.drop_draws``) and the second is new, from the same
-    seed.  When one batch covers the horizon, the two are one generator.
-    """
+def _predraw(cfg: ExperimentConfig,
+             indices: Sequence[int]) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
+    """Each trial's two generators, for ``_run_chunk``'s noise batches: the first at the start of its
+    disturbances, having drawn and dropped the horizon's gains before them through ``sample_rows`` into
+    one reused row, and the second new, from the same seed, at the start of the gains."""
     seeds = [np.random.SeedSequence(trial_seed(cfg.master_seed, t)) for t in indices]
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-    if batch >= cfg.horizon:
-        return np.empty((len(indices), cfg.horizon)), rngs, rngs
-    scratch = np.empty(cfg.horizon)
+    scratch = np.empty((1, cfg.horizon))
     for rng in rngs:
-        drop_draws(cfg.a_spec, rng, scratch)
-    return np.empty((len(indices), batch)), rngs, [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        sample_rows(cfg.a_spec, [rng], scratch)
+    return rngs, [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
 
 @dataclass
@@ -340,11 +341,11 @@ def _run_chunk(
     groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
     block = min(BLOCK_STEPS, h)
     draw = max(DRAW_STEPS // block, 1) * block
-    a_draws, rngs, a_rngs = _predraw(cfg, indices, min(draw, h))
+    rngs, a_rngs = _predraw(cfg, indices)
+    a_draws, w_draws = np.empty((2, n_t, min(draw, h)))
     r = record_fields
 
     need_env = envelope and kind == "adaptive_fixed_rate"
-    w_draws = np.empty((n_t, min(draw, h)))
     # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
     xs = np.zeros((block + 1, n_t))
     # the step's rows, from the initial tracker and control, which a policy
@@ -382,8 +383,7 @@ def _run_chunk(
     work = (np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=bool))
     zoom, keep = np.empty((2, n_t), dtype=bool)
     if kind == "static_quantizer":
-        srange = cfg.static_range()
-        w_cell_s = 2.0 * srange / (2 * L + 1)
+        srange, w_cell_s = cfg.static_range(), cfg.static_cell_width()
         sign, below = np.empty(n_t), np.empty(n_t, dtype=bool)
 
     for b0 in range(0, h, block):
@@ -394,7 +394,7 @@ def _run_chunk(
                 buf[0] = buf[block % len(buf)]
         xv = xs[:nb + 1]
         if not b0 % draw:
-            sample_rows(cfg.a_spec, a_rngs, a_draws[:, :min(draw, h - b0)])  # first: a_rngs may be rngs
+            sample_rows(cfg.a_spec, a_rngs, a_draws[:, :min(draw, h - b0)])
             sample_rows(cfg.w_spec, rngs, w_draws[:, :min(draw, h - b0)])
         a_blk = a_draws[:, b0 % draw:b0 % draw + nb]
         w_blk = w_draws[:, b0 % draw:b0 % draw + nb]
@@ -654,13 +654,18 @@ def run_recorded_bundle(cfg: ExperimentConfig, consume: Callable | None = None) 
     return out.records, out.diverged_at
 
 
+def executed_steps(diverged_at: np.ndarray, horizon: int) -> np.ndarray:
+    """Each lane's executed steps: its divergence step, else ``horizon``."""
+    return np.where(diverged_at < 0, horizon, diverged_at)
+
+
 def recorded_lanes(records: dict[str, np.ndarray], diverged_at: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-    """Each lane's executed steps (its divergence step, else the horizon) and its records cut there, as views.
+    """Each lane's executed steps and its records cut there, as views.
 
     A lane's cut is a Trace's layout: X_0..X_steps, and ``steps`` entries of every other field,
     each contiguous, as the records are lane-major.
     """
-    steps = np.where(diverged_at < 0, records["symbol"].shape[1], diverged_at)
+    steps = executed_steps(diverged_at, records["symbol"].shape[1])
     return steps, [{f: c[j, :s + (f == "X")] for f, c in records.items()} for j, s in enumerate(steps.tolist())]
 
 

@@ -59,8 +59,8 @@ from zoomctl import analysis
 from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
-from zoomctl.harness import (FULL_RECORD_FIELDS, ExperimentConfig, Policy, envelope_moments, recorder,
-                             run_experiment, run_recorded_bundle, trial_seed)
+from zoomctl.harness import (FULL_RECORD_FIELDS, ExperimentConfig, Policy, envelope_moments, executed_steps,
+                             recorder, run_experiment, run_recorded_bundle, trial_seed)
 from zoomctl.loop import Trace, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
@@ -112,7 +112,7 @@ class ExactPass:
     def __call__(self, b0: int, rows: dict[str, np.ndarray], diverged_at: np.ndarray) -> None:
         self.keep(b0, rows, diverged_at)
         nb = rows["symbol"].shape[1]
-        steps = np.clip(np.where(diverged_at < 0, b0 + nb, diverged_at) - b0, 0, nb)
+        steps = np.clip(executed_steps(diverged_at, b0 + nb) - b0, 0, nb)
         result = validate_trace_columns(rows, self.cfg.params, *self.mu, b0, self.entering, steps)
         self.entering = np.array([rows["M"][:, -1], rows["I"][:, -1], rows["rho"][:, -1]], dtype=float)
         if not result.ok and (self.failure is None or result.lane < self.failure[0]):
@@ -140,7 +140,7 @@ def record_exact(cfg: ExperimentConfig) -> ExactPass:
     _, tally.diverged_at = run_recorded_bundle(sub, tally)
     if tally.failure:
         raise ProtocolError(tally.failure[1])
-    tally.steps = np.where(tally.diverged_at < 0, cfg.horizon, tally.diverged_at)
+    tally.steps = executed_steps(tally.diverged_at, cfg.horizon)
     return tally
 
 

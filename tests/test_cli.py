@@ -632,6 +632,27 @@ def test_cli_degenerate_cell_width_exits_1(tmp_path, capsys, command, overrides,
     assert not (tmp_path / "o").exists()
 
 
+# the static cell width 2*range/(2L+1) overflows at range 1e308 and at the
+# default range 10*M0 = 5e308, underflows to 0 at range 1e-310, and is
+# subnormal at range 1e-300
+@pytest.mark.parametrize("config, overrides, width, srange, L", [
+    ("static_baseline", ["policy.range=1e308"], "inf", "1e+308", 200000000000000),
+    ("emergency_rich", ["policy=static_quantizer", "M0=5e307", "P=2"], "inf", "inf", 8),
+    ("static_baseline", ["policy.range=1e-310"], "0.0", "1e-310", 200000000000000),
+    ("static_baseline", ["policy.range=1e-300"], "5e-315", "1e-300", 200000000000000),
+], ids=["range_overflows", "default_range_overflows", "range_underflows", "range_subnormal"])
+def test_cli_degenerate_static_cell_width_exits_1(tmp_path, capsys, config, overrides, width, srange, L):
+    sets = [arg for item in overrides + ["trials=3", "horizon=5"] for arg in ("--set", item)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(EMERGENCY_CFG.parent / f"{config}.cfg"), "--out", str(tmp_path / "o")] + sets)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: static cell width 2*range/(2L+1) = {width} is not a finite normal float: "
+                            f"range={srange}, L={L}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_verify_drift_reports_lanes_diverging_after_a_block(monkeypatch, capsys):
     import zoomctl.harness as hz
 

@@ -10,7 +10,6 @@ from zoomctl.distributions import (
     MomentError,
     abs_moment,
     central_moment,
-    drop_draws,
     moment_summary,
     moments,
     sample_array,
@@ -389,12 +388,13 @@ def test_sample_rows_equal_sample_array_per_row(kind):
     DistributionSpec.student_t(2.5, 1.3, 0.2),
     DistributionSpec.two_point(1e30, 0.01, 1.0),
 ], ids=["gaussian", "uniform", "two_point", "student_t", "two_point_diverging"])
-def test_drop_draws_leaves_the_generator_where_a_whole_draw_does(spec):
-    # the engine drops a trial's gains to reach its disturbances: the next
-    # words must be the ones after a whole draw of the horizon's gains
+def test_gain_skip_ends_where_a_whole_draw_does(spec):
+    # the engine skips a trial's gains, drawn into one reused row, to reach
+    # its disturbances: the next words must be the ones after a whole draw
+    # of the horizon's gains
     for n in (1, 263, 10_000):
-        whole, dropped = rng_from([5, n]), rng_from([5, n])
+        whole, skipped = rng_from([5, n]), rng_from([5, n])
         sample_array(spec, whole, n)
-        drop_draws(spec, dropped, np.empty(n))
-        assert dropped.bit_generator.state == whole.bit_generator.state
-        assert np.array_equal(dropped.random(3), whole.random(3))
+        sample_rows(spec, [skipped], np.empty((1, n)))
+        assert skipped.bit_generator.state == whole.bit_generator.state
+        assert np.array_equal(skipped.random(3), whole.random(3))

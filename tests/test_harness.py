@@ -450,11 +450,11 @@ STREAM_LAWS = {
 def test_streamed_gains_are_the_whole_draw(monkeypatch, policy, law):
     import zoomctl.harness as hz
 
-    # a quantizer chunk redraws its gains a batch at a time from a second
-    # generator, its first one having drawn and dropped them; over 263 steps
-    # that is 50-step blocks in a 250-step batch and one of 13, and 1-step
-    # blocks in 1-step batches and in 7-step ones with a last of 4.  A batch
-    # over the horizon draws the gains whole, from one generator
+    # a chunk redraws its gains a batch at a time from a second generator,
+    # its first one having drawn and dropped them; over 263 steps that is
+    # 50-step blocks in a 250-step batch and one of 13, and 1-step blocks in
+    # 1-step batches and in 7-step ones with a last of 4.  A batch over the
+    # horizon draws the gains whole, from the second generator too
     cfg = make_cfg(a_spec=STREAM_LAWS[law], policy=policy, trials=8, horizon=263, master_seed=5)
     runs = [engine_outputs(cfg, 5)]
     monkeypatch.setattr(hz, "BLOCK_STEPS", 1)
@@ -993,24 +993,28 @@ def test_narrow_last_chunk_reuses_the_gains_buffer(monkeypatch):
     # of 250, 250 and 100 steps, every one into the first columns of its own
     # (lanes, 250) buffer
     cfg = make_cfg(trials=2054, horizon=600, policy=Policy.perfect())
-    buffers, draws = [], []
+    gains = []  # per chunk, its gain generators and the batches they draw
     predraw, sample = hz._predraw, hz.sample_rows
 
-    def spy(cfg, indices, batch):
-        a, rngs, a_rngs = predraw(cfg, indices, batch)
-        buffers.append(a)
-        return a, rngs, a_rngs
+    def spy(cfg, indices):
+        rngs, a_rngs = predraw(cfg, indices)
+        gains.append((a_rngs, []))
+        return rngs, a_rngs
 
     def drawn(spec, rngs, out):
-        draws.append(out)
+        for a_rngs, batches in gains:
+            if rngs is a_rngs:
+                batches.append(out)
         return sample(spec, rngs, out)
 
     monkeypatch.setattr(hz, "_predraw", spy)
     monkeypatch.setattr(hz, "sample_rows", drawn)
     outs = hz._run_chunks(cfg, False)
+    buffers = [batches[0] for _, batches in gains]
     assert [a.shape for a in buffers] == [(2048, 250), (6, 250)]
-    for a in buffers:
-        assert [d.shape[1] for d in draws if np.shares_memory(d, a)] == [250, 250, 100]
+    for a, (_, batches) in zip(buffers, gains):
+        assert [d.shape[1] for d in batches] == [250, 250, 100]
+        assert all(d.ctypes.data == a.ctypes.data and d.strides == a.strides for d in batches)
     traces = [extract_trace(cfg, t) for t in range(2048, 2054)]
     assert not any(tr.diverged for tr in traces)
     # the last group's per-step sums are those of its trials' X^2, in trial order
