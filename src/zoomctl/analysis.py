@@ -18,7 +18,9 @@ N_{n0} = Q_{n0}.  A zoom-out step's tracker M_{n0} = P*M_{n0-1} is below
 |X_{n0}|; the frozen round exits after the J >= 1 multiplies by P that
 first reach |X_{n0}|, with I held, so N_{n0} = 2^J sqrt(g^2 + K*I_{n0}^2)
 for the grown tracker g.  ``freeze_arrays`` gives (g, J) and
-``dominating_seq`` gives N, each over an array of freeze points.
+``dominating_seq`` gives N, each over an array of freeze points, and
+``dominating_at`` gives N from the points' recorded values; ``verify``
+takes every executed step as a freeze point.
 
 The drift diagnostic checks the contraction E[N_{n+1}^2] <= (1-c) E[N_n^2] + D
 with D = 2*sigma_W^2 + (1+K)*M0^2 on trial ensembles, plus the implied cap
@@ -174,66 +176,51 @@ def _nsq_from_tau(M: np.ndarray, I: np.ndarray, K: float, tau: np.ndarray | None
 
 @dataclass
 class DominationReport:
-    """|X_{n0}| <= N_{n0} at freeze points: one entry per point, in trial order."""
+    """|X_n| <= N_n at every executed step, tallied per trial as the steps come (``add``)."""
 
-    trace: np.ndarray
-    n0: np.ndarray
-    x_abs: np.ndarray
-    N: np.ndarray
+    steps: np.ndarray  # executed steps examined
+    unbounded: np.ndarray  # of them, where N overflowed to inf
+    violations: np.ndarray  # of them, where |X_n| > N_n
+    max_ratio: np.ndarray  # of |X_n| / N_n
+    # each violating trial's first violation: trial -> (n, |X_n|, N_n)
+    first: dict[int, tuple[int, float, float]] = field(default_factory=dict)
 
-    @property
-    def checked(self) -> int:
-        return len(self.n0)
-
-    @property
-    def violations(self) -> np.ndarray:
-        """Indices of the points where |X_{n0}| > N_{n0}."""
-        return np.flatnonzero(self.x_abs > self.N)
-
-    @property
-    def unbounded(self) -> int:
-        """Points whose N overflowed to inf."""
-        return int(np.count_nonzero(np.isinf(self.N)))
-
-    @property
-    def max_ratio(self) -> float:
-        ratio = np.divide(self.x_abs, self.N, out=np.zeros_like(self.N), where=self.N > 0)
-        return float(ratio.max(initial=0.0))
-
-    @property
-    def ok(self) -> bool:
-        return not len(self.violations)
-
-    def rows(self, points=slice(None)) -> list[tuple[int, int, float, float]]:
-        """(trace, n0, |X_n0|, N_n0) of the points, as Python numbers."""
-        return list(zip(*(a[points].tolist() for a in (self.trace, self.n0, self.x_abs, self.N))))
+    def add(self, b0: int, x_abs: np.ndarray, N: np.ndarray, executed: np.ndarray) -> None:
+        """Fold in (trials, steps) |X_n| and N_n from step b0 on, where ``executed``; x_abs is 0 elsewhere."""
+        bad = x_abs > N
+        self.steps += executed.sum(axis=1)
+        self.unbounded += (executed & np.isinf(N)).sum(axis=1)
+        self.violations += bad.sum(axis=1)
+        ratio = np.divide(x_abs, N, out=np.zeros_like(N), where=N > 0)
+        np.maximum(self.max_ratio, ratio.max(axis=1, initial=0.0), out=self.max_ratio)
+        for t in np.flatnonzero(bad.any(axis=1)).tolist():
+            n = int(np.argmax(bad[t]))
+            self.first.setdefault(t, (b0 + n, x_abs[t, n].item(), N[t, n].item()))
 
     def to_dict(self) -> dict:
+        """The totals, and each violating trial's first violation, in trial order."""
         return {
-            "checked": self.checked,
-            "violations": [
-                {"trace": t, "n0": n0, "abs_x": x, "N": n} for t, n0, x, n in self.rows(self.violations)
-            ],
-            "max_ratio": self.max_ratio,
-            "unbounded": self.unbounded,
-            "ok": self.ok,
+            "checked": int(self.steps.sum()),
+            "unbounded": int(self.unbounded.sum()),
+            "max_ratio": float(self.max_ratio.max(initial=0.0)),
+            "ok": not self.first,
+            "first_violations": [{"trace": t, "n0": n, "abs_x": x, "N": v}
+                                 for t, (n, x, v) in sorted(self.first.items())],
         }
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["trace", "n0", "abs_x", "N", "ok"])
-            for t, n0, x_abs, n_val in self.rows():
-                writer.writerow([t, n0, repr(x_abs), repr(n_val), int(x_abs <= n_val)])
+            writer.writerow(["trace", "steps", "unbounded", "violations", "first_violation", "max_ratio"])
+            for t, row in enumerate(zip(self.steps.tolist(), self.unbounded.tolist(), self.violations.tolist())):
+                writer.writerow([t, *row, self.first.get(t, (-1,))[0], repr(self.max_ratio[t].item())])
 
 
-def domination_report(
-    rec: dict[str, np.ndarray], trace: np.ndarray, n0: np.ndarray, params: StrategyParams
-) -> DominationReport:
-    """|X_{n0}| <= N_{n0}, exactly, at the points (trace[i], n0[i]) of recorded X, M, I and mode flags."""
-    x_abs, I = np.abs(rec["X"][trace, n0]), rec["I"][trace, n0]
-    g, J = freeze_arrays(x_abs, rec["M"][trace, n0], rec["normal"][trace, n0], params.P, I, params.K)
-    return DominationReport(trace, n0, x_abs, dominating_seq(g, I, J, params.K))
+def dominating_at(x_abs: np.ndarray, M: np.ndarray, normal: np.ndarray, I: np.ndarray,
+                  params: StrategyParams) -> np.ndarray:
+    """N_{n0}, exactly, at freeze points of |X_{n0}|, M_{n0}, mode flag and I_{n0} (arrays of one shape)."""
+    g, J = freeze_arrays(x_abs, M, normal, params.P, I, params.K)
+    return dominating_seq(g, I, J, params.K)
 
 
 @dataclass

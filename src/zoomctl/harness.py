@@ -43,7 +43,7 @@ from step-major block buffers that each step writes a row of in place (see
 hands its leading lanes' rows to a consumer (a recording: all its trials,
 in one chunk; an ensemble: the kept traces' lanes of each chunk), by
 default copied into lane-major records, 65 bytes per lane and step; the
-exact checks of ``verify`` audit and tally them as they come.  The N^2
+exact checks of ``verify`` audit and tally them and keep none.  The N^2
 envelope is one ``analysis.EnvelopeMoments`` per trial group: its column
 sums, 8 * horizon bytes, and for ``verify``'s drift the drift and halving
 statistics, 32 * horizon more.  Each lane's M, I and mode, about 17 bytes,
@@ -263,14 +263,14 @@ def _chunk_envelope(
     return tuple(c[:, done:].copy() for c in cols) if done < cols[0].shape[1] else None
 
 
-def recorder(lanes: dict[str, int], horizon: int, records: dict[str, np.ndarray]) -> Callable:
-    """A consumer of ``_run_chunk``'s block rows that copies the first ``lanes[f]`` lanes of each field f
-    into ``records[f]``, lane-major and horizon-long (X has one more column), allocated at the first block."""
+def recorder(r: int, horizon: int, records: dict[str, np.ndarray]) -> Callable:
+    """A consumer of ``_run_chunk``'s block rows that copies the first r lanes of every field f into
+    ``records[f]``, lane-major and horizon-long (X has one more column), allocated at the first block."""
     def consume(b0: int, rows: dict[str, np.ndarray], diverged_at: np.ndarray) -> None:
-        for f, n in lanes.items():
+        for f in FULL_RECORD_FIELDS:
             if f not in records:
-                records[f] = np.empty((min(n, len(rows[f])), horizon + (f == "X")), rows[f].dtype)
-            records[f][:, b0:b0 + rows[f].shape[1]] = rows[f][:n]
+                records[f] = np.empty((r, horizon + (f == "X")), rows[f].dtype)
+            records[f][:, b0:b0 + rows[f].shape[1]] = rows[f][:r]
     return consume
 
 
@@ -363,7 +363,7 @@ def _run_chunk(
     rho_rec = recs["rho"] = np.ones((block + 1, r), dtype=np.int64)
     sym_rec = recs["symbol"] = np.full((block + 1, r), NO_SYMBOL)
     records = {}
-    consume = consume or recorder(dict.fromkeys(FULL_RECORD_FIELDS, r), h, records)
+    consume = consume or recorder(r, h, records)
     envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
                                            indices[lanes.start]) for lanes in groups] if need_env else []
     pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns

@@ -10,10 +10,10 @@ ensembles:
 * containment      -- at every normal step, rho*X_n lies in
   [M_n - 2 I_n, M_n], exactly; steps floored at M0, flagged by the lane
   audit's symbol replay, are counted apart.
-* domination       -- |X_{n0}| <= N_{n0} for sampled freeze points, exactly.
-  N_{n0} comes from the recorded M, I and mode flag at each point
-  (``analysis.domination_report``), in one pass over all of them; points
-  whose N overflowed to inf are counted apart.
+* domination       -- |X_n| <= N_n at every executed step, exactly, each
+  step taken as a freeze point.  N_n comes from the step's own M, I and
+  mode flag (``analysis.dominating_at``); steps whose N overflowed to inf
+  are counted apart.
 * drift            -- E[N_{n+1}^2] <= (1-c) E[N_n^2] + D within three
   standard errors at every resolved index, the cap E[N^2] <= D/c, and
   exact halving of N during zoom-out.
@@ -27,12 +27,12 @@ block (``ExactPass``).  Each block's lanes, like a trace file, go through
 the one lane audit, ``loop.validate_trace_columns``: the controller
 replayed from the symbols against the recorded normal flag, M, I, rho and
 U, the plant X' = A*X + W - U, and the encoder's symbol for each X_n.  A
-failed audit fails every requested exact check.  tracker_equality also
-reruns the first SCALAR_REPLAYS trials through the scalar ``run_trial``,
-an independent encoder, and compares each with its recorded lane bit for
-bit, all nine fields.  The pass keeps only those lanes and domination's
-X, M, I and mode flag whole: 25 bytes per trial and step, 25 MB of
-``reference.cfg``'s 100 x 10 000.  Drift then runs trials x
+failed audit fails every requested exact check.  Containment and
+domination are tallied per block.  For tracker_equality the first
+SCALAR_REPLAYS trials are rerun through the scalar ``run_trial``, an
+independent encoder, before the pass, and each block's lanes are compared
+with them bit for bit, all nine fields.  Of the pass's trials only those
+reruns' Traces span the horizon.  Drift then runs trials x
 min(horizon, DRIFT_HORIZON_CAP) through the engine once, and the engine's
 one N^2 accumulator per trial group (``analysis.EnvelopeMoments``) gathers
 its statistics and the halving check (``harness.envelope_moments``).
@@ -56,11 +56,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from zoomctl import analysis
+from zoomctl.analysis import dominating_at
 from zoomctl.codec import ProtocolError
 from zoomctl.config import ConfigError
 from zoomctl.distributions import moments
-from zoomctl.harness import (FULL_RECORD_FIELDS, ExperimentConfig, Policy, envelope_moments, executed_steps,
-                             recorder, run_experiment, run_recorded_bundle, trial_seed)
+from zoomctl.harness import (ExperimentConfig, Policy, envelope_moments, executed_steps, run_experiment,
+                             run_recorded_bundle, trial_seed)
 from zoomctl.loop import Trace, read_trace_csv, run_trial, validate_trace_columns
 
 CHECK_NAMES = ("tracker_equality", "containment", "domination", "drift", "oracle_match")
@@ -71,11 +72,7 @@ TRACKER_CHECKS = EXACT_CHECKS + ("drift",)  # need the adaptive policy
 DRIFT_HORIZON_CAP = 2000
 EXACT_TRIALS = 100  # trials in the exact checks' shared recorded pass
 SCALAR_REPLAYS = 3  # trials tracker_equality repeats through run_trial
-DOMINATION_N0_PER_TRACE = 10
 ORACLE_STEPS = 20
-
-# fixed stream tags so check-level sampling never collides with trial streams
-_N0_STREAM_TAG = 0x5EEDF00D
 
 
 class InsufficientTrials(ValueError):
@@ -93,24 +90,32 @@ class CheckResult:
 class ExactPass:
     """The exact checks' consumer of their pass's block rows (``harness._run_chunk``'s ``consume``).
 
-    It audits each block's lanes, keeping the lowest trial's first failure,
-    and tallies containment at their executed normal steps: those steps,
-    the floored ones, the violations and the first (trial, step) of them.
+    It audits each block's lanes, keeping the lowest trial's first failure;
+    tallies containment at their executed normal steps (those steps, the
+    floored ones, the violations and the first (trial, step) of them) and
+    domination at every executed step (``domination``); and compares the
+    first lanes with their scalar reruns, keeping each trial's first
+    difference (``mismatch``).
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, replays: int):
         self.cfg, self.mu = cfg, (moments(cfg.a_spec)[0], moments(cfg.w_spec)[0])
-        self.records: dict[str, np.ndarray] = {}  # domination's fields of every trial, all of the scalar reruns'
-        self.keep = recorder({f: cfg.trials if f in ("X", "M", "I", "normal") else SCALAR_REPLAYS
-                              for f in FULL_RECORD_FIELDS}, cfg.horizon, self.records)
+        self.scalar: list[Trace] = []  # run_trial's reruns of the first trials
+        self.mismatch: dict[int, str] = {}  # trial -> where its scalar rerun first differs from its lane
+        try:
+            for t in range(min(replays, cfg.trials)):
+                self.scalar.append(run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon,
+                                             trial_seed(cfg.master_seed, t)))
+        except ProtocolError as exc:
+            self.mismatch[len(self.scalar)] = str(exc)
         self.entering = None  # the tracker entering the next block
         self.failure: tuple[int, str] | None = None  # (trial, message)
         self.normal = self.floored = self.violations = 0
         self.first: tuple[int, int] | None = None
+        self.domination = analysis.DominationReport(*np.zeros((3, cfg.trials), dtype=np.int64), np.zeros(cfg.trials))
         self.diverged_at = self.steps = None  # each trial's, once the pass is done
 
     def __call__(self, b0: int, rows: dict[str, np.ndarray], diverged_at: np.ndarray) -> None:
-        self.keep(b0, rows, diverged_at)
         nb = rows["symbol"].shape[1]
         steps = np.clip(executed_steps(diverged_at, b0 + nb) - b0, 0, nb)
         result = validate_trace_columns(rows, self.cfg.params, *self.mu, b0, self.entering, steps)
@@ -118,7 +123,8 @@ class ExactPass:
         if not result.ok and (self.failure is None or result.lane < self.failure[0]):
             self.failure = (result.lane, f"recorded trial {result.lane} differs at step {result.first_mismatch} "
                                          f"({result.field}): {result.detail}")
-        eligible = rows["normal"] & (np.arange(nb) < steps[:, None])
+        executed = np.arange(nb) < steps[:, None]
+        eligible = rows["normal"] & executed
         rx = rows["rho"] * rows["X"][:, :nb]
         bad = eligible & ((rx < rows["M"] - 2.0 * rows["I"]) | (rx > rows["M"]))
         self.normal += int(eligible.sum())
@@ -127,20 +133,33 @@ class ExactPass:
         if bad.any():
             t, n = map(int, next(zip(*np.nonzero(bad))))
             self.first = min(self.first or (t, b0 + n), (t, b0 + n))
+        x_abs = np.abs(rows["X"][:, :nb], out=np.zeros(executed.shape), where=executed)
+        self.domination.add(b0, x_abs, dominating_at(x_abs, rows["M"], rows["normal"], rows["I"], self.cfg.params),
+                            executed)
+        for t, tr in enumerate(self.scalar):
+            if t not in self.mismatch and (found := _scalar_mismatch(tr, rows, b0, t)):
+                self.mismatch[t] = found
 
 
-def record_exact(cfg: ExperimentConfig) -> ExactPass:
-    """The exact checks' pass over the first min(trials, EXACT_TRIALS) trials, streamed through the engine.
+def record_exact(cfg: ExperimentConfig, replays: int = SCALAR_REPLAYS) -> ExactPass:
+    """The exact checks' pass over the first min(trials, EXACT_TRIALS) trials, streamed through the engine,
+    with the first ``replays`` of them rerun through run_trial.
 
     A failed lane audit raises ProtocolError naming the lowest such trial,
     its first bad step and the field.
     """
     sub = replace(cfg, trials=min(cfg.trials, EXACT_TRIALS))
-    tally = ExactPass(sub)
+    tally = ExactPass(sub, replays)
     _, tally.diverged_at = run_recorded_bundle(sub, tally)
     if tally.failure:
         raise ProtocolError(tally.failure[1])
     tally.steps = executed_steps(tally.diverged_at, cfg.horizon)
+    for t, tr in enumerate(tally.scalar):  # a differing divergence step is reported before any field
+        at, div = -1 if tr.diverged_at is None else tr.diverged_at, int(tally.diverged_at[t])
+        if at != div:
+            tally.mismatch[t] = (f"scalar run_trial of trial {t} diverges at step {at}, "
+                                 f"its recorded lane at {div} (-1: never)")
+    tally.scalar = []
     return tally
 
 
@@ -161,41 +180,31 @@ def check_tracker_equality(
             f"first divergent index {result.first_mismatch} ({result.field}): {result.detail}",
         )
 
-    # record_exact audited every trial of the recorded pass
-    rec, diverged_at = recorded.records, recorded.diverged_at
-    trials = len(diverged_at)
-    try:
-        # the scalar reference loop reruns a few trials; each must equal its recorded lane
-        for t in range(min(SCALAR_REPLAYS, trials)):
-            tr = run_trial(cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon, trial_seed(cfg.master_seed, t))
-            mismatch = _scalar_mismatch(tr, rec, int(diverged_at[t]), t)
-            if mismatch:
-                return CheckResult("tracker_equality", False, mismatch)
-    except ProtocolError as exc:
-        return CheckResult("tracker_equality", False, str(exc))
+    # record_exact audited every trial of the recorded pass, and compared
+    # the first ones with their scalar reruns
+    if recorded.mismatch:
+        return CheckResult("tracker_equality", False, recorded.mismatch[min(recorded.mismatch)])
+    trials, n_div = len(recorded.steps), int((recorded.diverged_at >= 0).sum())
     examined = f"{trials} trials x {cfg.horizon} steps"
-    n_div = int((diverged_at >= 0).sum())
-    if n_div:  # a diverged trial's records end at its divergence step
+    if n_div:  # a diverged trial's lane ends at its divergence step
         examined = f"{trials} trials ({n_div} diverged), {int(recorded.steps.sum())} executed steps"
     return CheckResult("tracker_equality", True, f"{examined} replayed from their symbols, trackers bit-identical")
 
 
-def _scalar_mismatch(tr: Trace, rec: dict[str, np.ndarray], div: int, t: int) -> str:
-    """Where run_trial's trace of trial t first differs from recorded lane t, bit for bit ("" if nowhere)."""
-    at = -1 if tr.diverged_at is None else tr.diverged_at
-    if at != div:
-        return f"scalar run_trial of trial {t} diverges at step {at}, its recorded lane at {div} (-1: never)"
+def _scalar_mismatch(tr: Trace, rows: dict[str, np.ndarray], b0: int, t: int) -> str:
+    """Where run_trial's trace of trial t first differs, bit for bit, from lane t of a block of rows from step
+    b0 ("" if nowhere)."""
     found = []  # (step, field order, field) of each field's first difference; X_n enters step n
     for order, f in enumerate(("X", "symbol", "normal", "M", "I", "rho", "U", "A", "W")):
-        col = getattr(tr, f).astype(float)
-        bad = col.view(np.int64) != rec[f][t, :len(col)].astype(float).view(np.int64)
+        col = getattr(tr, f)[b0:b0 + rows[f].shape[1]].astype(float)
+        bad = col.view(np.int64) != rows[f][t, :len(col)].astype(float).view(np.int64)
         if bad.any():
             found.append((int(np.argmax(bad)), order, f))
     if not found:
         return ""
     n, _, f = min(found)
-    return (f"scalar run_trial differs from recorded trial {t} at step {n}: "
-            f"{f}={getattr(tr, f)[n].item()!r}, recorded {rec[f][t, n].item()!r}")
+    return (f"scalar run_trial differs from recorded trial {t} at step {b0 + n}: "
+            f"{f}={getattr(tr, f)[b0 + n].item()!r}, recorded {rows[f][t, n].item()!r}")
 
 
 def check_containment(cfg: ExperimentConfig, recorded: ExactPass) -> CheckResult:
@@ -211,27 +220,22 @@ def check_containment(cfg: ExperimentConfig, recorded: ExactPass) -> CheckResult
 
 
 def check_domination(cfg: ExperimentConfig, recorded: ExactPass) -> CheckResult:
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([cfg.master_seed, _N0_STREAM_TAG]))
-    )
-    # each trial's freeze points, drawn in trial order from its executed steps
-    # (a trial diverges at step 1 at the earliest, as X_0 = 0)
-    n0 = np.concatenate([rng.integers(0, s, size=DOMINATION_N0_PER_TRACE) for s in recorded.steps])
-    trace = np.repeat(np.arange(len(recorded.steps)), DOMINATION_N0_PER_TRACE)
-    report = analysis.domination_report(recorded.records, trace, n0, cfg.params)
-    unbounded = f"; N overflowed to inf at {report.unbounded}" if report.unbounded else ""
-    if not report.ok:
-        (t, n, x_abs, n_val), = report.rows(report.violations[:1])
+    """|X_n| <= N_n at every executed step of the streamed pass's trials, tallied as it ran."""
+    report = recorded.domination
+    totals = report.to_dict()
+    unbounded = f"; N overflowed to inf at {totals['unbounded']}" if totals["unbounded"] else ""
+    if not totals["ok"]:
+        first = totals["first_violations"][0]
         return CheckResult(
             "domination", False,
-            f"{len(report.violations)} violations / {report.checked}{unbounded}; "
-            f"first at trial {t}, |X_{n}|={x_abs!r} > N={n_val!r}",
+            f"{int(report.violations.sum())} violations / {totals['checked']}{unbounded}; "
+            f"first at trial {first['trace']}, |X_{first['n0']}|={first['abs_x']!r} > N={first['N']!r}",
             report=report,
         )
     return CheckResult(
         "domination", True,
-        f"|X_n0| <= N_n0 at all {report.checked} sampled freeze points "
-        f"(max ratio {report.max_ratio:.3f}{unbounded})",
+        f"|X_n| <= N_n at all {totals['checked']} executed steps of {len(report.steps)} trials "
+        f"(max ratio {totals['max_ratio']:.3f}{unbounded})",
         report=report,
     )
 
@@ -325,12 +329,11 @@ def run_checks(
     done = {}
     if shared:
         try:
-            recorded = record_exact(cfg)
+            recorded = record_exact(cfg, SCALAR_REPLAYS if "tracker_equality" in shared else 0)
         except ProtocolError as exc:
             done = {name: CheckResult(name, False, str(exc)) for name in shared}
         else:
             done = {name: checks[name](recorded) for name in shared}
-            del recorded  # its kept records go before drift runs its own ensemble
     results = []
     for name in names:
         if name not in done:

@@ -118,9 +118,10 @@ def _check_domination(rec, params, seed) -> tuple[int, int, float]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5EED])))
     per_trace = DOMINATION_N0 // DOMINATION_TRIALS
     n0 = rng.integers(0, rec["M"].shape[1], size=(DOMINATION_TRIALS, per_trace))
-    trace = np.repeat(np.arange(DOMINATION_TRIALS), per_trace)
-    rep = analysis.domination_report(rec, trace, n0.ravel(), params)
-    return rep.checked, len(rep.violations), rep.max_ratio
+    trace, n0 = np.repeat(np.arange(DOMINATION_TRIALS), per_trace), n0.ravel()
+    x_abs = np.abs(rec["X"][trace, n0])
+    N = analysis.dominating_at(x_abs, rec["M"][trace, n0], rec["normal"][trace, n0], rec["I"][trace, n0], params)
+    return len(n0), int(np.count_nonzero(x_abs > N)), float((x_abs / N).max())
 
 
 # --------------------------------------------------------------------------

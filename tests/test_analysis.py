@@ -17,8 +17,8 @@ from zoomctl.analysis import (
     _nsq_from_tau,
     _tau_backward,
     check_emergency_halving,
+    dominating_at,
     dominating_seq,
-    domination_report,
     drift_estimate,
     envelope_squared,
     epsilon_bound,
@@ -42,13 +42,6 @@ UNIT_PARAMS = StrategyParams(L=2, P=2.0, M0=1.0, K=8.0, c=0.2)
 
 def emergency_trial(horizon=2000, seed=42):
     return run_trial(A_REF, W_REF, EMERGENCY_PARAMS, horizon, seed)
-
-
-def recorded(tr):
-    """A scalar trace's executed steps as a one-trial recorded bundle."""
-    steps = tr.steps
-    return {"X": tr.X[None, : steps + 1], "M": tr.M[None, :steps], "I": tr.I[None, :steps],
-            "normal": tr.normal[:steps][None]}
 
 
 def point_n(x_abs, M, I, normal, params):
@@ -274,17 +267,16 @@ def test_envelope_all_normal_fast_path_matches_tau_path():
 def test_domination_exact_on_simulated_traces():
     tr = emergency_trial(2000, 77)
     n0 = np.random.default_rng(1).integers(0, tr.steps, 300)
-    rep = domination_report(recorded(tr), np.zeros(300, dtype=np.int64), n0, EMERGENCY_PARAMS)
-    assert rep.ok
-    assert rep.checked == 300
-    assert rep.max_ratio <= 1.0
-    assert rep.unbounded == 0
+    x_abs = np.abs(tr.X[n0])
+    N = dominating_at(x_abs, tr.M[n0], tr.normal[n0], tr.I[n0], EMERGENCY_PARAMS)
+    assert np.all(x_abs <= N)
+    assert np.isfinite(N).all()
     zoom = ~tr.normal[n0]
     assert 0 < zoom.sum() < 300
     # each point's N from a frozen trace built step by step
     expected = [frozen_n_by_definition(abs(tr.X[n]), tr.M[n - 1] if n else EMERGENCY_PARAMS.M0, tr.M[n],
                                        tr.I[n], EMERGENCY_PARAMS.P, EMERGENCY_PARAMS.K)[0] for n in n0]
-    assert rep.N.tobytes() == np.array(expected).tobytes()
+    assert N.tobytes() == np.array(expected).tobytes()
 
 
 def test_halving_exact_during_emergencies():

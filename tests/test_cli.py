@@ -1,3 +1,4 @@
+import csv
 import json
 import runpy
 import time
@@ -509,9 +510,10 @@ def test_cli_verify_reports_written(tmp_path, cfg_file):
     for name in ("drift_report", "domination_report"):
         assert (out / f"{name}.json").exists()
         assert (out / f"{name}.csv").exists()
+    # one row per trial of the exact checks' pass
     dom_lines = (out / "domination_report.csv").read_text().splitlines()
-    assert dom_lines[0] == "trace,n0,abs_x,N,ok"
-    assert len(dom_lines) > 100
+    assert dom_lines[0] == "trace,steps,unbounded,violations,first_violation,max_ratio"
+    assert len(dom_lines) == 1 + 100
 
 
 def test_cli_verify_unknown_check(cfg_file):
@@ -1011,7 +1013,8 @@ def test_cli_oracle_match_passes_at_seed_11(capsys, config):
 
 def test_cli_verify_domination_counts_n_overflowed_to_inf(tmp_path, capsys):
     # at L = 1 and P = 1e10 trackers reach 1e154 and beyond, where N^2 and
-    # then N overflow; such points pass as |X| <= inf and are counted apart
+    # then N overflow; such steps pass as |X| <= inf and are counted apart,
+    # per trial in the CSV
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["verify", str(EMERGENCY_CFG), "--checks", "domination", "--out", str(tmp_path),
@@ -1019,22 +1022,25 @@ def test_cli_verify_domination_counts_n_overflowed_to_inf(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
-    rows = (tmp_path / "domination_report.csv").read_text().splitlines()[1:]
-    n_inf = sum(row.split(",")[3] == "inf" for row in rows)
-    assert n_inf > 0
-    assert captured.out.startswith("domination  PASS  |X_n0| <= N_n0 at all 1000 sampled freeze points")
+    with open(tmp_path / "domination_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    steps, n_inf = (sum(int(row[k]) for row in rows) for k in ("steps", "unbounded"))
+    assert len(rows) == 100 and 0 < n_inf < steps
+    assert captured.out.startswith(f"domination  PASS  |X_n| <= N_n at all {steps} executed steps of 100 trials")
     assert captured.out.endswith(f"; N overflowed to inf at {n_inf})\n")
-    assert json.loads((tmp_path / "domination_report.json").read_text())["unbounded"] == n_inf
+    report = json.loads((tmp_path / "domination_report.json").read_text())
+    assert (report["checked"], report["unbounded"]) == (steps, n_inf)
 
 
 def test_cli_verify_domination_at_p_just_above_1_is_quick(tmp_path, capsys):
     # a zoom-out round at P = 1 + 1e-7 would grow its tracker for millions of
-    # steps; each point stops once N is inf (after about 1100 multiplies)
+    # steps; each executed step stops once N is inf (after about 1100
+    # multiplies)
     start = time.perf_counter()
     code = main(["verify", REFERENCE_CFG, "--checks", "domination", "--out", str(tmp_path),
                  "--set", "trials=20", "--set", "horizon=300", "--set", "P=1.0000001"])
     elapsed = time.perf_counter() - start
     report = json.loads((tmp_path / "domination_report.json").read_text())
-    assert code == 0 and report["checked"] == 200 and report["unbounded"] > 100
+    assert code == 0 and report["checked"] == 20 * 300 and report["unbounded"] > 3000
     assert capsys.readouterr().out.startswith("domination  PASS  ")
     assert elapsed < 10.0

@@ -942,22 +942,26 @@ def test_streamed_chunk_peak_is_flat_in_the_horizon():
         assert peaks[1] - peaks[0] <= 3000 * 100 * 2, (name, policy)
 
 
-def test_exact_checks_peak_grows_only_by_domination_records():
+def test_exact_checks_peak_grows_only_by_the_per_step_sums():
     from zoomctl import verify
     from zoomctl.config import load_config
 
     # the exact checks stream their 100 lanes through the engine block by
-    # block; only domination's X, M, I and mode flags (25 bytes per lane and
-    # step), the three scalar reruns' other fields (120 bytes per step) and
-    # the engine's per-step sums span the horizon
+    # block and keep none of them: containment and domination hold nothing
+    # horizon-long but the engine's per-step sums (24 bytes per step), and
+    # tracker_equality adds only its three scalar reruns, run_trial Traces
+    # of about 97 bytes per step each.  A short warm-up run takes the
+    # one-time allocations out of the first peak
     for name in ("reference", "emergency_rich"):
-        peaks = []
-        for horizon in (1000, 4000):
-            cfg = load_config(CONFIGS / f"{name}.cfg", [f"horizon={horizon}"])
-            peak, results = traced_peak(lambda: verify.run_checks(cfg, list(verify.EXACT_CHECKS)))
-            assert [r.passed for r in results] == [True] * 3
-            peaks.append(peak)
-        assert peaks[1] - peaks[0] <= 27 * verify.EXACT_TRIALS * 3000, name
+        for checks, per_step in ((["containment", "domination"], 32), (list(verify.EXACT_CHECKS), 32 + 3 * 100)):
+            verify.run_checks(load_config(CONFIGS / f"{name}.cfg", ["horizon=10"]), checks)
+            peaks = []
+            for horizon in (1000, 4000):
+                cfg = load_config(CONFIGS / f"{name}.cfg", [f"horizon={horizon}"])
+                peak, results = traced_peak(lambda: verify.run_checks(cfg, checks))
+                assert [r.passed for r in results] == [True] * len(checks)
+                peaks.append(peak)
+            assert peaks[1] - peaks[0] <= per_step * 3000, (name, checks)
 
 
 def test_engine_peak_is_a_small_multiple_of_the_gains():

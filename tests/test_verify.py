@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,36 +173,30 @@ def test_recorded_plant_change_fails_every_exact_check(capsys, monkeypatch, fiel
     assert all(line[2].startswith(msg) for line in lines), lines
 
 
-def _changed_after_audit(monkeypatch, change):
-    """``verify.record_exact`` with ``change`` applied to the records its pass keeps, after the audit."""
-    record = verify.record_exact
-
-    def changed(cfg):
-        recorded = record(cfg)
-        change(recorded.records, recorded.diverged_at)
-        return recorded
-
-    monkeypatch.setattr(verify, "record_exact", changed)
-
-
-# changed after record_exact's audit, which would catch the X change; the
-# scalar reruns of trials 0-2 compare X and the divergence steps with the
-# recorded pass
+# the scalar reruns of trials 0-2, each changed before the pass compares
+# its lanes with them: X in the first block and in the sixth (at 50-step
+# blocks), and the divergence step
 SCALAR_DETAILS = {
     "X": "scalar run_trial differs from recorded trial 1 at step 10: X=",
-    "diverged_at": "scalar run_trial of trial 2 diverges at step -1, its recorded lane at 250 (-1: never)",
+    "X_late": "scalar run_trial differs from recorded trial 1 at step 260: X=",
+    "diverged_at": "scalar run_trial of trial 2 diverges at step 250, its recorded lane at -1 (-1: never)",
 }
 
 
 @pytest.mark.parametrize("column", SCALAR_DETAILS)
 def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, column):
-    def corrupt(rec, diverged_at):
-        if column == "X":
-            rec["X"][1, 10] *= 2.0
-        else:
-            diverged_at[2] = 250
+    rerun, reruns = verify.run_trial, []
 
-    _changed_after_audit(monkeypatch, corrupt)
+    def corrupted(*args):  # trials 0, 1 and 2, in order
+        tr = rerun(*args)
+        if column.startswith("X") and len(reruns) == 1:
+            tr.X[260 if column == "X_late" else 10] *= 2.0
+        if column == "diverged_at" and len(reruns) == 2:
+            tr = replace(tr, diverged_at=250)
+        reruns.append(tr)
+        return tr
+
+    monkeypatch.setattr(verify, "run_trial", corrupted)
     code, lines = run_verify(capsys, "tracker_equality")
     assert code == 2
     assert lines[0][:2] == ("tracker_equality", "FAIL")
@@ -209,27 +204,53 @@ def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, colum
 
 
 def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
-    def inflate(rec, diverged_at):
-        rec["X"][37] = 1e6  # after record_exact's audit, which would catch it
+    n_at = verify.dominating_at
 
-    _changed_after_audit(monkeypatch, inflate)
+    def inflated(x_abs, *args):
+        x_abs[37] = 1e6  # trial 37's |X| where domination reads it; the lane audit would catch it in the rows
+        return n_at(x_abs, *args)
+
+    monkeypatch.setattr(verify, "dominating_at", inflated)
     code = main(["verify", EMERGENCY_CFG, "--checks", "domination", "--out", str(tmp_path)] + SMALL)
     out = capsys.readouterr().out
     with open(tmp_path / "domination_report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    bad = [row for row in rows if row["ok"] == "0"]
     assert code == 2
-    # the sampled freeze points, each trial's 10 drawn from [0, its executed
-    # steps) in trial order, pinned by the sha256 of the (trace, n0) rows
-    points = "".join(f"{row['trace']},{row['n0']}\n" for row in rows)
-    assert hashlib.sha256(points.encode()).hexdigest() == (
-        "b4714416c2057863d8c831305bde8d04a8f24a72a22317744245732ee55c1d3a")
-    assert 0 < len(bad) < verify.DOMINATION_N0_PER_TRACE  # the zoom-out points still pass
-    assert {row["trace"] for row in bad} == {"37"}
+    # every normal step of trial 37 fails and its zoom-out steps pass, as
+    # their frozen tracker grows to 1e6
+    rec, _ = hz.run_recorded_bundle(load_config(EMERGENCY_CFG, ["trials=100", "horizon=300"]))
+    normal = rec["normal"][37]
+    first = int(np.argmax(normal))
+    assert 0 < normal.sum() < len(normal)
+    assert [row for row in rows if row["violations"] != "0"] == [
+        {"trace": "37", "steps": "300", "unbounded": "0", "violations": str(normal.sum()),
+         "first_violation": str(first), "max_ratio": rows[37]["max_ratio"]}]
+    assert float(rows[37]["max_ratio"]) > 1.0
     report = json.loads((tmp_path / "domination_report.json").read_text())
-    assert [(v["trace"], v["n0"]) for v in report["violations"]] == [(37, int(row["n0"])) for row in bad]
-    assert out.startswith(f"domination  FAIL  {len(bad)} violations / 1000; "
-                          f"first at trial 37, |X_{bad[0]['n0']}|=1000000.0 > N=")
+    assert [(v["trace"], v["n0"], v["abs_x"]) for v in report["first_violations"]] == [(37, first, 1e6)]
+    assert (report["checked"], report["ok"]) == (100 * 300, False)
+    assert out.startswith(f"domination  FAIL  {normal.sum()} violations / 30000; "
+                          f"first at trial 37, |X_{first}|=1000000.0 > N=")
+
+
+def test_planted_domination_violation_fails_at_one_step_whatever_the_blocks(capsys, monkeypatch, tmp_path):
+    # N scaled by 0.9: emergency_rich's max ratio is 0.985, here as over its
+    # full 2000 steps, so 0.99 would still pass.  The first violation lands
+    # in a different time block at each block length
+    n_at = verify.dominating_at
+    monkeypatch.setattr(verify, "dominating_at", lambda *args: 0.9 * n_at(*args))
+    runs = []
+    for block, draw in ((1, 1), (7, 7), (hz.BLOCK_STEPS, hz.DRAW_STEPS), (400, 400)):
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
+        out = tmp_path / f"{block}-{draw}"
+        code = main(["verify", EMERGENCY_CFG, "--checks", "domination", "--out", str(out)] + SMALL)
+        runs.append((code, capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert all(run == runs[0] for run in runs[1:])
+    code, line, files = runs[0]
+    assert code == 2
+    assert line.startswith("domination  FAIL  2832 violations / 30000; first at trial 0, |X_10|=")
+    assert json.loads(files["domination_report.json"])["first_violations"][0]["n0"] == 10
 
 
 # containment's detail line and the sha256 of the recorded pass's floor
@@ -260,6 +281,12 @@ CONTAINMENT_PINS = [
 TRACKER_DIVERGED = {
     ("A.stddev=0.99", "P=64", "horizon=3000"): "100 trials (100 diverged), 16800 executed steps",
 }
+# domination reads only a diverged trial's executed steps; with its
+# divergence step, where |X| has blown up, the max ratio would read 0.311
+DOMINATION_DIVERGED = {
+    ("A.stddev=0.99", "P=64", "horizon=3000"):
+        "|X_n| <= N_n at all 16800 executed steps of 100 trials (max ratio 0.238)",
+}
 
 
 @pytest.mark.parametrize("name, overrides, detail, digest", CONTAINMENT_PINS)
@@ -273,11 +300,11 @@ def test_containment_floor_counts_are_pinned(exact_pass, name, overrides, detail
     examined = TRACKER_DIVERGED.get(tuple(overrides), f"100 trials x {cfg.horizon} steps")
     tracker = verify.check_tracker_equality(cfg, recorded=recorded)
     assert tracker.passed and tracker.detail == f"{examined} replayed from their symbols, trackers bit-identical"
+    if tuple(overrides) in DOMINATION_DIVERGED:
+        assert verify.check_domination(cfg, recorded).detail == DOMINATION_DIVERGED[tuple(overrides)]
 
 
 def test_containment_admits_a_state_exactly_at_its_live_range():
-    from dataclasses import replace
-
     from zoomctl.distributions import DistributionSpec
 
     # L = 1, P = 4, M0 = 1/8: X_0 = 0 falls in the cell [0, 1/2], so U_0 = 1/4
