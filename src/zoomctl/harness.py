@@ -26,43 +26,43 @@ bit-identical stats.
 
 The adaptive step carries the encoder's tracker only; ``verify`` checks the
 controller's by replaying recorded symbol streams.  Diverged lanes are
-parked outside the zoom-out multiply and the tracker update.
+parked: X held at 0, outside the zoom-out multiply and the tracker update.
 
-Layout: an engine chunk walks the horizon in time blocks of BLOCK_STEPS
-steps and draws its noise DRAW_STEPS steps at a time (whole blocks), into
+Layout: an engine chunk is a list of lane slices (``LaneSlice``), each a
+policy's step kernel over its own lanes, over one set of per-trial noise
+rows (``verify`` steps an oracle beside the adaptive policy on the same
+draws).  The slices share the plant step, divergence parking, the per-step
+sums, the envelope fold and the recording; no trial group spans two.  A
+chunk runs four trial groups, walks the horizon in time blocks of
+BLOCK_STEPS steps, and draws its noise DRAW_STEPS steps at a time into
 batch buffers each block reads at its offset.  A trial's stream holds its
-horizon's gains, then its disturbances.  Under every policy a chunk runs
-four groups side by side, 2048 lanes, and draws the gains a batch at a
-time from a second generator per trial, the first having drawn and dropped
-them to reach the disturbances.  It holds about lanes x (16 * draw + 42 *
-block) bytes whatever the horizon: at 2048 lanes, 250-step draws and
-50-step blocks, 4 MB of gains, 4 MB of disturbances and 4 MB of block.
-The per-step sums and the N^2 envelope are produced one block at a time,
-from step-major block buffers that each step writes a row of in place (see
-``_run_chunk``), read through transposed views.  After each block a chunk
-hands its leading lanes' rows to a consumer (a recording: all its trials,
-in one chunk; an ensemble: the kept traces' lanes of each chunk), by
-default copied into lane-major records, 65 bytes per lane and step; the
-exact checks of ``verify`` audit and tally them and keep none.  The N^2
-envelope is one ``analysis.EnvelopeMoments`` per trial group: its column
-sums, 8 * horizon bytes, and for ``verify``'s drift the drift and halving
-statistics, 32 * horizon more.  Each lane's M, I and mode, about 17 bytes,
-wait for each column from the first one some lane of its group has not
-resolved yet: a round that stays open over the whole horizon holds another
-17 * horizon per lane.  It covers ensembles with no diverged trial only; a
-chunk drops it at its first diverged lane.  Chunks run one after another
-on the calling thread, and neither the block length nor the chunking
-changes a result.
+horizon's gains, then its disturbances: a first generator per trial draws
+and drops the gains, and a second redraws them a batch at a time.  A chunk
+holds 16 bytes per trial and draw step of noise and, per lane and block
+step, 8 of X and, with the envelope, 17 of M, I and mode: at 2048 trials,
+250-step draws and 50-step blocks, 8 MB of noise and 4 MB of block.  A
+companion slice adds its block rows, no noise.  After each block a slice
+hands its leading lanes' rows to a consumer, by default copied into
+lane-major records (65 bytes per lane and step); the exact checks of
+``verify`` audit and tally them and keep none.  The N^2 envelope is one
+``analysis.EnvelopeMoments`` per group: 8 * horizon bytes of column sums,
+32 * horizon more for ``verify``'s drift statistics.  Each lane's M, I and
+mode wait, in spare rows before the block's, from the first column some
+lane of its group has not resolved yet; a round open over the whole horizon
+holds 17 * horizon bytes per lane.  The envelope covers slices with no
+diverged trial only.  Chunks run one after another on the calling thread;
+neither the block length, the chunking nor a slice's companions change a
+result.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,7 +70,7 @@ import numpy as np
 from zoomctl import analysis
 from zoomctl.codec import StrategyParams, cell_tracker, rate
 from zoomctl.distributions import DistributionSpec, moments, sample_rows
-from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, json_safe, write_json
+from zoomctl.loop import DIVERGENCE_LIMIT, NO_SYMBOL, Trace, csv_text, json_safe, write_json
 
 CHUNK_TRIALS = 512  # trials per reduction group; an engine chunk runs four
 BLOCK_STEPS = 50  # steps per time block of the engine
@@ -224,9 +224,14 @@ def _predraw(cfg: ExperimentConfig,
     return rngs, [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
 
+# A policy's lanes in an engine chunk, over its first ``trials`` trials: the first ``record`` recorded
+# (through ``consume`` if given), the adaptive N^2 envelope folded if ``envelope`` (with drift if ``drift``)
+LaneSlice = namedtuple("LaneSlice", "policy trials record envelope drift consume", defaults=(0, False, False, None))
+
+
 @dataclass
 class _ChunkOut:
-    """One chunk's results; sums are per trial group, in trial order."""
+    """One lane slice's results in a chunk; sums are per trial group, in trial order."""
 
     sum_xsq: np.ndarray  # (groups, horizon + 1)
     sum_x4: np.ndarray
@@ -237,6 +242,7 @@ class _ChunkOut:
     diverged_at: np.ndarray
     records: dict[str, np.ndarray]  # the first r lanes' FULL_RECORD_FIELDS; empty under a caller's consumer
     envelopes: list[analysis.EnvelopeMoments] | None  # per group; None once a lane diverged
+    companions: list = field(default_factory=list)  # each companion slice's
 
 
 def _chunk_envelope(
@@ -246,10 +252,10 @@ def _chunk_envelope(
     """Fold one time block of (lanes, steps) columns into ``acc``; returns the columns left pending.
 
     The block joins the ``pending`` (M, I, mode) columns, where some round
-    is still open, and ``analysis.envelope_squared`` resolves the window.
+    is still open (``_run_chunk`` keeps them in its rows, before the block's,
+    and passes None), and ``analysis.envelope_squared`` resolves the window.
     The resolved prefix goes to ``acc`` as C-ordered rows, so it sums lane by
-    lane whatever the block's layout (such as transposed step-major rows);
-    the rest is copied out of the reused block buffers (None: nothing left).
+    lane whatever the block's layout; the rest is returned as views.
     """
     cols = (m_blk, i_blk, normal_blk)
     if pending is not None:
@@ -260,7 +266,7 @@ def _chunk_envelope(
         done = 0
     if done:
         acc.add(np.ascontiguousarray(nsq), cols[2][:, :done])
-    return tuple(c[:, done:].copy() for c in cols) if done < cols[0].shape[1] else None
+    return tuple(c[:, done:] for c in cols) if done < cols[0].shape[1] else None
 
 
 def recorder(r: int, horizon: int, records: dict[str, np.ndarray]) -> Callable:
@@ -274,6 +280,190 @@ def recorder(r: int, horizon: int, records: dict[str, np.ndarray]) -> Callable:
     return consume
 
 
+class _Slice:
+    """A ``LaneSlice`` in a running chunk: its rows, recording and results, and its policy's step kernel,
+    the method named after it.  It reads and writes its own lanes (``lanes`` of the chunk's) only."""
+
+    def __init__(self, cfg: ExperimentConfig, spec: LaneSlice, lanes: slice, block: int,
+                 chunk: tuple[np.ndarray, ...], indices: Sequence[int], mu: tuple[float, float]):
+        kind, p, h, n, r = spec.policy.kind, cfg.params, cfg.horizon, spec.trials, spec.record
+        self.p, self.mu, self.n, self.r, self.lanes = p, mu, n, r, lanes
+        self.xs, self.ax, self.diverged_at, self.x_diverged = (a[..., lanes] for a in chunk)
+        need_env = spec.envelope and kind == "adaptive_fixed_rate"
+        # the step's rows, from the initial tracker and control, which a policy
+        # with no tracker keeps (zero_control's control is mu_W)
+        blocked = {"M", "I", "normal", "U"} if r == n else {"M", "I", "normal"} if need_env else set()
+        carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
+        fills = {"M": p.M0, "I": p.M0, "normal": kind != "adaptive_fixed_rate",
+                 "U": mu[1] if kind == "zero_control" else 0.0}
+        self.rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n), fill)
+                     for f, fill in fills.items()}
+        # the recorded lanes' block rows: the step's own where blocked, else r lanes wide
+        self.recs = {f: buf if f in blocked else np.repeat(buf[:1, :r], block + 1, axis=0)
+                     for f, buf in self.rows.items()}
+        self.copied = [(self.rows[f], self.recs[f]) for f in self.rows if f not in blocked] if r else []
+        self.recs["rho"] = np.ones((block + 1, r), dtype=np.int64)
+        self.recs["symbol"] = np.full((block + 1, r), NO_SYMBOL)
+        self.records = {}
+        self.consume = spec.consume or recorder(r, h, self.records)
+        self.groups = [slice(g, min(g + CHUNK_TRIALS, n)) for g in range(0, n, CHUNK_TRIALS)]
+        self.envs = [analysis.EnvelopeMoments.sized(g.stop - g.start, h, p.c if spec.drift else None,
+                                                    indices[g.start]) for g in self.groups] if need_env else []
+        # the envelope's M, I and mode buffers hold the block's rows after
+        # ``spare`` rows, where each group's ``pending`` unresolved columns wait
+        self.env = {f: self.rows[f] for f in ("M", "I", "normal")} if need_env else {}
+        self.spare, self.pending = 0, [0] * len(self.envs)
+        self.sum_xsq, self.sum_x4 = np.zeros((2, len(self.groups), h + 1))
+        self.count = np.full(h + 1, n, dtype=np.int64)
+        self.emergency_steps = 0
+        self.parked = self.live = None  # its parked lanes and the others, once one of its lanes diverged
+        # per-step scratch (``work`` is cell_tracker's, and the static cell's
+        # bounds and side); rho is recorded apart, as an integer
+        self.k, self.lim, self.xz, self.rho, self.sign = np.empty((5, n))
+        self.work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+        self.zoom, self.keep, self.below = np.empty((3, n), dtype=bool)
+        sub = replace(cfg, policy=spec.policy)
+        self.srange, self.w_cell, self.kernel = sub.static_range(), sub.static_cell_width(), getattr(self, kind)
+
+    def carry(self, block: int) -> None:
+        """Start a block from the previous one's last rows (it had ``block`` steps): one tracker row, and
+        the envelope's back to each group's first unresolved column, in more spare rows if need be."""
+        for buf in [self.recs["rho"]] + [self.rows[f] for f in ("M", "I") if f not in self.env]:
+            buf[0] = buf[block % len(buf)]
+        keep, s = max([1, *self.pending]), self.spare
+        kept = {f: buf[s + block + 1 - keep:s + block + 1] for f, buf in self.env.items()}
+        if keep > s + 1:  # the old rows are let go before the wider ones are allocated
+            kept, self.spare = {f: c.copy() for f, c in kept.items()}, max(2 * s, keep - 1)
+        for f, rows in kept.items():
+            if self.spare != s:
+                self.env[f] = self.rows[f] = self.recs[f] = None
+                self.env[f] = np.empty((self.spare + block + 1, self.n), rows.dtype)
+            self.env[f][self.spare + 1 - keep:self.spare + 1] = rows
+            self.rows[f] = self.recs[f] = self.env[f][self.spare:]
+
+    def step(self, i: int, a: np.ndarray, w: np.ndarray) -> None:
+        """Step i of the block: the kernel's control, the recorded lanes' rows, then X' = A X + W - U."""
+        x, x_next, u_rows = self.xs[i], self.xs[i + 1], self.rows["U"]
+        u = u_rows[(i + 1) % len(u_rows)]
+        self.emergency_steps += self.kernel(i, x, u)
+        for buf, rec in self.copied:
+            np.copyto(rec[i + 1], buf[(i + 1) % len(buf), :self.r])
+        np.multiply(a[:self.n], x, out=x_next)
+        x_next += w[:self.n]
+        x_next -= u
+
+    # the step kernels: each writes U, and row i + 1 of its tracker and of the recorded rho and
+    # symbol, and returns its lanes in zoom-out
+
+    def adaptive_fixed_rate(self, i: int, x: np.ndarray, u: np.ndarray) -> int:
+        """The two-mode strategy: the encoder's tracker (``codec.cell_tracker``) and its control.  A step where
+        every lane is normal runs with no mask; else lanes in zoom-out and parked lanes keep their tracker
+        through masked selects.  Cell indices are float64, exact since |k| <= L <= 2^50."""
+        p, r, lim, rho, zoom = self.p, self.r, self.lim, self.rho, self.zoom
+        m_rows, i_rows, mode_rows, _ = self.rows.values()
+        rho_rec, sym_rec = self.recs["rho"], self.recs["symbol"]
+        m, i_new = m_rows[(i + 1) % len(m_rows)], i_rows[(i + 1) % len(i_rows)]
+        parked = self.parked
+        # zoom-out update M <- P*M, which is also the live range; a parked
+        # lane keeps the tracker it diverged with
+        if parked is None:
+            np.multiply(m_rows[i % len(m_rows)], p.P, out=lim)
+        else:
+            np.copyto(lim, m_rows[i % len(m_rows)])
+            np.multiply(lim, p.P, out=lim, where=self.live)
+        normal = mode_rows[(i + 1) % len(mode_rows)]
+        zooming = self.n - int(np.count_nonzero(np.less_equal(self.ax, lim, out=normal)))
+        if not zooming and parked is None:
+            cell_tracker(x, lim, p.L, p.M0, self.k, (m, i_new, rho), self.work)
+            np.subtract(m, i_new, out=u)
+            u *= rho
+            u *= self.mu[0]
+            u += self.mu[1]
+        else:
+            # lanes in zoom-out encode X = 0; their cells are dropped below
+            np.logical_not(normal, out=zoom)
+            np.copyto(self.xz, x)
+            np.putmask(self.xz, zoom, 0.0)
+            cell_tracker(self.xz, lim, p.L, p.M0, self.k, (m, i_new, rho), self.work)
+            held = zoom if parked is None else np.logical_or(zoom, parked, out=self.keep)
+            # the product with mu_A is formed on live normal lanes only
+            np.subtract(m, i_new, out=u)
+            u *= rho
+            np.putmask(u, held, 0.0)
+            u *= self.mu[0]
+            u += self.mu[1]
+            np.putmask(u, held, self.mu[1])
+            np.putmask(m, held, lim)
+            np.putmask(i_new, held, i_rows[i % len(i_rows)])
+            if r:
+                np.putmask(rho[:r], held[:r], rho_rec[i])
+        if r:
+            np.copyto(rho_rec[i + 1], rho[:r], casting="unsafe")
+            np.add(self.k[:r], p.L, out=sym_rec[i + 1], casting="unsafe")
+            if zooming:
+                np.putmask(sym_rec[i + 1], zoom[:r], 2 * p.L)
+        return zooming
+
+    def static_quantizer(self, i: int, x: np.ndarray, u: np.ndarray) -> int:
+        """The static quantizer: the cell of X in the fixed partition, out-of-range states saturated."""
+        p, r, k, srange, w_cell_s = self.p, self.r, self.k, self.srange, self.w_cell
+        sign, below = self.sign, self.below
+        a_cell, b_cell, above = self.work
+        m_rows, i_rows, _, _ = self.rows.values()
+        m, i_new = m_rows[(i + 1) % len(m_rows)], i_rows[(i + 1) % len(i_rows)]
+        np.floor(np.divide(np.add(x, srange, out=k), w_cell_s, out=k), out=k)
+        np.fmin(np.fmax(k, 0.0, out=k), 2 * p.L, out=k)
+        np.add(np.multiply(k, w_cell_s, out=a_cell), -srange, out=a_cell)
+        np.add(a_cell, w_cell_s, out=b_cell)
+        # a <= b, so max(|a|, |b|) is max(-a, b)
+        np.maximum(np.maximum(np.negative(a_cell, out=m), b_cell, out=m), p.M0, out=m)
+        np.maximum(np.divide(np.subtract(b_cell, a_cell, out=i_new), 2.0, out=i_new), p.M0, out=i_new)
+        # the cell's midpoint estimate: M - I right of 0, I - M left of it,
+        # 0 on the cell around 0
+        np.subtract(np.greater_equal(a_cell, 0.0, out=above), np.less_equal(b_cell, 0.0, out=below),
+                    out=sign, dtype=float)
+        np.multiply(np.subtract(m, i_new, out=u), sign, out=u)
+        u *= self.mu[0]
+        u += self.mu[1]
+        if r:
+            np.copyto(self.recs["symbol"][i + 1], k[:r], casting="unsafe")
+            np.subtract(np.multiply(above[:r], 2, out=self.recs["rho"][i + 1]), 1, out=self.recs["rho"][i + 1])
+        return 0
+
+    def perfect_observation(self, i: int, x: np.ndarray, u: np.ndarray) -> int:  # U = mu_A * X + mu_W
+        np.add(np.multiply(x, self.mu[0], out=u), self.mu[1], out=u)
+        return 0
+
+    def zero_control(self, i: int, x: np.ndarray, u: np.ndarray) -> int:  # U stays mu_W, its initial row
+        return 0
+
+    def fold(self, b0: int, nb: int, a_blk: np.ndarray, w_blk: np.ndarray, K: float) -> None:
+        """The block's per-step sums and envelope fold, then the recorded lanes' rows to the consumer."""
+        xv = self.xs[:nb + 1]
+        for g, lanes in enumerate(self.groups):  # parked lanes add 0
+            sq = xv[1:, lanes] * xv[1:, lanes]
+            self.sum_xsq[g, b0 + 1:b0 + nb + 1] = sq.sum(axis=1)
+            with np.errstate(over="ignore"):
+                # near the divergence limit x^4 saturates to inf; the stderr at
+                # such indices is reported as inf, means stay finite
+                sq *= sq
+                self.sum_x4[g, b0 + 1:b0 + nb + 1] = sq.sum(axis=1)
+        if self.parked is not None:
+            self.envs = self.pending = []  # the envelope covers ensembles with no diverged trial
+        for g, (lanes, acc) in enumerate(zip(self.groups, self.envs)):
+            first = self.spare + 1 - self.pending[g]
+            left = _chunk_envelope(acc, None, *(buf[first:self.spare + nb + 1, lanes].T
+                                                for buf in self.env.values()), K)
+            self.pending[g] = 0 if left is None else left[0].shape[1]
+        # the recorded lanes' rows of the block, with a lane's diverged value at its divergence step
+        r, div = self.r, self.diverged_at[:self.r]
+        x_rec = xv[:, :r].T.copy()
+        dead = np.flatnonzero((div >= b0) & (div <= b0 + nb))
+        x_rec[dead, div[dead] - b0] = self.x_diverged[dead]
+        self.consume(b0, {"X": x_rec, **{f: buf[1:nb + 1, :r].T for f, buf in self.recs.items()},
+                          "A": a_blk[:r], "W": w_blk[:r]}, div)
+
+
 def _run_chunk(
     cfg: ExperimentConfig,
     indices: Sequence[int],
@@ -282,243 +472,78 @@ def _run_chunk(
     *,
     drift: bool = False,
     consume: Callable[[int, dict[str, np.ndarray], np.ndarray], None] | None = None,
+    companions: Sequence[LaneSlice] = (),
 ) -> _ChunkOut:
-    """Run trials ``indices`` in lockstep, one lane each, under any policy.
+    """Run trials ``indices`` in lockstep under ``cfg``'s policy, one lane each, and each companion
+    ``LaneSlice`` beside them over its first trials; the companions' results are in ``companions``.
 
-    The lanes split, in order, into groups of CHUNK_TRIALS trials, the unit
-    every sum reduces over.  The horizon is walked in blocks of BLOCK_STEPS
-    steps: per-step sums are taken and the N^2 envelope folded one block at
-    a time, so a block sizes the step-major X rows, the envelope's M, I and
-    mode rows, the sums' temporary, the recorded lanes' block rows and the
-    envelope's fold window, about 42 bytes per lane and block step with the
-    envelope.  The noise is drawn apart, one ``sample_rows`` call for the
-    gains and one for the disturbances per DRAW_STEPS steps rounded down to
-    whole blocks (at least one), each into a (lanes, batch) buffer of 8
-    bytes per lane and batch step that each block reads at its offset (see
-    ``_predraw``), so nothing spans the horizon but the per-step sums and
-    envelope statistics.  ``record_fields`` is r, the number of leading
-    lanes whose FULL_RECORD_FIELDS are recorded (0: none).  After each block
-    ``consume(b0, rows, diverged_at)`` gets their lane-major rows: X
-    (r, nb + 1) from X_b0, a lane's diverged value at its divergence step,
-    every other field (r, nb), and each lane's divergence step so far.  By
-    default (``recorder``) they are copied into records allocated once,
-    X (r, h + 1) and every other field (r, h).  The envelope is
-    one ``analysis.EnvelopeMoments`` per group, with the drift and halving
-    statistics when ``drift`` is set, plus the group's M, I and mode from
-    the first column where some round is still open.  It covers ensembles
-    with no diverged trial only: the chunk drops it once a lane diverges.
-
-    Every per-step field has a step-major buffer, one column per lane, and
-    step n of a block writes its row n + 1 in place (``out=``), so a step
-    neither copies nor allocates.  A field gets a row per block step only
-    when the envelope (M, I and mode) or a recording of every lane reads
-    it; otherwise the adaptive tracker alternates between two rows and
-    every other field reuses one, and the r recorded lanes of such a field
-    get block rows of their own, r lanes wide, copied each step.  rho and
-    the symbol are formed for the recorded lanes only.
-
-    The adaptive step keeps the encoder's tracker only, updated by
-    ``codec.cell_tracker``, and computes symbols only when recorded (the
-    exact checks' floor flags come from ``verify``'s lane audit).  A step where
-    every lane is normal runs with no mask.
-    Otherwise lanes in zoom-out keep their tracker through masked selects,
-    and so do diverged lanes, which are parked: X held at 0, and the
-    zoom-out multiply skips them.  The cell arithmetic sees X = 0 on lanes
-    in zoom-out and parked lanes, always within their range, and the
-    control's product is kept to live normal lanes, so neither overflows.
-    A parked lane adds 0 to the per-step sums and counts as a normal step;
-    its records end at its divergence step, where X is the diverged value,
-    and what it holds after that means nothing.  Cell indices are float64,
-    exact since |k| <= L <= 2^50.
+    ``record_fields`` is r, the number of leading lanes whose FULL_RECORD_FIELDS
+    are recorded (0: none).  After each block ``consume(b0, rows, diverged_at)``
+    gets their lane-major rows: X (r, nb + 1) from X_b0, a lane's diverged
+    value at its divergence step, every other field (r, nb), and each lane's
+    divergence step so far; by default (``recorder``) they are copied into
+    records allocated once.  ``envelope`` folds the adaptive N^2 envelope, with
+    the drift and halving statistics when ``drift`` is set.  Each step writes
+    row n + 1 of step-major buffers in place (``out=``): a field gets a row
+    per block step only when the envelope or a recording of every lane of its
+    slice reads it, else one or two rows, and the recorded lanes get rows of
+    their own.  A diverged lane is parked: X held at 0 (so its cell
+    arithmetic stays in range), adding 0 to the sums, a normal step from then
+    on; its records end at its divergence step, where X is the diverged value.
     """
-    kind = cfg.policy.kind
-    n_t = len(indices)
-    h = cfg.horizon
-    p = cfg.params
-    L = p.L
-    mu_a, _ = moments(cfg.a_spec)
-    mu_w, _ = moments(cfg.w_spec)
-    groups = [slice(g, min(g + CHUNK_TRIALS, n_t)) for g in range(0, n_t, CHUNK_TRIALS)]
+    h, n_t = cfg.horizon, len(indices)
     block = min(BLOCK_STEPS, h)
     draw = max(DRAW_STEPS // block, 1) * block
     rngs, a_rngs = _predraw(cfg, indices)
     a_draws, w_draws = np.empty((2, n_t, min(draw, h)))
-    r = record_fields
-
-    need_env = envelope and kind == "adaptive_fixed_rate"
-    # row n holds X_n of the current block, 0 at parked lanes; row 0 is its start state
-    xs = np.zeros((block + 1, n_t))
-    # the step's rows, from the initial tracker and control, which a policy
-    # with no tracker keeps (zero_control's control is mu_W)
-    blocked = {"M", "I", "normal", "U"} if r == n_t else {"M", "I", "normal"} if need_env else set()
-    carried = {"M", "I"} if kind == "adaptive_fixed_rate" else set()
-    fills = {"M": p.M0, "I": p.M0, "normal": kind != "adaptive_fixed_rate",
-             "U": mu_w if kind == "zero_control" else 0.0}
-    rows = {f: np.full((block + 1 if f in blocked else 2 if f in carried else 1, n_t), fill)
-            for f, fill in fills.items()}
-    m_rows, i_rows, mode_rows, u_rows = rows.values()
-    # the recorded lanes' block rows: the step's own where blocked, else r lanes wide
-    recs = {f: buf if f in blocked else np.repeat(buf[:1, :r], block + 1, axis=0) for f, buf in rows.items()}
-    copied = [(rows[f], recs[f]) for f in rows if f not in blocked] if r else []
-    rho_rec = recs["rho"] = np.ones((block + 1, r), dtype=np.int64)
-    sym_rec = recs["symbol"] = np.full((block + 1, r), NO_SYMBOL)
-    records = {}
-    consume = consume or recorder(r, h, records)
-    envs = [analysis.EnvelopeMoments.sized(lanes.stop - lanes.start, h, p.c if drift else None,
-                                           indices[lanes.start]) for lanes in groups] if need_env else []
-    pending = [None] * len(envs)  # each group's unresolved (M, I, mode) columns
-    x = xs[0]
-    ax = np.zeros(n_t)  # |X| of the current step
-    sum_xsq = np.zeros((len(groups), h + 1))
-    sum_x4 = np.zeros((len(groups), h + 1))
-    diverged_at = np.full(n_t, -1, dtype=np.int64)
-    x_diverged = np.zeros(n_t)
+    specs = [LaneSlice(cfg.policy, n_t, record_fields, envelope, drift, consume), *companions]
+    ends = np.cumsum([s.trials for s in specs]).tolist()
+    # over every slice's lanes: X_n of the current block at row n (0 at parked
+    # lanes; row 0 is its start state), |X| of the current step, and each
+    # lane's divergence step and diverged value
+    chunk = xs, ax, diverged_at, x_diverged = (np.zeros((block + 1, ends[-1])), np.zeros(ends[-1]),
+                                               np.full(ends[-1], -1, dtype=np.int64), np.zeros(ends[-1]))
+    mu = (moments(cfg.a_spec)[0], moments(cfg.w_spec)[0])
+    slices = [_Slice(cfg, s, slice(e - s.trials, e), block, chunk, indices, mu) for s, e in zip(specs, ends)]
     parked = None
-    live = True  # ~parked once a lane diverges
-    count = np.full(h + 1, n_t, dtype=np.int64)
-    emergency_steps = 0
-
-    # per-step scratch; rho is recorded apart, as an integer
-    k, lim, xz, rho = np.empty((4, n_t))
-    work = (np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=bool))
-    zoom, keep = np.empty((2, n_t), dtype=bool)
-    if kind == "static_quantizer":
-        srange, w_cell_s = cfg.static_range(), cfg.static_cell_width()
-        sign, below = np.empty(n_t), np.empty(n_t, dtype=bool)
 
     for b0 in range(0, h, block):
         nb = min(block, h - b0)
         if b0:  # carry the last rows of the previous block, which had ``block`` steps
-            xs[0] = x
-            for buf in (m_rows, i_rows, rho_rec):
-                buf[0] = buf[block % len(buf)]
-        xv = xs[:nb + 1]
+            xs[0] = xs[block]
+            for sl in slices:
+                sl.carry(block)
         if not b0 % draw:
             sample_rows(cfg.a_spec, a_rngs, a_draws[:, :min(draw, h - b0)])
             sample_rows(cfg.w_spec, rngs, w_draws[:, :min(draw, h - b0)])
         a_blk = a_draws[:, b0 % draw:b0 % draw + nb]
         w_blk = w_draws[:, b0 % draw:b0 % draw + nb]
-
         for i in range(nb):
-            n = b0 + i
-            x = xv[i]
-            m, i_new = m_rows[(i + 1) % len(m_rows)], i_rows[(i + 1) % len(i_rows)]
-            u = u_rows[(i + 1) % len(u_rows)]
-            if kind == "adaptive_fixed_rate":
-                # zoom-out update M <- P*M, which is also the live range; a
-                # parked lane keeps the tracker it diverged with
-                if parked is None:
-                    np.multiply(m_rows[i % len(m_rows)], p.P, out=lim)
-                else:
-                    np.copyto(lim, m_rows[i % len(m_rows)])
-                    np.multiply(lim, p.P, out=lim, where=live)
-                normal = mode_rows[(i + 1) % len(mode_rows)]
-                zooming = n_t - int(np.count_nonzero(np.less_equal(ax, lim, out=normal)))
-                if not zooming and parked is None:
-                    cell_tracker(x, lim, L, p.M0, k, (m, i_new, rho), work)
-                    np.subtract(m, i_new, out=u)
-                    u *= rho
-                    u *= mu_a
-                    u += mu_w
-                else:
-                    emergency_steps += zooming
-                    # lanes in zoom-out encode X = 0; their cells are dropped below
-                    np.logical_not(normal, out=zoom)
-                    np.copyto(xz, x)
-                    np.putmask(xz, zoom, 0.0)
-                    cell_tracker(xz, lim, L, p.M0, k, (m, i_new, rho), work)
-                    held = zoom if parked is None else np.logical_or(zoom, parked, out=keep)
-                    # the product with mu_A is formed on live normal lanes only
-                    np.subtract(m, i_new, out=u)
-                    u *= rho
-                    np.putmask(u, held, 0.0)
-                    u *= mu_a
-                    u += mu_w
-                    np.putmask(u, held, mu_w)
-                    np.putmask(m, held, lim)
-                    np.putmask(i_new, held, i_rows[i % len(i_rows)])
-                    if r:
-                        np.putmask(rho[:r], held[:r], rho_rec[i])
-                if r:
-                    np.copyto(rho_rec[i + 1], rho[:r], casting="unsafe")
-                    np.add(k[:r], L, out=sym_rec[i + 1], casting="unsafe")
-                    if zooming:
-                        np.putmask(sym_rec[i + 1], zoom[:r], 2 * L)
-            elif kind == "static_quantizer":
-                a_cell, b_cell, above = work
-                np.floor(np.divide(np.add(x, srange, out=k), w_cell_s, out=k), out=k)
-                np.fmin(np.fmax(k, 0.0, out=k), 2 * L, out=k)
-                np.add(np.multiply(k, w_cell_s, out=a_cell), -srange, out=a_cell)
-                np.add(a_cell, w_cell_s, out=b_cell)
-                # a <= b, so max(|a|, |b|) is max(-a, b)
-                np.maximum(np.maximum(np.negative(a_cell, out=m), b_cell, out=m), p.M0, out=m)
-                np.maximum(np.divide(np.subtract(b_cell, a_cell, out=i_new), 2.0, out=i_new), p.M0, out=i_new)
-                # the cell's midpoint estimate: M - I right of 0, I - M left of
-                # it, 0 on the cell around 0
-                np.subtract(np.greater_equal(a_cell, 0.0, out=above), np.less_equal(b_cell, 0.0, out=below),
-                            out=sign, dtype=float)
-                np.multiply(np.subtract(m, i_new, out=u), sign, out=u)
-                u *= mu_a
-                u += mu_w
-                if r:
-                    np.copyto(sym_rec[i + 1], k[:r], casting="unsafe")
-                    np.subtract(np.multiply(above[:r], 2, out=rho_rec[i + 1]), 1, out=rho_rec[i + 1])
-            elif kind == "perfect_observation":
-                np.multiply(x, mu_a, out=u)
-                u += mu_w
-            for buf, rec in copied:
-                np.copyto(rec[i + 1], buf[(i + 1) % len(buf), :r])
-
-            x_next = xv[i + 1]
-            np.multiply(a_blk[:, i], x, out=x_next)
-            x_next += w_blk[:, i]
-            x_next -= u
+            a, w = a_blk[:, i], w_blk[:, i]
+            for sl in slices:
+                sl.step(i, a, w)
+            x_next = xs[i + 1]
             if parked is not None:
                 np.putmask(x_next, parked, 0.0)
             if not np.abs(x_next, out=ax).max() <= DIVERGENCE_LIMIT:
                 dead = ~(ax <= DIVERGENCE_LIMIT)
-                diverged_at[dead] = n + 1
+                diverged_at[dead] = b0 + i + 1
                 x_diverged[dead] = x_next[dead]
                 x_next[dead] = ax[dead] = 0.0
-                count[n + 1:] -= np.count_nonzero(dead)
                 parked = dead if parked is None else parked | dead
-                live = ~parked
-        x = xv[nb]
+                for sl in slices:
+                    if hit := np.count_nonzero(dead[sl.lanes]):
+                        sl.count[b0 + i + 1:] -= hit
+                        sl.parked = parked[sl.lanes]
+                        sl.live = ~sl.parked
+        for sl in slices:
+            sl.fold(b0, nb, a_blk, w_blk, cfg.params.K)
 
-        # per-step sums of the block's states, parked lanes contributing 0
-        sq = xv[1:] * xv[1:]
-        for g, lanes in enumerate(groups):
-            sum_xsq[g, b0 + 1:b0 + nb + 1] = sq[:, lanes].sum(axis=1)
-        with np.errstate(over="ignore"):
-            # near the divergence limit x^4 saturates to inf; the stderr at
-            # such indices is reported as inf, means stay finite
-            sq *= sq
-            for g, lanes in enumerate(groups):
-                sum_x4[g, b0 + 1:b0 + nb + 1] = sq[:, lanes].sum(axis=1)
-        del sq
-        if parked is not None:
-            envs = []  # the envelope covers ensembles with no diverged trial
-        for g, (lanes, acc) in enumerate(zip(groups, envs)):
-            cols = (buf[1:nb + 1, lanes].T for buf in (m_rows, i_rows, mode_rows))
-            pending[g] = _chunk_envelope(acc, pending[g], *cols, p.K)
-        # the recorded lanes' rows of the block, with a lane's diverged value at its divergence step
-        x_rec = xv[:, :r].T.copy()
-        dead = np.flatnonzero((diverged_at[:r] >= b0) & (diverged_at[:r] <= b0 + nb))
-        x_rec[dead, diverged_at[dead] - b0] = x_diverged[dead]
-        consume(b0, {"X": x_rec, **{f: buf[1:nb + 1, :r].T for f, buf in recs.items()},
-                     "A": a_blk[:r], "W": w_blk[:r]}, diverged_at[:r])
-
-    return _ChunkOut(
-        sum_xsq=sum_xsq,
-        sum_x4=sum_x4,
-        count=count,
-        steps_alive=int(count[:h].sum()),
-        emergency_steps=emergency_steps,
-        diverged=int(np.count_nonzero(diverged_at >= 0)),
-        diverged_at=diverged_at,
-        records=records,
-        envelopes=envs or None,
-    )
+    main, *rest = (_ChunkOut(sl.sum_xsq, sl.sum_x4, sl.count, int(sl.count[:h].sum()), sl.emergency_steps,
+                             int(np.count_nonzero(sl.diverged_at >= 0)), sl.diverged_at, sl.records, sl.envs or None)
+                   for sl in slices)
+    main.companions = rest
+    return main
 
 
 def _chunked(cfg: ExperimentConfig) -> list[range]:
@@ -533,12 +558,31 @@ def _run_chunks(cfg: ExperimentConfig, envelope: bool, drift: bool = False, keep
             for idx in _chunked(cfg)]
 
 
-def envelope_moments(cfg: ExperimentConfig) -> tuple[analysis.EnvelopeMoments | None, int]:
-    """(N^2 drift and halving statistics, diverged trials) of one unrecorded adaptive pass.
+def run_lanes(cfg: ExperimentConfig, lanes: Sequence[LaneSlice]) -> list[list[_ChunkOut]]:
+    """One engine pass over the trials of ``cfg`` for lane slices over the same noise rows: each slice's
+    chunk results where it has lanes.  In a chunk the widest slice runs as ``_run_chunk``'s own policy."""
+    order = sorted(range(len(lanes)), key=lambda j: -lanes[j].trials)
+    got = [[] for _ in lanes]
+    for idx in _chunked(replace(cfg, trials=lanes[order[0]].trials)):
+        here = [j for j in order if lanes[j].trials > idx[0]]
+        cut = [s._replace(trials=min(s.trials - idx[0], len(idx)),
+                          record=(r := min(max(s.record - idx[0], 0), len(idx))), consume=s.consume if r else None)
+               for s in (lanes[j] for j in here)]
+        out = _run_chunk(replace(cfg, policy=cut[0].policy), idx, cut[0].record, cut[0].envelope, drift=cut[0].drift,
+                         consume=cut[0].consume, companions=cut[1:])
+        for j, o in zip(here, [out, *out.companions]):
+            got[j].append(o)
+    return got
+
+
+def envelope_moments(cfg: ExperimentConfig,
+                     outs: list[_ChunkOut] | None = None) -> tuple[analysis.EnvelopeMoments | None, int]:
+    """(N^2 drift and halving statistics, diverged trials) of one unrecorded adaptive pass, or of the chunk
+    results ``outs`` of an adaptive pass with them.
 
     The group statistics merge in trial order; they are None when any trial diverged.
     """
-    outs = _run_chunks(cfg, True, drift=True)
+    outs = outs or _run_chunks(cfg, True, drift=True)
     diverged = sum(out.diverged for out in outs)
     if diverged:
         return None, diverged
@@ -583,6 +627,7 @@ def run_experiment(
     cfg: ExperimentConfig,
     keep_traces: int = 0,
     envelope: bool = True,
+    outs: list[_ChunkOut] | None = None,
 ) -> tuple[SummaryStats, list[Trace]]:
     """Run the configured ensemble and aggregate second-moment statistics.
 
@@ -590,9 +635,10 @@ def run_experiment(
     ensemble chunk records its lanes below k, so the traces come from the
     one ensemble pass, as views of its records.  ``envelope`` controls whether the dominating
     envelope statistic max_mean_nsq is computed (adaptive policy only); it
-    is None when any trial diverged.
+    is None when any trial diverged.  ``outs``: the chunk results of a pass
+    that ran the ensemble already (``run_lanes``).
     """
-    outs = _run_chunks(cfg, envelope, keep=keep_traces)
+    outs = outs or _run_chunks(cfg, envelope, keep=keep_traces)
     h = cfg.horizon
 
     def group_total(f, width):
@@ -764,23 +810,20 @@ def write_summary_json(stats: SummaryStats, cfg: ExperimentConfig, path) -> None
     write_json(payload, path)
 
 
-def _write_config_csv(cfg: ExperimentConfig, path, header: list[str], rows: Iterable) -> None:
-    """CSV rows under a ``# config:`` line holding the config's JSON; floats are written by repr."""
+def _write_config_csv(cfg: ExperimentConfig, path, header: list[str], columns: Iterable) -> None:
+    """CSV columns under a ``# config:`` line holding the config's JSON (``loop.csv_text``)."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {json.dumps(cfg.describe(), sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(f"# config: {json.dumps(cfg.describe(), sort_keys=True)}\n" + csv_text(header, columns))
 
 
 def write_curve_csv(stats: SummaryStats, cfg: ExperimentConfig, path) -> None:
-    _write_config_csv(cfg, path, ["n", "mean", "stderr"], zip(
-        range(len(stats.curve_mean)), stats.curve_mean.tolist(), stats.curve_stderr.tolist()))
+    _write_config_csv(cfg, path, ["n", "mean", "stderr"],
+                      (range(len(stats.curve_mean)), stats.curve_mean.tolist(), stats.curve_stderr.tolist()))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], cfg: ExperimentConfig, path) -> None:
     _write_config_csv(cfg, path, [
         "dimension", "value", "R", "verdict", "diverged_count",
         "window_ratio", "emergency_fraction", "terminal_mean_xsq",
-    ], ([r.dimension, r.value, r.R, r.verdict, r.diverged_count, float(r.window_ratio),
-         float(r.emergency_fraction), float(r.terminal_mean_xsq)] for r in rows))
+    ], zip(*([r.dimension, r.value, r.R, r.verdict, r.diverged_count, float(r.window_ratio),
+             float(r.emergency_fraction), float(r.terminal_mean_xsq)] for r in rows)))

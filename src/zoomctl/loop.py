@@ -171,9 +171,13 @@ class Trace:
                     mode=np.where(self.normal, NORMAL, EMERGENCY).tolist() + ["end"],
                     round_id=np.maximum(np.cumsum(cols["normal"]) - 1, 0).tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_CSV_HEADER)
-            writer.writerows(zip(*(cols[f] for f in TRACE_CSV_HEADER)))
+            fh.write(csv_text(TRACE_CSV_HEADER, (cols[f] for f in TRACE_CSV_HEADER)))
+
+
+def csv_text(header: list[str], columns) -> str:
+    """CSV text of ``columns`` under ``header``, as ``csv.writer`` writes numbers and plain words: each field by
+    ``str`` (a float by its repr, as ``csv`` does), CRLF line ends, and no field that needs quoting."""
+    return "".join(",".join(row) + "\r\n" for row in (header, *zip(*(map(str, col) for col in columns))))
 
 
 def json_safe(x):
@@ -283,9 +287,9 @@ def run_trial(
             break
 
     steps = horizon if diverged_at is None else diverged_at
-    xs, symbol, normal, m, i, rho, u = rows[:steps].T.copy()
-    return Trace(X=np.append(xs, x), symbol=symbol.astype(np.int64), normal=normal.astype(bool), M=m, I=i,
-                 rho=rho.astype(np.int64), U=u, A=a_draws[:steps], W=w_draws[:steps], seed=seed,
+    xs, symbol, normal, m, i, rho, u = rows[:steps].T  # each copied out, so the rows are not kept
+    return Trace(X=np.append(xs, x), symbol=symbol.astype(np.int64), normal=normal.astype(bool), M=m.copy(),
+                 I=i.copy(), rho=rho.astype(np.int64), U=u.copy(), A=a_draws[:steps], W=w_draws[:steps], seed=seed,
                  diverged_at=diverged_at)
 
 

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 import hashlib
 import json
 import math
@@ -903,6 +904,68 @@ def test_recorded_bundle_matches_traces():
         assert np.array_equal(rec["X"][idx], tr.X)
         assert np.array_equal(rec["M"][idx], tr.M[: tr.steps])
         assert np.array_equal(rec["normal"][idx], tr.normal[: tr.steps])
+
+
+# --- mixed chunks: lane slices of two policies ---------------------------------
+
+# (gain law, strategy): rounds that zoom out, none diverging; gains under which
+# every perfect_observation lane diverges and no adaptive one (its mean,
+# about -9.5, makes the oracle's error grow tenfold a step); and a gain mean
+# the adaptive tracker cannot follow at P = 64, where only adaptive lanes diverge
+MIXED_CASES = {
+    "zooming": (A_REF, EMERGENCY_PARAMS, 60),
+    "perfect_diverges": (DistributionSpec.two_point(-1000.0, 0.01, 0.5), EMERGENCY_PARAMS, 200),
+    "adaptive_diverges": (DistributionSpec.gaussian(1.8, 0.5), StrategyParams(L=8, P=64.0, M0=0.1, K=8.0, c=0.2), 400),
+}
+
+
+def assert_same_lanes(got, want):
+    """Two chunk results agree bit for bit: sums, counts, divergence steps, records and envelopes."""
+    for f in ("sum_xsq", "sum_x4", "count", "diverged_at"):
+        assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+    assert (got.steps_alive, got.emergency_steps, got.diverged) == (want.steps_alive, want.emergency_steps,
+                                                                    want.diverged)
+    assert got.records.keys() == want.records.keys()
+    assert all(got.records[f].tobytes() == want.records[f].tobytes() for f in want.records)
+    assert (got.envelopes is None) == (want.envelopes is None)
+    for a, b in zip(got.envelopes or (), want.envelopes or ()):
+        assert (a.c, a.count, a.first, a.resolved, a.mismatches) == (b.c, b.count, b.first, b.resolved, b.mismatches)
+        assert a.sums.tobytes() == b.sums.tobytes() and a.pairs.tobytes() == b.pairs.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.last, b.last))
+
+
+@pytest.mark.parametrize("case", MIXED_CASES)
+def test_mixed_chunk_lanes_match_single_policy_chunks(monkeypatch, case):
+    import zoomctl.harness as hz
+    from zoomctl.harness import LaneSlice
+
+    # 12 trials in groups of 5: the adaptive slice records its first 3 lanes
+    # and folds the drift envelope beside a perfect_observation slice over the
+    # same rows; then a perfect_observation chunk carries a 7-lane adaptive
+    # slice, all of it recorded, as verify's exact checks ride beside it
+    a_spec, params, horizon = MIXED_CASES[case]
+    monkeypatch.setattr(hz, "CHUNK_TRIALS", 5)
+    cfg = make_cfg(a_spec=a_spec, params=params, trials=12, horizon=horizon, master_seed=7)
+    perfect = replace(cfg, policy=Policy.perfect())
+    for block, draw in block_draw_pairs(horizon):
+        monkeypatch.setattr(hz, "BLOCK_STEPS", block)
+        monkeypatch.setattr(hz, "DRAW_STEPS", draw)
+        adaptive, oracle = (hz._run_chunk(c, range(12), 3, True, drift=True) for c in (cfg, perfect))
+        mixed = hz._run_chunk(cfg, range(12), 3, True, drift=True,
+                              companions=[LaneSlice(Policy.perfect(), 12, 3, True, True)])
+        assert_same_lanes(mixed, adaptive)
+        assert_same_lanes(mixed.companions[0], oracle)
+        riding = hz._run_chunk(perfect, range(12), 0, False,
+                               companions=[LaneSlice(Policy.adaptive(), 7, 7, True, True)])
+        assert_same_lanes(riding, hz._run_chunk(perfect, range(12), 0, False))
+        assert_same_lanes(riding.companions[0], hz._run_chunk(cfg, range(7), 7, True, drift=True))
+        if case == "zooming":
+            assert adaptive.emergency_steps and adaptive.envelopes and not oracle.diverged
+        elif case == "perfect_diverges":
+            # the adaptive envelope survives the oracle lanes' divergence
+            assert oracle.diverged == 12 and not adaptive.diverged and mixed.envelopes
+        else:
+            assert adaptive.diverged == 12 and not oracle.diverged and mixed.envelopes is None
 
 
 # --- engine memory ---------------------------------------------------------------

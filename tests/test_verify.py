@@ -62,6 +62,40 @@ def test_exact_checks_share_one_recorded_pass(capsys, monkeypatch):
     assert calls == [(verify.EXACT_TRIALS, 300, verify.EXACT_TRIALS)]
 
 
+# (config, overrides, --checks, engine passes): one pass per horizon.  At
+# emergency_rich's 2000 steps the exact checks' lanes lead drift's adaptive
+# slice beside perfect_observation, and zero_control's 20 steps run apart; at
+# reference's 10 000 the exact lanes ride beside perfect_observation and
+# drift, capped at 2000 steps, runs apart too
+PASS_COUNTS = [
+    ("emergency_rich.cfg", ["trials=2000"], None, 2),
+    ("reference.cfg", [], None, 3),
+    ("emergency_rich.cfg", ["trials=2000"], "oracle_match", 2),
+    ("emergency_rich.cfg", ["trials=2049"], None, 2),
+    ("reference.cfg", ["trials=2049", "horizon=2100"], None, 3),
+    ("emergency_rich.cfg", ["trials=2049"], "oracle_match", 2),
+]
+
+
+@pytest.mark.parametrize("name, sets, checks, passes", PASS_COUNTS)
+def test_verify_runs_one_engine_pass_per_horizon(capsys, monkeypatch, name, sets, checks, passes):
+    # _predraw seeds each engine chunk's trials, once per chunk of 2048
+    calls = []
+    predraw = hz._predraw
+
+    def counting(cfg, indices):
+        calls.append((cfg.horizon, len(indices)))
+        return predraw(cfg, indices)
+
+    monkeypatch.setattr(hz, "_predraw", counting)
+    trials = load_config(Path(EMERGENCY_CFG).parent / name, sets).trials
+    argv = ["verify", str(Path(EMERGENCY_CFG).parent / name)] + [a for s in sets for a in ("--set", s)]
+    assert main(argv + (["--checks", checks] if checks else [])) in (0, 2)
+    chunks = -(-trials // (4 * hz.CHUNK_TRIALS))
+    assert len(calls) == passes * chunks, calls
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def corrupt_streamed_pass(monkeypatch, *cells):
     """``verify.run_recorded_bundle`` with each (field, trial, index, corrupt) cell corrupted in copies of the
     block rows that hold it, before the exact checks' pass reads them."""
@@ -201,6 +235,27 @@ def test_scalar_replays_compare_every_recorded_column(capsys, monkeypatch, colum
     assert code == 2
     assert lines[0][:2] == ("tracker_equality", "FAIL")
     assert lines[0][2].startswith(SCALAR_DETAILS[column]), lines
+
+
+def test_scalar_rerun_matching_only_the_lane_recorded_alone_fails(capsys, monkeypatch):
+    # the reruns are compared with the streamed lanes through block digests,
+    # and a difference is located in the lane recorded again alone; when that
+    # lane agrees with the rerun (here both carry the same planted change),
+    # the streamed lane is named
+    rerun = verify.run_trial
+
+    def changed(a_spec, w_spec, params, horizon, seed):
+        tr = rerun(a_spec, w_spec, params, horizon, seed)
+        tr.X[10] *= 2.0
+        return tr
+
+    monkeypatch.setattr(verify, "run_trial", changed)
+    monkeypatch.setattr(verify, "extract_trace", lambda cfg, t: changed(
+        cfg.a_spec, cfg.w_spec, cfg.params, cfg.horizon, hz.trial_seed(cfg.master_seed, t)))
+    code, lines = run_verify(capsys, "tracker_equality")
+    assert code == 2
+    assert lines == [("tracker_equality", "FAIL", "scalar run_trial differs from the streamed lane of trial 0, "
+                                                  "not from the lane recorded alone")]
 
 
 def test_domination_violation_names_its_trial(capsys, monkeypatch, tmp_path):
